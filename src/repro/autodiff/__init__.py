@@ -80,7 +80,7 @@ from repro.autodiff.ops import (
     transpose,
     where,
 )
-from repro.autodiff.linalg import solve, lstsq, norm, LUSolver
+from repro.autodiff.linalg import solve, row_scaled_solve, lstsq, norm, LUSolver
 from repro.autodiff.sparse import (
     SparseLUSolver,
     make_linear_solver,
@@ -164,6 +164,7 @@ __all__ = [
     "transpose",
     "where",
     "solve",
+    "row_scaled_solve",
     "LUSolver",
     "SparseLUSolver",
     "make_linear_solver",

@@ -32,7 +32,8 @@ stacked primitive calls on the tracer's underlying
   per-item program exactly (1-D operands become row/column matrices,
   extra leading axes are broadcast, never flattened), so the forward
   *and* the reverse-pass GEMMs are bitwise identical per item;
-- **solve-family** primitives (``solve``/``lu_solve``/``lstsq``/
+- **solve-family** primitives (``solve``/``row_scaled_solve``/
+  ``lu_solve``/``lstsq``/
   ``sparse_solve``/``sparse_lu_solve``/``sparse_matvec``/
   ``sparse_pattern_solve``/``krylov_solve``/``krylov_pattern_solve``)
   transpose the batched right-hand side into
@@ -746,6 +747,7 @@ def _register_rhs_rule(name: str, rhs_pos: int) -> None:
 
 for _name, _pos in (
     ("solve", 1),
+    ("row_scaled_solve", 5),  # (s1, s2, M1, M2, C, b)
     ("lstsq", 1),
     ("lu_solve", 1),  # LUSolver.__call__: (self, b)
     ("sparse_solve", 1),

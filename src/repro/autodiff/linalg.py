@@ -16,17 +16,21 @@ linear system — the property the paper calls the "gold standard".
 
 The LU factorisation computed in the forward pass is cached on the tape
 node and reused in the backward pass, halving the factorisation cost.
+
+:func:`row_scaled_solve` is the structured variant for matrices of the
+form ``diag(s1)·M1 + diag(s2)·M2 + C``: only the row scales are on the
+tape, so its VJPs stay ``O(n²)`` and never materialise ``Ā``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.linalg as sla
 
 from repro.autodiff.batching import composite, primitive
-from repro.autodiff.tensor import ArrayLike, Tensor, make_node, tensor
+from repro.autodiff.tensor import ArrayLike, Tensor, asdata, make_node, tensor
 from repro.autodiff import ops
 from repro.obs.metrics import get_registry
 
@@ -44,14 +48,16 @@ def solve(A: ArrayLike, b: ArrayLike, assume_a: str = "gen") -> Tensor:
     b:
         ``(n,)`` vector or ``(n, k)`` block of right-hand sides.
     assume_a:
-        Passed to ``scipy.linalg.lu_factor`` selection; only ``"gen"``
-        (general LU) and ``"pos"`` (Cholesky) are supported.
+        ``"gen"`` (general LU) or ``"pos"`` (Cholesky); anything else
+        raises ``ValueError``.
 
     Returns
     -------
     Tensor
         ``x`` with a VJP that solves the adjoint (transposed) system.
     """
+    if assume_a not in ("gen", "pos"):
+        raise ValueError(f"assume_a must be 'gen' or 'pos', got {assume_a!r}")
     tA, tb = tensor(A), tensor(b)
     Ad, bd = tA.data, tb.data
     if Ad.ndim != 2 or Ad.shape[0] != Ad.shape[1]:
@@ -109,6 +115,121 @@ def solve(A: ArrayLike, b: ArrayLike, assume_a: str = "gen") -> Tensor:
     return make_node(
         x, [(tA, vjp_A), (tb, vjp_b)], "solve", fwd=fwd,
         meta=((Ad, bd), {"assume_a": assume_a}),
+    )
+
+
+def _const_matrix(M: ArrayLike, name: str, n: int) -> np.ndarray:
+    if isinstance(M, Tensor) and M.needs_tape():
+        raise TypeError(f"row_scaled_solve: {name} must be a constant matrix")
+    M = asdata(M)
+    if M.shape != (n, n):
+        raise ValueError(
+            f"row_scaled_solve: {name} has shape {M.shape}, expected {(n, n)}"
+        )
+    return M
+
+
+@primitive("row_scaled_solve")
+def row_scaled_solve(
+    s1: ArrayLike,
+    s2: ArrayLike,
+    M1: ArrayLike,
+    M2: ArrayLike,
+    C: ArrayLike,
+    b: ArrayLike,
+) -> Tensor:
+    """Differentiable solve of ``(diag(s1)·M1 + diag(s2)·M2 + C) x = b``.
+
+    The dense counterpart of
+    :func:`~repro.autodiff.sparse.sparse_pattern_solve`: the matrix values
+    depend on the tape only through the row scales ``s1``, ``s2`` (``(n,)``
+    tensors), while ``M1``, ``M2`` and ``C`` are constant ``(n, n)``
+    arrays.  ``A`` is assembled in NumPy and LU-factorised once; every
+    column of ``b`` (``(n,)`` or ``(n, k)``) is solved against that one
+    factorisation, one column at a time so each matches a per-vector
+    solve bit for bit.  Restricting ``Ā = −W xᵀ`` to the parameterisation
+    gives VJPs that never form an ``n×n`` array:
+
+    .. math::
+
+        W = A^{-T} \\bar x, \\qquad \\bar b = W, \\qquad
+        \\bar s_i = -\\textstyle\\sum_{\\text{cols}} W \\odot (M_i x) .
+
+    ``W`` costs one transposed ``getrs`` on the cached factors, shared by
+    all three VJPs.  The tape therefore keeps one LU factor plus ``O(n)``
+    vectors per call — this is the Navier–Stokes DP momentum solve,
+    ``s1 = mask·u``, ``s2 = mask·v``, ``M1 = ∂x``, ``M2 = ∂y``.
+    """
+    ts1, ts2, tb = tensor(s1), tensor(s2), tensor(b)
+    s1d, s2d, bd = ts1.data, ts2.data, tb.data
+    if s1d.ndim != 1 or s2d.shape != s1d.shape:
+        raise ValueError(
+            f"row_scaled_solve: scales must be two (n,) vectors, got "
+            f"{s1d.shape} and {s2d.shape}"
+        )
+    n = s1d.shape[0]
+    M1, M2, C = (
+        _const_matrix(M, name, n) for M, name in ((M1, "M1"), (M2, "M2"), (C, "C"))
+    )
+    if bd.ndim not in (1, 2) or bd.shape[0] != n:
+        raise ValueError(
+            f"row_scaled_solve: b has shape {bd.shape}, expected ({n},) or ({n}, k)"
+        )
+
+    # One-slot holders, as in :func:`solve`: replay re-factorises from the
+    # current scale buffers, and the VJPs read through the holder.
+    holder = [None]
+    memo = [None, None]  # (cotangent, W) for the current factors
+
+    def factor() -> None:
+        A = np.multiply(s1d[:, None], M1, order="F")
+        A += s2d[:, None] * M2
+        A += C
+        holder[0] = sla.lu_factor(A, overwrite_a=True, check_finite=False)
+        memo[0] = None
+        get_registry().counter("linalg.dense.factorizations").inc()
+
+    def solve_columns(out: np.ndarray) -> None:
+        # Column by column: a multi-RHS ``getrs`` is not bit-identical to
+        # per-vector solves, and the NumPy NS solver solves per vector.
+        if bd.ndim == 1:
+            out[...] = sla.lu_solve(holder[0], bd, check_finite=False)
+            return
+        for j in range(bd.shape[1]):
+            out[:, j] = sla.lu_solve(holder[0], bd[:, j], check_finite=False)
+
+    factor()
+    x = np.empty_like(bd)
+    solve_columns(x)
+    scales_on_tape = ts1.needs_tape() or ts2.needs_tape()
+
+    def adjoint(g: np.ndarray) -> np.ndarray:
+        # The VJPs of one backward step all receive the same cotangent;
+        # compare by value (replay reuses the buffer) so they share W.
+        # W is handed out more than once, hence read-only.
+        if memo[0] is None or not np.array_equal(memo[0], g):
+            w = sla.lu_solve(holder[0], g, trans=1, check_finite=False)
+            w.flags.writeable = False
+            memo[0], memo[1] = np.array(g), w
+        return memo[1]
+
+    def scale_vjp(M: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        def vjp(g: np.ndarray) -> np.ndarray:
+            prod = adjoint(g) * (M @ x)
+            return -(prod if prod.ndim == 1 else prod.sum(axis=1))
+
+        return vjp
+
+    def fwd(o: np.ndarray) -> None:
+        if scales_on_tape:
+            factor()
+        solve_columns(o)
+
+    # Opaque to codegen like :func:`solve`: the factors live in the
+    # closures, which the generated source calls back into.
+    return make_node(
+        x, [(ts1, scale_vjp(M1)), (ts2, scale_vjp(M2)), (tb, adjoint)],
+        "row_scaled_solve", fwd=fwd, meta=((s1d, s2d, M1, M2, C, bd), None),
     )
 
 

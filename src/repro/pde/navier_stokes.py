@@ -50,7 +50,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.autodiff import ops
-from repro.autodiff.linalg import solve as ad_solve
+from repro.autodiff.linalg import row_scaled_solve as ad_solve
 from repro.autodiff.sparse import (
     make_linear_solver,
     sparse_matvec,
@@ -333,15 +333,22 @@ class ChannelFlowProblem:
         )
         return self.mask_int[:, None] * op + self.rows_u
 
-    def momentum_matrix_ad(self, u, v, reynolds: float):
-        """Frozen-advection momentum system (dense autodiff path)."""
-        nd = self.nodal
-        op = (
-            ops.mul(ops.reshape(u, (-1, 1)), nd.dx)
-            + ops.mul(ops.reshape(v, (-1, 1)), nd.dy)
-            - (1.0 / reynolds) * nd.lap
-        )
-        return self.mask_int[:, None] * op + self.rows_u
+    def momentum_matrix_ad(self, u, v, reynolds: float, const=None):
+        """Frozen-advection momentum system in row-scaled form (dense DP).
+
+        Returns ``(s1, s2, dx, dy, C)`` with
+        ``A = diag(s1)·dx + diag(s2)·dy + C``, the operand list of
+        :func:`~repro.autodiff.linalg.row_scaled_solve`.  Only the row
+        scales ``s1 = mask·u`` and ``s2 = mask·v`` are on the tape;
+        ``C = rows_u − mask·lap/Re`` does not depend on the velocity, so
+        pass the previous call's ``C`` as ``const`` to build it once per
+        solve.  Entry for entry this is the matrix
+        :meth:`momentum_matrix_numpy` assembles.
+        """
+        nd, mask = self.nodal, self.mask_int
+        if const is None:
+            const = self.rows_u - mask[:, None] * ((1.0 / reynolds) * nd.lap)
+        return mask * u, mask * v, nd.dx, nd.dy, const
 
     # ------------------------------------------------------------------
     # NumPy solve (DAL / forward evaluation)
@@ -427,6 +434,7 @@ class ChannelFlowProblem:
 
         n = self.cloud.n
         local = self.backend == "local"
+        const = None  # velocity-independent part of the dense momentum matrix
         if local:
             # Constant sparse operators enter the tape through the
             # dedicated sparse mat-vec primitive (VJP: transposed product).
@@ -468,9 +476,13 @@ class ChannelFlowProblem:
                         self._mom_rows, self._mom_cols, (n, n), data, bv
                     )
                 else:
-                    A = self.momentum_matrix_ad(u, v, config.reynolds)
-                    u_star = ad_solve(A, bu)
-                    v_star = ad_solve(A, bv)
+                    # One factorisation serves both velocity components.
+                    s1, s2, M1, M2, const = self.momentum_matrix_ad(
+                        u, v, config.reynolds, const
+                    )
+                    X = ad_solve(s1, s2, M1, M2, const, ops.stack([bu, bv], axis=1))
+                    u_star = X[:, 0]
+                    v_star = X[:, 1]
 
             with _span("ns.pressure", "pde"):
                 div = dxm(u_star) + dym(v_star)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.autodiff.linalg as linalg_mod
 from repro.autodiff import ops
 from repro.autodiff.check import numerical_gradient
 from repro.autodiff.functional import grad, value_and_grad
-from repro.autodiff.linalg import LUSolver, lstsq, norm, solve
+from repro.autodiff.linalg import LUSolver, lstsq, norm, row_scaled_solve, solve
 from repro.autodiff.sparse import (
     SparseLUSolver,
     make_linear_solver,
@@ -15,6 +16,8 @@ from repro.autodiff.sparse import (
     sparse_pattern_solve,
     sparse_solve,
 )
+from repro.autodiff.tensor import tensor
+from repro.obs.metrics import use_registry
 
 RNG = np.random.default_rng(3)
 N = 6
@@ -78,6 +81,12 @@ class TestSolve:
         with pytest.raises(ValueError, match="square"):
             solve(np.ones((2, 3)), np.ones(2))
 
+    @pytest.mark.parametrize("kind", ["posdef", "sym", "POS", ""])
+    def test_rejects_unknown_assume_a(self, kind):
+        # A typo must not silently fall through to the general LU path.
+        with pytest.raises(ValueError, match="assume_a"):
+            solve(SPD, B, assume_a=kind)
+
     def test_solve_through_chain(self):
         # The DP-for-Laplace pattern: c -> rhs -> solve -> quadratic cost.
         S = RNG.standard_normal((N, 3))
@@ -91,6 +100,105 @@ class TestSolve:
         g = grad(f)(c0)
         num = numerical_gradient(lambda c: float(f(c).data), c0)
         np.testing.assert_allclose(g, num, rtol=1e-6, atol=1e-9)
+
+
+class TestRowScaledSolve:
+    """``(diag(s1)·M1 + diag(s2)·M2 + C) x = b`` with only s1, s2, b on the tape."""
+
+    _rng = np.random.default_rng(11)
+    S1 = _rng.uniform(0.5, 1.5, N)
+    S2 = _rng.uniform(-1.5, -0.5, N)
+    M1 = _rng.standard_normal((N, N))
+    M2 = _rng.standard_normal((N, N))
+    C = A  # non-symmetric, so a wrong transpose flag is caught
+    RHS = pytest.mark.parametrize("rhs", [B, B2], ids=["vec", "block"])
+
+    def dense(self):
+        return self.S1[:, None] * self.M1 + self.S2[:, None] * self.M2 + self.C
+
+    def loss(self, solver, w):
+        def f(s1, s2, b):
+            x = solver(s1, s2, self.M1, self.M2, self.C, b)
+            return ops.sum_(ops.square(x) * w)
+
+        return f
+
+    @RHS
+    def test_forward_matches_dense(self, rhs):
+        x = row_scaled_solve(self.S1, self.S2, self.M1, self.M2, self.C, rhs)
+        np.testing.assert_allclose(
+            x.data, np.linalg.solve(self.dense(), rhs), rtol=1e-12
+        )
+
+    @RHS
+    def test_grads_match_unstructured_reference(self, rhs, row_scaled_reference):
+        w = self._rng.uniform(0.5, 2.0, rhs.shape)
+        args = (self.S1, self.S2, rhs)
+        v, g = value_and_grad(self.loss(row_scaled_solve, w), argnums=(0, 1, 2))(*args)
+        v_ref, g_ref = value_and_grad(
+            self.loss(row_scaled_reference, w), argnums=(0, 1, 2)
+        )(*args)
+        assert v == pytest.approx(v_ref, rel=1e-12)
+        for name, a, b in zip(("s1", "s2", "b"), g, g_ref):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12, err_msg=name)
+
+    @RHS
+    def test_grads_match_central_fd(self, rhs):
+        w = self._rng.uniform(0.5, 2.0, rhs.shape)
+        f = self.loss(row_scaled_solve, w)
+        _, (g1, g2, gb) = value_and_grad(f, argnums=(0, 1, 2))(self.S1, self.S2, rhs)
+        num1 = numerical_gradient(lambda s: float(f(s, self.S2, rhs).data), self.S1.copy())
+        num2 = numerical_gradient(lambda s: float(f(self.S1, s, rhs).data), self.S2.copy())
+        numb = numerical_gradient(lambda b: float(f(self.S1, self.S2, b).data), rhs.copy())
+        for name, a, b in (("s1", g1, num1), ("s2", g2, num2), ("b", gb, numb)):
+            np.testing.assert_allclose(a, b, rtol=1e-7, atol=1e-9, err_msg=name)
+
+    def test_one_factorisation_and_one_adjoint_solve(self, monkeypatch):
+        # Both RHS columns share one LU; the three VJPs share one
+        # transposed solve; the backward pass never re-factorises.
+        real = linalg_mod.sla.lu_solve
+        transposed = []
+
+        def counting(lu, b, trans=0, **kw):
+            transposed.append(trans)
+            return real(lu, b, trans=trans, **kw)
+
+        monkeypatch.setattr(linalg_mod.sla, "lu_solve", counting)
+        with use_registry() as reg:
+            _, grads = value_and_grad(
+                self.loss(row_scaled_solve, np.ones_like(B2)), argnums=(0, 1, 2)
+            )(self.S1, self.S2, B2)
+            assert reg.counter("linalg.dense.factorizations").value == 1
+        assert transposed == [0, 0, 1]  # a solve per column, one adjoint block
+        assert all(np.all(np.isfinite(g)) for g in grads)
+
+    def test_repeated_backward_sees_the_new_cotangent(self):
+        # W is shared between the VJPs of one backward step, never
+        # across steps with a different cotangent.
+        b = tensor(B2, requires_grad=True)
+        x = row_scaled_solve(self.S1, self.S2, self.M1, self.M2, self.C, b)
+        g1, g2 = np.ones_like(B2), self._rng.standard_normal(B2.shape)
+        x.backward(g1)
+        x.backward(g2)
+        At = self.dense().T
+        np.testing.assert_allclose(
+            b.grad, np.linalg.solve(At, g1) + np.linalg.solve(At, g2), rtol=1e-10
+        )
+
+    def test_rejects_tape_matrix(self):
+        with pytest.raises(TypeError, match="constant"):
+            row_scaled_solve(
+                self.S1, self.S2, tensor(self.M1, requires_grad=True),
+                self.M2, self.C, B,
+            )
+
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError, match="scales"):
+            row_scaled_solve(self.S1[:-1], self.S2, self.M1, self.M2, self.C, B)
+        with pytest.raises(ValueError, match="C has shape"):
+            row_scaled_solve(self.S1, self.S2, self.M1, self.M2, self.C[:-1], B)
+        with pytest.raises(ValueError, match="b has shape"):
+            row_scaled_solve(self.S1, self.S2, self.M1, self.M2, self.C, B[:-1])
 
 
 class TestLUSolver:

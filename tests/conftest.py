@@ -78,6 +78,24 @@ def ns_config_fast():
     return NSConfig(reynolds=100.0, refinements=6, pseudo_dt=0.5)
 
 
+@pytest.fixture(scope="session")
+def row_scaled_reference():
+    """Unstructured reference for ``linalg.row_scaled_solve``: the same
+    matrix assembled from dense tape ops and solved with ``linalg.solve``
+    (VJP ``Ā = −W xᵀ`` through every assembly op)."""
+    from repro.autodiff import linalg, ops
+
+    def solve(s1, s2, M1, M2, C, b):
+        A = (
+            ops.mul(ops.reshape(s1, (-1, 1)), M1)
+            + ops.mul(ops.reshape(s2, (-1, 1)), M2)
+            + C
+        )
+        return linalg.solve(A, b)
+
+    return solve
+
+
 # ----------------------------------------------------------------------
 # Batching-rule conformance table (tests/autodiff/test_batching.py)
 # ----------------------------------------------------------------------
@@ -358,6 +376,37 @@ def _build_batching_cases():
         lambda rng, n: [spd(rng, 5), rng.standard_normal((n, 5, 2))],
         (None, 0), (True, True),
         fwd_tol=1e-10, grad_tol=1e-10,
+    )
+    def row_scaled(batched_scales):
+        # (s1, s2, M1, M2, C, b): A = diag(s1)·M1 + diag(s2)·M2 + C.
+        def make(rng, n, m=6, rhs=()):
+            lead = (n,) if batched_scales else ()
+            return [
+                rng.uniform(0.5, 1.5, lead + (m,)),
+                rng.uniform(-1.5, -0.5, lead + (m,)),
+                rng.standard_normal((m, m)),
+                rng.standard_normal((m, m)),
+                spd(rng, m),
+                rng.standard_normal((n, m) + rhs),
+            ]
+        return make
+
+    # Forward solves run per column, so they are bitwise; the adjoint is
+    # one block getrs (not bitwise against per-item solves).
+    rs_diff = (True, True, False, False, False, True)
+    add(
+        "row_scaled_solve:vec", "row_scaled_solve", linalg.row_scaled_solve,
+        row_scaled(False), (None,) * 5 + (0,), rs_diff, grad_tol=1e-10,
+    )
+    add(
+        "row_scaled_solve:mat_rhs", "row_scaled_solve", linalg.row_scaled_solve,
+        lambda rng, n: row_scaled(False)(rng, n, rhs=(2,)),
+        (None,) * 5 + (0,), rs_diff, grad_tol=1e-10,
+    )
+    add(  # batched scales: a batched matrix punts to the loop fallback
+        "row_scaled_solve:batched_scales", "row_scaled_solve",
+        linalg.row_scaled_solve, row_scaled(True),
+        (0, 0, None, None, None, 0), rs_diff,
     )
     add(  # lstsq differentiates only b (documented restriction)
         "lstsq", "lstsq", linalg.lstsq,
