@@ -16,16 +16,15 @@ provides:
 - Function transforms in :mod:`repro.autodiff.functional` —
   :func:`grad`, :func:`value_and_grad`, :func:`jacobian` — mirroring the JAX
   API used by the paper.
-- A trace-once compiled replay engine in :mod:`repro.autodiff.compile` —
-  :func:`compiled_value_and_grad` records the tape on the first call and
-  replays forward + backward over reused buffers thereafter, the NumPy
-  analogue of ``jax.jit`` around a loss (used by the DP and PINN hot
-  loops via their ``compile=True`` options).
-- A fused-source codegen backend in :mod:`repro.autodiff.lowering` /
-  :mod:`repro.autodiff.codegen` — ``compile="codegen"`` lowers the trace
-  to an SSA-style IR, fuses elementwise chains, drops dead buffers, plans
-  an arena of reusable scratch slots, and emits one straight-line NumPy
-  kernel per program; non-lowerable programs fall back to replay.
+- Trace-once compilation in :mod:`repro.autodiff.compile` —
+  :func:`compiled_value_and_grad` records the tape on the first call,
+  lowers it (:mod:`repro.autodiff.lowering`: SSA-style IR, fused
+  elementwise chains, dead buffers dropped, an arena of reusable scratch
+  slots) and emits one straight-line NumPy kernel per program
+  (:mod:`repro.autodiff.codegen`) that later calls run over reused
+  buffers — the NumPy analogue of ``jax.jit`` around a loss (used by the
+  DP and PINN hot loops via their ``compile=True`` options).  Programs
+  that cannot be lowered run on the eager tape.
 - Numerical gradient checking in :mod:`repro.autodiff.check`.
 
 Gradients are exact (to floating point) wherever defined: the engine applies
@@ -95,12 +94,10 @@ from repro.autodiff.functional import (
     stop_gradient,
 )
 from repro.autodiff.compile import (
-    CompiledProgram,
     CompileError,
     ReplayProfile,
     compiled_value_and_grad,
     compiled_value_and_grad_tree,
-    resolve_compile_mode,
 )
 from repro.autodiff.lowering import (
     ArenaPlanner,
@@ -177,12 +174,10 @@ __all__ = [
     "value_and_grad",
     "jacobian",
     "stop_gradient",
-    "CompiledProgram",
     "CompileError",
     "ReplayProfile",
     "compiled_value_and_grad",
     "compiled_value_and_grad_tree",
-    "resolve_compile_mode",
     "ArenaPlanner",
     "LoweredProgram",
     "LoweredStats",

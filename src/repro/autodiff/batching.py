@@ -7,7 +7,7 @@ pays the Python dispatch cost N times and forgoes stacked BLAS calls.
 batch-dimension-carrying tracer (:class:`BatchTracer`) flowing through
 the existing primitives, lowering the N evaluations to a single stacked
 NumPy program whose tape is an ordinary tape — gradients, ``no_grad``
-and the compiled replay engine all work unchanged.
+and the compiled tier all work unchanged.
 
 Architecture
 ------------
@@ -49,7 +49,7 @@ stacked primitive calls on the tracer's underlying
 
 The conformance contract (``tests/autodiff/test_batching.py``) pins for
 every registered primitive: batched == stacked-loop forward, batched ==
-looped VJPs, eager == compiled replay, and a registry-completeness check
+looped VJPs, eager == compiled, and a registry-completeness check
 that fails when a primitive lands without a rule or a declared fallback.
 """
 

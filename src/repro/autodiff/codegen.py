@@ -1,4 +1,4 @@
-"""Source-emitting codegen backend for compiled programs.
+"""Source-emitting codegen backend: the compiled tier's executable.
 
 Takes the lowered IR from :mod:`repro.autodiff.lowering` and emits one
 Python source string of straight-line NumPy — forward sweep then
@@ -7,26 +7,34 @@ backward sweep — with every kernel written in place (``out=`` /
 The source is ``compile()``d once per program and bound into a function
 whose *keyword defaults* are the buffers, constants, masks, and recorded
 closures (CPython resolves defaults as locals — no global/dict lookups
-in the hot loop).  Replaying the program is then a single function call:
+in the hot loop).  Running the program is then a single function call:
 no per-op dispatch, no VJP closure calls, no backward temporaries beyond
 the planned arena.
 
-Numerics are kept bit-compatible with the replay tier wherever the
+Numerics are kept bit-compatible with the eager tape wherever the
 emitted expression can preserve eager's evaluation order (same ufunc,
 same operand order, same unbroadcast reduction sequence); the few ops
-where exact order cannot be reproduced in place fall back to emitting
-the eager expression verbatim (allocating, like replay does).  Every
-generated program is additionally validated against the eager trace
-before it is cached — see :func:`repro.autodiff.compile.compiled_value_and_grad`.
+where exact order cannot be reproduced in place emit the eager
+expression verbatim (allocating, like eager does).  Every generated
+program is additionally validated against the eager trace before it is
+cached — see :func:`repro.autodiff.compile.compiled_value_and_grad`.
 
 Non-fusible ops (``solve`` and friends, sparse products, stacked
 matmuls, ``concatenate``/``stack``, ``amax``) are called through the
 closures the trace recorded — ``F{i}`` forward, ``V{i}_{j}`` VJP — so a
 program containing them still compiles end to end.
 
-The profiled variant of the source carries one ``perf_counter`` pair per
-fusion group (forward and backward segments separately), feeding the
-per-fused-kernel table in :class:`~repro.autodiff.compile.ReplayProfile`.
+Buffer ownership: a built :class:`CodegenProgram` holds the kernel (whose
+defaults are the kept value buffers, the leaf and root cotangent
+buffers, the arena slots, constants and opaque-op closures), the leaf
+input buffers and the root value buffer — nothing else.  The traced
+``Tensor`` graph is not referenced, so value buffers that dead-buffer
+elimination dropped are freed with it.
+
+Wrappers built with ``profile=True`` also get a variant of the source
+carrying one ``perf_counter`` pair per fusion group (forward and
+backward segments separately), feeding the per-kernel table in
+:class:`~repro.autodiff.compile.ReplayProfile`.
 """
 
 from __future__ import annotations
@@ -106,15 +114,14 @@ class _Emitter:
         self.cotname: Dict[int, str] = {}
         self._notmask: Dict[int, str] = {}
 
-        prog = lowered.program
         for ir in self.nodes:
             if not ir.value_transient:
                 name = f"b{ir.idx}"
                 self.params[name] = ir.node.data
                 self.valname[ir.idx] = name
-            if not ir.cot_transient:
+            if not ir.cot_transient:  # leaves and the root
                 name = f"g{ir.idx}"
-                self.params[name] = prog._gradbufs[ir.idx]
+                self.params[name] = np.empty_like(ir.node.data)
                 self.cotname[ir.idx] = name
 
         # Copy-propagation pre-scan: a cotangent written by exactly one
@@ -180,11 +187,14 @@ class _Emitter:
             return repr(v)
         return self.const(v)
 
-    def _slot_name(self, slot: int) -> str:
+    def _slot_name(self, slot: int, like: Optional[np.ndarray] = None) -> str:
         name = f"s{slot}"
         if name not in self.params:
-            shape, dt = self.planner.slots[slot]
-            self.params[name] = np.empty(shape, dtype=np.dtype(dt))
+            shape, dt, layout = self.planner.slots[slot]
+            self.params[name] = (
+                np.empty(shape, dtype=dt) if layout is None
+                else np.empty_like(like)
+            )
         return name
 
     def scratch(self, shape: Tuple[int, ...], dtype: Any) -> str:
@@ -195,8 +205,13 @@ class _Emitter:
         """Destination name for a node's forward value (allocates if transient)."""
         if not ir.value_transient:
             return self.valname[ir.idx]
-        slot = self.planner.alloc(ir.shape, ir.dtype, ir.fwd_step, ir.last_value_use)
-        name = self._slot_name(slot)
+        # The slot mirrors the eager buffer's layout (see ArenaPlanner).
+        data = ir.node.data
+        layout = None if data.flags.c_contiguous else data.strides
+        slot = self.planner.alloc(
+            ir.shape, ir.dtype, ir.fwd_step, ir.last_value_use, layout
+        )
+        name = self._slot_name(slot, data)
         self.valname[ir.idx] = name
         return name
 
@@ -650,20 +665,29 @@ class _Emitter:
         return "\n".join(out)
 
 
-class CodegenProgram:
-    """A compiled-source execution tier over a recorded program's buffers.
+def _bind(source: str, name: str, params: Dict[str, Any]):
+    """Compile ``source`` and return its function ``name``.
 
-    Drop-in replacement for :class:`~repro.autodiff.compile.CompiledProgram`
-    in the program cache: same ``replay(inputs, profile)`` contract, same
-    gradient collection (it shares the underlying program's leaf buffers
-    and cotangent buffers for pinned nodes).
+    The function is popped out of the namespace it was defined in: left
+    there, function and namespace (its ``__globals__``) form a reference
+    cycle that keeps every buffer of a dropped program alive until a full
+    cyclic garbage collection.
+    """
+    ns = dict(params)
+    exec(compile(source, f"<repro-codegen:{name}>", "exec"), ns)
+    return ns.pop(name)
+
+
+class CodegenProgram:
+    """One compiled program: a generated kernel over persistent buffers.
+
+    ``replay(inputs, profile)`` copies new input values into the leaf
+    buffers, runs the kernel, and returns the root value plus fresh
+    copies of the leaf gradients.  The profiled kernel variant is built
+    only when ``profiled`` is set.
     """
 
-    is_codegen = True
-    replayable = True
-    unreplayable_op = None
-
-    def __init__(self, program, lowered: LoweredProgram) -> None:
+    def __init__(self, lowered: LoweredProgram, profiled: bool = False) -> None:
         em = _Emitter(lowered)
         em.emit()
         em.planner.verify()  # cheap invariant check at build time
@@ -671,45 +695,29 @@ class CodegenProgram:
         stats = lowered.stats
         stats.arena_bytes = em.planner.total_bytes
         stats.arena_slots = len(em.planner.slots)
-
-        self.source = em.render(profiled=False)
-        self._profiled_source = em.render(profiled=True)
-        ns = dict(em.params)
-        exec(compile(self.source, "<repro-codegen>", "exec"), ns)
-        self._fn = ns["_kernel"]
-        ns_p = dict(em.params)
-        exec(compile(self._profiled_source, "<repro-codegen-profiled>", "exec"), ns_p)
-        self._pfn = ns_p["_kernel_profiled"]
-
-        self._segments = em.segments
-        self._program = program
         self.stats = stats
-        self.n_ops = program.n_ops
-        self._transient_cots = [
-            ir.idx for ir in lowered.nodes if ir.cot_transient
-        ]
-        freed = sum(
-            program._gradbufs[i].nbytes for i in self._transient_cots
+
+        self._fn = _bind(em.render(profiled=False), "_kernel", em.params)
+        self._pfn = (
+            _bind(em.render(profiled=True), "_kernel_profiled", em.params)
+            if profiled
+            else None
         )
-        self.buffer_bytes = program.buffer_bytes - freed + stats.arena_bytes
+        self._segments = em.segments
 
-    def commit(self) -> None:
-        """Release buffers the arena replaced (call after validation).
-
-        The replay tier's per-node cotangent buffers for interior nodes
-        are dead once this program owns the cache slot — backward writes
-        land in arena slots instead.  Leaf and root cotangents stay (the
-        gradient collection reads them).
-        """
-        bufs = self._program._gradbufs
-        for i in self._transient_cots:
-            bufs[i] = None
+        self._leaf_bufs = [l.data for l in lowered.leaves]
+        self._leaf_grads = [
+            em.params[f"g{p}"] if p >= 0 else None for p in lowered.leaf_pos
+        ]
+        self._root_data = lowered.root.data
+        self.buffer_bytes = stats.arena_bytes + sum(
+            v.nbytes for k, v in em.params.items() if k[0] in "bg"
+        )
 
     def replay(
         self, inputs: Sequence[np.ndarray], profile=None
     ) -> Tuple[float, List[np.ndarray]]:
-        prog = self._program
-        for buf, arr in zip(prog._leaf_bufs, inputs):
+        for buf, arr in zip(self._leaf_bufs, inputs):
             if buf.shape != arr.shape:
                 from repro.autodiff.compile import CompileError
 
@@ -720,10 +728,15 @@ class CodegenProgram:
             np.copyto(buf, arr)
         if profile is None:
             self._fn()
-            return float(prog._root_data), prog._collect_grads()
-        return self._replay_profiled(profile)
+        else:
+            self._run_profiled(profile)
+        grads = [
+            np.zeros(buf.shape) if g is None else g.copy()
+            for buf, g in zip(self._leaf_bufs, self._leaf_grads)
+        ]
+        return float(self._root_data), grads
 
-    def _replay_profiled(self, profile) -> Tuple[float, List[np.ndarray]]:
+    def _run_profiled(self, profile) -> None:
         perf = time.perf_counter
         t0 = perf()
         acc = [0.0] * len(self._segments)
@@ -737,23 +750,20 @@ class CodegenProgram:
                 k.bytes_moved += seg.bytes_moved
             else:
                 k.bwd_seconds += dt
-        grads = self._program._collect_grads()
         profile.n_replays += 1
-        profile.n_codegen_replays += 1
         profile.replay_seconds += perf() - t0
-        return float(self._program._root_data), grads
 
 
-def codegen_program(program) -> CodegenProgram:
-    """Lower ``program`` and compile it to a straight-line source kernel.
+def codegen_program(root, leaves, profiled: bool = False) -> CodegenProgram:
+    """Lower the tape ending at ``root`` and compile it to a kernel.
 
-    Raises :class:`~repro.autodiff.lowering.LoweringError` (or any build
-    error) on programs the backend cannot express — callers catch and
-    fall back to the replay tier.  Fusion/arena statistics are surfaced
-    through the ``repro.obs`` metrics registry on every successful build.
+    ``leaves`` are the differentiated inputs whose buffers the program
+    takes over.  Raises :class:`~repro.autodiff.lowering.LoweringError`
+    (or any build error) on tapes the backend cannot express — callers
+    catch and run eagerly.  Fusion/arena statistics are surfaced through
+    the ``repro.obs`` metrics registry on every successful build.
     """
-    lowered = lower(program)
-    cg = CodegenProgram(program, lowered)
+    cg = CodegenProgram(lower(root, leaves), profiled=profiled)
 
     from repro.obs.metrics import get_registry
 

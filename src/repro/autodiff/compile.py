@@ -1,4 +1,4 @@
-"""Trace-once compiled replay for the reverse-mode tape.
+"""Trace-once compilation of ``value_and_grad`` for the reverse-mode tape.
 
 The eager engine rebuilds the whole computation graph — Tensor objects,
 VJP closures, fresh ndarray buffers — on *every* call, even though the DP
@@ -7,31 +7,26 @@ with only the input values changing.  JAX (the paper's substrate)
 amortises this with trace-once ``jit`` compilation; this module brings the
 same execution model to the NumPy tape:
 
-1. **Trace** — the first call runs eagerly, producing an ordinary tape.
-   The graph is linearised into a topologically sorted op list whose VJP
-   wiring (parent slots + closures) is recorded once.
-2. **Replay** — subsequent calls with same-shaped inputs never touch
-   ``Tensor`` or closure construction.  New input values are copied into
-   the recorded leaf buffers, each op's forward-replay closure recomputes
-   its value *in place* into the node's persistent buffer, and the
-   backward pass accumulates cotangents into a matching set of persistent
-   gradient buffers.  Every node therefore owns a **double buffer**: a
-   value half written by the forward sweep and read by the backward sweep,
-   and a cotangent half written by the backward sweep — no allocation for
-   either across iterations (VJP closures may still create small
-   temporaries; the profiler reports both sides).
-3. **Safety** — programs are keyed on the shapes/dtypes of the
-   differentiated inputs (and a content digest of any baked-in constant
-   arguments), so a shape or dtype change triggers a fresh trace rather
-   than stale-buffer reuse.  Each new program is validated against the
-   eager result before it is cached; ops without a replay closure, or a
-   validation mismatch, fall back to the eager path permanently for that
-   key.
+1. **Trace** — the first call per input signature runs eagerly, producing
+   an ordinary tape whose leaves own copies of the caller's inputs.
+2. **Compile** — the tape is lowered (:mod:`repro.autodiff.lowering`) and
+   emitted as one straight-line NumPy kernel
+   (:mod:`repro.autodiff.codegen`) that recomputes forward and backward
+   in place over persistent buffers and a planned scratch arena.
+3. **Replay** — later calls with same-shaped inputs copy the new values
+   into the program's leaf buffers and call the kernel: no ``Tensor`` or
+   closure construction at all.
 
-The replayed backward visits nodes in exactly the order the eager
-``Tensor.backward`` would, and the forward closures invoke the same NumPy
-kernels, so compiled results match the eager tape bit-for-bit on the
-problems in this repository (the test suite asserts ``rtol=1e-12``).
+Programs are keyed on the shapes/dtypes of the differentiated inputs (and
+a content digest of any baked-in constant arguments), so a shape or dtype
+change triggers a fresh trace rather than stale-buffer reuse.  Each new
+program is validated against the eager result before it is cached; a
+program that cannot be lowered, or fails validation, falls back to the
+eager tape permanently for that key (counted in ``codegen_fallbacks``).
+
+The generated kernel runs the same NumPy operations in the same order as
+the eager backward, so compiled results match the eager tape bit-for-bit
+on the problems in this repository (the conformance tests assert it).
 
 Functions whose *structure* depends on input values (data-dependent
 branching on tensor values) must not be compiled — like ``jax.jit``, the
@@ -44,57 +39,24 @@ from __future__ import annotations
 import hashlib
 import time
 import warnings
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autodiff.functional import Argnums, _normalize_argnums, _wrap_args
+from repro.autodiff.functional import Argnums, _normalize_argnums
 from repro.obs.metrics import get_registry
-from repro.autodiff.tensor import (
-    Tensor,
-    VIEW_FWD,
-    _topological_order,
-    asdata,
-    tensor,
-)
+from repro.autodiff.tensor import Tensor, asdata, tensor
 
 __all__ = [
     "CompileError",
-    "CompiledProgram",
     "ReplayProfile",
     "compiled_value_and_grad",
     "compiled_value_and_grad_tree",
-    "resolve_compile_mode",
 ]
 
 
 class CompileError(RuntimeError):
-    """Raised when a recorded program cannot be replayed safely."""
-
-
-def resolve_compile_mode(flag: Any) -> Optional[str]:
-    """Map a user-facing ``compile`` flag to an execution mode.
-
-    ``False``/``None``/``"0"``/``"eager"`` → ``None`` (eager tape);
-    ``True``/``"1"``/``"replay"`` → ``"replay"`` (the compiled closure
-    replay tier); ``"codegen"`` → ``"codegen"`` (fused-source backend,
-    which itself falls back to replay for programs it cannot lower).
-    Oracle constructors and :func:`repro.bench.configs.compile_mode`
-    both funnel through this so ``compile="codegen"`` and
-    ``REPRO_COMPILE=codegen`` mean the same thing everywhere.
-    """
-    if flag is None or flag is False:
-        return None
-    if flag is True:
-        return "replay"
-    s = str(flag).strip().lower()
-    if s in ("", "0", "false", "no", "off", "none", "eager"):
-        return None
-    if s in ("1", "true", "yes", "on", "replay"):
-        return "replay"
-    if s == "codegen":
-        return "codegen"
-    raise ValueError(f"unknown compile mode {flag!r} (use False, True, or 'codegen')")
+    """Raised when a compiled program cannot be run safely."""
 
 
 def _bump(counters: Dict[str, int], event: str) -> None:
@@ -111,349 +73,88 @@ def _bump(counters: Dict[str, int], event: str) -> None:
 # ----------------------------------------------------------------------
 # Profiling
 # ----------------------------------------------------------------------
-class OpStats:
-    """Per-primitive replay statistics (one row of the profile report).
+class KernelStats:
+    """Statistics of one generated kernel segment (one profile row).
 
     ``flops`` and ``bytes_moved`` are *estimates* derived from the traced
-    shapes (see :func:`_estimate_cost`): good enough to rank ops and to
-    check arithmetic-intensity claims, not a hardware counter.
+    shapes (see :func:`repro.autodiff.lowering._estimate_cost`): good
+    enough to rank kernels and to check arithmetic-intensity claims, not a
+    hardware counter.
     """
 
-    __slots__ = (
-        "calls",
-        "fwd_seconds",
-        "bwd_seconds",
-        "bytes_reused",
-        "bytes_allocated",
-        "flops",
-        "bytes_moved",
-    )
+    __slots__ = ("calls", "fwd_seconds", "bwd_seconds", "flops", "bytes_moved")
 
     def __init__(self) -> None:
         self.calls = 0
         self.fwd_seconds = 0.0
         self.bwd_seconds = 0.0
-        self.bytes_reused = 0
-        self.bytes_allocated = 0
         self.flops = 0.0
         self.bytes_moved = 0.0
 
 
-def _estimate_cost(op: str, out: np.ndarray, parents: Sequence[Any]) -> Tuple[float, float]:
-    """Estimated (FLOPs, bytes moved) for one forward execution of ``op``.
-
-    Shape-derived at trace time, so the replay hot loop only adds two
-    float adds per profiled step.  Conventions: a dense matmul costs
-    ``2·m·k·n``; a triangular-solve pair against an ``n×n`` factorisation
-    costs ``2·n²``; everything else is counted as one FLOP per output
-    element.  Bytes moved = output bytes + every parent operand's bytes
-    (one read of each input, one write of the output).
-    """
-    shapes = [np.shape(getattr(p, "data", p)) for p in parents]
-    bytes_moved = float(out.nbytes) + 8.0 * sum(
-        float(np.prod(s)) if s else 1.0 for s in shapes
-    )
-    if op == "matmul" and len(shapes) >= 2:
-        a, b = shapes[0], shapes[1]
-        m = float(a[0]) if len(a) > 1 else 1.0
-        k = float(a[-1]) if a else 1.0
-        n = float(b[-1]) if len(b) > 1 else 1.0
-        flops = 2.0 * m * k * n
-    elif "solve" in op:
-        n = float(out.shape[0]) if out.ndim else 1.0
-        flops = 2.0 * n * n
-    else:
-        flops = float(out.size)
-    return flops, bytes_moved
-
-
 class ReplayProfile:
-    """Aggregated op-level statistics across every trace and replay.
+    """Per-kernel statistics across every trace and compiled call.
 
-    ``bytes_reused`` counts writes that landed in persistent buffers
-    (forward values, cotangent accumulators); ``bytes_allocated`` counts
-    fresh ndarrays the replay still creates (VJP temporaries, gradient
-    copies handed to the caller).  The ratio is the allocation saving the
-    compiled engine delivers over the eager tape, which allocates *every*
-    forward and backward array anew.
+    Each row is one fusion group of a generated program (forward and
+    backward segments timed separately); opaque ops such as ``solve``
+    appear as their own single-op rows.
     """
 
     def __init__(self) -> None:
-        self.ops: Dict[str, OpStats] = {}
+        self.kernels: Dict[str, KernelStats] = {}
         self.n_traces = 0
         self.n_replays = 0
         self.n_eager_calls = 0
         self.persistent_bytes = 0
         self.trace_seconds = 0.0
         self.replay_seconds = 0.0
-        # Codegen tier: per-fused-kernel rows plus fusion/arena summary,
-        # populated only when programs run under ``mode="codegen"``.
-        self.kernels: Dict[str, OpStats] = {}
-        self.n_codegen_replays = 0
         self.fusion_groups = 0
         self.fused_ops = 0
         self.arena_bytes = 0
         self.arena_slots = 0
         self.buffers_dropped = 0
 
-    def op(self, name: str) -> OpStats:
-        """The (auto-created) stats row for primitive ``name``."""
-        s = self.ops.get(name)
-        if s is None:
-            s = self.ops[name] = OpStats()
-        return s
-
-    def kernel(self, name: str) -> OpStats:
-        """The (auto-created) stats row for one generated fused kernel."""
+    def kernel(self, name: str) -> KernelStats:
+        """The (auto-created) stats row for one generated kernel."""
         s = self.kernels.get(name)
         if s is None:
-            s = self.kernels[name] = OpStats()
+            s = self.kernels[name] = KernelStats()
         return s
 
-    @property
-    def bytes_reused(self) -> int:
-        """Total bytes written into persistent buffers."""
-        return sum(s.bytes_reused for s in self.ops.values())
-
-    @property
-    def bytes_allocated(self) -> int:
-        """Total bytes freshly allocated during replays."""
-        return sum(s.bytes_allocated for s in self.ops.values())
-
     def report(self) -> str:
-        """Human-readable per-op table plus reuse summary."""
+        """Human-readable per-kernel table plus program summary."""
+        width = max([22] + [len(n) + 1 for n in self.kernels])
         header = (
-            f"{'op':<22}{'calls':>9}{'fwd ms':>10}{'bwd ms':>10}"
-            f"{'MB reused':>12}{'MB alloc':>11}{'MFLOP':>10}{'MB moved':>11}"
+            f"{'kernel':<{width}}{'calls':>9}{'fwd ms':>10}{'bwd ms':>10}"
+            f"{'MFLOP':>10}{'MB moved':>11}"
         )
-
-        def row(name: str, s: OpStats, width: int = 22) -> str:
-            return (
-                f"{name:<{width}}{s.calls:>9d}{s.fwd_seconds * 1e3:>10.3f}"
-                f"{s.bwd_seconds * 1e3:>10.3f}"
-                f"{s.bytes_reused / 1e6:>12.3f}{s.bytes_allocated / 1e6:>11.3f}"
-                f"{s.flops / 1e6:>10.3f}{s.bytes_moved / 1e6:>11.3f}"
-            )
-
-        # Rows widen past the header when an op name overflows its column;
-        # size the rule to the widest emitted line, not a literal.
         body = [
-            row(name, s)
+            f"{name:<{width}}{s.calls:>9d}{s.fwd_seconds * 1e3:>10.3f}"
+            f"{s.bwd_seconds * 1e3:>10.3f}"
+            f"{s.flops / 1e6:>10.3f}{s.bytes_moved / 1e6:>11.3f}"
             for name, s in sorted(
-                self.ops.items(),
+                self.kernels.items(),
                 key=lambda kv: kv[1].fwd_seconds + kv[1].bwd_seconds,
                 reverse=True,
             )
         ]
-        rule = "-" * max(len(header), *(len(r) for r in body)) if body else "-" * len(header)
-        lines = [header, rule, *body]
-        if self.kernels:
-            kwidth = max(22, max(len(n) for n in self.kernels) + 1)
-            klines = [
-                row(name, s, kwidth)
-                for name, s in sorted(
-                    self.kernels.items(),
-                    key=lambda kv: kv[1].fwd_seconds + kv[1].bwd_seconds,
-                    reverse=True,
-                )
-            ]
-            rule = "-" * max(len(rule), *(len(r) for r in klines))
-            lines += [
-                rule,
-                f"generated kernels ({self.n_codegen_replays} codegen replays):",
-                *klines,
-                f"fusion groups: {self.fusion_groups}   fused ops: {self.fused_ops}   "
-                f"arena: {self.arena_bytes / 1e6:.3f} MB in {self.arena_slots} slots   "
-                f"buffers dropped: {self.buffers_dropped}",
-            ]
-        reused, alloc = self.bytes_reused, self.bytes_allocated
-        denom = reused + alloc
-        ratio = reused / denom if denom else 0.0
-        lines += [
+        rule = "-" * len(header)
+        return "\n".join([
+            f"generated kernels ({self.n_replays} compiled calls):",
+            header,
             rule,
-            f"traces: {self.n_traces}   replays: {self.n_replays} "
-            f"({self.n_codegen_replays} codegen)   "
+            *body,
+            rule,
+            f"fusion groups: {self.fusion_groups}   fused ops: {self.fused_ops}   "
+            f"arena: {self.arena_bytes / 1e6:.3f} MB in {self.arena_slots} slots   "
+            f"buffers dropped: {self.buffers_dropped}",
+            f"traces: {self.n_traces}   replays: {self.n_replays}   "
             f"eager fallbacks: {self.n_eager_calls}",
-            f"persistent buffer pool: {self.persistent_bytes / 1e6:.3f} MB "
-            f"(value + cotangent double buffers)",
-            f"bytes reused: {reused / 1e6:.3f} MB   "
-            f"bytes allocated: {alloc / 1e6:.3f} MB   "
-            f"reuse fraction: {ratio:.3f}",
+            f"persistent buffers: {self.persistent_bytes / 1e6:.3f} MB "
+            "(kept values + leaf/root cotangents + arena)",
             f"trace time: {self.trace_seconds * 1e3:.2f} ms   "
             f"replay time: {self.replay_seconds * 1e3:.2f} ms",
-        ]
-        return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# The recorded program
-# ----------------------------------------------------------------------
-class CompiledProgram:
-    """A linearised tape: topologically sorted ops with static VJP wiring.
-
-    Holds the trace's node buffers (forward values) plus one preallocated
-    cotangent buffer per node.  ``replay`` re-executes forward + backward
-    over these buffers without constructing any graph objects.
-    """
-
-    def __init__(self, root: Tensor, leaves: Sequence[Tensor]) -> None:
-        order = _topological_order(root)  # root first, leaves last
-        pos = {id(n): i for i, n in enumerate(order)}
-        self._order = order
-        self._ops: List[str] = [n._op for n in order]
-        self._root_data = root.data
-
-        self.replayable = True
-        self.unreplayable_op: Optional[str] = None
-        fwd_steps: List[Tuple[np.ndarray, Callable, str]] = []
-        fwd_costs: List[Tuple[float, float]] = []
-        for node in reversed(order):  # leaves first = forward schedule
-            if not node._parents:
-                continue  # leaves/constants: values arrive via input copy
-            f = node._fwd
-            if f is None:
-                self.replayable = False
-                self.unreplayable_op = node._op
-                break
-            if f is VIEW_FWD:
-                continue  # aliases a parent buffer; updates for free
-            fwd_steps.append((node.data, f, node._op))
-            fwd_costs.append(
-                _estimate_cost(node._op, node.data, [p for p, _ in node._parents])
-            )
-        self._fwd_steps = fwd_steps
-        # Parallel to ``_fwd_steps`` so the unprofiled replay loop stays a
-        # bare 3-tuple unpack; only ``_replay_profiled`` reads these.
-        self._fwd_costs = fwd_costs
-
-        # Cotangent half of each node's double buffer.
-        self._gradbufs: List[np.ndarray] = [np.empty_like(n.data) for n in order]
-
-        # Backward schedule, flattened at build time.  Every node in
-        # ``order`` is reachable from the root through parent edges, so
-        # every node receives at least one cotangent contribution — which
-        # write is the *first* (buffer initialisation via copy) versus an
-        # accumulation (+=) is therefore static, and the runtime loop
-        # needs no touched-flag bookkeeping at all.  Steps run in exactly
-        # the order the eager backward would visit them, so accumulation
-        # order — and hence floating-point bits — match eager.
-        bwd_steps: List[Tuple[np.ndarray, Callable, np.ndarray, bool, str]] = []
-        initialised = {0}  # root buffer is seeded directly
-        for i, node in enumerate(order):
-            g = self._gradbufs[i]
-            for p, vjp in node._parents:
-                pi = pos[id(p)]
-                first = pi not in initialised
-                initialised.add(pi)
-                bwd_steps.append((g, vjp, self._gradbufs[pi], first, node._op))
-        self._bwd_steps = bwd_steps
-        self._root_grad = self._gradbufs[0]
-
-        self._leaf_pos = [pos.get(id(l), -1) for l in leaves]
-        self._leaf_bufs = [l.data for l in leaves]
-        self._leaf_shapes = [l.data.shape for l in leaves]
-        self.n_ops = sum(1 for n in order if n._parents)
-        self.buffer_bytes = sum(n.data.nbytes for n in order) + sum(
-            b.nbytes for b in self._gradbufs
-        )
-
-    # ------------------------------------------------------------------
-    def replay(
-        self, inputs: Sequence[np.ndarray], profile: Optional[ReplayProfile] = None
-    ) -> Tuple[float, List[np.ndarray]]:
-        """Run forward + backward over the recorded buffers.
-
-        Parameters
-        ----------
-        inputs:
-            New values for the differentiated leaves, in trace order;
-            shapes must match the trace (enforced).
-        profile:
-            Optional stats sink; adds per-op timing overhead.
-
-        Returns
-        -------
-        (value, grads)
-            Scalar output value and one gradient array per input leaf
-            (fresh copies — safe to hand to optimisers).
-        """
-        if not self.replayable:
-            raise CompileError(
-                f"program is not replayable (op {self.unreplayable_op!r} "
-                "records no forward-replay closure)"
-            )
-        for buf, arr in zip(self._leaf_bufs, inputs):
-            if buf.shape != arr.shape:
-                raise CompileError(
-                    f"input shape {arr.shape} does not match traced shape "
-                    f"{buf.shape}; re-trace required"
-                )
-            np.copyto(buf, arr)
-
-        if profile is not None:
-            return self._replay_profiled(profile)
-
-        for buf, f, _ in self._fwd_steps:
-            f(buf)
-
-        self._root_grad[...] = 1.0
-        for g, vjp, b, first, _ in self._bwd_steps:
-            if first:
-                np.copyto(b, vjp(g))
-            else:
-                b += vjp(g)
-        return float(self._root_data), self._collect_grads()
-
-    def _collect_grads(self) -> List[np.ndarray]:
-        grads = []
-        for p, shape in zip(self._leaf_pos, self._leaf_shapes):
-            if p >= 0:
-                grads.append(self._gradbufs[p].copy())
-            else:
-                grads.append(np.zeros(shape))
-        return grads
-
-    def _replay_profiled(self, profile: ReplayProfile) -> Tuple[float, List[np.ndarray]]:
-        from repro.obs.metrics import FLOP_BUCKETS, BYTE_BUCKETS, get_registry
-
-        reg = get_registry()
-        h_flops = reg.histogram("compile.op.flops", FLOP_BUCKETS)
-        h_bytes = reg.histogram("compile.op.bytes_moved", BYTE_BUCKETS)
-        perf = time.perf_counter
-        t_start = perf()
-        for (buf, f, name), (flops, moved) in zip(self._fwd_steps, self._fwd_costs):
-            t0 = perf()
-            f(buf)
-            s = profile.op(name)
-            s.fwd_seconds += perf() - t0
-            s.calls += 1
-            s.bytes_reused += buf.nbytes
-            s.flops += flops
-            s.bytes_moved += moved
-            h_flops.observe(flops)
-            h_bytes.observe(moved)
-
-        self._root_grad[...] = 1.0
-        for g, vjp, b, first, op in self._bwd_steps:
-            t0 = perf()
-            contrib = vjp(g)
-            if first:
-                np.copyto(b, contrib)
-            else:
-                b += contrib
-            s = profile.op(op)
-            s.bwd_seconds += perf() - t0
-            s.bytes_reused += b.nbytes
-            # Views (broadcast VJPs, slices of g) are not allocations.
-            if isinstance(contrib, np.ndarray) and contrib.flags.owndata:
-                s.bytes_allocated += contrib.nbytes
-
-        grads = self._collect_grads()
-        for arr in grads:
-            profile.op("<output-grads>").bytes_allocated += arr.nbytes
-        profile.n_replays += 1
-        profile.replay_seconds += perf() - t_start
-        return float(self._root_data), grads
+        ])
 
 
 # ----------------------------------------------------------------------
@@ -479,20 +180,27 @@ def _diff_key(x: Any) -> Tuple:
     return (arr.shape, arr.dtype)  # dtype objects hash fast; str() does not
 
 
+def _owned_leaf(x: Any) -> Tensor:
+    """A gradient leaf holding its *own copy* of ``x``.
+
+    A compiled program keeps its traced leaves' arrays as input buffers
+    that later calls overwrite, so a leaf must never alias the caller's
+    array.
+    """
+    return Tensor(np.array(asdata(x), dtype=np.float64), requires_grad=True)
+
+
 # ----------------------------------------------------------------------
 # Function transforms
 # ----------------------------------------------------------------------
 def _validate(
-    program: CompiledProgram,
+    program: Any,
     inputs: Sequence[np.ndarray],
     value: float,
     grads: Sequence[np.ndarray],
 ) -> bool:
-    """Cross-check one replay against the eager trace results."""
-    try:
-        v2, g2 = program.replay(list(inputs))
-    except Exception:
-        return False
+    """Cross-check one compiled call against the eager trace results."""
+    v2, g2 = program.replay(inputs)
     if not np.allclose(v2, value, rtol=1e-12, atol=1e-300, equal_nan=True):
         return False
     for a, b in zip(grads, g2):
@@ -502,100 +210,122 @@ def _validate(
 
 
 def _is_program(entry: Any) -> bool:
-    """True for a cached executable program (replay or codegen tier)."""
+    """True for a cached executable program (``None`` marks eager)."""
     return entry is not None and entry is not _MISSING
 
 
 def _build_entry(
     out_t: Tensor,
     leaves: Sequence[Tensor],
-    inputs: Sequence[np.ndarray],
     value: float,
     grads: Sequence[np.ndarray],
-    mode: str,
     prof: Optional[ReplayProfile],
     counters: Dict[str, int],
 ) -> Optional[Any]:
-    """Build the cache entry for a fresh trace: replay program, then
-    (under ``mode="codegen"``) the fused-source kernel on top of it.
+    """Compile a fresh trace into the cache entry for its signature.
 
-    Each tier is validated against the eager results before promotion;
-    a codegen build or validation failure falls back to the replay tier
-    for this signature (counted in ``codegen_fallbacks``), and a replay
-    validation failure falls back to permanent eager (``None`` entry).
+    The generated program is validated against the eager results before
+    promotion; a lowering, build or validation failure makes the entry
+    ``None`` (permanent eager for this signature), counted in
+    ``codegen_fallbacks``.  The traced graph is not retained: once this
+    returns, the program holds only its kernel's buffers, the leaf
+    buffers and the root value.
     """
-    prog = CompiledProgram(out_t, leaves)
-    if not prog.replayable:
-        return None
-    if not _validate(prog, inputs, value, grads):
+    from repro.autodiff.codegen import codegen_program
+
+    try:
+        prog = codegen_program(out_t, leaves, profiled=prof is not None)
+        if not _validate(prog, [l.data for l in leaves], value, grads):
+            raise CompileError("generated kernel failed validation against eager")
+    except Exception as exc:
+        _bump(counters, "codegen_fallbacks")
         warnings.warn(
-            "compiled replay failed validation; falling back to "
-            "the eager tape for this signature",
+            f"codegen lowering failed ({exc}); falling back to the eager "
+            "tape for this signature",
             RuntimeWarning,
             stacklevel=3,
         )
         return None
-    entry: Any = prog
-    if mode == "codegen":
-        try:
-            from repro.autodiff.codegen import codegen_program
-
-            cg = codegen_program(prog)
-            if not _validate(cg, inputs, value, grads):
-                raise CompileError("generated kernel failed validation against eager")
-            cg.commit()
-            entry = cg
-        except Exception as exc:
-            _bump(counters, "codegen_fallbacks")
-            warnings.warn(
-                f"codegen lowering failed ({exc}); falling back to the "
-                "replay tier for this signature",
-                RuntimeWarning,
-                stacklevel=3,
-            )
     if prof is not None:
-        prof.persistent_bytes += entry.buffer_bytes
-        if getattr(entry, "is_codegen", False):
-            st = entry.stats
-            prof.fusion_groups += st.n_fused_groups
-            prof.fused_ops += st.n_fused
-            prof.arena_bytes += st.arena_bytes
-            prof.arena_slots += st.arena_slots
-            prof.buffers_dropped += st.values_dropped + st.cotangents_dropped
-    return entry
+        st = prog.stats
+        prof.persistent_bytes += prog.buffer_bytes
+        prof.fusion_groups += st.n_fused_groups
+        prof.fused_ops += st.n_fused
+        prof.arena_bytes += st.arena_bytes
+        prof.arena_slots += st.arena_slots
+        prof.buffers_dropped += st.values_dropped + st.cotangents_dropped
+    return prog
+
+
+def _uncompiled_call(
+    cache: Dict[Any, Any],
+    key: Any,
+    program: Any,
+    run_eager: Callable[[], Tuple[float, Any, Tensor, Sequence[Tensor]]],
+    prof: Optional[ReplayProfile],
+    counters: Dict[str, int],
+) -> Tuple[float, Any]:
+    """Run one call eagerly; the first call of a signature also compiles it.
+
+    ``program`` is the cache lookup for ``key``: ``_MISSING`` on first
+    sighting (trace and build), ``None`` for a signature that fell back
+    to the eager tape.
+    """
+    t0 = time.perf_counter()
+    value, grads, out_t, leaves = run_eager()
+    if program is _MISSING:
+        _bump(counters, "traces")
+        cache[key] = _build_entry(out_t, leaves, value, grads, prof, counters)
+        if prof is not None:
+            prof.n_traces += 1
+            prof.trace_seconds += time.perf_counter() - t0
+    else:
+        _bump(counters, "eager")
+        if prof is not None:
+            prof.n_eager_calls += 1
+    return value, grads
+
+
+def _cache_info(cache: Dict[Any, Any], counters: Dict[str, int]) -> Callable[[], Dict[str, Any]]:
+    def info() -> Dict[str, Any]:
+        return {
+            **counters,
+            "programs": sum(1 for v in cache.values() if v is not None),
+            "hit_rate": counters["replays"]
+            / max(counters["replays"] + counters["traces"] + counters["eager"], 1),
+        }
+
+    return info
 
 
 def compiled_value_and_grad(
     f: Callable[..., Any],
     argnums: Argnums = 0,
     profile: bool = False,
-    mode: str = "replay",
 ) -> Callable[..., Tuple[float, Any]]:
     """Trace-once counterpart of :func:`repro.autodiff.functional.value_and_grad`.
 
     Returns ``g(*args) -> (f(*args), df/dargs)`` with identical semantics;
-    the first call per input-shape signature traces eagerly and records a
-    replay program, later calls replay it over reused buffers.  Functions
-    containing ops without replay support, or failing the post-trace
-    validation, silently run eagerly (correctness first).
+    the first call per input-shape signature traces eagerly and compiles
+    a generated program, later calls run it over reused buffers.
+    Functions the compiler cannot express, or whose program fails the
+    post-trace validation, run eagerly with a warning (correctness first).
+    The caller's arrays are never written: the program copies them in.
 
     The returned callable exposes ``.profile`` (a :class:`ReplayProfile`
     when ``profile=True``, else ``None``) and ``.cache_info()``.
-
-    ``mode`` selects the execution tier for newly traced programs:
-    ``"replay"`` (default) walks the recorded closures over persistent
-    buffers; ``"codegen"`` additionally lowers the program to fused
-    straight-line source (see :mod:`repro.autodiff.codegen`), falling
-    back to replay for programs it cannot express.
     """
-    mode = resolve_compile_mode(mode) or "replay"
     nums = _normalize_argnums(argnums)
     cache: Dict[Any, Optional[Any]] = {}
     prof = ReplayProfile() if profile else None
     counters = {"traces": 0, "replays": 0, "eager": 0, "codegen_fallbacks": 0}
 
     def _eager(args, kwargs) -> Tuple[float, Tuple[np.ndarray, ...], Tensor, list]:
-        call_args, leaves = _wrap_args(args, nums)
+        call_args = list(args)
+        leaves = []
+        for i in nums:
+            call_args[i] = leaf = _owned_leaf(args[i])
+            leaves.append(leaf)
         out = f(*call_args, **kwargs)
         out_t = tensor(out)
         if out_t.size != 1:
@@ -621,9 +351,7 @@ def compiled_value_and_grad(
             program = cache.get(key, _MISSING)
             if _is_program(program):
                 _bump(counters, "replays")
-                value, grad_list = program.replay(
-                    (np.asarray(arr, dtype=np.float64),), prof
-                )
+                value, grad_list = program.replay((arr,), prof)
                 return value, grad_list[0]
         else:
             key = tuple(
@@ -632,51 +360,25 @@ def compiled_value_and_grad(
             ) + tuple((k, _const_key(v)) for k, v in sorted(kwargs.items()))
             program = cache.get(key, _MISSING)
         if _is_program(program):
-            inputs = [np.asarray(asdata(args[i]), dtype=np.float64) for i in nums]
+            inputs = [asdata(args[i]) for i in nums]
             value, grad_list = program.replay(inputs, prof)
             _bump(counters, "replays")
             grads = tuple(grad_list)
             return (value, grads[0]) if isinstance(argnums, int) else (value, grads)
 
-        t0 = time.perf_counter()
-        value, grads, out_t, leaves = _eager(args, kwargs)
-        if program is _MISSING:  # first sighting of this signature
-            _bump(counters, "traces")
-            cache[key] = _build_entry(
-                out_t,
-                leaves,
-                [l.data.copy() for l in leaves],
-                value,
-                grads,
-                mode,
-                prof,
-                counters,
-            )
-            if prof is not None:
-                prof.n_traces += 1
-                prof.trace_seconds += time.perf_counter() - t0
-        else:
-            _bump(counters, "eager")
-            if prof is not None:
-                prof.n_eager_calls += 1
+        value, grads = _uncompiled_call(
+            cache, key, program, lambda: _eager(args, kwargs), prof, counters
+        )
         return (value, grads[0]) if isinstance(argnums, int) else (value, grads)
 
     wrapped.profile = prof
-    wrapped.cache_info = lambda: {
-        **counters,
-        "programs": sum(1 for v in cache.values() if v is not None),
-        "codegen_programs": sum(
-            1 for v in cache.values() if getattr(v, "is_codegen", False)
-        ),
-        "hit_rate": counters["replays"]
-        / max(counters["replays"] + counters["traces"] + counters["eager"], 1),
-    }
+    wrapped.cache_info = _cache_info(cache, counters)
     wrapped._cache = cache
     return wrapped
 
 
 def compiled_value_and_grad_tree(
-    f: Callable[..., Any], profile: bool = False, mode: str = "replay"
+    f: Callable[..., Any], profile: bool = False
 ) -> Callable[..., Tuple[float, Any]]:
     """Trace-once counterpart of :func:`repro.nn.pytree.value_and_grad_tree`.
 
@@ -686,14 +388,13 @@ def compiled_value_and_grad_tree(
     """
     from repro.nn.pytree import tree_flatten, tree_unflatten
 
-    mode = resolve_compile_mode(mode) or "replay"
     cache: Dict[Any, Optional[Any]] = {}
     prof = ReplayProfile() if profile else None
     counters = {"traces": 0, "replays": 0, "eager": 0, "codegen_fallbacks": 0}
 
     def _eager(params, args, kwargs):
         leaves, treedef = tree_flatten(params)
-        leaf_tensors = [Tensor(asdata(x), requires_grad=True) for x in leaves]
+        leaf_tensors = [_owned_leaf(x) for x in leaves]
         out = f(tree_unflatten(treedef, leaf_tensors), *args, **kwargs)
         out_t = out if isinstance(out, Tensor) else Tensor(out)
         if out_t.size != 1:
@@ -703,7 +404,7 @@ def compiled_value_and_grad_tree(
             t.grad if t.grad is not None else np.zeros_like(t.data)
             for t in leaf_tensors
         ]
-        return float(out_t.data), grads, out_t, leaf_tensors, treedef
+        return float(out_t.data), grads, out_t, leaf_tensors
 
     def wrapped(params: Any, *args: Any, **kwargs: Any) -> Tuple[float, Any]:
         leaves, treedef = tree_flatten(params)
@@ -716,44 +417,17 @@ def compiled_value_and_grad_tree(
 
         program = cache.get(key, _MISSING)
         if _is_program(program):
-            inputs = [np.asarray(asdata(l), dtype=np.float64) for l in leaves]
-            value, grad_list = program.replay(inputs, prof)
+            value, grad_list = program.replay([asdata(l) for l in leaves], prof)
             _bump(counters, "replays")
             return value, tree_unflatten(treedef, grad_list)
 
-        t0 = time.perf_counter()
-        value, grads, out_t, leaf_tensors, treedef = _eager(params, args, kwargs)
-        if program is _MISSING:
-            _bump(counters, "traces")
-            cache[key] = _build_entry(
-                out_t,
-                leaf_tensors,
-                [t.data.copy() for t in leaf_tensors],
-                value,
-                grads,
-                mode,
-                prof,
-                counters,
-            )
-            if prof is not None:
-                prof.n_traces += 1
-                prof.trace_seconds += time.perf_counter() - t0
-        else:
-            _bump(counters, "eager")
-            if prof is not None:
-                prof.n_eager_calls += 1
+        value, grads = _uncompiled_call(
+            cache, key, program, lambda: _eager(params, args, kwargs), prof, counters
+        )
         return value, tree_unflatten(treedef, grads)
 
     wrapped.profile = prof
-    wrapped.cache_info = lambda: {
-        **counters,
-        "programs": sum(1 for v in cache.values() if v is not None),
-        "codegen_programs": sum(
-            1 for v in cache.values() if getattr(v, "is_codegen", False)
-        ),
-        "hit_rate": counters["replays"]
-        / max(counters["replays"] + counters["traces"] + counters["eager"], 1),
-    }
+    wrapped.cache_info = _cache_info(cache, counters)
     wrapped._cache = cache
     return wrapped
 

@@ -1,13 +1,11 @@
-"""Lowering pass: a traced :class:`~repro.autodiff.compile.CompiledProgram`
-to a small SSA-style IR, plus the optimisation passes the codegen backend
-(:mod:`repro.autodiff.codegen`) consumes.
+"""Lowering pass: a traced tape to a small SSA-style IR, plus the
+optimisation passes the codegen backend (:mod:`repro.autodiff.codegen`)
+consumes.
 
-The compiled replay engine (PR 2) removed per-iteration tracing but still
-walks a Python list of closures op-by-op: every elementwise node pays an
-interpreter dispatch on the forward sweep and a closure call **plus a
-fresh temporary** on the backward sweep.  This module converts the
-recorded tape into explicit IR nodes — one per recorded op, forward and
-backward both — and runs three passes over it:
+The input is the tape of one eager trace — its root and differentiated
+leaves.  :func:`lower` linearises it in topological order and converts
+every recorded op into an explicit IR node, forward and backward both,
+then runs three passes over it:
 
 1. **Elementwise-chain fusion** — maximal runs of shape-compatible
    elementwise ops in the forward schedule become one *fusion group*,
@@ -15,39 +13,40 @@ backward both — and runs three passes over it:
    in-place NumPy kernels (and profiled as one unit).  A change of
    output shape (broadcast mismatch) splits a chain; views and opaque
    ops are fusion barriers.
-2. **Dead-buffer elimination** — a node's persistent value buffer is
-   dropped when no retained computation reads it after the forward sweep
-   (its own VJP does not reference the output, no consumer's VJP
-   references it as an operand, and every consumer is lowered
-   symbolically).  Cotangent buffers of all interior (non-leaf,
-   non-root) nodes are likewise dropped — the backward sweep writes them
-   into arena slots instead of one persistent buffer per node.
+2. **Dead-buffer elimination** — a node's value buffer is dropped when
+   no retained computation reads it after the forward sweep (its own VJP
+   does not reference the output, no consumer's VJP references it as an
+   operand, and every consumer is lowered symbolically).  Cotangents of
+   all interior (non-leaf, non-root) nodes are likewise transient — the
+   backward sweep writes them into arena slots, never into one
+   persistent buffer per node.
 3. **Arena planning** — every dropped buffer, and every scratch
    temporary the backward emitter needs, becomes a liveness interval on
    a global (forward + backward) step timeline; :class:`ArenaPlanner`
    assigns intervals to a small pool of reusable slots (greedy
-   interval-graph colouring per ``(shape, dtype)`` class), so the
-   persistent pool shrinks instead of holding one double buffer per
-   node.
+   interval-graph colouring per ``(shape, dtype, layout)`` class), so the
+   persistent pool holds far less than one double buffer per node.
 
 Anything the IR cannot express symbolically — ``solve``, ``matmul`` in
 stacked layouts, sparse ops, ``concatenate``/``stack``, fancy masks —
 stays **opaque**: the emitted source calls straight back into the
 closures the trace recorded, so a program containing non-fusible ops
 still lowers (those nodes and their operands are simply pinned to their
-persistent buffers).  When lowering itself is impossible the caller
-falls back to the replay tier; correctness never depends on this module.
+buffers).  A tape with an op that records no forward-replay closure
+cannot be lowered (:class:`LoweringError`); the caller then runs that
+function on the eager tape.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.autodiff.compile import CompiledProgram, _estimate_cost
-from repro.autodiff.tensor import Tensor, VIEW_FWD
+from repro.autodiff.tensor import Tensor, VIEW_FWD, _topological_order
 
 __all__ = [
     "ArenaPlanner",
@@ -140,6 +139,34 @@ MATMUL_COMBOS = {(2, 2), (2, 1), (1, 2)}
 def matmul_symbolic(na: int, nb: int) -> bool:
     """True when the emitter has an in-place kernel for this rank combo."""
     return (na, nb) in MATMUL_COMBOS or (na >= 2 and nb >= 2)
+
+
+def _estimate_cost(op: str, out: np.ndarray, parents: Sequence[Any]) -> Tuple[float, float]:
+    """Estimated (FLOPs, bytes moved) for one forward execution of ``op``.
+
+    Shape-derived at lowering time, so profiling adds no per-call cost.
+    Conventions: a dense matmul costs ``2·m·k·n``; a triangular-solve
+    pair against an ``n×n`` factorisation costs ``2·n²``; everything else
+    is counted as one FLOP per output element.  Bytes moved = output
+    bytes + every parent operand's bytes (one read of each input, one
+    write of the output).
+    """
+    shapes = [np.shape(getattr(p, "data", p)) for p in parents]
+    bytes_moved = float(out.nbytes) + 8.0 * sum(
+        float(math.prod(s)) for s in shapes
+    )
+    if op == "matmul" and len(shapes) >= 2:
+        a, b = shapes[0], shapes[1]
+        m = float(a[0]) if len(a) > 1 else 1.0
+        k = float(a[-1]) if a else 1.0
+        n = float(b[-1]) if len(b) > 1 else 1.0
+        flops = 2.0 * m * k * n
+    elif "solve" in op:
+        n = float(out.shape[0]) if out.ndim else 1.0
+        flops = 2.0 * n * n
+    else:
+        flops = float(out.size)
+    return flops, bytes_moved
 
 
 # ----------------------------------------------------------------------
@@ -235,9 +262,15 @@ class LoweredStats:
 
 @dataclass
 class LoweredProgram:
-    """The IR + pass results handed to the codegen emitter."""
+    """The IR + pass results handed to the codegen emitter.
 
-    program: CompiledProgram
+    ``leaf_pos[j]`` is the node index of differentiated leaf ``j``, or -1
+    when the output does not depend on it (its gradient is zero).
+    """
+
+    root: Tensor
+    leaves: List[Tensor]
+    leaf_pos: List[int]
     nodes: List[IRNode]
     fwd_schedule: List[int]
     bwd_steps: List[BwdStep]
@@ -264,17 +297,23 @@ class ArenaPlanner:
     the new interval starts; two live intervals therefore never share a
     slot — the property test in ``tests/property`` asserts exactly this
     invariant over random interval streams.
+
+    ``layout`` is an opaque hashable memory-layout class (``None`` for C
+    order): a reduction's summation order follows its operand's memory
+    layout, so a slot standing in for an eagerly computed buffer must
+    share that buffer's layout for results to stay bitwise equal.
     """
 
     def __init__(self) -> None:
-        self._free: Dict[Tuple[Tuple[int, ...], str], List[int]] = {}
-        self._busy_until: Dict[int, int] = {}
-        self._slot_key: Dict[int, Tuple[Tuple[int, ...], str]] = {}
-        self.slots: List[Tuple[Tuple[int, ...], str]] = []
+        self._free: Dict[Tuple[Any, ...], List[int]] = {}
+        self._busy: List[Tuple[int, int]] = []  # heap of (end, slot)
+        self.slots: List[Tuple[Tuple[int, ...], np.dtype, Any]] = []
         self.intervals: List[Tuple[int, int, int]] = []  # (slot, start, end)
         self._last_start = -1
 
-    def alloc(self, shape: Tuple[int, ...], dtype: Any, start: int, end: int) -> int:
+    def alloc(
+        self, shape: Tuple[int, ...], dtype: Any, start: int, end: int, layout: Any = None
+    ) -> int:
         """Return a slot id for an interval ``[start, end]`` (inclusive)."""
         if start < self._last_start:
             raise LoweringError(
@@ -283,31 +322,24 @@ class ArenaPlanner:
         if end < start:
             raise LoweringError(f"empty liveness interval [{start}, {end}]")
         self._last_start = start
-        key = (tuple(shape), str(dtype))
+        key = (tuple(shape), np.dtype(dtype), layout)
         # Release every slot whose interval ended before this start.
-        for slot, until in list(self._busy_until.items()):
-            if until < start:
-                del self._busy_until[slot]
-                self._free.setdefault(self._slot_key[slot], []).append(slot)
+        while self._busy and self._busy[0][0] < start:
+            _, done = heapq.heappop(self._busy)
+            self._free.setdefault(self.slots[done], []).append(done)
         pool = self._free.get(key)
         if pool:
             slot = pool.pop()
         else:
             slot = len(self.slots)
             self.slots.append(key)
-            self._slot_key[slot] = key
-        self._busy_until[slot] = end
+        heapq.heappush(self._busy, (end, slot))
         self.intervals.append((slot, start, end))
         return slot
 
     @property
     def total_bytes(self) -> int:
-        return sum(
-            int(np.prod(shape, dtype=np.int64)) * np.dtype(dt).itemsize
-            if shape
-            else np.dtype(dt).itemsize
-            for shape, dt in self.slots
-        )
+        return sum(math.prod(shape) * dt.itemsize for shape, dt, _ in self.slots)
 
     def verify(self) -> None:
         """Assert no two intervals assigned to one slot overlap."""
@@ -434,18 +466,21 @@ def _resolve_args(ir: IRNode, nodes: List[IRNode], pos: Dict[int, int], consts) 
     return True
 
 
-def lower(program: CompiledProgram) -> LoweredProgram:
-    """Build the IR, run fusion + DBE, and compute liveness intervals.
+def lower(root: Tensor, leaves: Sequence[Tensor]) -> LoweredProgram:
+    """Build the IR of the tape ending at ``root``, run fusion + DBE, and
+    compute liveness intervals.
 
-    Arena *slot assignment* happens in the emitter (requests must be
+    ``leaves`` are the differentiated inputs, in argument order.  Arena
+    *slot assignment* happens in the emitter (requests must be
     step-sorted and include backward scratch temporaries); this pass
     decides *which* buffers are transient and their liveness endpoints.
     """
-    if not program.replayable:
-        raise LoweringError(
-            f"program is not replayable (op {program.unreplayable_op!r})"
-        )
-    order = program._order
+    order = _topological_order(root)  # root first, leaves last
+    for n in order:
+        if n._parents and n._fwd is None:
+            raise LoweringError(
+                f"op {n._op!r} records no forward-replay closure"
+            )
     pos = {id(n): i for i, n in enumerate(order)}
     consts: Dict[int, Tuple[str, Any]] = {}
 
@@ -513,7 +548,10 @@ def lower(program: CompiledProgram) -> LoweredProgram:
     n_fwd = step
 
     # ------------------------------------------------------------------
-    # Backward schedule (identical order + first-write flags as replay)
+    # Backward schedule: the eager ``Tensor.backward`` visit order, so
+    # accumulation order (and hence floating-point bits) match eager.
+    # Every node is reachable from the root, so which write into a
+    # cotangent comes first is static.
     # ------------------------------------------------------------------
     bwd_steps: List[BwdStep] = []
     initialised: Set[int] = {0}
@@ -628,7 +666,9 @@ def lower(program: CompiledProgram) -> LoweredProgram:
     stats.cse_hits = len(cse_tanh)
 
     return LoweredProgram(
-        program=program,
+        root=root,
+        leaves=list(leaves),
+        leaf_pos=[pos.get(id(l), -1) for l in leaves],
         nodes=nodes,
         fwd_schedule=fwd_schedule,
         bwd_steps=bwd_steps,

@@ -15,8 +15,8 @@ tape node: called with the node's own data buffer, it recomputes the forward
 value **in place** from the parent buffers it captured by reference at trace
 time.  Because the VJP closures capture those same arrays by reference, a
 recorded tape can be re-executed for new input values without rebuilding a
-single Tensor or closure — this is what powers the compiled replay engine in
-:mod:`repro.autodiff.compile`.  Three rules keep replay sound:
+single Tensor or closure — the compiled tier (:mod:`repro.autodiff.compile`)
+calls it for every op it cannot lower.  Three rules keep replay sound:
 
 1. ``fwd`` writes only into the supplied buffer (plus any value-dependent
    auxiliaries such as the ``maximum`` tie mask, which it refreshes in

@@ -138,7 +138,8 @@ class Tensor:
         # parent buffers it captured by reference at trace time.  ``None``
         # means the op cannot replay; ``VIEW_FWD`` means the data aliases a
         # parent buffer and needs no recomputation.  Only consulted by the
-        # compiled replay engine (:mod:`repro.autodiff.compile`).
+        # compiled tier (:mod:`repro.autodiff.codegen`), which calls it
+        # for ops it cannot lower.
         self._fwd = fwd
         # Lowering metadata: ``(operands, params)`` where ``operands`` is
         # the tuple of raw ndarray inputs in the op's canonical argument

@@ -13,12 +13,12 @@ with ``k`` (Table 3's DP rows; the ablation benchmark sweeps this).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.autodiff import ops
-from repro.autodiff.compile import compiled_value_and_grad, resolve_compile_mode
+from repro.autodiff.compile import compiled_value_and_grad
 from repro.autodiff.functional import value_and_grad
 from repro.autodiff.sparse import make_linear_solver
 from repro.obs.hooks import record_compile_cache, record_solver_cache
@@ -56,21 +56,19 @@ class LaplaceDP:
     ``smoothness_weight`` adds the §4 control-variation penalty to the
     objective (off by default, as in the paper).
 
-    ``compile=True`` routes ``value_and_grad`` through the trace-once
-    replay engine (:mod:`repro.autodiff.compile`): the cost graph is
-    recorded on the first call and subsequent iterations replay it over
-    reused buffers, skipping all Tensor/closure construction — the NumPy
-    analogue of wrapping the JAX loss in ``jit``.
-    ``compile="codegen"`` additionally lowers the trace to fused
-    straight-line NumPy source (:mod:`repro.autodiff.codegen`), falling
-    back to replay automatically if the program is not fully lowerable.
+    ``compile=True`` routes ``value_and_grad`` through trace-once
+    compilation (:mod:`repro.autodiff.compile`): the cost graph is
+    recorded on the first call and compiled to one fused NumPy kernel
+    that subsequent iterations run over reused buffers, skipping all
+    Tensor/closure construction — the NumPy analogue of wrapping the JAX
+    loss in ``jit``.
     """
 
     def __init__(
         self,
         problem: LaplaceControlProblem,
         smoothness_weight: float = 0.0,
-        compile: Union[bool, str, None] = False,
+        compile: bool = False,
     ) -> None:
         self.problem = problem
         self.solver = make_linear_solver(
@@ -79,12 +77,10 @@ class LaplaceDP:
             **(getattr(problem, "solver_opts", None) or {}),
         )
         self.smoothness_weight = float(smoothness_weight)
-        mode = resolve_compile_mode(compile)
-        self.compile = mode is not None
-        self.compile_mode = mode
+        self.compile = bool(compile)
         self._vg = (
-            compiled_value_and_grad(self._cost_tensor, mode=mode)
-            if mode
+            compiled_value_and_grad(self._cost_tensor)
+            if self.compile
             else value_and_grad(self._cost_tensor)
         )
 
@@ -115,7 +111,7 @@ class LaplaceDP:
         return self.solver.solve_numpy(self.problem.rhs(np.asarray(c)))
 
     def report_telemetry(self, recorder) -> None:
-        """End-of-run cumulative telemetry: LU and replay cache stats."""
+        """End-of-run cumulative telemetry: LU and compiled-program cache stats."""
         record_solver_cache(recorder, self.solver, "lu-cache")
         if self.compile:
             record_compile_cache(recorder, self._vg)
@@ -133,17 +129,15 @@ class NavierStokesDP:
         problem: ChannelFlowProblem,
         config: Optional[NSConfig] = None,
         smoothness_weight: float = 0.0,
-        compile: Union[bool, str, None] = False,
+        compile: bool = False,
     ) -> None:
         self.problem = problem
         self.config = config or NSConfig(refinements=10)
         self.smoothness_weight = float(smoothness_weight)
-        mode = resolve_compile_mode(compile)
-        self.compile = mode is not None
-        self.compile_mode = mode
+        self.compile = bool(compile)
         self._vg = (
-            compiled_value_and_grad(self._cost_tensor, mode=mode)
-            if mode
+            compiled_value_and_grad(self._cost_tensor)
+            if self.compile
             else value_and_grad(self._cost_tensor)
         )
 
@@ -176,7 +170,7 @@ class NavierStokesDP:
         return self.problem.default_control()
 
     def report_telemetry(self, recorder) -> None:
-        """End-of-run cumulative telemetry: pressure-LU and replay stats."""
+        """End-of-run cumulative telemetry: pressure-LU and compiled-program stats."""
         record_solver_cache(
             recorder, self.problem.pressure_solver, "pressure-lu-cache"
         )

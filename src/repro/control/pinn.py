@@ -29,7 +29,7 @@ so one reverse pass per step yields exact weight gradients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,13 +60,11 @@ class PINNTrainConfig:
 
     ``epochs`` follows the paper's piecewise-constant LR schedule; the
     alternating flag switches between joint and alternating updates of the
-    two networks.  ``compile`` routes the loss through the trace-once
-    replay engine (:mod:`repro.autodiff.compile`): the loss graph is
-    recorded at the first epoch and each subsequent epoch replays it over
-    reused buffers — the epoch loop skips all Tensor/closure rebuilds.
-    ``compile="codegen"`` further lowers the trace to fused straight-line
-    NumPy source (:mod:`repro.autodiff.codegen`, automatic fallback to
-    replay when the program is not fully lowerable).
+    two networks.  ``compile`` routes the loss through trace-once
+    compilation (:mod:`repro.autodiff.compile`): the loss graph is
+    recorded at the first epoch and compiled to one fused NumPy kernel
+    that each subsequent epoch runs over reused buffers — the epoch loop
+    skips all Tensor/closure rebuilds.
     """
 
     epochs: int = 2000
@@ -76,7 +74,7 @@ class PINNTrainConfig:
     n_boundary: int = 40
     alternating: bool = True
     log_every: int = 0
-    compile: Union[bool, str, None] = False
+    compile: bool = False
 
 
 @dataclass
@@ -133,14 +131,9 @@ def _train(
     recorders cost one truth test per epoch.
     """
     if config.compile:
-        from repro.autodiff.compile import (
-            compiled_value_and_grad_tree,
-            resolve_compile_mode,
-        )
+        from repro.autodiff.compile import compiled_value_and_grad_tree
 
-        vg = compiled_value_and_grad_tree(
-            loss_fn, mode=resolve_compile_mode(config.compile) or "replay"
-        )
+        vg = compiled_value_and_grad_tree(loss_fn)
     else:
         vg = value_and_grad_tree(loss_fn)
     opt = Adam(lr=config.lr)

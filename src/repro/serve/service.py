@@ -1,6 +1,6 @@
 """The asyncio HTTP front of the control service.
 
-Request lifecycle (DESIGN.md §17):
+Request lifecycle (DESIGN.md §16):
 
 1. **parse** — minimal HTTP/1.1 read (request line, headers,
    content-length body), JSON decode, :func:`repro.serve.protocol.

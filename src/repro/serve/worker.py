@@ -11,10 +11,10 @@ this is the whole point of serving warm instead of forking per request:
   that system — request N pays ``n_factorizations == 1`` and rides the
   multi-solve path;
 - **oracles** keyed by ``(family, method, nx, ny, target-digest)``: the
-  Laplace DP oracle runs the trace-once replay engine, so the compiled
-  program is traced on the first request and *replayed* by every later
-  request with the same shape and target (the compiled tape bakes the
-  target constant in, hence the target digest in the key).
+  Laplace DP oracle runs on the compiled tier, so its program is traced
+  and compiled on the first request and run by every later request with
+  the same shape and target (the compiled program bakes the target
+  constant in, hence the target digest in the key).
 
 The worker speaks a tiny framed protocol over a ``multiprocessing``
 pipe: one job dict in, exactly one reply dict out.  Replies are always
@@ -168,9 +168,10 @@ NS_REFINEMENTS = 10
 def build_oracle(family: str, method: str, problem):
     """The ``control.*`` oracle a served request runs through.
 
-    Laplace DP runs with ``compile=True`` (trace-once replay): the first
-    request traces, every subsequent same-shape request replays the
-    compiled program — the cross-request program-cache contract.
+    Laplace DP runs with ``compile=True`` (trace-once compilation): the
+    first request traces and compiles, every subsequent same-shape
+    request runs the compiled program — the cross-request program-cache
+    contract.
     """
     if family == "laplace":
         if method == "dp":

@@ -1,4 +1,4 @@
-"""Codegen-tier conformance: parity with eager and replay, plus fallback.
+"""Compiled-tier conformance: parity with eager, plus fallback.
 
 Every program the fused-source backend executes must produce the same
 value and gradients as the eager tape, bit for bit — the conformance
@@ -6,8 +6,10 @@ table in ``tests/conftest.py`` supplies one program per primitive/shape
 regime (including the vbatch-composed path), and dedicated cases cover
 the stacked-matmul VJPs, the cotangent-aliasing rewrites, and the
 solve-family programs whose opaque closures run inside generated source.
-When lowering or validation fails, the tier must fall back to replay —
-warning once, never changing results.
+Parity is checked at inputs other than the traced ones: build-time
+validation only replays the traced inputs, so a stale-buffer bug can
+pass it.  When lowering or validation fails, the wrapper must fall back
+to the eager tape — warning once, never changing results.
 """
 
 from __future__ import annotations
@@ -33,21 +35,38 @@ def _grads_tuple(g):
     return g if isinstance(g, (tuple, list)) else (g,)
 
 
+def _perturbed(args, diff_idx, seed):
+    """``args`` with every differentiated array scaled elementwise by a
+    random factor in [0.95, 1.05].  Signs are preserved, so inputs stay
+    in their domain (``log``, ``sqrt``) and a sign-derived ``where``
+    condition — frozen at trace time, like ``jax.jit``'s — still holds."""
+    rng = np.random.default_rng(seed)
+    return tuple(
+        a * rng.uniform(0.95, 1.05, np.shape(a)) if i in diff_idx else a
+        for i, a in enumerate(args)
+    )
+
+
 def _assert_tier_matches_eager(loss, args, diff_idx, label):
-    """Trace + two codegen replays must equal eager bitwise, no fallback."""
-    ev, eg = value_and_grad(loss, argnums=diff_idx)(*args)
+    """A trace at ``args`` plus two compiled calls at freshly perturbed
+    differentiated inputs must each equal eager at the same arguments,
+    bitwise, with no fallback."""
+    nums = (diff_idx,) if isinstance(diff_idx, int) else tuple(diff_idx)
+    arg_sets = [tuple(args)] + [_perturbed(args, nums, s) for s in (1, 2)]
+    expected = [value_and_grad(loss, argnums=diff_idx)(*a) for a in arg_sets]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a codegen fallback warns: fail loud
-        cvg = compiled_value_and_grad(loss, argnums=diff_idx, mode="codegen")
-        results = [cvg(*args), cvg(*args), cvg(*args)]
-    assert cvg.cache_info()["codegen_fallbacks"] == 0, label
-    assert cvg.cache_info()["codegen_programs"] == 1, label
-    for v, g in results:
-        assert float(v) == float(ev), label
+        cvg = compiled_value_and_grad(loss, argnums=diff_idx)
+        results = [cvg(*a) for a in arg_sets]
+    info = cvg.cache_info()
+    assert info["codegen_fallbacks"] == 0, label
+    assert info["programs"] == 1 and info["replays"] == 2, label
+    for call, ((v, g), (ev, eg)) in enumerate(zip(results, expected)):
+        assert float(v) == float(ev), f"{label} call {call}"
         for a, b in zip(_grads_tuple(g), _grads_tuple(eg)):
             a, b = asdata(a), asdata(b)
             assert np.array_equal(a, b), (
-                f"{label}: codegen grad deviates, "
+                f"{label} call {call}: compiled grad deviates, "
                 f"max |diff| = {np.max(np.abs(a - b))}"
             )
 
@@ -173,12 +192,12 @@ class TestCotangentAliasing:
 
 
 # ----------------------------------------------------------------------
-# Fallback: lowering/validation failure degrades to replay, with warning
+# Fallback: lowering/validation failure degrades to eager, with warning
 # ----------------------------------------------------------------------
-def test_codegen_falls_back_to_replay_on_lowering_failure(monkeypatch):
+def test_codegen_falls_back_to_eager_on_lowering_failure(monkeypatch):
     import repro.autodiff.compile as compile_mod
 
-    def boom(prog):
+    def boom(root, leaves, profiled=False):
         raise compile_mod.CompileError("synthetic lowering failure")
 
     def loss(x):
@@ -190,30 +209,30 @@ def test_codegen_falls_back_to_replay_on_lowering_failure(monkeypatch):
     import repro.autodiff.codegen as codegen_mod
     monkeypatch.setattr(codegen_mod, "codegen_program", boom)
     with pytest.warns(RuntimeWarning, match="falling back"):
-        vg = compiled_value_and_grad(loss, mode="codegen")
+        vg = compiled_value_and_grad(loss)
         vg(x)  # trace + failed build
-    v, g = vg(x)  # replay-tier execution
+    v, g = vg(x)  # eager execution
     info = vg.cache_info()
     assert info["codegen_fallbacks"] == 1
-    assert info["codegen_programs"] == 0
+    assert info["programs"] == 0 and info["eager"] == 1
     assert v == ev
     np.testing.assert_array_equal(g, eg)
 
 
 # ----------------------------------------------------------------------
-# Profiling: per-fused-kernel stats populate under the codegen tier
+# Profiling: per-fused-kernel stats populate
 # ----------------------------------------------------------------------
 def test_codegen_profile_reports_kernels():
     def loss(x):
         return ops.sum_(ops.sin(ops.exp(x)) * x)
 
     x = np.linspace(0.1, 1.0, 32)
-    vg = compiled_value_and_grad(loss, mode="codegen", profile=True)
+    vg = compiled_value_and_grad(loss, profile=True)
     for _ in range(4):
         vg(x)
     p = vg.profile
     assert isinstance(p, ReplayProfile)
-    assert p.n_codegen_replays == 3  # first call traces
+    assert p.n_replays == 3  # first call traces
     assert p.kernels, "profiled codegen must record per-kernel stats"
     assert any("+" in name for name in p.kernels), (
         f"expected a fused kernel among {sorted(p.kernels)}"

@@ -19,24 +19,18 @@ from repro.autodiff.compile import compiled_value_and_grad
 from repro.autodiff.functional import value_and_grad
 from repro.autodiff.lowering import (
     LoweredProgram,
+    LoweringError,
     lower,
     matmul_symbolic,
     unbroadcast_plan,
 )
-
-
-def traced(f, *args) -> "tuple":
-    """Trace ``f`` once and return ``(CompiledProgram, wrapper)``."""
-    vg = compiled_value_and_grad(f, argnums=tuple(range(len(args))))
-    vg(*args)
-    progs = [p for p in vg._cache.values() if p is not None]
-    assert len(progs) == 1
-    return progs[0], vg
+from repro.autodiff.tensor import Tensor, tensor
 
 
 def lowered(f, *args) -> LoweredProgram:
-    prog, _ = traced(f, *args)
-    return lower(prog)
+    """Trace ``f`` eagerly, differentiating every argument, and lower it."""
+    leaves = [Tensor(np.array(a), requires_grad=True) for a in args]
+    return lower(tensor(f(*leaves)), leaves)
 
 
 def by_op(lw: LoweredProgram, op: str):
@@ -164,11 +158,9 @@ class TestDeadBufferElimination:
     def test_dbe_preserves_gradients_end_to_end(self):
         for f, args in self._programs():
             ev, eg = value_and_grad(f, argnums=tuple(range(len(args))))(*args)
-            vg = compiled_value_and_grad(
-                f, argnums=tuple(range(len(args))), mode="codegen"
-            )
+            vg = compiled_value_and_grad(f, argnums=tuple(range(len(args))))
             vg(*args)  # trace
-            cv, cg = vg(*args)  # codegen replay
+            cv, cg = vg(*args)  # compiled call
             assert cv == ev
             if not isinstance(cg, tuple):
                 cg, eg = (cg,), (eg,)
@@ -217,7 +209,7 @@ class TestTanhCSE:
 
         x = np.linspace(-2.0, 2.0, 50)
         ev, eg = value_and_grad(f)(x)
-        vg = compiled_value_and_grad(f, mode="codegen")
+        vg = compiled_value_and_grad(f)
         vg(x)
         cv, cg = vg(x)
         assert cv == ev
@@ -247,12 +239,9 @@ class TestLoweredStats:
         assert unbroadcast_plan((2, 4, 3), (4, 1)) == ((0,), (1,))
 
 
-def test_lowering_rejects_unreplayable(monkeypatch):
-    from repro.autodiff.lowering import LoweringError
-
-    class FakeProgram:
-        replayable = False
-        unreplayable_op = "mystery"
-
+def test_lowering_rejects_unreplayable():
+    # A node without a forward-replay closure cannot be re-executed.
+    x = Tensor(np.ones(3), requires_grad=True)
+    y = Tensor(2.0 * x.data, parents=[(x, lambda g: 2.0 * g)], op="mystery")
     with pytest.raises(LoweringError, match="mystery"):
-        lower(FakeProgram())
+        lower(ops.sum_(y), [x])

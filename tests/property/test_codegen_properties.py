@@ -149,7 +149,7 @@ def test_random_elementwise_program_parity(steps, seed):
         return ops.sum_(ops.square(t)) + ops.sum_(y * 2.0)
 
     ev, eg = value_and_grad(f, argnums=(0, 1))(x0, y0)
-    vg = compiled_value_and_grad(f, argnums=(0, 1), mode="codegen")
+    vg = compiled_value_and_grad(f, argnums=(0, 1))
     vg(x0, y0)  # trace
     cv, cg = vg(x0, y0)  # generated-source replay
     assert cv == ev

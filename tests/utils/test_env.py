@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.configs import is_full_scale, watchdog_enabled, compile_mode
+from repro.bench.configs import is_compile_enabled, is_full_scale, watchdog_enabled
 from repro.utils.env import env_flag
 
 TRUTHY_SPELLINGS = ["1", "true", "TRUE", "True", " 1 ", "yes", "YES", "on", "On"]
@@ -76,17 +76,24 @@ class TestFlagWiring:
     @pytest.mark.parametrize("raw", FALSY_SPELLINGS)
     def test_compile_mode_falsy(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_COMPILE", raw)
-        assert compile_mode() is False
+        assert is_compile_enabled() is False
 
     @pytest.mark.parametrize("raw,expected", [
-        ("1", True), ("true", True), ("replay", True), ("REPLAY", True),
-        ("codegen", "codegen"), ("CodeGen", "codegen"), ("", False),
+        ("1", True), ("true", True), ("", False),
     ])
     def test_compile_mode_tristate(self, monkeypatch, raw, expected):
+        """REPRO_COMPILE has three outcomes: on, off, or a ValueError."""
         monkeypatch.setenv("REPRO_COMPILE", raw)
-        assert compile_mode() == expected
+        assert is_compile_enabled() is expected
+
+    @pytest.mark.parametrize("raw", ["replay", "REPLAY", "codegen", "CodeGen"])
+    def test_compile_rejects_tier_names(self, monkeypatch, raw):
+        # There is one compiled tier: former tier names are not booleans.
+        monkeypatch.setenv("REPRO_COMPILE", raw)
+        with pytest.raises(ValueError, match="REPRO_COMPILE"):
+            is_compile_enabled()
 
     def test_compile_mode_typo_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_COMPILE", "codgen")
         with pytest.raises(ValueError, match="REPRO_COMPILE"):
-            compile_mode()
+            is_compile_enabled()
