@@ -25,16 +25,6 @@ Options
     ``<problem>_<method>.metrics.json`` snapshot per run into ``DIR``.
     Defaults to ``$REPRO_PROFILE_DIR`` when set; the CLI flag wins.
     Render the artifacts with ``python -m repro.obs report DIR/*.json``.
-``--ledger-dir DIR``
-    Append one :mod:`repro.obs.ledger` entry for this invocation —
-    environment fingerprint, config digest, per-run wall/memory/solver/
-    cache metrics — to ``DIR/<suite>.jsonl``, refresh the
-    ``BENCH_<suite>.json`` snapshot, and print regression verdicts
-    against the rolling history.  Defaults to ``$REPRO_LEDGER_DIR`` when
-    set; the CLI flag wins.  Inspect with ``python -m repro.obs ledger``.
-``--suite NAME`` / ``--ledger-snapshot PATH``
-    Ledger suite name (default ``performance``) and snapshot location
-    (default ``BENCH_<suite>.json`` in the working directory).
 ``--watchdog``
     Install a :class:`~repro.obs.health.Watchdog` around every run:
     NaN/Inf telemetry, stalled convergence, and Krylov iteration
@@ -53,9 +43,11 @@ Subcommands
 ``python -m repro.bench serve``
     Load-test the control service (:mod:`repro.serve`): boots a warm
     worker pool, drives ≥8 concurrent clients, checks parity against
-    direct ``control.*`` calls, and ledgers throughput + p50/p95/p99
-    latency under the ``serve`` suite.  See
-    :mod:`repro.bench.serve_bench` for options.
+    direct ``control.*`` calls, and reports throughput + p50/p95/p99
+    latency.  See :mod:`repro.bench.serve_bench` for options.
+
+Timing regressions are measured by the repo benchmark (``perf/run.py``
+and ``perf/compare.py``); this CLI prints one run's Table 3.
 """
 
 from __future__ import annotations
@@ -67,7 +59,6 @@ import sys
 
 from repro.bench.configs import (
     get_scale,
-    ledger_dir,
     profile_dir,
     trace_dir,
     watchdog_enabled,
@@ -84,11 +75,10 @@ from repro.bench.harness import (
 )
 from repro.bench.tables import render_performance_table
 from repro.obs.health import Watchdog, watching
-from repro.obs.metrics import get_registry, use_registry
+from repro.obs.metrics import use_registry
 from repro.obs.profile import SpanProfiler, metrics_payload, profiling
 from repro.obs.recorder import TraceRecorder
 from repro.parallel import ParallelEngine, Task, resolve_jobs
-from repro.utils.timers import Timer
 
 METHODS = ("dal", "dp", "pinn")
 
@@ -146,35 +136,23 @@ def _call(runner, args, kwargs, watch):
     return result
 
 
-def _run(trace_out, profile_out, runner, *args, collect=False, watch=False, **kwargs):
+def _run(trace_out, profile_out, runner, *args, watch=False, **kwargs):
     """Run ``runner`` with whichever observability layers are requested.
 
     Tracing attaches a recorder and exports convergence JSONL; profiling
     installs a span profiler plus a fresh metrics registry (so per-run
     counters don't bleed across runs) and exports Chrome-trace + metrics
-    JSON; ``collect`` installs the same profiler/registry pair without
-    writing artifacts and returns the observability payload the ledger
-    mines (phase seconds + registry snapshot); ``watch`` wraps the run
-    in a health watchdog.  All default off, leaving the hot loops on
-    their no-op paths.
-
-    Returns ``(result, obs)`` where ``obs`` is ``None`` unless profiling
-    or collection was active.
+    JSON; ``watch`` wraps the run in a health watchdog.  All default
+    off, leaving the hot loops on their no-op paths.
     """
     rec = TraceRecorder() if trace_out is not None else None
     if rec is not None:
         kwargs["recorder"] = rec
-    obs = None
-    if profile_out is not None or collect:
+    if profile_out is not None:
         prof = SpanProfiler()
         with use_registry(), profiling(prof):
             result = _call(runner, args, kwargs, watch)
-            if profile_out is not None:
-                _write_profile_artifacts(profile_out, prof, result)
-            obs = {
-                "phase_seconds": prof.phase_seconds(),
-                "metrics": get_registry().snapshot(),
-            }
+            _write_profile_artifacts(profile_out, prof, result)
     else:
         result = _call(runner, args, kwargs, watch)
     if rec is not None:
@@ -183,23 +161,20 @@ def _run(trace_out, profile_out, runner, *args, collect=False, watch=False, **kw
         )
         rec.to_jsonl(path)
         print(f"    trace -> {path}")
-    return result, obs
+    return result
 
 
-def _matrix_task(problem_key, method, trace_out, profile_out, collect, watch):
+def _matrix_task(problem_key, method, trace_out, profile_out, watch):
     """One matrix entry, run inside a parallel worker.
 
     The worker rebuilds the problem from the (environment-derived) scale
     rather than receiving it pickled, so fork and spawn start methods
     behave identically.  Per-run artifacts land in the shared output
-    directories under the same stems a serial run uses; the ``(result,
-    obs)`` pair pickles back so the parent can assemble ledger entries.
+    directories under the same stems a serial run uses; the
+    ``ControlResult`` pickles back for the parent's table.
     """
     runner = RUNNERS[(problem_key, method)]
-    return _run(
-        trace_out, profile_out, runner, scale=get_scale(),
-        collect=collect, watch=watch,
-    )
+    return _run(trace_out, profile_out, runner, scale=get_scale(), watch=watch)
 
 
 def _merge_matrix_artifacts(trace_out, profile_out, results) -> None:
@@ -231,38 +206,6 @@ def _merge_matrix_artifacts(trace_out, profile_out, results) -> None:
             print(f"    merged -> {path}")
 
 
-def _append_ledger(ledger_out, suite, snapshot_path, scale, jobs,
-                   results, run_obs, wall_time_s) -> None:
-    """Append this invocation to the ledger, diff it, snapshot it."""
-    from repro.obs import ledger as _ledger
-    from repro.obs.fingerprint import config_digest, environment_fingerprint
-
-    runs = {}
-    for r in results:
-        key = f"{r.problem}_{r.method.lower()}"
-        runs[key] = _ledger.run_metrics(r, run_obs.get(key))
-    if not runs:
-        return
-    store = _ledger.PerformanceLedger(ledger_out, suite)
-    history = store.entries()
-    entry = _ledger.build_entry(
-        suite=suite,
-        runs=runs,
-        fingerprint=environment_fingerprint(),
-        config_digest=config_digest(scale),
-        scale=scale.name,
-        jobs=jobs,
-        wall_time_s=wall_time_s,
-    )
-    store.append(entry)
-    verdicts = _ledger.compare_entries(entry, history)
-    snapshot_path = snapshot_path or f"BENCH_{suite}.json"
-    _ledger.write_snapshot(snapshot_path, history + [entry], verdicts)
-    print(f"\nledger: {store.path} ({len(history) + 1} entries)")
-    print(f"ledger snapshot -> {snapshot_path}")
-    print(_ledger.format_verdicts(verdicts))
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -287,14 +230,6 @@ def main(argv=None) -> int:
     parser.add_argument("--profile-dir", default=None, metavar="DIR",
                         help="write per-run Chrome traces + metrics JSON here "
                              "(overrides $REPRO_PROFILE_DIR)")
-    parser.add_argument("--ledger-dir", default=None, metavar="DIR",
-                        help="append this invocation to the performance "
-                             "ledger here (overrides $REPRO_LEDGER_DIR)")
-    parser.add_argument("--suite", default="performance", metavar="NAME",
-                        help="ledger suite name (default: performance)")
-    parser.add_argument("--ledger-snapshot", default=None, metavar="PATH",
-                        help="where to write the BENCH_<suite>.json snapshot "
-                             "(default: BENCH_<suite>.json in the cwd)")
     parser.add_argument("--watchdog", action="store_true",
                         help="monitor runs for NaN/stall/Krylov blow-ups "
                              "(default on with REPRO_WATCHDOG=1)")
@@ -310,15 +245,13 @@ def main(argv=None) -> int:
     methods = tuple(m for m in args.methods if not (args.skip_pinn and m == "pinn"))
     trace_out = trace_dir(args.trace_dir)
     profile_out = profile_dir(args.profile_dir)
-    ledger_out = ledger_dir(args.ledger_dir)
     watch = watchdog_enabled(args.watchdog)
-    collect = ledger_out is not None
     jobs = resolve_jobs(args.jobs)
 
     scale = get_scale()
     print(f"scale tier: {scale.name}  (set REPRO_FULL=1 for paper scale)")
     print(f"jobs: {jobs}\n" if jobs > 1 else "")
-    for out in (trace_out, profile_out, ledger_out):
+    for out in (trace_out, profile_out):
         if out:
             os.makedirs(out, exist_ok=True)
 
@@ -329,72 +262,62 @@ def main(argv=None) -> int:
     fan_matrix = jobs > 1 and len(matrix) > 1
 
     results = []
-    run_obs = {}
+    if fan_matrix:
+        # One worker per matrix entry; inside a worker the nested-fan-out
+        # guard resolves the PINN line search back to serial.  A failed
+        # entry loses only its own row of the table.
+        engine = ParallelEngine(jobs=jobs, root_seed=0)
+        tasks = [
+            Task(key=f"{p}_{m}", fn=_matrix_task,
+                 args=(p, m, trace_out, profile_out, watch))
+            for p, m in matrix
+        ]
+        for (p, m), res in zip(matrix, engine.run(tasks)):
+            if res.ok:
+                results.append(res.value)
+                print("  " + res.value.summary())
+            else:
+                detail = (res.error or {}).get("message", res.status)
+                print(f"  {p}/{m}: FAILED ({res.status}: {detail})",
+                      file=sys.stderr)
+        _merge_matrix_artifacts(trace_out, profile_out, results)
+    else:
+        if "laplace" in problems:
+            prob = make_laplace_problem(scale)
+            print(f"Laplace problem: {prob.cloud.n} nodes, "
+                  f"{prob.n_control}-dimensional control")
+            for name, runner in (("dal", run_laplace_dal),
+                                 ("dp", run_laplace_dp)):
+                if name not in methods:
+                    continue
+                r = _run(trace_out, profile_out, runner, prob, scale,
+                         watch=watch)
+                results.append(r)
+                print("  " + r.summary())
+            if "pinn" in methods:
+                r = _run(trace_out, profile_out, run_laplace_pinn, prob, scale,
+                         jobs=jobs, batch=args.batch, watch=watch)
+                results.append(r)
+                print("  " + r.summary()
+                      + f"  (omega* = {r.extra['best_omega']:g})")
 
-    def keep(result, obs) -> None:
-        results.append(result)
-        run_obs[f"{result.problem}_{result.method.lower()}"] = obs
-
-    with Timer() as total:
-        if fan_matrix:
-            # One worker per matrix entry; inside a worker the nested-fan-out
-            # guard resolves the PINN line search back to serial.  A failed
-            # entry loses only its own row of the table.
-            engine = ParallelEngine(jobs=jobs, root_seed=0)
-            tasks = [
-                Task(key=f"{p}_{m}", fn=_matrix_task,
-                     args=(p, m, trace_out, profile_out, collect, watch))
-                for p, m in matrix
-            ]
-            for (p, m), res in zip(matrix, engine.run(tasks)):
-                if res.ok:
-                    value, obs = res.value
-                    keep(value, obs)
-                    print("  " + value.summary())
-                else:
-                    detail = (res.error or {}).get("message", res.status)
-                    print(f"  {p}/{m}: FAILED ({res.status}: {detail})",
-                          file=sys.stderr)
-            _merge_matrix_artifacts(trace_out, profile_out, results)
-        else:
-            if "laplace" in problems:
-                prob = make_laplace_problem(scale)
-                print(f"Laplace problem: {prob.cloud.n} nodes, "
-                      f"{prob.n_control}-dimensional control")
-                for name, runner in (("dal", run_laplace_dal),
-                                     ("dp", run_laplace_dp)):
-                    if name not in methods:
-                        continue
-                    r, obs = _run(trace_out, profile_out, runner, prob, scale,
-                                  collect=collect, watch=watch)
-                    keep(r, obs)
-                    print("  " + r.summary())
-                if "pinn" in methods:
-                    r, obs = _run(trace_out, profile_out, run_laplace_pinn,
-                                  prob, scale, jobs=jobs, batch=args.batch,
-                                  collect=collect, watch=watch)
-                    keep(r, obs)
-                    print("  " + r.summary()
-                          + f"  (omega* = {r.extra['best_omega']:g})")
-
-            if "ns" in problems:
-                prob = make_ns_problem(scale)
-                print(f"\nNavier-Stokes channel: {prob.cloud.n} nodes, "
-                      f"Re = {scale.ns.reynolds:g}")
-                for name, runner in (("dal", run_ns_dal), ("dp", run_ns_dp)):
-                    if name not in methods:
-                        continue
-                    r, obs = _run(trace_out, profile_out, runner, prob, scale,
-                                  collect=collect, watch=watch)
-                    keep(r, obs)
-                    print("  " + r.summary())
-                if "pinn" in methods:
-                    r, obs = _run(trace_out, profile_out, run_ns_pinn, prob,
-                                  scale, jobs=jobs, batch=args.batch,
-                                  collect=collect, watch=watch)
-                    keep(r, obs)
-                    print("  " + r.summary()
-                          + f"  (physical J = {r.extra['physical_cost']:.3e})")
+        if "ns" in problems:
+            prob = make_ns_problem(scale)
+            print(f"\nNavier-Stokes channel: {prob.cloud.n} nodes, "
+                  f"Re = {scale.ns.reynolds:g}")
+            for name, runner in (("dal", run_ns_dal), ("dp", run_ns_dp)):
+                if name not in methods:
+                    continue
+                r = _run(trace_out, profile_out, runner, prob, scale,
+                         watch=watch)
+                results.append(r)
+                print("  " + r.summary())
+            if "pinn" in methods:
+                r = _run(trace_out, profile_out, run_ns_pinn, prob, scale,
+                         jobs=jobs, batch=args.batch, watch=watch)
+                results.append(r)
+                print("  " + r.summary()
+                      + f"  (physical J = {r.extra['physical_cost']:.3e})")
 
     print()
     print(render_performance_table(
@@ -405,11 +328,6 @@ def main(argv=None) -> int:
         "\n                    NS      J = 8.2e-2 / 1.0e-3 / 2.6e-4"
         "  (DAL / PINN / DP)"
     )
-    if ledger_out is not None:
-        _append_ledger(
-            ledger_out, args.suite, args.ledger_snapshot, scale, jobs,
-            results, run_obs, total.elapsed,
-        )
     return 0
 
 

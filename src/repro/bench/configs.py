@@ -91,19 +91,6 @@ def profile_dir(cli_value: "str | None" = None) -> "str | None":
     return artifact_dir(cli_value, "REPRO_PROFILE_DIR")
 
 
-def ledger_dir(cli_value: "str | None" = None) -> "str | None":
-    """Directory for the performance-ledger JSONL store, if requested.
-
-    Pass ``--ledger-dir`` to ``python -m repro.bench`` (or set
-    ``REPRO_LEDGER_DIR=/some/dir``; the CLI flag wins when both are
-    given) to append one :mod:`repro.obs.ledger` entry per invocation to
-    ``<dir>/<suite>.jsonl`` and refresh the ``BENCH_<suite>.json``
-    snapshot.  Unset (the default): no ledger writes.  Shares the
-    precedence code path of :func:`trace_dir`/:func:`profile_dir`.
-    """
-    return artifact_dir(cli_value, "REPRO_LEDGER_DIR")
-
-
 def watchdog_enabled(cli_value: bool = False) -> bool:
     """True when run-health monitoring is requested.
 

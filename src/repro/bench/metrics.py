@@ -27,7 +27,7 @@ def measure_run(
     Child-worker memory: runs that fan out (``--jobs``) do their heavy
     allocation in worker processes ``tracemalloc`` cannot see, so the
     manager also watches the children's OS-level peak RSS and the
-    reported peak is ``max(parent traced, child RSS)`` — ledger memory
+    reported peak is ``max(parent traced, child RSS)`` — Table 3 memory
     numbers stay truthful for parallel runs.
     """
     with PeakMemory(track_children=True) as mem:

@@ -18,7 +18,9 @@ acceptance contract end-to-end:
    compiled programs and factorisations instead of rebuilding them;
 5. **coalescing** — concurrent compatible evaluations must ride at
    least one multi-RHS batch (``serve.coalesce.requests`` strictly
-   greater than ``serve.coalesce.batches``).
+   greater than ``serve.coalesce.batches``);
+6. **a sane report** — ``throughput_rps`` is finite and positive, and
+   the service's p50/p95/p99 latencies are finite and monotone.
 
 The scripted mix has three phases, with all clients synchronised on a
 barrier between phases:
@@ -31,12 +33,6 @@ barrier between phases:
   solves;
 - *replay*: each client re-posts its phase-1 solve byte-identically —
   these must be store hits.
-
-With ``--ledger-dir`` (or ``$REPRO_LEDGER_DIR``) the run appends a
-``serve``-suite entry — throughput (requests/s), p50/p95/p99 latency,
-store and cache hit rates, coalesce width — to the performance ledger
-and refreshes ``BENCH_serve.json``, so serving-layer regressions are
-caught by the same comparator as the solver benchmarks.
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import tempfile
 import threading
@@ -232,6 +227,15 @@ def _assemble_report(clients, rounds, wall, n_ok, errors, store_status,
     for name, hm in cache.items():
         if hm["hits"] <= 0:
             failures.append(f"no cross-request {name} cache hits")
+    throughput = n_ok / wall if wall > 0 else 0.0
+    if not (math.isfinite(throughput) and throughput > 0):
+        failures.append(f"throughput_rps is not finite and positive: "
+                        f"{throughput!r}")
+    triple = [latency.get(f"p{q}_s") for q in (50, 95, 99)]
+    if not (all(isinstance(v, (int, float)) and math.isfinite(v)
+                for v in triple) and triple[0] <= triple[1] <= triple[2]):
+        failures.append(f"latency p50/p95/p99 {triple} are not finite "
+                        "and monotone")
 
     return {
         "clients": clients,
@@ -239,7 +243,7 @@ def _assemble_report(clients, rounds, wall, n_ok, errors, store_status,
         "requests_expected": expected,
         "requests_ok": n_ok,
         "wall_time_s": wall,
-        "throughput_rps": n_ok / wall if wall > 0 else 0.0,
+        "throughput_rps": throughput,
         "latency": latency,
         "store": store,
         "coalesce": {
@@ -300,52 +304,6 @@ def _check_parity(reference, responses: Dict[str, Dict[str, Any]],
     return {"checked": checked, "max_rel_err": max_rel}
 
 
-def _append_ledger(report: Dict[str, Any], ledger_out: str, suite: str,
-                   snapshot_path: Optional[str], config: Dict[str, Any]) -> None:
-    from repro.obs import ledger as _ledger
-    from repro.obs.fingerprint import config_digest, environment_fingerprint
-
-    store = report["store"]
-    store_total = store.get("hits", 0) + store.get("misses", 0)
-    cache_rates = {}
-    for name, hm in report["cache"].items():
-        total = hm["hits"] + hm["misses"]
-        if total:
-            cache_rates[name] = hm["hits"] / total
-    metrics: Dict[str, Any] = {
-        "wall_time_s": report["wall_time_s"],
-        "throughput_rps": report["throughput_rps"],
-        "latency_p50_s": float(report["latency"].get("p50_s", 0.0)),
-        "latency_p95_s": float(report["latency"].get("p95_s", 0.0)),
-        "latency_p99_s": float(report["latency"].get("p99_s", 0.0)),
-        "requests_ok": float(report["requests_ok"]),
-        "coalesce_mean_width": float(report["coalesce"]["mean_width"]),
-    }
-    if store_total:
-        metrics["store_hit_rate"] = store.get("hits", 0) / store_total
-    if cache_rates:
-        metrics["cache_hit_rate"] = cache_rates
-
-    store_ledger = _ledger.PerformanceLedger(ledger_out, suite)
-    history = store_ledger.entries()
-    entry = _ledger.build_entry(
-        suite=suite,
-        runs={"serve": metrics},
-        fingerprint=environment_fingerprint(),
-        config_digest=config_digest(config),
-        scale="serve",
-        jobs=int(config.get("workers", 1)),
-        wall_time_s=report["wall_time_s"],
-    )
-    store_ledger.append(entry)
-    verdicts = _ledger.compare_entries(entry, history)
-    snapshot_path = snapshot_path or f"BENCH_{suite}.json"
-    _ledger.write_snapshot(snapshot_path, history + [entry], verdicts)
-    print(f"\nledger: {store_ledger.path} ({len(history) + 1} entries)")
-    print(f"ledger snapshot -> {snapshot_path}")
-    print(_ledger.format_verdicts(verdicts))
-
-
 def _print_report(report: Dict[str, Any]) -> None:
     lat = report["latency"]
     print(
@@ -378,8 +336,6 @@ def _print_report(report: Dict[str, Any]) -> None:
 
 
 def main(argv=None) -> int:
-    from repro.bench.configs import ledger_dir
-
     ap = argparse.ArgumentParser(
         prog="python -m repro.bench serve",
         description="Load-test the control service and gate its contract.",
@@ -396,12 +352,6 @@ def main(argv=None) -> int:
                     help="result-store directory (default: scratch temp)")
     ap.add_argument("--report", default=None, metavar="PATH",
                     help="also write the full JSON report here")
-    ap.add_argument("--ledger-dir", default=None, metavar="DIR",
-                    help="append a 'serve' suite entry to the performance "
-                         "ledger here (overrides $REPRO_LEDGER_DIR)")
-    ap.add_argument("--suite", default="serve", metavar="NAME")
-    ap.add_argument("--ledger-snapshot", default=None, metavar="PATH",
-                    help="snapshot path (default: BENCH_<suite>.json)")
     args = ap.parse_args(argv)
 
     report = run_load(
@@ -414,14 +364,6 @@ def main(argv=None) -> int:
         with open(args.report, "w", encoding="utf-8") as f:
             json.dump(report, f, indent=1, sort_keys=True)
         print(f"  report -> {args.report}")
-
-    ledger_out = ledger_dir(args.ledger_dir)
-    if ledger_out is not None:
-        os.makedirs(ledger_out, exist_ok=True)
-        _append_ledger(report, ledger_out, args.suite, args.ledger_snapshot, {
-            "clients": args.clients, "rounds": args.rounds,
-            "workers": args.workers,
-        })
 
     if report["failures"]:
         for failure in report["failures"]:

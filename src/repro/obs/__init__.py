@@ -17,16 +17,13 @@ Public surface:
   baseline traces (imported lazily; it pulls in the control stack).
 - :mod:`repro.obs.report` — standalone HTML rendering of profile
   artifacts (imported lazily by ``SpanProfiler.save_html``).
-- :class:`~repro.obs.ledger.PerformanceLedger` / :func:`compare_entries`
-  — append-only bench history with robust (median/MAD) regression
-  verdicts; written by ``python -m repro.bench --ledger-dir``.
 - :class:`~repro.obs.health.Watchdog` / :func:`watching` — in-process
   run-health monitoring (NaN/Inf, stalled convergence, Krylov iteration
   blow-ups) emitting typed :class:`HealthRecord` events.
 - :func:`~repro.obs.fingerprint.environment_fingerprint` /
   :func:`~repro.obs.fingerprint.config_digest` — shared provenance for
-  every performance artifact.
-- ``python -m repro.obs`` — summary / diff / record / report / ledger CLI.
+  trace headers, profile artifacts and served request digests.
+- ``python -m repro.obs`` — summary / diff / record / report CLI.
 """
 
 from repro.obs.compare import Deviation, TolerancePolicy, diff_traces, format_diff
@@ -37,15 +34,6 @@ from repro.obs.health import (
     current_watchdog,
     set_watchdog,
     watching,
-)
-from repro.obs.ledger import (
-    DiffPolicy,
-    LedgerError,
-    MetricVerdict,
-    PerformanceLedger,
-    compare_entries,
-    format_verdicts,
-    write_snapshot,
 )
 from repro.obs.merge import (
     merge_chrome_traces,
@@ -95,19 +83,15 @@ __all__ = [
     "CacheRecord",
     "Counter",
     "Deviation",
-    "DiffPolicy",
     "Gauge",
     "HealthRecord",
     "Histogram",
     "IterationRecord",
-    "LedgerError",
-    "MetricVerdict",
     "MetricsRegistry",
     "NULL_PROFILER",
     "NULL_RECORDER",
     "NullProfiler",
     "NullRecorder",
-    "PerformanceLedger",
     "ProfileError",
     "SolverRecord",
     "Span",
@@ -116,14 +100,12 @@ __all__ = [
     "TraceRecorder",
     "Watchdog",
     "WatchdogConfig",
-    "compare_entries",
     "config_digest",
     "current_profiler",
     "current_watchdog",
     "diff_traces",
     "environment_fingerprint",
     "format_diff",
-    "format_verdicts",
     "get_registry",
     "merge_chrome_traces",
     "merge_metrics_payloads",
@@ -142,5 +124,4 @@ __all__ = [
     "span",
     "use_registry",
     "watching",
-    "write_snapshot",
 ]

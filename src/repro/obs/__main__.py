@@ -18,12 +18,9 @@ Commands
     comparison page.
 ``list``
     Show the available tier-0 configs.
-``ledger list|diff|report``
-    Performance-ledger tooling over a ``--ledger-dir`` store
-    (:mod:`repro.obs.ledger`): ``list`` prints the entries of a suite,
-    ``diff`` scores the latest entry against the rolling history (exit 1
-    when any metric regressed), ``report`` renders the trajectory — one
-    sparkline per metric plus the verdicts — into a standalone HTML page.
+
+Performance over time is measured by the repo benchmark (``perf/run.py``
+and ``perf/compare.py``), not by this CLI.
 """
 
 from __future__ import annotations
@@ -99,66 +96,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _ledger_store(args):
-    from repro.obs.ledger import PerformanceLedger
-
-    return PerformanceLedger(args.ledger_dir, args.suite)
-
-
-def _cmd_ledger_list(args) -> int:
-    store = _ledger_store(args)
-    entries = store.entries()
-    if not entries:
-        print(f"no entries in {store.path}")
-        return 0
-    print(f"{store.path}: {len(entries)} entries")
-    for i, e in enumerate(entries):
-        fp = e.get("fingerprint", {})
-        sha = (fp.get("git_sha") or "?")[:12]
-        wall = e.get("wall_time_s")
-        wall_s = f"{wall:8.2f}s" if isinstance(wall, (int, float)) else "       ?"
-        print(
-            f"  [{i}] {time.strftime('%Y-%m-%d %H:%M:%S', time.localtime(e['created_unix']))} "
-            f"sha={sha} scale={e['scale']} jobs={e['jobs']} "
-            f"runs={len(e['runs'])} wall={wall_s}"
-        )
-    return 0
-
-
-def _cmd_ledger_diff(args) -> int:
-    from repro.obs.ledger import DiffPolicy, compare_entries, format_verdicts
-
-    store = _ledger_store(args)
-    entries = store.entries()
-    if not entries:
-        print(f"no entries in {store.path}", file=sys.stderr)
-        return 2
-    current = entries[args.index] if args.index is not None else entries[-1]
-    history = [e for e in entries if e is not current]
-    policy = DiffPolicy(z=args.z, history_window=args.window)
-    verdicts = compare_entries(current, history, policy)
-    print(format_verdicts(verdicts))
-    return 1 if any(v.verdict == "regressed" for v in verdicts) else 0
-
-
-def _cmd_ledger_report(args) -> int:
-    from repro.obs.ledger import compare_entries, format_verdicts
-    from repro.obs.report import render_ledger_report
-
-    store = _ledger_store(args)
-    entries = store.entries()
-    if not entries:
-        print(f"no entries in {store.path}", file=sys.stderr)
-        return 2
-    verdicts = compare_entries(entries[-1], entries[:-1])
-    page = render_ledger_report(entries, verdicts, title=args.title)
-    with open(args.out, "w", encoding="utf-8") as f:
-        f.write(page)
-    print(f"wrote {args.out} ({len(entries)} entries)")
-    print(format_verdicts(verdicts))
-    return 0
-
-
 def _cmd_list(args) -> int:
     from repro.obs.goldens import TIER0
 
@@ -208,38 +145,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("list", help="list tier-0 configs")
     p.set_defaults(fn=_cmd_list)
-
-    led = sub.add_parser("ledger", help="performance-ledger tooling")
-    led_sub = led.add_subparsers(dest="ledger_command", required=True)
-
-    def _ledger_common(q):
-        q.add_argument("ledger_dir", help="ledger directory (--ledger-dir)")
-        q.add_argument("--suite", default="performance",
-                       help="suite name (default: performance)")
-
-    q = led_sub.add_parser("list", help="print the entries of a suite")
-    _ledger_common(q)
-    q.set_defaults(fn=_cmd_ledger_list)
-
-    q = led_sub.add_parser(
-        "diff", help="score one entry against the rest (exit 1 on regression)"
-    )
-    _ledger_common(q)
-    q.add_argument("--index", type=int, default=None,
-                   help="entry to score (default: the latest)")
-    q.add_argument("--z", type=float, default=3.0,
-                   help="robust z threshold (default 3.0)")
-    q.add_argument("--window", type=int, default=20,
-                   help="rolling-history window (default 20)")
-    q.set_defaults(fn=_cmd_ledger_diff)
-
-    q = led_sub.add_parser(
-        "report", help="render the perf trajectory as a standalone HTML page"
-    )
-    _ledger_common(q)
-    q.add_argument("-o", "--out", default="ledger_report.html")
-    q.add_argument("--title", default="Performance ledger")
-    q.set_defaults(fn=_cmd_ledger_report)
 
     args = parser.parse_args(argv)
     return args.fn(args)

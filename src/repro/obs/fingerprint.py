@@ -1,7 +1,7 @@
 """Environment fingerprinting and config content-digests for provenance.
 
-Every performance artifact this repo writes — ledger entries, trace
-JSONL headers, Chrome-trace metadata, metrics snapshots — should answer
+Every artifact this repo writes — trace JSONL headers, Chrome-trace
+metadata, metrics snapshots, served request digests — should answer
 the same question when a number looks off six months later: *what
 exactly produced this?*  Two primitives cover it:
 
@@ -127,7 +127,7 @@ def config_digest(obj: Any) -> str:
     Dataclasses are expanded field-by-field; dict keys are sorted;
     tuples and lists hash identically.  Two configurations produce the
     same digest iff they would produce the same canonical JSON — the
-    ledger comparator uses this to refuse apples-to-oranges baselines.
+    service keys its result store and worker oracle caches on it.
     """
     blob = json.dumps(
         _canonical(obj), separators=(",", ":"), sort_keys=True, allow_nan=True

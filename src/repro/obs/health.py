@@ -22,8 +22,8 @@ with three checks:
 Events are :class:`~repro.obs.schema.HealthRecord` instances (schema
 v3); the instrumented loops forward them onto their recorder so they
 land in trace artifacts, and every occurrence increments a
-``health.<check>`` counter in the active metrics registry so ledger
-entries and ``--profile-dir`` snapshots pick them up for free.
+``health.<check>`` counter in the active metrics registry so
+``--profile-dir`` snapshots pick them up for free.
 
 Install pattern mirrors :mod:`repro.obs.profile`: a process-wide
 watchdog set via :func:`set_watchdog` / the :func:`watching` context

@@ -426,8 +426,8 @@ class SpanProfiler:
         # worker's real ones, so each worker gets its own process track.
         events.extend(self.external_events())
         out: Dict[str, Any] = {"traceEvents": events, "displayTimeUnit": "ms"}
-        # Profile artifacts share provenance with ledger entries and trace
-        # headers: the environment fingerprint rides in ``metadata.env``
+        # Profile artifacts share provenance with trace headers: the
+        # environment fingerprint rides in ``metadata.env``
         # (caller-supplied ``meta`` keys win on collision).
         from repro.obs.fingerprint import environment_fingerprint
 

@@ -218,7 +218,7 @@ class TraceRecorder:
 
         The header carries the environment fingerprint (see
         :mod:`repro.obs.fingerprint`) so trace artifacts share provenance
-        with ledger entries; it rides outside ``meta`` and never affects
+        with profile artifacts; it rides outside ``meta`` and never affects
         golden identity comparisons.
         """
         env = self.env

@@ -24,7 +24,7 @@ import html
 import json
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["load_artifact", "render_ledger_report", "render_report"]
+__all__ = ["load_artifact", "render_report"]
 
 # Categorical palette (fixed hue order, never cycled; validated for CVD
 # separation on both surfaces).  Light / dark steps per slot.
@@ -388,118 +388,7 @@ def _css() -> str:
   color:#ffffff;font-size:11px;line-height:17px;padding:0 3px;box-sizing:border-box}}
 .viz-root details{{margin:8px 0}}
 .viz-root summary{{cursor:pointer;color:var(--ink-2)}}
-.viz-root .badge{{display:inline-block;border-radius:10px;padding:1px 9px;
-  font-size:12px;font-weight:600;color:#ffffff}}
-.viz-root .badge.regressed{{background:var(--c8)}}
-.viz-root .badge.improved{{background:var(--c3)}}
-.viz-root .badge.neutral{{background:var(--ink-2)}}
-.viz-root .badge.new{{background:var(--c1)}}
-.viz-root .spark{{vertical-align:middle}}
-.viz-root .spark polyline{{fill:none;stroke:var(--c1);stroke-width:1.5}}
-.viz-root .spark circle{{fill:var(--c2)}}
 """
-
-
-def _sparkline(values: List[float], width: int = 120, height: int = 22) -> str:
-    """One inline-SVG sparkline: the series as a polyline, latest point dotted."""
-    if not values:
-        return ""
-    finite = [v for v in values if v == v and abs(v) != float("inf")]
-    if not finite:
-        return ""
-    lo, hi = min(finite), max(finite)
-    span = (hi - lo) or 1.0
-    pad = 3.0
-    n = len(values)
-    step = (width - 2 * pad) / max(n - 1, 1)
-
-    def xy(i: int, v: float) -> Tuple[float, float]:
-        y = height - pad - (height - 2 * pad) * (v - lo) / span
-        return (pad + i * step, y)
-
-    pts = " ".join(
-        f"{x:.1f},{y:.1f}" for x, y in (xy(i, v) for i, v in enumerate(values))
-    )
-    lx, ly = xy(n - 1, values[-1])
-    return (
-        f'<svg class="spark" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" role="img" '
-        f'aria-label="trend over {n} entries">'
-        f'<polyline points="{pts}"/><circle cx="{lx:.1f}" cy="{ly:.1f}" r="2"/>'
-        "</svg>"
-    )
-
-
-def render_ledger_report(
-    entries: List[Dict[str, Any]],
-    verdicts: Optional[List[Any]] = None,
-    title: str = "Performance ledger",
-    history_window: int = 40,
-) -> str:
-    """Render a ledger's trajectory: one sparkline per metric + verdicts.
-
-    ``entries`` are validated ledger entries in append order (see
-    :class:`~repro.obs.ledger.PerformanceLedger`); ``verdicts`` the
-    :func:`~repro.obs.ledger.compare_entries` output for the latest
-    entry (omit to render the trajectory without the comparison column).
-    """
-    from repro.obs.ledger import flatten_metrics
-
-    window = entries[-history_window:]
-    series: Dict[str, List[float]] = {}
-    for entry in window:
-        flat = flatten_metrics(entry)
-        for metric in flat:
-            series.setdefault(metric, [])
-    for entry in window:
-        flat = flatten_metrics(entry)
-        for metric, values in series.items():
-            if metric in flat:
-                values.append(flat[metric])
-    by_metric = {v.metric: v for v in (verdicts or [])}
-
-    latest = entries[-1]
-    fp = latest.get("fingerprint", {})
-    head = (
-        f"<h1>{_esc(title)}</h1>"
-        f'<p class="muted">{len(entries)} entries · suite '
-        f"{_esc(latest.get('suite'))} · scale {_esc(latest.get('scale'))} · "
-        f"latest sha {_esc((fp.get('git_sha') or '?')[:12])} · "
-        f"{_esc(fp.get('numpy'))} / {_esc(fp.get('blas'))}</p>"
-    )
-    rows = []
-    for metric in sorted(series):
-        values = series[metric]
-        v = by_metric.get(metric)
-        badge = (
-            f'<span class="badge {_esc(v.verdict)}">{_esc(v.verdict)}</span>'
-            if v is not None else ""
-        )
-        baseline = (
-            f'<td class="num">{_fmt_num(v.baseline)}</td>'
-            if v is not None and v.baseline is not None
-            else '<td class="num">—</td>'
-        )
-        rows.append(
-            f"<tr><td>{_esc(metric)}</td>"
-            f"<td>{_sparkline(values)}</td>"
-            f'<td class="num">{_fmt_num(values[-1])}</td>'
-            f"{baseline}<td>{badge}</td></tr>"
-        )
-    table = (
-        "<h2>Metric trajectories</h2>"
-        "<table><thead><tr><th>metric</th>"
-        f"<th>last {len(window)} entries</th><th>latest</th>"
-        "<th>baseline (median)</th><th>verdict</th></tr></thead><tbody>"
-        + "".join(rows) + "</tbody></table>"
-    )
-    body = head + table
-    return (
-        "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">"
-        f"<title>{_esc(title)}</title><style>{_css()}</style></head>"
-        f'<body style="margin:0"><div class="viz-root">{body}</div>'
-        "</body></html>\n"
-    )
 
 
 def render_report(

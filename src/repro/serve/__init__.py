@@ -15,7 +15,7 @@ without touching a worker.
 Everything is stdlib: ``asyncio`` for the HTTP front
 (:mod:`repro.serve.service`), ``multiprocessing`` pipes for the workers.
 ``python -m repro.serve`` boots the service;
-``python -m repro.bench serve`` load-tests it and writes a ledger entry.
+``python -m repro.bench serve`` load-tests it and gates its contract.
 """
 
 from repro.serve.protocol import (

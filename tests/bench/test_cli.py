@@ -11,11 +11,9 @@ from repro.bench.configs import (
     PinnScale,
 )
 
-#: Small enough for test wall times, large enough that per-iteration
-#: phase spans dominate the measured loop: below the default nx the
-#: fixed per-iteration cost outside spans (~25 µs under tracemalloc)
-#: eats a visible fraction of the wall time and the coverage assertion
-#: turns flaky.
+#: Small enough for test wall times, large enough that a gradient or an
+#: update step costs far more than the per-iteration span bookkeeping the
+#: phase-coverage check tolerates (``MAX_UNSPANNED_S_PER_ITER``).
 TINY_SCALE = ExperimentScale(
     name="tiny",
     laplace=LaplaceScale(nx=26, iterations=150),
@@ -27,6 +25,11 @@ TINY_SCALE = ExperimentScale(
         n_boundary=12,
     ),
 )
+
+#: Ceiling on optimisation-loop wall time per iteration that no phase span
+#: covers.  Span bookkeeping measures 25-55 µs; a gradient or update
+#: moved out of its span adds at least ~180 µs at TINY_SCALE.
+MAX_UNSPANNED_S_PER_ITER = 150e-6
 
 
 class TestCLI:
@@ -88,9 +91,11 @@ class TestProfileArtifacts:
             wall = metrics["meta"]["wall_time_s"]
             phase_sum = sum(metrics["phase_seconds"].values())
             # The grad/eval/update phases partition the optimisation loop:
-            # their sum must account for the measured wall time within 5 %.
-            assert wall > 0.0
-            assert abs(phase_sum - wall) / wall < 0.05
+            # they fit inside the wall time and leave out only span
+            # bookkeeping, never a gradient or an update.
+            assert 0.0 < phase_sum <= wall
+            gap_per_iter = (wall - phase_sum) / TINY_SCALE.laplace.iterations
+            assert gap_per_iter < MAX_UNSPANNED_S_PER_ITER
             # The migrated cache counters ride along in the snapshot.
             assert "cache.lu-cache.hits" in metrics["metrics"]
 
@@ -115,71 +120,6 @@ class TestProfileArtifacts:
         rc = main(["--methods", "dp", "--problem", "laplace"])
         assert rc == 0
         assert (out_dir / "laplace_dp.trace.json").exists()
-
-
-class TestLedger:
-    def _run(self, tmp_path, extra=()):
-        return main([
-            "--methods", "dp", "--problem", "laplace",
-            "--ledger-dir", str(tmp_path / "ledger"),
-            "--suite", "test",
-            "--ledger-snapshot", str(tmp_path / "BENCH_test.json"),
-            *extra,
-        ])
-
-    def test_each_invocation_appends_one_valid_entry(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setattr("repro.bench.__main__.get_scale", lambda: TINY_SCALE)
-        from repro.obs.ledger import PerformanceLedger
-
-        store = PerformanceLedger(str(tmp_path / "ledger"), "test")
-        assert self._run(tmp_path) == 0
-        assert len(store.entries()) == 1  # entries() schema-validates
-        assert self._run(tmp_path) == 0
-        entries = store.entries()
-        assert len(entries) == 2
-        e = entries[-1]
-        assert e["suite"] == "test"
-        assert e["scale"] == "tiny"
-        assert e["config_digest"].startswith("sha256:")
-        assert "python" in e["fingerprint"]
-        metrics = e["runs"]["laplace_dp"]
-        assert metrics["wall_time_s"] > 0
-        assert metrics["iterations"] == 150
-        # --ledger-dir implies metric collection: phase timings and the
-        # cache counters come along without --profile-dir.
-        assert set(metrics["phase_seconds"]) >= {"grad", "update"}
-        assert "lu-cache" in metrics["cache_hit_rate"]
-        out = capsys.readouterr().out
-        assert "ledger:" in out
-
-    def test_snapshot_written_and_verdicts_printed(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setattr("repro.bench.__main__.get_scale", lambda: TINY_SCALE)
-        assert self._run(tmp_path) == 0
-        assert self._run(tmp_path) == 0
-        snap = json.loads((tmp_path / "BENCH_test.json").read_text())
-        assert snap["kind"] == "repro.bench.snapshot"
-        assert snap["n_entries"] == 2
-        assert "laplace_dp/wall_time_s" in snap["history"]
-        assert len(snap["history"]["laplace_dp/wall_time_s"]) == 2
-        # The second invocation is scored against the first.
-        assert snap["verdicts"]
-        assert all(v["verdict"] != "new" for v in snap["verdicts"])
-        out = capsys.readouterr().out
-        assert "laplace_dp/wall_time_s" in out
-
-    def test_ledger_env_var_respected(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("repro.bench.__main__.get_scale", lambda: TINY_SCALE)
-        monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "envledger"))
-        monkeypatch.chdir(tmp_path)  # default snapshot lands in the cwd
-        rc = main(["--methods", "dp", "--problem", "laplace"])
-        assert rc == 0
-        assert (tmp_path / "envledger" / "performance.jsonl").exists()
-        assert (tmp_path / "BENCH_performance.json").exists()
-        capsys.readouterr()
 
 
 class TestWatchdogFlag:

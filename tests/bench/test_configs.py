@@ -10,7 +10,6 @@ from repro.bench.configs import (
     artifact_dir,
     get_scale,
     is_full_scale,
-    ledger_dir,
     profile_dir,
     trace_dir,
     watchdog_enabled,
@@ -40,37 +39,27 @@ class TestArtifactDirPrecedence:
     def test_unset_everywhere_is_disabled(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE_DIR", raising=False)
         monkeypatch.delenv("REPRO_PROFILE_DIR", raising=False)
-        monkeypatch.delenv("REPRO_LEDGER_DIR", raising=False)
         assert trace_dir() is None
         assert profile_dir() is None
-        assert ledger_dir() is None
 
     def test_env_var_enables(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_DIR", "/tmp/traces")
         monkeypatch.setenv("REPRO_PROFILE_DIR", "/tmp/profiles")
-        monkeypatch.setenv("REPRO_LEDGER_DIR", "/tmp/ledger")
         assert trace_dir() == "/tmp/traces"
         assert profile_dir() == "/tmp/profiles"
-        assert ledger_dir() == "/tmp/ledger"
 
     def test_cli_flag_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_DIR", "/tmp/from-env")
         monkeypatch.setenv("REPRO_PROFILE_DIR", "/tmp/from-env")
-        monkeypatch.setenv("REPRO_LEDGER_DIR", "/tmp/from-env")
         assert trace_dir("/tmp/from-cli") == "/tmp/from-cli"
         assert profile_dir("/tmp/from-cli") == "/tmp/from-cli"
-        assert ledger_dir("/tmp/from-cli") == "/tmp/from-cli"
 
     def test_blank_values_mean_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE_DIR", "   ")
-        monkeypatch.setenv("REPRO_LEDGER_DIR", "   ")
         assert profile_dir() is None
-        assert ledger_dir() is None
         # An explicit empty CLI value also disables (and masks the env).
         monkeypatch.setenv("REPRO_PROFILE_DIR", "/tmp/from-env")
-        monkeypatch.setenv("REPRO_LEDGER_DIR", "/tmp/from-env")
         assert profile_dir("") is None
-        assert ledger_dir("") is None
 
     def test_shared_helper_directly(self, monkeypatch):
         monkeypatch.setenv("SOME_DIR", "/tmp/env")
