@@ -79,7 +79,14 @@ from repro.autodiff.ops import (
     transpose,
     where,
 )
-from repro.autodiff.linalg import solve, row_scaled_solve, lstsq, norm, LUSolver
+from repro.autodiff.linalg import (
+    solve,
+    row_scaled_solve,
+    RowScaledSystem,
+    lstsq,
+    norm,
+    LUSolver,
+)
 from repro.autodiff.sparse import (
     SparseLUSolver,
     make_linear_solver,
@@ -162,6 +169,7 @@ __all__ = [
     "where",
     "solve",
     "row_scaled_solve",
+    "RowScaledSystem",
     "LUSolver",
     "SparseLUSolver",
     "make_linear_solver",

@@ -747,7 +747,7 @@ def _register_rhs_rule(name: str, rhs_pos: int) -> None:
 
 for _name, _pos in (
     ("solve", 1),
-    ("row_scaled_solve", 5),  # (s1, s2, M1, M2, C, b)
+    ("row_scaled_solve", 3),  # (s1, s2, system, b)
     ("lstsq", 1),
     ("lu_solve", 1),  # LUSolver.__call__: (self, b)
     ("sparse_solve", 1),

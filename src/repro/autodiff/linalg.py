@@ -19,12 +19,16 @@ node and reused in the backward pass, halving the factorisation cost.
 
 :func:`row_scaled_solve` is the structured variant for matrices of the
 form ``diag(s1)·M1 + diag(s2)·M2 + C``: only the row scales are on the
-tape, so its VJPs stay ``O(n²)`` and never materialise ``Ā``.
+tape, so its VJPs stay ``O(n²)`` and never materialise ``Ā``.  Its
+constant operands live in a :class:`RowScaledSystem`, which factorises
+only the rows that are not unit rows of ``C``; NumPy callers use the same
+kernel through :meth:`RowScaledSystem.factor`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+import copy
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg as sla
@@ -118,24 +122,175 @@ def solve(A: ArrayLike, b: ArrayLike, assume_a: str = "gen") -> Tensor:
     )
 
 
-def _const_matrix(M: ArrayLike, name: str, n: int) -> np.ndarray:
+def _const_matrix(M: ArrayLike, name: str, n: Optional[int] = None) -> np.ndarray:
     if isinstance(M, Tensor) and M.needs_tape():
-        raise TypeError(f"row_scaled_solve: {name} must be a constant matrix")
-    M = asdata(M)
+        raise TypeError(f"RowScaledSystem: {name} must be a constant matrix")
+    M = np.asarray(asdata(M), dtype=np.float64)
+    if n is None:
+        n = M.shape[0] if M.ndim == 2 else -1
     if M.shape != (n, n):
         raise ValueError(
-            f"row_scaled_solve: {name} has shape {M.shape}, expected {(n, n)}"
+            f"RowScaledSystem: {name} has shape {M.shape}, expected {(n, n)}"
         )
     return M
+
+
+class RowScaledSystem:
+    """The constant operands of ``(diag(s1)·M1 + diag(s2)·M2 + C) x = b``.
+
+    Rows of ``C`` equal to a unit vector ``eᵢ`` (the set ``D``; the
+    velocity-Dirichlet nodes of the NS momentum system) are detected here.
+    While the scales vanish on them they fix ``x_D = b_D``, so only the
+    other rows ``F`` are assembled and factorised:
+
+    .. math::
+
+        x_D = b_D, \\qquad A_{FF}\\, x_F = b_F - A_{FD}\\, b_D .
+
+    The ``FF`` blocks are stored column-major, the layout LAPACK
+    factorises in place, so every assembly pass is contiguous; the
+    ``FD`` blocks serve the ``A_FD`` products.  ``C`` itself is kept only
+    as these blocks (:attr:`C` rebuilds it); ``M1`` and ``M2`` are kept
+    whole, as given, for the scale VJPs.  With no unit rows ``F`` is every
+    row and this is the plain full solve.
+    """
+
+    def __init__(self, M1: ArrayLike, M2: ArrayLike, C: ArrayLike) -> None:
+        self._set_constant(C)
+        self.M1 = _const_matrix(M1, "M1", self.n)
+        self.M2 = _const_matrix(M2, "M2", self.n)
+        self._m_blocks = (self._split(self.M1), self._split(self.M2))
+        # Bind LAPACK ``getrs`` once, as :class:`LUSolver` does.
+        (self._getrs,) = sla.get_lapack_funcs(("getrs",), (self._c_blocks[0],))
+
+    def _set_constant(self, C: ArrayLike, n: Optional[int] = None) -> None:
+        C = _const_matrix(C, "C", n)
+        self.n = C.shape[0]
+        ones = np.flatnonzero(np.diagonal(C) == 1.0)
+        self.fixed = ones[np.count_nonzero(C[ones], axis=1) == 1]
+        free = np.ones(self.n, dtype=bool)
+        free[self.fixed] = False
+        self.free = np.flatnonzero(free)
+        self._c_blocks = self._split(C)
+
+    def _split(self, M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        rows = M[self.free]  # rows first: several times faster than np.ix_
+        return np.asfortranarray(rows[:, self.free]), rows[:, self.fixed]
+
+    @property
+    def C(self) -> np.ndarray:
+        """``C`` reassembled from its unit rows and blocks."""
+        F, D = self.free, self.fixed
+        C = np.zeros((self.n, self.n))
+        C[D, D] = 1.0
+        C[np.ix_(F, F)], C[np.ix_(F, D)] = self._c_blocks
+        return C
+
+    def with_constant(self, C: ArrayLike) -> "RowScaledSystem":
+        """The same ``M1``, ``M2`` with a new ``C``.
+
+        The ``M`` blocks are shared with this system while ``C`` has the
+        same unit rows, so a caller that builds one system per problem
+        pays only for the ``C`` blocks.
+        """
+        other = copy.copy(self)
+        other._set_constant(C, self.n)
+        if not np.array_equal(other.fixed, self.fixed):
+            other._m_blocks = (other._split(self.M1), other._split(self.M2))
+        return other
+
+    def factor(self, s1: np.ndarray, s2: np.ndarray) -> "RowScaledLU":
+        """Assemble ``A_FF`` for the scales ``s1``, ``s2`` and LU-factorise it."""
+        D = self.fixed
+        if np.any(s1[D]) or np.any(s2[D]):
+            raise ValueError(
+                "RowScaledSystem: a row scale is nonzero on a unit row of C"
+            )
+        F = self.free
+        s1F, s2F = s1[F], s2[F]
+        (M1FF, _), (M2FF, _) = self._m_blocks
+        A = np.multiply(s1F[:, None], M1FF, order="F")
+        A += np.multiply(s2F[:, None], M2FF, order="F")
+        A += self._c_blocks[0]
+        lu, piv = sla.lu_factor(A, overwrite_a=True, check_finite=False)
+        get_registry().counter("linalg.dense.factorizations").inc()
+        return RowScaledLU(self, s1F, s2F, lu, piv)
+
+
+class RowScaledLU:
+    """One factorisation of a :class:`RowScaledSystem`'s ``A_FF``."""
+
+    __slots__ = ("system", "s1F", "s2F", "lu", "piv")
+
+    def __init__(self, system: RowScaledSystem, s1F: np.ndarray,
+                 s2F: np.ndarray, lu: np.ndarray, piv: np.ndarray) -> None:
+        self.system, self.s1F, self.s2F = system, s1F, s2F
+        self.lu, self.piv = lu, piv
+
+    def _getrs(self, b: np.ndarray, trans: int) -> np.ndarray:
+        # ``b`` is always a temporary of ours, so it may be overwritten.
+        x, info = self.system._getrs(
+            self.lu, self.piv, b, trans=trans, overwrite_b=1
+        )
+        if info != 0:
+            raise np.linalg.LinAlgError(f"getrs failed with info={info}")
+        return x
+
+    def _solve_vector(self, b: np.ndarray, out: np.ndarray) -> None:
+        sys_ = self.system
+        F, D = sys_.free, sys_.fixed
+        rhs = b[F]
+        if D.size:
+            bD = b[D]
+            (_, M1FD), (_, M2FD) = sys_._m_blocks
+            rhs -= (
+                self.s1F * (M1FD @ bD)
+                + self.s2F * (M2FD @ bD)
+                + sys_._c_blocks[1] @ bD
+            )
+            out[D] = bD
+        out[F] = self._getrs(rhs, 0)
+
+    def solve(self, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``x = A⁻¹ b`` for ``b`` of shape ``(n,)`` or ``(n, k)``.
+
+        Column by column: a multi-RHS ``getrs`` is not bit-identical to
+        per-vector solves, and callers rely on a column of a block solve
+        matching the solve of that column alone.
+        """
+        out = np.empty_like(b) if out is None else out
+        if b.ndim == 1:
+            self._solve_vector(b, out)
+        else:
+            for j in range(b.shape[1]):
+                self._solve_vector(b[:, j], out[:, j])
+        return out
+
+    def solve_transposed(self, g: np.ndarray) -> np.ndarray:
+        """``W = A⁻ᵀ g``: ``W_F = A_FF⁻ᵀ g_F``, ``W_D = g_D − A_FDᵀ W_F``.
+
+        One ``getrs(trans=1)`` for every column of ``g`` at once.
+        """
+        sys_ = self.system
+        F, D = sys_.free, sys_.fixed
+        W = np.empty_like(g)
+        WF = W[F] = self._getrs(g[F], 1)
+        if D.size:
+            (_, M1FD), (_, M2FD) = sys_._m_blocks
+            col = (slice(None),) + (None,) * (g.ndim - 1)
+            W[D] = g[D] - (
+                M1FD.T @ (self.s1F[col] * WF)
+                + M2FD.T @ (self.s2F[col] * WF)
+                + sys_._c_blocks[1].T @ WF
+            )
+        return W
 
 
 @primitive("row_scaled_solve")
 def row_scaled_solve(
     s1: ArrayLike,
     s2: ArrayLike,
-    M1: ArrayLike,
-    M2: ArrayLike,
-    C: ArrayLike,
+    system: RowScaledSystem,
     b: ArrayLike,
 ) -> Tensor:
     """Differentiable solve of ``(diag(s1)·M1 + diag(s2)·M2 + C) x = b``.
@@ -143,8 +298,9 @@ def row_scaled_solve(
     The dense counterpart of
     :func:`~repro.autodiff.sparse.sparse_pattern_solve`: the matrix values
     depend on the tape only through the row scales ``s1``, ``s2`` (``(n,)``
-    tensors), while ``M1``, ``M2`` and ``C`` are constant ``(n, n)``
-    arrays.  ``A`` is assembled in NumPy and LU-factorised once; every
+    tensors), while ``M1``, ``M2`` and ``C`` are the constant operands of
+    ``system`` (a :class:`RowScaledSystem`).  The system assembles and
+    LU-factorises the rows that are not unit rows of ``C`` once; every
     column of ``b`` (``(n,)`` or ``(n, k)``) is solved against that one
     factorisation, one column at a time so each matches a per-vector
     solve bit for bit.  Restricting ``Ā = −W xᵀ`` to the parameterisation
@@ -158,19 +314,22 @@ def row_scaled_solve(
     ``W`` costs one transposed ``getrs`` on the cached factors, shared by
     all three VJPs.  The tape therefore keeps one LU factor plus ``O(n)``
     vectors per call — this is the Navier–Stokes DP momentum solve,
-    ``s1 = mask·u``, ``s2 = mask·v``, ``M1 = ∂x``, ``M2 = ∂y``.
+    ``s1 = mask·u``, ``s2 = mask·v``, ``M1 = ∂x``, ``M2 = ∂y``.  A scale
+    that is nonzero on a unit row of ``C`` raises ``ValueError``.
     """
+    if not isinstance(system, RowScaledSystem):
+        raise TypeError(
+            f"row_scaled_solve: system must be a RowScaledSystem, got "
+            f"{type(system).__name__}"
+        )
     ts1, ts2, tb = tensor(s1), tensor(s2), tensor(b)
     s1d, s2d, bd = ts1.data, ts2.data, tb.data
-    if s1d.ndim != 1 or s2d.shape != s1d.shape:
+    n = system.n
+    if s1d.shape != (n,) or s2d.shape != (n,):
         raise ValueError(
-            f"row_scaled_solve: scales must be two (n,) vectors, got "
+            f"row_scaled_solve: scales must be two ({n},) vectors, got "
             f"{s1d.shape} and {s2d.shape}"
         )
-    n = s1d.shape[0]
-    M1, M2, C = (
-        _const_matrix(M, name, n) for M, name in ((M1, "M1"), (M2, "M2"), (C, "C"))
-    )
     if bd.ndim not in (1, 2) or bd.shape[0] != n:
         raise ValueError(
             f"row_scaled_solve: b has shape {bd.shape}, expected ({n},) or ({n}, k)"
@@ -182,25 +341,11 @@ def row_scaled_solve(
     memo = [None, None]  # (cotangent, W) for the current factors
 
     def factor() -> None:
-        A = np.multiply(s1d[:, None], M1, order="F")
-        A += s2d[:, None] * M2
-        A += C
-        holder[0] = sla.lu_factor(A, overwrite_a=True, check_finite=False)
+        holder[0] = system.factor(s1d, s2d)
         memo[0] = None
-        get_registry().counter("linalg.dense.factorizations").inc()
-
-    def solve_columns(out: np.ndarray) -> None:
-        # Column by column: a multi-RHS ``getrs`` is not bit-identical to
-        # per-vector solves, and the NumPy NS solver solves per vector.
-        if bd.ndim == 1:
-            out[...] = sla.lu_solve(holder[0], bd, check_finite=False)
-            return
-        for j in range(bd.shape[1]):
-            out[:, j] = sla.lu_solve(holder[0], bd[:, j], check_finite=False)
 
     factor()
-    x = np.empty_like(bd)
-    solve_columns(x)
+    x = holder[0].solve(bd)
     scales_on_tape = ts1.needs_tape() or ts2.needs_tape()
 
     def adjoint(g: np.ndarray) -> np.ndarray:
@@ -208,7 +353,7 @@ def row_scaled_solve(
         # compare by value (replay reuses the buffer) so they share W.
         # W is handed out more than once, hence read-only.
         if memo[0] is None or not np.array_equal(memo[0], g):
-            w = sla.lu_solve(holder[0], g, trans=1, check_finite=False)
+            w = holder[0].solve_transposed(g)
             w.flags.writeable = False
             memo[0], memo[1] = np.array(g), w
         return memo[1]
@@ -223,13 +368,14 @@ def row_scaled_solve(
     def fwd(o: np.ndarray) -> None:
         if scales_on_tape:
             factor()
-        solve_columns(o)
+        holder[0].solve(bd, out=o)
 
     # Opaque to codegen like :func:`solve`: the factors live in the
     # closures, which the generated source calls back into.
     return make_node(
-        x, [(ts1, scale_vjp(M1)), (ts2, scale_vjp(M2)), (tb, adjoint)],
-        "row_scaled_solve", fwd=fwd, meta=((s1d, s2d, M1, M2, C, bd), None),
+        x,
+        [(ts1, scale_vjp(system.M1)), (ts2, scale_vjp(system.M2)), (tb, adjoint)],
+        "row_scaled_solve", fwd=fwd, meta=((s1d, s2d, system, bd), None),
     )
 
 

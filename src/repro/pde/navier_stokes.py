@@ -45,11 +45,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.autodiff import ops
+from repro.autodiff.linalg import RowScaledSystem
 from repro.autodiff.linalg import row_scaled_solve as ad_solve
 from repro.autodiff.sparse import (
     make_linear_solver,
@@ -254,6 +254,12 @@ class ChannelFlowProblem:
             self._mom_dy = mask_row * _on_pattern(nd.dy)
             self._mom_lap = mask_row * _on_pattern(nd.lap)
             self._mom_bc = _on_pattern(self.rows_u)
+        else:
+            # The dense momentum system's constant operands: its unit rows
+            # (the u-Dirichlet nodes) are those of ``rows_u``, so the
+            # ``∂x``/``∂y`` blocks built here serve every Reynolds number
+            # (:meth:`momentum_system` swaps in the matching ``C``).
+            self._momentum = RowScaledSystem(nd.dx, nd.dy, self.rows_u)
 
         # Boundary data: blowing/suction bumps, fixed v-BC vector.
         bx = cloud_.points[self.blowing, 0]
@@ -318,37 +324,40 @@ class ChannelFlowProblem:
         )
 
     def momentum_matrix_numpy(self, u: np.ndarray, v: np.ndarray, reynolds: float):
-        """Frozen-advection momentum system (NumPy path, either backend)."""
-        nd = self.nodal
-        if self.backend == "local":
-            return sp.csr_matrix(
-                (
-                    self.momentum_data_numpy(u, v, reynolds),
-                    (self._mom_rows, self._mom_cols),
-                ),
-                shape=(self.cloud.n, self.cloud.n),
-            )
-        op = (
-            u[:, None] * nd.dx + v[:, None] * nd.dy - (1.0 / reynolds) * nd.lap
+        """Frozen-advection momentum system on its sparsity pattern (local)."""
+        return sp.csr_matrix(
+            (
+                self.momentum_data_numpy(u, v, reynolds),
+                (self._mom_rows, self._mom_cols),
+            ),
+            shape=(self.cloud.n, self.cloud.n),
         )
-        return self.mask_int[:, None] * op + self.rows_u
 
-    def momentum_matrix_ad(self, u, v, reynolds: float, const=None):
-        """Frozen-advection momentum system in row-scaled form (dense DP).
+    def momentum_system(self, reynolds: float) -> RowScaledSystem:
+        """The constant operands of the dense momentum system.
 
-        Returns ``(s1, s2, dx, dy, C)`` with
-        ``A = diag(s1)·dx + diag(s2)·dy + C``, the operand list of
-        :func:`~repro.autodiff.linalg.row_scaled_solve`.  Only the row
-        scales ``s1 = mask·u`` and ``s2 = mask·v`` are on the tape;
-        ``C = rows_u − mask·lap/Re`` does not depend on the velocity, so
-        pass the previous call's ``C`` as ``const`` to build it once per
-        solve.  Entry for entry this is the matrix
-        :meth:`momentum_matrix_numpy` assembles.
+        ``A = diag(mask·u)·∂x + diag(mask·v)·∂y + C`` with
+        ``C = rows_u − mask·lap/Re``, the only velocity-independent part;
+        build it once per solve.
         """
-        nd, mask = self.nodal, self.mask_int
-        if const is None:
-            const = self.rows_u - mask[:, None] * ((1.0 / reynolds) * nd.lap)
-        return mask * u, mask * v, nd.dx, nd.dy, const
+        C = self.nodal.lap * (-1.0 / reynolds)  # rows_u − mask·lap/Re, in place
+        C *= self.mask_int[:, None]
+        C += self.rows_u
+        return self._momentum.with_constant(C)
+
+    def momentum_matrix_ad(self, u, v, reynolds: float, system=None):
+        """Frozen-advection momentum system in row-scaled form (dense).
+
+        Returns ``(s1, s2, system)``, the operands of
+        :func:`~repro.autodiff.linalg.row_scaled_solve`: only the row
+        scales ``s1 = mask·u`` and ``s2 = mask·v`` depend on the velocity
+        (and are on the tape when it is).  Pass the previous call's
+        ``system`` to build :meth:`momentum_system` once per solve.
+        """
+        if system is None:
+            system = self.momentum_system(reynolds)
+        mask = self.mask_int
+        return mask * u, mask * v, system
 
     # ------------------------------------------------------------------
     # NumPy solve (DAL / forward evaluation)
@@ -365,30 +374,35 @@ class ChannelFlowProblem:
         p = self.initial_pressure(config.reynolds)
         b_u_bc = self.S_in @ control
         state = NSState(u=u, v=v, p=p)
+        local = self.backend == "local"
+        system = None if local else self.momentum_system(config.reynolds)
 
         for _ in range(config.refinements):
             with _span("ns.momentum", "pde"):
-                A = self.momentum_matrix_numpy(u, v, config.reynolds)
                 bu = mask * (-(nd.dx @ p)) + b_u_bc
                 bv = mask * (-(nd.dy @ p)) + self.b_v_fixed
-                if self.backend == "local" and self.solver == "iterative":
+                if local:
+                    A = self.momentum_matrix_numpy(u, v, config.reynolds)
+                if local and self.solver == "iterative":
                     from repro.autodiff.krylov import KrylovSolver
 
                     ks = KrylovSolver(A, **self.solver_opts)
                     u_star = ks.solve_numpy(bu)
                     v_star = ks.solve_numpy(bv)
-                elif self.backend == "local":
+                elif local:
                     lu = spla.splu(sp.csc_matrix(A))
                     u_star = lu.solve(bu)
                     v_star = lu.solve(bv)
                 else:
-                    lu = sla.lu_factor(A, check_finite=False)
-                    u_star = sla.lu_solve(lu, bu, check_finite=False)
-                    v_star = sla.lu_solve(lu, bv, check_finite=False)
+                    # The kernel of the DP tape's solve, so ``solve_ad``
+                    # reproduces these velocities bit for bit.
+                    lu = system.factor(mask * u, mask * v)
+                    u_star = lu.solve(bu)
+                    v_star = lu.solve(bv)
 
             with _span("ns.pressure", "pde"):
                 div = nd.dx @ u_star + nd.dy @ v_star
-                phi = self.pressure_solver.solve_numpy(mask * div / dt)
+                phi = self.pressure_solver.solve_numpy(mask * div * (1.0 / dt))
 
             with _span("ns.projection", "pde"):
                 u_new = u_star - dt * self.free_uv * (nd.dx @ phi)
@@ -434,7 +448,7 @@ class ChannelFlowProblem:
 
         n = self.cloud.n
         local = self.backend == "local"
-        const = None  # velocity-independent part of the dense momentum matrix
+        system = None  # constant operands of the dense momentum system
         if local:
             # Constant sparse operators enter the tape through the
             # dedicated sparse mat-vec primitive (VJP: transposed product).
@@ -477,10 +491,10 @@ class ChannelFlowProblem:
                     )
                 else:
                     # One factorisation serves both velocity components.
-                    s1, s2, M1, M2, const = self.momentum_matrix_ad(
-                        u, v, config.reynolds, const
+                    s1, s2, system = self.momentum_matrix_ad(
+                        u, v, config.reynolds, system
                     )
-                    X = ad_solve(s1, s2, M1, M2, const, ops.stack([bu, bv], axis=1))
+                    X = ad_solve(s1, s2, system, ops.stack([bu, bv], axis=1))
                     u_star = X[:, 0]
                     v_star = X[:, 1]
 
@@ -504,10 +518,10 @@ class ChannelFlowProblem:
     # Cost functional
     # ------------------------------------------------------------------
     def cost(self, u: np.ndarray, v: np.ndarray) -> float:
-        """J from nodal fields (NumPy path)."""
+        """J from nodal fields (NumPy path; the reduction of :meth:`cost_ad`)."""
         du = u[self.outflow] - self.u_target
         dv = v[self.outflow]
-        return float(0.5 * (self.quad_w @ (du * du + dv * dv)))
+        return float(0.5 * (self.quad_w * (du * du + dv * dv)).sum())
 
     def cost_ad(self, u, v):
         """J on the tape (DP path)."""

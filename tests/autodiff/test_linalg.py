@@ -1,14 +1,23 @@
 """Tests for differentiable linear algebra — the DP-enabling primitives."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
-import repro.autodiff.linalg as linalg_mod
 from repro.autodiff import ops
 from repro.autodiff.check import numerical_gradient
 from repro.autodiff.functional import grad, value_and_grad
-from repro.autodiff.linalg import LUSolver, lstsq, norm, row_scaled_solve, solve
+from repro.autodiff.linalg import (
+    LUSolver,
+    RowScaledSystem,
+    lstsq,
+    norm,
+    row_scaled_solve,
+    solve,
+)
 from repro.autodiff.sparse import (
     SparseLUSolver,
     make_linear_solver,
@@ -102,103 +111,211 @@ class TestSolve:
         np.testing.assert_allclose(g, num, rtol=1e-6, atol=1e-9)
 
 
+def _with_unit_rows(C, rows):
+    C = C.copy()
+    C[rows] = 0.0
+    C[rows, rows] = 1.0
+    return C
+
+
 class TestRowScaledSolve:
-    """``(diag(s1)·M1 + diag(s2)·M2 + C) x = b`` with only s1, s2, b on the tape."""
+    """``(diag(s1)·M1 + diag(s2)·M2 + C) x = b`` with only s1, s2, b on the tape.
+
+    Every test covers a ``C`` without unit rows (the full solve) and one
+    whose rows ``UNIT`` are unit rows, which the system condenses out;
+    the scales vanish there and ``b`` does not.  Parameter ids: ``vec`` /
+    ``block`` for the full system, ``condensed-*`` for the other.
+    """
 
     _rng = np.random.default_rng(11)
-    S1 = _rng.uniform(0.5, 1.5, N)
-    S2 = _rng.uniform(-1.5, -0.5, N)
     M1 = _rng.standard_normal((N, N))
     M2 = _rng.standard_normal((N, N))
-    C = A  # non-symmetric, so a wrong transpose flag is caught
-    RHS = pytest.mark.parametrize("rhs", [B, B2], ids=["vec", "block"])
+    UNIT = np.array([1, 4])
+    KINDS = ("full", "condensed")
+    CASES = pytest.mark.parametrize(
+        "kind, rhs",
+        [(k, r) for k in KINDS for r in (B, B2)],
+        ids=["vec", "block", "condensed-vec", "condensed-block"],
+    )
 
-    def dense(self):
-        return self.S1[:, None] * self.M1 + self.S2[:, None] * self.M2 + self.C
+    def case(self, kind):
+        # C = A is non-symmetric, so a wrong transpose flag is caught.
+        unit = self.UNIT if kind == "condensed" else np.array([], dtype=int)
+        C = _with_unit_rows(A, unit)
+        s1 = self._rng.uniform(0.5, 1.5, N)
+        s2 = self._rng.uniform(-1.5, -0.5, N)
+        s1[unit] = s2[unit] = 0.0
+        system = RowScaledSystem(self.M1, self.M2, C)
+        dense = s1[:, None] * self.M1 + s2[:, None] * self.M2 + C
+        return SimpleNamespace(s1=s1, s2=s2, system=system, dense=dense, unit=unit)
 
-    def loss(self, solver, w):
+    def loss(self, solver, system, w):
         def f(s1, s2, b):
-            x = solver(s1, s2, self.M1, self.M2, self.C, b)
-            return ops.sum_(ops.square(x) * w)
+            return ops.sum_(ops.square(solver(s1, s2, system, b)) * w)
 
         return f
 
-    @RHS
-    def test_forward_matches_dense(self, rhs):
-        x = row_scaled_solve(self.S1, self.S2, self.M1, self.M2, self.C, rhs)
-        np.testing.assert_allclose(
-            x.data, np.linalg.solve(self.dense(), rhs), rtol=1e-12
-        )
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_detects_unit_rows(self, kind):
+        case = self.case(kind)
+        np.testing.assert_array_equal(case.system.fixed, case.unit)
+        assert case.system.free.size + case.unit.size == N
+        np.testing.assert_array_equal(case.system.C, _with_unit_rows(A, case.unit))
 
-    @RHS
-    def test_grads_match_unstructured_reference(self, rhs, row_scaled_reference):
+    @CASES
+    def test_forward_matches_dense(self, kind, rhs):
+        case = self.case(kind)
+        x = row_scaled_solve(case.s1, case.s2, case.system, rhs)
+        np.testing.assert_allclose(
+            x.data, np.linalg.solve(case.dense, rhs), rtol=1e-12
+        )
+        # Unit rows pass b through exactly.
+        np.testing.assert_array_equal(x.data[case.unit], rhs[case.unit])
+
+    def test_without_unit_rows_is_the_plain_lu_solve(self):
+        # The same column-major assembly and LU as a plain dense solve,
+        # bit for bit.
+        case = self.case("full")
+        Af = np.multiply(case.s1[:, None], self.M1, order="F")
+        Af += case.s2[:, None] * self.M2
+        Af += A
+        lu = sla.lu_factor(Af, check_finite=False)
+        x = row_scaled_solve(case.s1, case.s2, case.system, B)
+        assert np.array_equal(x.data, sla.lu_solve(lu, B, check_finite=False))
+
+    @CASES
+    def test_numpy_factor_matches_the_primitive_bitwise(self, kind, rhs):
+        # ``system.factor`` is the kernel of the NumPy NS solve; a block
+        # solve matches its columns solved one at a time.
+        case = self.case(kind)
+        x = row_scaled_solve(case.s1, case.s2, case.system, rhs).data
+        lu = case.system.factor(case.s1, case.s2)
+        assert np.array_equal(x, lu.solve(rhs))
+        if rhs.ndim == 2:
+            for j in range(rhs.shape[1]):
+                assert np.array_equal(x[:, j], lu.solve(rhs[:, j].copy()))
+
+    @CASES
+    def test_grads_match_unstructured_reference(self, kind, rhs, row_scaled_reference):
+        case = self.case(kind)
         w = self._rng.uniform(0.5, 2.0, rhs.shape)
-        args = (self.S1, self.S2, rhs)
-        v, g = value_and_grad(self.loss(row_scaled_solve, w), argnums=(0, 1, 2))(*args)
+        args = (case.s1, case.s2, rhs)
+        v, g = value_and_grad(
+            self.loss(row_scaled_solve, case.system, w), argnums=(0, 1, 2)
+        )(*args)
         v_ref, g_ref = value_and_grad(
-            self.loss(row_scaled_reference, w), argnums=(0, 1, 2)
+            self.loss(row_scaled_reference, case.system, w), argnums=(0, 1, 2)
         )(*args)
         assert v == pytest.approx(v_ref, rel=1e-12)
         for name, a, b in zip(("s1", "s2", "b"), g, g_ref):
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12, err_msg=name)
 
-    @RHS
-    def test_grads_match_central_fd(self, rhs):
+    @CASES
+    def test_grads_match_central_fd(self, kind, rhs):
+        # ``b̄`` includes the unit rows, where ``b`` is nonzero (the NS
+        # control enters only there).  The scales are perturbed on the
+        # other rows only: a scale on a unit row is rejected.
+        case = self.case(kind)
+        assert np.all(rhs[case.unit] != 0.0)
         w = self._rng.uniform(0.5, 2.0, rhs.shape)
-        f = self.loss(row_scaled_solve, w)
-        _, (g1, g2, gb) = value_and_grad(f, argnums=(0, 1, 2))(self.S1, self.S2, rhs)
-        num1 = numerical_gradient(lambda s: float(f(s, self.S2, rhs).data), self.S1.copy())
-        num2 = numerical_gradient(lambda s: float(f(self.S1, s, rhs).data), self.S2.copy())
-        numb = numerical_gradient(lambda b: float(f(self.S1, self.S2, b).data), rhs.copy())
-        for name, a, b in (("s1", g1, num1), ("s2", g2, num2), ("b", gb, numb)):
+        f = self.loss(row_scaled_solve, case.system, w)
+        _, grads = value_and_grad(f, argnums=(0, 1, 2))(case.s1, case.s2, rhs)
+        free = case.system.free
+
+        def fd_on_free(pos):
+            def value(sF):
+                args = [case.s1.copy(), case.s2.copy(), rhs]
+                args[pos][free] = sF
+                return float(f(*args).data)
+
+            return numerical_gradient(value, [case.s1, case.s2][pos][free].copy())
+
+        numb = numerical_gradient(
+            lambda b: float(f(case.s1, case.s2, b).data), rhs.copy()
+        )
+        for name, a, b in (
+            ("s1", grads[0][free], fd_on_free(0)),
+            ("s2", grads[1][free], fd_on_free(1)),
+            ("b", grads[2], numb),
+        ):
             np.testing.assert_allclose(a, b, rtol=1e-7, atol=1e-9, err_msg=name)
 
     def test_one_factorisation_and_one_adjoint_solve(self, monkeypatch):
         # Both RHS columns share one LU; the three VJPs share one
         # transposed solve; the backward pass never re-factorises.
-        real = linalg_mod.sla.lu_solve
-        transposed = []
+        for kind in self.KINDS:
+            case = self.case(kind)
+            real = case.system._getrs
+            transposed = []
 
-        def counting(lu, b, trans=0, **kw):
-            transposed.append(trans)
-            return real(lu, b, trans=trans, **kw)
+            def counting(lu, piv, b, trans=0, **kw):
+                transposed.append(trans)
+                return real(lu, piv, b, trans=trans, **kw)
 
-        monkeypatch.setattr(linalg_mod.sla, "lu_solve", counting)
-        with use_registry() as reg:
-            _, grads = value_and_grad(
-                self.loss(row_scaled_solve, np.ones_like(B2)), argnums=(0, 1, 2)
-            )(self.S1, self.S2, B2)
-            assert reg.counter("linalg.dense.factorizations").value == 1
-        assert transposed == [0, 0, 1]  # a solve per column, one adjoint block
-        assert all(np.all(np.isfinite(g)) for g in grads)
+            monkeypatch.setattr(case.system, "_getrs", counting)
+            with use_registry() as reg:
+                _, grads = value_and_grad(
+                    self.loss(row_scaled_solve, case.system, np.ones_like(B2)),
+                    argnums=(0, 1, 2),
+                )(case.s1, case.s2, B2)
+                assert reg.counter("linalg.dense.factorizations").value == 1
+            assert transposed == [0, 0, 1], kind  # per column, one adjoint block
+            assert all(np.all(np.isfinite(g)) for g in grads)
 
     def test_repeated_backward_sees_the_new_cotangent(self):
         # W is shared between the VJPs of one backward step, never
         # across steps with a different cotangent.
-        b = tensor(B2, requires_grad=True)
-        x = row_scaled_solve(self.S1, self.S2, self.M1, self.M2, self.C, b)
-        g1, g2 = np.ones_like(B2), self._rng.standard_normal(B2.shape)
-        x.backward(g1)
-        x.backward(g2)
-        At = self.dense().T
-        np.testing.assert_allclose(
-            b.grad, np.linalg.solve(At, g1) + np.linalg.solve(At, g2), rtol=1e-10
-        )
+        for kind in self.KINDS:
+            case = self.case(kind)
+            b = tensor(B2, requires_grad=True)
+            x = row_scaled_solve(case.s1, case.s2, case.system, b)
+            g1, g2 = np.ones_like(B2), self._rng.standard_normal(B2.shape)
+            x.backward(g1)
+            x.backward(g2)
+            At = case.dense.T
+            np.testing.assert_allclose(
+                b.grad, np.linalg.solve(At, g1) + np.linalg.solve(At, g2),
+                rtol=1e-10, err_msg=kind,
+            )
+
+    @pytest.mark.parametrize("scale", [0, 1], ids=["s1", "s2"])
+    def test_rejects_scale_on_unit_row(self, scale):
+        # Condensation assumes x_D = b_D; a scale there would make that
+        # silently wrong.
+        system = self.case("condensed").system
+        scales = [np.zeros(N), np.zeros(N)]
+        scales[scale][self.UNIT[0]] = 1e-3
+        with pytest.raises(ValueError, match="unit row"):
+            row_scaled_solve(*scales, system, B)
+        with pytest.raises(ValueError, match="unit row"):
+            system.factor(*scales)
+
+    def test_with_constant_matches_a_fresh_system(self):
+        case = self.case("condensed")
+        for C in (_with_unit_rows(2.0 * A, self.UNIT), A):  # same / no unit rows
+            got = case.system.with_constant(C).factor(case.s1, case.s2).solve(B2)
+            ref = RowScaledSystem(self.M1, self.M2, C).factor(case.s1, case.s2)
+            assert np.array_equal(got, ref.solve(B2))
 
     def test_rejects_tape_matrix(self):
         with pytest.raises(TypeError, match="constant"):
-            row_scaled_solve(
-                self.S1, self.S2, tensor(self.M1, requires_grad=True),
-                self.M2, self.C, B,
-            )
+            RowScaledSystem(tensor(self.M1, requires_grad=True), self.M2, A)
+        with pytest.raises(TypeError, match="RowScaledSystem"):
+            row_scaled_solve(np.ones(N), np.ones(N), A, B)
 
     def test_rejects_shape_mismatch(self):
+        case = self.case("condensed")
+        s1, s2, system = case.s1, case.s2, case.system
         with pytest.raises(ValueError, match="scales"):
-            row_scaled_solve(self.S1[:-1], self.S2, self.M1, self.M2, self.C, B)
+            row_scaled_solve(s1[:-1], s2, system, B)
         with pytest.raises(ValueError, match="C has shape"):
-            row_scaled_solve(self.S1, self.S2, self.M1, self.M2, self.C[:-1], B)
+            RowScaledSystem(self.M1, self.M2, A[:-1])
+        with pytest.raises(ValueError, match="M2 has shape"):
+            RowScaledSystem(self.M1, self.M2[:-1, :-1], A)
+        with pytest.raises(ValueError, match="C has shape"):
+            system.with_constant(A[:-1, :-1])
         with pytest.raises(ValueError, match="b has shape"):
-            row_scaled_solve(self.S1, self.S2, self.M1, self.M2, self.C, B[:-1])
+            row_scaled_solve(s1, s2, system, B[:-1])
 
 
 class TestLUSolver:

@@ -81,15 +81,16 @@ def ns_config_fast():
 @pytest.fixture(scope="session")
 def row_scaled_reference():
     """Unstructured reference for ``linalg.row_scaled_solve``: the same
-    matrix assembled from dense tape ops and solved with ``linalg.solve``
-    (VJP ``Ā = −W xᵀ`` through every assembly op)."""
+    full matrix, unit rows included, assembled from dense tape ops and
+    solved with ``linalg.solve`` (VJP ``Ā = −W xᵀ`` through every assembly
+    op)."""
     from repro.autodiff import linalg, ops
 
-    def solve(s1, s2, M1, M2, C, b):
+    def solve(s1, s2, system, b):
         A = (
-            ops.mul(ops.reshape(s1, (-1, 1)), M1)
-            + ops.mul(ops.reshape(s2, (-1, 1)), M2)
-            + C
+            ops.mul(ops.reshape(s1, (-1, 1)), system.M1)
+            + ops.mul(ops.reshape(s2, (-1, 1)), system.M2)
+            + system.C
         )
         return linalg.solve(A, b)
 
@@ -377,36 +378,48 @@ def _build_batching_cases():
         (None, 0), (True, True),
         fwd_tol=1e-10, grad_tol=1e-10,
     )
-    def row_scaled(batched_scales):
-        # (s1, s2, M1, M2, C, b): A = diag(s1)·M1 + diag(s2)·M2 + C.
+    def row_scaled(batched_scales, unit=(0, 3)):
+        # (s1, s2, system, b): A = diag(s1)·M1 + diag(s2)·M2 + C, where
+        # the rows ``unit`` of C are unit rows (condensed out of the LU)
+        # and the scales vanish on them.
         def make(rng, n, m=6, rhs=()):
             lead = (n,) if batched_scales else ()
+            s1 = rng.uniform(0.5, 1.5, lead + (m,))
+            s2 = rng.uniform(-1.5, -0.5, lead + (m,))
+            M1, M2 = rng.standard_normal((2, m, m))
+            C = spd(rng, m)
+            idx = list(unit)
+            s1[..., idx] = s2[..., idx] = 0.0
+            C[idx] = np.eye(m)[idx]
             return [
-                rng.uniform(0.5, 1.5, lead + (m,)),
-                rng.uniform(-1.5, -0.5, lead + (m,)),
-                rng.standard_normal((m, m)),
-                rng.standard_normal((m, m)),
-                spd(rng, m),
+                s1, s2, linalg.RowScaledSystem(M1, M2, C),
                 rng.standard_normal((n, m) + rhs),
             ]
         return make
 
-    # Forward solves run per column, so they are bitwise; the adjoint is
-    # one block getrs (not bitwise against per-item solves).
-    rs_diff = (True, True, False, False, False, True)
+    # A batched RHS shares the one factorisation (forward solves run per
+    # column, so they are bitwise; the adjoint is one block getrs, not
+    # bitwise against per-item solves).  Batched scales mean batched
+    # matrices and punt to the loop fallback.
+    rs_diff = (True, True, False, True)
     add(
         "row_scaled_solve:vec", "row_scaled_solve", linalg.row_scaled_solve,
-        row_scaled(False), (None,) * 5 + (0,), rs_diff, grad_tol=1e-10,
+        row_scaled(False), (None, None, None, 0), rs_diff, grad_tol=1e-10,
     )
     add(
         "row_scaled_solve:mat_rhs", "row_scaled_solve", linalg.row_scaled_solve,
         lambda rng, n: row_scaled(False)(rng, n, rhs=(2,)),
-        (None,) * 5 + (0,), rs_diff, grad_tol=1e-10,
+        (None, None, None, 0), rs_diff, grad_tol=1e-10,
     )
-    add(  # batched scales: a batched matrix punts to the loop fallback
+    add(  # no unit rows: the full factorisation
+        "row_scaled_solve:no_unit_rows", "row_scaled_solve",
+        linalg.row_scaled_solve, row_scaled(False, unit=()),
+        (None, None, None, 0), rs_diff, grad_tol=1e-10,
+    )
+    add(
         "row_scaled_solve:batched_scales", "row_scaled_solve",
         linalg.row_scaled_solve, row_scaled(True),
-        (0, 0, None, None, None, 0), rs_diff,
+        (0, 0, None, 0), rs_diff,
     )
     add(  # lstsq differentiates only b (documented restriction)
         "lstsq", "lstsq", linalg.lstsq,

@@ -117,10 +117,15 @@ class TestNavierStokesDP:
         )
 
     def test_value_consistent_with_ad_forward(self, dp, channel_problem):
-        c = channel_problem.default_control()
-        j_np = dp.value(c)
+        # The NumPy solve and the tape share the momentum kernel, so the
+        # fields and J agree bit for bit.
+        c = channel_problem.default_control() * 1.05
+        state = channel_problem.solve(c, dp.config)
+        u, v, _ = channel_problem.solve_ad(c, dp.config)
+        assert np.array_equal(state.u, u.data)
+        assert np.array_equal(state.v, v.data)
         j_ad, _ = dp.value_and_grad(c)
-        assert j_np == pytest.approx(j_ad, rel=1e-12)
+        assert dp.value(c) == j_ad
 
     def test_gradient_vs_fd(self, dp, channel_problem):
         c0 = channel_problem.default_control()
@@ -171,15 +176,16 @@ class TestNavierStokesDPDenseMomentum:
             assert reg.counter("linalg.dense.factorizations").value == k
 
     def test_gradient_tape_stays_small(self):
-        # The tape keeps one LU factor and O(n) vectors per refinement;
-        # assembling the matrix on the tape peaked at ~37 MB here.
+        # The tape keeps one LU factor of the non-Dirichlet block and O(n)
+        # vectors per refinement (~4 MB); assembling the matrix on the
+        # tape peaked at ~37 MB here.
         problem = ChannelFlowProblem(cloud=ChannelCloud(21, 11), perturbation=0.3)
         dp = NavierStokesDP(problem, self.config(10))
         c = problem.default_control()
         dp.value_and_grad(c)  # warm-up: lazy imports and caches
         with PeakMemory() as pm:
             dp.value_and_grad(c)
-        assert pm.peak_bytes < 15e6, f"peak {pm.peak_bytes / 1e6:.1f} MB"
+        assert pm.peak_bytes < 5e6, f"peak {pm.peak_bytes / 1e6:.1f} MB"
 
     def test_execution_tiers_agree_bitwise(self, channel_problem):
         c0 = channel_problem.default_control()
