@@ -134,7 +134,6 @@ def run_load(
         workers=workers,
         queue_limit=max(64, 4 * clients),
         request_timeout_s=timeout,
-        coalesce_window_s=0.05,
         store_dir=store_dir,
         root_seed=root_seed,
     )

@@ -1,14 +1,14 @@
 """``python -m repro.serve`` — boot the control service.
 
 Runs until SIGTERM/SIGINT, then drains gracefully: the socket closes,
-in-flight requests settle, open coalesce buckets flush, workers shut
+in-flight requests settle, pending coalesce buckets flush, workers shut
 down.
 
 Usage::
 
     python -m repro.serve [--host H] [--port P] [--workers N]
                           [--queue-limit N] [--timeout S]
-                          [--store-dir DIR] [--coalesce-window S]
+                          [--store-dir DIR] [--seed N]
 """
 
 from __future__ import annotations
@@ -30,16 +30,13 @@ def main(argv=None) -> int:
                     help="per-request worker deadline in seconds")
     ap.add_argument("--store-dir", default=None,
                     help="disk-backed result store (unset: disabled)")
-    ap.add_argument("--coalesce-window", type=float, default=0.01,
-                    help="evaluate-coalescing window in seconds")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 
     config = ServeConfig(
         host=args.host, port=args.port, workers=args.workers,
         queue_limit=args.queue_limit, request_timeout_s=args.timeout,
-        store_dir=args.store_dir, coalesce_window_s=args.coalesce_window,
-        root_seed=args.seed,
+        store_dir=args.store_dir, root_seed=args.seed,
     )
 
     async def run() -> None:

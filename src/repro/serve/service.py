@@ -11,9 +11,10 @@ Request lifecycle (DESIGN.md §16):
 3. **store probe** — the request digest is looked up in the disk-backed
    result store; a hit replays the original payload byte-for-byte
    (``X-Repro-Store: hit``) without touching a worker.
-4. **dispatch** — solves go straight to a warm worker; evaluations join
-   the coalescer and ride a multi-RHS batch.  Worker calls run on
-   executor threads with a per-request deadline.
+4. **dispatch** — solves and evaluate batches wait for a warm worker in
+   one FIFO queue; evaluations join the coalescer, which batches them
+   into one multi-RHS job only while every worker is busy.  Worker calls
+   run on executor threads with a per-request deadline.
 5. **settle** — worker replies map to HTTP statuses (400/500/504); a
    crashed or deadline-blown worker is killed and replaced before the
    next request can check it out.  Completed payloads are written to
@@ -76,8 +77,7 @@ class ServeConfig:
     workers: int = 2
     queue_limit: int = 32              # concurrent admissions before 429
     request_timeout_s: float = 60.0
-    coalesce_window_s: float = 0.01
-    coalesce_max: int = 16
+    coalesce_max: int = 16             # widest evaluate batch
     store_dir: Optional[str] = None    # None disables the result store
     root_seed: int = 0
     drain_timeout_s: float = 10.0
@@ -106,10 +106,11 @@ class ControlService:
         self.pool: Optional[WarmPool] = None
         self.port: Optional[int] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._worker_queue: "asyncio.Queue[ServeWorker]" = None  # type: ignore
+        # Idle workers.  Solves and coalesced evaluate batches check
+        # workers out of this one FIFO queue, first come first served.
+        self._worker_queue: "asyncio.Queue[ServeWorker]" = asyncio.Queue()
         self._coalescer = Coalescer(
-            self._flush_evaluate,
-            window_s=self.config.coalesce_window_s,
+            self._flush_evaluate, self._worker_queue.get, self._settle_worker,
             max_width=self.config.coalesce_max,
         )
         self._inflight = 0
@@ -124,7 +125,6 @@ class ControlService:
     async def start(self) -> None:
         """Boot the warm pool and bind the listening socket."""
         self.pool = WarmPool(self.config.workers, self.config.root_seed)
-        self._worker_queue = asyncio.Queue()
         for worker in self.pool.workers:
             self._worker_queue.put_nowait(worker)
         self._server = await asyncio.start_server(
@@ -148,7 +148,7 @@ class ControlService:
 
     async def stop(self) -> None:
         """Graceful drain: refuse new work, settle in-flight requests,
-        flush open coalesce buckets, shut workers down."""
+        wait for pending coalesce buckets, shut workers down."""
         if self._draining:
             return
         self._draining = True
@@ -172,10 +172,11 @@ class ControlService:
     # ------------------------------------------------------------------
     # Worker dispatch
     # ------------------------------------------------------------------
-    def _settle_worker(self, worker: ServeWorker, reply: Any) -> None:
+    def _settle_worker(self, worker: ServeWorker, reply: Any = None) -> None:
         """Return ``worker`` to rotation — or replace it if the reply
         says it crashed or blew its deadline (a timed-out worker is
-        still busy with the stale job and must not serve again)."""
+        still busy with the stale job and must not serve again).  With
+        no reply it returns an unused worker."""
         etype = None
         if isinstance(reply, dict):
             etype = (reply.get("error") or {}).get("type")
@@ -193,7 +194,13 @@ class ControlService:
             self._worker_queue.put_nowait(worker)
 
     async def _worker_call(self, job: Dict[str, Any]) -> Dict[str, Any]:
-        """Check a worker out, run one job on an executor thread, settle.
+        """Check a worker out and run one job on it."""
+        return await self._run(await self._worker_queue.get(), job)
+
+    async def _run(self, worker: ServeWorker,
+                   job: Dict[str, Any]) -> Dict[str, Any]:
+        """Run one job on a checked-out worker on an executor thread,
+        then settle the worker.
 
         Cancellation-safe: if the awaiting request is cancelled (client
         disconnect), the blocking call finishes on its thread and the
@@ -201,7 +208,6 @@ class ControlService:
         leaks a worker out of rotation.
         """
         loop = asyncio.get_running_loop()
-        worker = await self._worker_queue.get()
         fut = loop.run_in_executor(
             None, worker.call, job, self.config.request_timeout_s
         )
@@ -217,14 +223,15 @@ class ControlService:
         self._settle_worker(worker, reply)
         return reply
 
-    async def _flush_evaluate(self, requests: List[Any]) -> List[Dict[str, Any]]:
+    async def _flush_evaluate(self, requests: List[Any],
+                              worker: ServeWorker) -> List[Dict[str, Any]]:
         """Coalescer callback: one batched evaluate job per flush."""
         self.registry.counter("serve.coalesce.batches").inc()
         self.registry.counter("serve.coalesce.requests").inc(len(requests))
         self.registry.histogram(
             "serve.coalesce.width", WIDTH_BUCKETS
         ).observe(float(len(requests)))
-        reply = await self._worker_call({
+        reply = await self._run(worker, {
             "op": "evaluate",
             "requests": list(requests),
         })

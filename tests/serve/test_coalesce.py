@@ -1,4 +1,10 @@
-"""The micro-batch coalescer: window, width trigger, failure fan-out."""
+"""The busy-only coalescer: idle dispatch, batching behind busy workers,
+width split, failure fan-out, cancellation, no worker leaks.
+
+A fake worker pool stands in for the service: ``acquire`` takes a token
+from an ``asyncio.Queue`` and the fake ``flush`` puts it back, so a test
+holds every worker busy simply by taking the tokens itself.
+"""
 
 from __future__ import annotations
 
@@ -10,116 +16,234 @@ from repro.serve.coalesce import Coalescer
 
 
 def run(coro):
-    return asyncio.run(coro)
+    return asyncio.run(asyncio.wait_for(coro, timeout=5.0))
 
 
-def make_flush(log):
-    async def flush(requests):
-        log.append(list(requests))
+async def spin(turns=5):
+    """Let the event loop run a few turns; no time passes on a timer."""
+    for _ in range(turns):
+        await asyncio.sleep(0)
+
+
+class FakePool:
+    """``n`` worker tokens plus a flush that logs ``(token, batch)``."""
+
+    def __init__(self, n=1):
+        self.tokens = asyncio.Queue()
+        for i in range(n):
+            self.tokens.put_nowait(i)
+        self.log = []
+
+    async def flush(self, requests, token):
+        self.log.append((token, list(requests)))
+        self.tokens.put_nowait(token)
         return [{"echo": r} for r in requests]
 
-    return flush
+    def coalescer(self, max_width=16, flush=None):
+        return Coalescer(flush or self.flush, self.tokens.get,
+                         self.tokens.put_nowait, max_width=max_width)
+
+    @property
+    def batches(self):
+        return [batch for _, batch in self.log]
 
 
-def test_window_batches_concurrent_submits():
-    log = []
-
+def test_idle_worker_flushes_within_the_loop_turn():
     async def scenario():
-        co = Coalescer(make_flush(log), window_s=0.05, max_width=16)
-        return await asyncio.gather(
-            co.submit(("k",), "a"), co.submit(("k",), "b"),
-            co.submit(("k",), "c"),
-        )
+        pool = FakePool(1)
+        co = pool.coalescer()
+        task = asyncio.ensure_future(co.submit(("k",), "a"))
+        await spin()
+        assert task.done()  # no window: it never waited for company
+        return pool, task.result()
 
-    results = run(scenario())
-    assert [r["echo"] for r in results] == ["a", "b", "c"]
-    assert log == [["a", "b", "c"]]  # one batch, positionally aligned
+    pool, result = run(scenario())
+    assert result == {"echo": "a"}
+    assert pool.log == [(0, ["a"])]
+
+
+def test_submits_behind_a_busy_worker_flush_as_one_batch():
+    async def scenario():
+        pool = FakePool(1)
+        co = pool.coalescer()
+        token = await pool.tokens.get()  # the only worker is busy
+        tasks = [asyncio.ensure_future(co.submit(("k",), r)) for r in "abcd"]
+        await spin()
+        assert pool.log == [] and not any(t.done() for t in tasks)
+        pool.tokens.put_nowait(token)
+        return pool, await asyncio.gather(*tasks)
+
+    pool, results = run(scenario())
+    assert [r["echo"] for r in results] == ["a", "b", "c", "d"]
+    assert pool.batches == [["a", "b", "c", "d"]]  # one batch, in order
+
+
+def test_max_width_detaches_and_remainder_waits_for_next_worker():
+    async def scenario():
+        pool = FakePool(1)
+        co = pool.coalescer(max_width=2)
+        token = await pool.tokens.get()
+        tasks = [asyncio.ensure_future(co.submit(("k",), i)) for i in range(5)]
+        await spin()
+        pool.tokens.put_nowait(token)
+        return pool, await asyncio.gather(*tasks)
+
+    pool, results = run(scenario())
+    assert [r["echo"] for r in results] == [0, 1, 2, 3, 4]
+    # Full buckets detach; each waits for its own checkout, in order.
+    assert pool.batches == [[0, 1], [2, 3], [4]]
 
 
 def test_width_trigger_fires_before_window():
-    log = []
-
     async def scenario():
-        co = Coalescer(make_flush(log), window_s=60.0, max_width=2)
-        return await asyncio.gather(co.submit(("k",), 1), co.submit(("k",), 2))
+        pool = FakePool(1)
+        co = pool.coalescer(max_width=2)
+        token = await pool.tokens.get()
+        full = [asyncio.ensure_future(co.submit(("k",), i)) for i in (1, 2)]
+        await spin()
+        # The bucket closed when it filled, before any worker was free:
+        # a later arrival cannot join it, even though it has not flushed.
+        late = asyncio.ensure_future(co.submit(("k",), 3))
+        await spin()
+        assert pool.log == []
+        pool.tokens.put_nowait(token)
+        return pool, await asyncio.gather(*full, late)
 
-    # window_s=60 would hang the test if the width trigger didn't fire.
-    results = run(asyncio.wait_for(scenario(), timeout=5.0))
-    assert [r["echo"] for r in results] == [1, 2]
-    assert log == [[1, 2]]
+    pool, results = run(scenario())
+    assert [r["echo"] for r in results] == [1, 2, 3]
+    assert pool.batches == [[1, 2], [3]]
+
+
+def test_counters_track_batches_and_widths():
+    async def scenario():
+        pool = FakePool(1)
+        co = pool.coalescer(max_width=2)
+        await co.submit(("k",), "idle")  # an idle worker: width 1
+        token = await pool.tokens.get()
+        tasks = [asyncio.ensure_future(co.submit(("k",), i)) for i in range(4)]
+        await spin()
+        pool.tokens.put_nowait(token)
+        await asyncio.gather(*tasks)
+        return pool
+
+    pool = run(scenario())
+    widths = [len(batch) for batch in pool.batches]
+    assert len(pool.log) == 3
+    assert widths == [1, 2, 2]
+    assert sum(widths) == 5  # every request rode exactly one batch
+
+
+def test_arrival_after_checkout_waits_for_the_next_worker():
+    async def scenario():
+        pool = FakePool(1)
+        gate = asyncio.Event()
+
+        async def slow_flush(requests, token):
+            await gate.wait()
+            return await pool.flush(requests, token)
+
+        co = pool.coalescer(flush=slow_flush)
+        first = asyncio.ensure_future(co.submit(("k",), "a"))
+        await spin()  # "a" is out on the only worker
+        second = asyncio.ensure_future(co.submit(("k",), "b"))
+        await spin()
+        gate.set()
+        return pool, await asyncio.gather(first, second)
+
+    pool, results = run(scenario())
+    assert [r["echo"] for r in results] == ["a", "b"]
+    assert pool.batches == [["a"], ["b"]]
 
 
 def test_distinct_keys_never_mix():
-    log = []
-
     async def scenario():
-        co = Coalescer(make_flush(log), window_s=0.02)
-        return await asyncio.gather(
-            co.submit(("k1",), "a"), co.submit(("k2",), "b")
-        )
+        pool = FakePool(1)
+        co = pool.coalescer()
+        token = await pool.tokens.get()
+        tasks = [asyncio.ensure_future(co.submit(key, r))
+                 for key, r in [(("k1",), "a"), (("k2",), "b"),
+                                (("k1",), "c"), (("k2",), "d")]]
+        await spin()
+        pool.tokens.put_nowait(token)
+        await asyncio.gather(*tasks)
+        return pool
 
-    run(scenario())
-    assert sorted(map(tuple, log)) == [("a",), ("b",)]
+    pool = run(scenario())
+    assert pool.batches == [["a", "c"], ["b", "d"]]
 
 
 def test_flush_failure_reaches_every_waiter():
-    async def flush(requests):
-        raise RuntimeError("solver exploded")
-
     async def scenario():
-        co = Coalescer(flush, window_s=0.01)
-        results = await asyncio.gather(
-            co.submit(("k",), 1), co.submit(("k",), 2),
-            return_exceptions=True,
-        )
-        return results
+        pool = FakePool(1)
+
+        async def flush(requests, token):
+            pool.tokens.put_nowait(token)
+            raise RuntimeError("solver exploded")
+
+        co = pool.coalescer(flush=flush)
+        token = await pool.tokens.get()
+        tasks = [asyncio.ensure_future(co.submit(("k",), i)) for i in range(3)]
+        await spin()
+        pool.tokens.put_nowait(token)
+        return await asyncio.gather(*tasks, return_exceptions=True)
 
     results = run(scenario())
     assert all(isinstance(r, RuntimeError) for r in results)
 
 
 def test_cancelled_member_is_dropped_not_flushed():
-    log = []
-
     async def scenario():
-        co = Coalescer(make_flush(log), window_s=0.05)
-        t1 = asyncio.ensure_future(co.submit(("k",), "keep"))
-        t2 = asyncio.ensure_future(co.submit(("k",), "gone"))
-        await asyncio.sleep(0)  # both joined the bucket
-        t2.cancel()
-        result = await t1
+        pool = FakePool(1)
+        co = pool.coalescer()
+        token = await pool.tokens.get()
+        keep = asyncio.ensure_future(co.submit(("k",), "keep"))
+        gone = asyncio.ensure_future(co.submit(("k",), "gone"))
+        await spin()  # both joined the bucket
+        gone.cancel()
+        pool.tokens.put_nowait(token)
+        result = await keep
         with pytest.raises(asyncio.CancelledError):
-            await t2
-        return result
+            await gone
+        return pool, result
 
-    result = run(scenario())
+    pool, result = run(scenario())
     assert result["echo"] == "keep"
-    assert log == [["keep"]]  # the cancelled request never ran
+    assert pool.batches == [["keep"]]  # the cancelled request never ran
+
+
+def test_all_cancelled_bucket_returns_its_worker():
+    async def scenario():
+        pool = FakePool(1)
+        co = pool.coalescer()
+        token = await pool.tokens.get()
+        tasks = [asyncio.ensure_future(co.submit(("k",), i)) for i in range(3)]
+        await spin()
+        for t in tasks:
+            t.cancel()
+        pool.tokens.put_nowait(token)
+        await co.drain()
+        return pool
+
+    pool = run(scenario())
+    assert pool.log == []  # no job ran ...
+    assert pool.tokens.qsize() == 1  # ... and the worker is back
 
 
 def test_drain_flushes_open_buckets():
-    log = []
-
     async def scenario():
-        co = Coalescer(make_flush(log), window_s=60.0)
+        pool = FakePool(1)
+        co = pool.coalescer()
+        token = await pool.tokens.get()
         task = asyncio.ensure_future(co.submit(("k",), "x"))
-        await asyncio.sleep(0)
-        await co.drain()
-        return await task
+        await spin()
+        drain = asyncio.ensure_future(co.drain())
+        await spin()
+        assert not drain.done()  # the bucket still waits for a worker
+        pool.tokens.put_nowait(token)
+        await drain
+        assert task.done()
+        return pool, task.result()
 
-    result = run(asyncio.wait_for(scenario(), timeout=5.0))
+    pool, result = run(scenario())
     assert result["echo"] == "x"
-    assert log == [["x"]]
-
-
-def test_counters_track_batches_and_widths():
-    log = []
-
-    async def scenario():
-        co = Coalescer(make_flush(log), window_s=0.02, max_width=2)
-        await asyncio.gather(*[co.submit(("k",), i) for i in range(4)])
-        return co
-
-    co = run(scenario())
-    assert co.batches == 2
-    assert sorted(co.widths) == [2, 2]
+    assert pool.batches == [["x"]]
