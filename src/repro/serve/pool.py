@@ -1,24 +1,32 @@
 """Warm worker pool: spawn, dispatch, detect crashes, replace.
 
 A :class:`ServeWorker` wraps one long-lived worker process and its pipe.
-Its :meth:`ServeWorker.call` **never raises**: a dead pipe comes back as
-a ``{"type": "WorkerCrashed"}`` error payload and an expired deadline as
+Its :meth:`ServeWorker.call` is a coroutine that runs the round trip on
+the event loop: it sends the job, awaits the pipe's readability through
+``loop.add_reader`` under the deadline, and reads the reply — no thread
+hop on either side.  It **never raises**: a dead pipe comes back as a
+``{"type": "WorkerCrashed"}`` error payload and an expired deadline as
 ``{"type": "RequestTimeout"}`` — the service maps those to typed HTTP
 errors and decides whether to replace the worker.  The distinction
 matters: after a timeout the worker is *still busy* with the stale job,
 so it must be killed and replaced, not returned to rotation; after a
 crash the process is already gone and only needs replacing.
 
+One job at a time per worker is the caller's contract: the service
+checks a worker out of its idle queue before calling it, so a job
+always reaches a worker that is blocked in ``recv`` and the send never
+waits for compute.
+
 :class:`WarmPool` owns the worker set.  It is deliberately free of any
 scheduling policy — checkout/checkin order lives in the service's
-``asyncio.Queue`` — so the pool stays testable with plain blocking
-calls.
+``asyncio.Queue`` — and its lifecycle calls (spawn, replace, shutdown)
+stay blocking.
 """
 
 from __future__ import annotations
 
+import asyncio
 import multiprocessing as mp
-import threading
 from typing import Any, Dict, List, Optional
 
 from repro.serve.worker import serve_worker_main
@@ -43,28 +51,38 @@ class ServeWorker:
         )
         self.process.start()
         child.close()
-        # One in-flight job per worker; the lock guards the pipe against
-        # interleaved sends from concurrent executor threads.
-        self._lock = threading.Lock()
 
-    def call(self, job: Dict[str, Any],
-             timeout: Optional[float] = None) -> Dict[str, Any]:
-        """Send one job, wait for its reply; returns typed errors, never raises."""
-        with self._lock:
-            try:
-                self.conn.send(job)
-            except (BrokenPipeError, OSError):
-                return _crashed(self)
-            try:
-                if timeout is not None and not self.conn.poll(timeout):
-                    return {"ok": False, "error": {
-                        "type": "RequestTimeout",
-                        "message": f"worker {self.worker_id} exceeded "
-                                   f"{timeout:g}s; killing it",
-                    }}
-                return self.conn.recv()
-            except (EOFError, OSError):
-                return _crashed(self)
+    async def call(self, job: Dict[str, Any],
+                   timeout: Optional[float] = None) -> Dict[str, Any]:
+        """Send one job, await its reply on the running loop; returns
+        typed errors, never raises (cancellation propagates)."""
+        try:
+            self.conn.send(job)
+            fd = self.conn.fileno()
+        except OSError:
+            return _crashed(self)
+        loop = asyncio.get_running_loop()
+        readable = loop.create_future()
+
+        def on_readable() -> None:
+            if not readable.done():
+                readable.set_result(None)
+
+        loop.add_reader(fd, on_readable)
+        try:
+            await asyncio.wait_for(readable, timeout)
+        except asyncio.TimeoutError:
+            return {"ok": False, "error": {
+                "type": "RequestTimeout",
+                "message": f"worker {self.worker_id} exceeded "
+                           f"{timeout:g}s; killing it",
+            }}
+        finally:
+            loop.remove_reader(fd)
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            return _crashed(self)
 
     def alive(self) -> bool:
         return self.process.is_alive()

@@ -4,21 +4,24 @@ Request lifecycle (DESIGN.md §16):
 
 1. **parse** — minimal HTTP/1.1 read (request line, headers,
    content-length body), JSON decode, :func:`repro.serve.protocol.
-   parse_request` validation.  Failures are typed 400s.
+   parse_request` validation.  Failures, a malformed request head
+   included, are typed 400s.
 2. **admit** — a bounded in-flight counter implements backpressure: at
    ``queue_limit`` concurrent requests the service answers 429
    immediately instead of queueing unboundedly.
-3. **store probe** — the request digest is looked up in the disk-backed
-   result store; a hit replays the original payload byte-for-byte
-   (``X-Repro-Store: hit``) without touching a worker.
+3. **store probe** — the request digest is looked up in the result
+   store's in-memory index; a hit replays the original payload
+   byte-for-byte from its log (``X-Repro-Store: hit``) without touching
+   a worker.
 4. **dispatch** — solves and evaluate batches wait for a warm worker in
    one FIFO queue; evaluations join the coalescer, which batches them
-   into one multi-RHS job only while every worker is busy.  Worker calls
-   run on executor threads with a per-request deadline.
+   into one multi-RHS job only while every worker is busy.  Worker round
+   trips run on the event loop itself (no executor thread) with a
+   per-request deadline.
 5. **settle** — worker replies map to HTTP statuses (400/500/504); a
    crashed or deadline-blown worker is killed and replaced before the
-   next request can check it out.  Completed payloads are written to
-   the store.  A client that disconnects mid-flight has its work
+   next request can check it out.  Completed payloads are appended to
+   the store's log.  A client that disconnects mid-flight has its work
    cancelled and its admission slot freed.
 
 Everything observable lands in a service-private
@@ -34,7 +37,7 @@ import collections
 import json
 import signal
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.coalesce import Coalescer
@@ -63,6 +66,10 @@ _ERROR_STATUS = {
     "WorkerCrashed": 500,
     "InternalError": 500,
 }
+
+#: How long a connection whose request head was rejected may keep
+#: sending before it is closed (see ``ControlService._linger``).
+LINGER_S = 2.0
 
 #: Coalesce-width histogram bounds (requests per flushed batch).
 WIDTH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
@@ -113,6 +120,9 @@ class ControlService:
             self._flush_evaluate, self._worker_queue.get, self._settle_worker,
             max_width=self.config.coalesce_max,
         )
+        # Worker round trips still running, including those of requests
+        # whose clients went away; drain waits for them.
+        self._calls: Set[asyncio.Task] = set()
         self._inflight = 0
         self._draining = False
         self._stopped = asyncio.Event()
@@ -148,7 +158,8 @@ class ControlService:
 
     async def stop(self) -> None:
         """Graceful drain: refuse new work, settle in-flight requests,
-        wait for pending coalesce buckets, shut workers down."""
+        wait for pending coalesce buckets and worker round trips, shut
+        workers down."""
         if self._draining:
             return
         self._draining = True
@@ -159,14 +170,21 @@ class ControlService:
         deadline = (
             asyncio.get_running_loop().time() + self.config.drain_timeout_s
         )
-        while self._inflight > 0:
+        while self._inflight > 0 or self._calls:
             if asyncio.get_running_loop().time() > deadline:
                 break
             await asyncio.sleep(0.02)
+        # Past the deadline: unregister the pipes' readers before the
+        # pool closes the pipes under them.
+        for call in list(self._calls):
+            call.cancel()
+        await asyncio.gather(*self._calls, return_exceptions=True)
         if self.pool is not None:
             await asyncio.get_running_loop().run_in_executor(
                 None, self.pool.shutdown
             )
+        if self.store is not None:
+            self.store.close()
         self._stopped.set()
 
     # ------------------------------------------------------------------
@@ -199,24 +217,25 @@ class ControlService:
 
     async def _run(self, worker: ServeWorker,
                    job: Dict[str, Any]) -> Dict[str, Any]:
-        """Run one job on a checked-out worker on an executor thread,
-        then settle the worker.
+        """Run one job on a checked-out worker as its own task, then
+        settle the worker.
 
         Cancellation-safe: if the awaiting request is cancelled (client
-        disconnect), the blocking call finishes on its thread and the
-        worker is settled from a done-callback — a disconnect never
-        leaks a worker out of rotation.
+        disconnect), the shielded round trip runs on and the worker is
+        settled from a done-callback — a disconnect never leaks a worker
+        out of rotation.
         """
-        loop = asyncio.get_running_loop()
-        fut = loop.run_in_executor(
-            None, worker.call, job, self.config.request_timeout_s
+        call = asyncio.ensure_future(
+            worker.call(job, self.config.request_timeout_s)
         )
+        self._calls.add(call)
+        call.add_done_callback(self._calls.discard)
         try:
-            reply = await asyncio.shield(fut)
+            reply = await asyncio.shield(call)
         except asyncio.CancelledError:
-            fut.add_done_callback(
-                lambda f: self._settle_worker(
-                    worker, f.result() if not f.cancelled() else None
+            call.add_done_callback(
+                lambda t: self._settle_worker(
+                    worker, None if t.cancelled() else t.result()
                 )
             )
             raise
@@ -347,10 +366,11 @@ class ControlService:
                 ))
                 return
             await self._admit(reader, writer, body)
-        except _BodyTooLarge as exc:
+        except _ServeError as exc:  # a malformed or oversized request head
             await self._write(writer, *self._error(
-                413, "PayloadTooLarge", str(exc)
+                exc.status, exc.etype, str(exc)
             ))
+            await self._linger(reader, writer)
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -398,28 +418,56 @@ class ControlService:
             self.registry.gauge("serve.queue_depth").set(self._inflight)
 
     async def _read_http(self, reader: asyncio.StreamReader):
-        line = await reader.readline()
-        if not line:
-            return None
-        parts = line.decode("latin-1").split()
-        if len(parts) < 2:
-            return None
-        method, path = parts[0], parts[1]
-        headers: Dict[str, str] = {}
-        while True:
-            h = await reader.readline()
-            if h in (b"\r\n", b"\n", b""):
-                break
-            key, _, value = h.decode("latin-1").partition(":")
-            headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        try:
+            line = await reader.readline()
+            if not line:
+                return None
+            parts = line.decode("latin-1").split()
+            if len(parts) < 2:
+                return None
+            method, path = parts[0], parts[1]
+            headers: Dict[str, str] = {}
+            while True:
+                h = await reader.readline()
+                if h in (b"\r\n", b"\n", b""):
+                    break
+                key, _, value = h.decode("latin-1").partition(":")
+                headers[key.strip().lower()] = value.strip()
+        except ValueError as exc:  # a line longer than the stream limit
+            raise _ServeError(400, "RequestError",
+                              f"malformed request head: {exc}") from exc
+        raw_length = headers.get("content-length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _ServeError(400, "RequestError",
+                              f"invalid Content-Length {raw_length!r}")
         if length > self.config.max_body_bytes:
-            raise _BodyTooLarge(
+            raise _ServeError(
+                413, "PayloadTooLarge",
                 f"body of {length} bytes exceeds the "
                 f"{self.config.max_body_bytes}-byte limit"
             )
         body = await reader.readexactly(length) if length > 0 else b""
         return method, path, body
+
+    async def _linger(self, reader: asyncio.StreamReader,
+                      writer: asyncio.StreamWriter) -> None:
+        """Half-close, then drop what the client still sends until it
+        closes (at most ``LINGER_S``).  Closing with unread input resets
+        the connection, which can destroy the reply before the client
+        reads it."""
+        async def drop_input() -> None:
+            while await reader.read(1 << 16):
+                pass
+
+        try:
+            writer.write_eof()
+            await asyncio.wait_for(drop_input(), LINGER_S)
+        except (asyncio.TimeoutError, OSError):
+            pass
 
     async def _write(self, writer: asyncio.StreamWriter, status: int,
                      body: bytes, extra: Dict[str, str]) -> None:
@@ -487,7 +535,3 @@ class ControlService:
             "inflight": self._inflight,
         }
         return json.dumps(doc, sort_keys=True).encode("utf-8")
-
-
-class _BodyTooLarge(Exception):
-    pass

@@ -2,9 +2,25 @@
 
 from __future__ import annotations
 
+import asyncio
+import os
+
 import pytest
 
 from repro.serve.pool import ServeWorker, WarmPool
+
+
+def call(worker, job, timeout):
+    """Run one round trip on a fresh event loop; check it left no reader."""
+    async def round_trip():
+        reply = await worker.call(job, timeout)
+        # remove_reader is True only if a reader was still registered.
+        assert not asyncio.get_running_loop().remove_reader(
+            worker.conn.fileno()
+        )
+        return reply
+
+    return asyncio.run(round_trip())
 
 
 @pytest.fixture()
@@ -15,25 +31,25 @@ def worker():
 
 
 def test_ping_round_trip(worker):
-    reply = worker.call({"op": "ping"}, timeout=30.0)
+    reply = call(worker, {"op": "ping"}, timeout=30.0)
     assert reply["ok"]
     assert reply["result"]["pid"] != 0
-    assert reply["result"]["pid"] != __import__("os").getpid()
+    assert reply["result"]["pid"] != os.getpid()
 
 
 def test_crash_mid_request_is_typed_not_raised(worker):
-    reply = worker.call({"op": "crash"}, timeout=30.0)
+    reply = call(worker, {"op": "crash"}, timeout=30.0)
     assert not reply["ok"]
     assert reply["error"]["type"] == "WorkerCrashed"
     worker.process.join(timeout=5.0)  # reap before asserting liveness
     assert not worker.alive()
     # A dead worker keeps answering with the typed error, never raising.
-    again = worker.call({"op": "ping"}, timeout=5.0)
+    again = call(worker, {"op": "ping"}, timeout=5.0)
     assert again["error"]["type"] == "WorkerCrashed"
 
 
 def test_deadline_overrun_is_typed_timeout(worker):
-    reply = worker.call({"op": "sleep", "seconds": 30.0}, timeout=0.2)
+    reply = call(worker, {"op": "sleep", "seconds": 30.0}, timeout=0.2)
     assert not reply["ok"]
     assert reply["error"]["type"] == "RequestTimeout"
 
@@ -43,7 +59,7 @@ class TestWarmPool:
         pool = WarmPool(size=2, root_seed=0)
         try:
             pids = {
-                w.call({"op": "ping"}, timeout=30.0)["result"]["pid"]
+                call(w, {"op": "ping"}, timeout=30.0)["result"]["pid"]
                 for w in pool.workers
             }
             assert len(pids) == 2
@@ -54,13 +70,13 @@ class TestWarmPool:
         pool = WarmPool(size=1, root_seed=0)
         try:
             dead = pool.workers[0]
-            dead.call({"op": "crash"}, timeout=30.0)
+            call(dead, {"op": "crash"}, timeout=30.0)
             dead.process.join(timeout=5.0)  # reap before asserting liveness
             assert not dead.alive()
             fresh = pool.replace(dead)
             assert fresh is pool.workers[0] and fresh is not dead
             assert pool.replacements == 1
-            reply = fresh.call({"op": "ping"}, timeout=30.0)
+            reply = call(fresh, {"op": "ping"}, timeout=30.0)
             assert reply["ok"]
         finally:
             pool.shutdown()

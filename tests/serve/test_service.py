@@ -30,6 +30,22 @@ def _evaluate(values):
     return {"family": "laplace", "kind": "evaluate", "control": list(values)}
 
 
+def _raw_request(service, data: bytes):
+    """Send raw bytes, read the reply to EOF; (status, parsed JSON body)."""
+    with socket.create_connection((service.host, service.port),
+                                  timeout=10.0) as sock:
+        sock.sendall(data)
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head, "empty reply"
+    return int(head.split()[1]), json.loads(body.decode("utf-8"))
+
+
 def _wait_until(predicate, timeout=10.0, interval=0.05):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -120,6 +136,23 @@ def test_worker_level_reject_is_typed_400(client):
         client.control(**dict(SOLVE, target=[0.5, 0.5]))
     assert err.value.status == 400
     assert "target" in err.value.error["message"]
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"Content-Length: abc", "Content-Length"),
+    (b"Content-Length: -5", "Content-Length"),
+    # longer than the service's stream limit (asyncio's 64 KiB default)
+    (b"X-Padding: " + b"a" * (1 << 17), "request head"),
+], ids=["non-integer-length", "negative-length", "overlong-header"])
+def test_malformed_head_is_typed_400(service, client, header, message):
+    status, doc = _raw_request(
+        service, b"POST /v1/control HTTP/1.1\r\nHost: x\r\n"
+        + header + b"\r\n\r\n{}"
+    )
+    assert status == 400
+    assert doc["error"]["type"] == "RequestError"
+    assert message in doc["error"]["message"]
+    assert client.healthz()["status"] == "ok"  # and the service lives on
 
 
 def test_unknown_route_404_and_wrong_method_405(client):
@@ -289,3 +322,51 @@ def test_client_disconnect_frees_the_slot():
         # rotation once its in-flight job settles; a new request works.
         assert _wait_until(lambda: svc.service._inflight == 0, timeout=10.0)
         assert client.control(**SOLVE)["result"]["final_cost"] >= 0.0
+
+
+def test_restart_replays_a_stored_solve_without_a_worker(tmp_path):
+    config = ServeConfig(workers=1, store_dir=str(tmp_path))
+    with ServiceThread(config) as svc:
+        client = ServeClient(svc.host, svc.port, timeout=60.0)
+        status, headers, first = client.post_control_raw(SOLVE)
+        assert status == 200 and headers["x-repro-store"] == "miss"
+
+    with ServiceThread(config) as svc:
+        client = ServeClient(svc.host, svc.port, timeout=60.0)
+        # Warm the worker so its cache counters are published.
+        client.control(**dict(SOLVE, iterations=3))
+
+        def counters():
+            metrics = client.metrics()["metrics"]
+            return {name: metrics.get(name, {}).get("value", 0.0) for name in (
+                "cache.compiled-replay.hits", "cache.compiled-replay.misses",
+                "cache.lu-cache.hits", "cache.lu-cache.misses",
+                "serve.store.hits",
+            )}
+
+        before = counters()
+        status, headers, replay = client.post_control_raw(SOLVE)
+        after = counters()
+    assert status == 200 and headers["x-repro-store"] == "hit"
+    assert replay == first
+    assert after.pop("serve.store.hits") == before.pop("serve.store.hits") + 1
+    assert after == before  # no worker job ran for the replay
+
+
+def test_round_trips_start_no_threads(tmp_path, n_control):
+    config = ServeConfig(workers=2, store_dir=str(tmp_path))
+    with ServiceThread(config) as svc:
+        client = ServeClient(svc.host, svc.port, timeout=60.0)
+        threads_before = threading.active_count()
+        requests = [dict(SOLVE, iterations=2 + i) for i in range(2)]
+        requests += [_evaluate([0.01 * (i + 1)] * n_control)
+                     for i in range(6)]
+        burst = [threading.Thread(target=client.control, kwargs=r)
+                 for r in requests]
+        for t in burst:
+            t.start()
+        for t in burst:
+            t.join(timeout=60.0)
+        assert not any(t.is_alive() for t in burst)
+        assert threading.active_count() == threads_before
+        assert client.metrics()["metrics"]["serve.requests.ok"]["value"] == 8
