@@ -27,7 +27,8 @@ program containing them still compiles end to end.
 Buffer ownership: a built :class:`CodegenProgram` holds the kernel (whose
 defaults are the kept value buffers, the leaf and root cotangent
 buffers, the arena slots, constants and opaque-op closures), the leaf
-input buffers and the root value buffer — nothing else.  The traced
+input buffers, the root value buffer and the value buffers of any aux
+outputs (kept values, pinned at lowering) — nothing else.  The traced
 ``Tensor`` graph is not referenced, so value buffers that dead-buffer
 elimination dropped are freed with it.
 
@@ -683,7 +684,8 @@ class CodegenProgram:
 
     ``replay(inputs, profile)`` copies new input values into the leaf
     buffers, runs the kernel, and returns the root value plus fresh
-    copies of the leaf gradients.  The profiled kernel variant is built
+    copies of the leaf gradients; ``aux_values()`` then reads the aux
+    outputs the same run computed.  The profiled kernel variant is built
     only when ``profiled`` is set.
     """
 
@@ -710,6 +712,7 @@ class CodegenProgram:
             em.params[f"g{p}"] if p >= 0 else None for p in lowered.leaf_pos
         ]
         self._root_data = lowered.root.data
+        self._aux_data = [lowered.nodes[i].node.data for i in lowered.output_pos]
         self.buffer_bytes = stats.arena_bytes + sum(
             v.nbytes for k, v in em.params.items() if k[0] in "bg"
         )
@@ -736,6 +739,10 @@ class CodegenProgram:
         ]
         return float(self._root_data), grads
 
+    def aux_values(self) -> Tuple[float, ...]:
+        """The aux outputs' values as of the last :meth:`replay`."""
+        return tuple(float(a) for a in self._aux_data)
+
     def _run_profiled(self, profile) -> None:
         perf = time.perf_counter
         t0 = perf()
@@ -754,16 +761,21 @@ class CodegenProgram:
         profile.replay_seconds += perf() - t0
 
 
-def codegen_program(root, leaves, profiled: bool = False) -> CodegenProgram:
+def codegen_program(
+    root, leaves, outputs=(), profiled: bool = False
+) -> CodegenProgram:
     """Lower the tape ending at ``root`` and compile it to a kernel.
 
     ``leaves`` are the differentiated inputs whose buffers the program
-    takes over.  Raises :class:`~repro.autodiff.lowering.LoweringError`
+    takes over; ``outputs`` are aux values it keeps (see
+    :func:`~repro.autodiff.lowering.lower`), read back through
+    :meth:`CodegenProgram.aux_values`.  Raises
+    :class:`~repro.autodiff.lowering.LoweringError`
     (or any build error) on tapes the backend cannot express — callers
     catch and run eagerly.  Fusion/arena statistics are surfaced through
     the ``repro.obs`` metrics registry on every successful build.
     """
-    cg = CodegenProgram(lower(root, leaves), profiled=profiled)
+    cg = CodegenProgram(lower(root, leaves, outputs), profiled=profiled)
 
     from repro.obs.metrics import get_registry
 

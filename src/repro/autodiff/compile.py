@@ -39,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import time
 import warnings
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -193,17 +193,28 @@ def _owned_leaf(x: Any) -> Tensor:
 # ----------------------------------------------------------------------
 # Function transforms
 # ----------------------------------------------------------------------
+def _split_output(out: Any, has_aux: bool, name: str) -> Tuple[Tensor, Tuple[Any, ...]]:
+    """``(root, aux)`` of one traced call; ``aux`` is ``()`` without ``has_aux``."""
+    aux: Tuple[Any, ...] = ()
+    if has_aux:
+        out, aux = out
+        aux = tuple(aux)
+    out_t = tensor(out)
+    if out_t.size != 1:
+        raise ValueError(f"{name} requires a scalar output, got shape {out_t.shape}")
+    return out_t, aux
+
+
 def _validate(
     program: Any,
     inputs: Sequence[np.ndarray],
     value: float,
+    aux: Sequence[float],
     grads: Sequence[np.ndarray],
 ) -> bool:
     """Cross-check one compiled call against the eager trace results."""
     v2, g2 = program.replay(inputs)
-    if not np.allclose(v2, value, rtol=1e-12, atol=1e-300, equal_nan=True):
-        return False
-    for a, b in zip(grads, g2):
+    for a, b in zip((value, *aux, *grads), (v2, *program.aux_values(), *g2)):
         if not np.allclose(a, b, rtol=1e-12, atol=1e-300, equal_nan=True):
             return False
     return True
@@ -214,28 +225,39 @@ def _is_program(entry: Any) -> bool:
     return entry is not None and entry is not _MISSING
 
 
+class _Trace(NamedTuple):
+    """One eager call's results and the tape that produced them."""
+
+    value: float
+    aux_values: Tuple[float, ...]
+    grads: Sequence[np.ndarray]
+    root: Tensor
+    aux: Tuple[Any, ...]
+    leaves: Sequence[Tensor]
+
+
 def _build_entry(
-    out_t: Tensor,
-    leaves: Sequence[Tensor],
-    value: float,
-    grads: Sequence[np.ndarray],
-    prof: Optional[ReplayProfile],
-    counters: Dict[str, int],
+    trace: _Trace, prof: Optional[ReplayProfile], counters: Dict[str, int]
 ) -> Optional[Any]:
     """Compile a fresh trace into the cache entry for its signature.
 
     The generated program is validated against the eager results before
-    promotion; a lowering, build or validation failure makes the entry
-    ``None`` (permanent eager for this signature), counted in
+    promotion; a lowering, build or validation failure (an aux output
+    that is not on the root's tape among them) makes the entry ``None``
+    (permanent eager for this signature), counted in
     ``codegen_fallbacks``.  The traced graph is not retained: once this
     returns, the program holds only its kernel's buffers, the leaf
-    buffers and the root value.
+    buffers, the root value and the aux values.
     """
     from repro.autodiff.codegen import codegen_program
 
     try:
-        prog = codegen_program(out_t, leaves, profiled=prof is not None)
-        if not _validate(prog, [l.data for l in leaves], value, grads):
+        prog = codegen_program(
+            trace.root, trace.leaves, outputs=trace.aux, profiled=prof is not None
+        )
+        if not _validate(
+            prog, [l.data for l in trace.leaves], trace.value, trace.aux_values, trace.grads
+        ):
             raise CompileError("generated kernel failed validation against eager")
     except Exception as exc:
         _bump(counters, "codegen_fallbacks")
@@ -261,10 +283,10 @@ def _uncompiled_call(
     cache: Dict[Any, Any],
     key: Any,
     program: Any,
-    run_eager: Callable[[], Tuple[float, Any, Tensor, Sequence[Tensor]]],
+    run_eager: Callable[[], _Trace],
     prof: Optional[ReplayProfile],
     counters: Dict[str, int],
-) -> Tuple[float, Any]:
+) -> _Trace:
     """Run one call eagerly; the first call of a signature also compiles it.
 
     ``program`` is the cache lookup for ``key``: ``_MISSING`` on first
@@ -272,10 +294,10 @@ def _uncompiled_call(
     to the eager tape.
     """
     t0 = time.perf_counter()
-    value, grads, out_t, leaves = run_eager()
+    trace = run_eager()
     if program is _MISSING:
         _bump(counters, "traces")
-        cache[key] = _build_entry(out_t, leaves, value, grads, prof, counters)
+        cache[key] = _build_entry(trace, prof, counters)
         if prof is not None:
             prof.n_traces += 1
             prof.trace_seconds += time.perf_counter() - t0
@@ -283,7 +305,7 @@ def _uncompiled_call(
         _bump(counters, "eager")
         if prof is not None:
             prof.n_eager_calls += 1
-    return value, grads
+    return trace
 
 
 def _cache_info(cache: Dict[Any, Any], counters: Dict[str, int]) -> Callable[[], Dict[str, Any]]:
@@ -320,24 +342,21 @@ def compiled_value_and_grad(
     prof = ReplayProfile() if profile else None
     counters = {"traces": 0, "replays": 0, "eager": 0, "codegen_fallbacks": 0}
 
-    def _eager(args, kwargs) -> Tuple[float, Tuple[np.ndarray, ...], Tensor, list]:
+    def _eager(args, kwargs) -> _Trace:
         call_args = list(args)
         leaves = []
         for i in nums:
             call_args[i] = leaf = _owned_leaf(args[i])
             leaves.append(leaf)
-        out = f(*call_args, **kwargs)
-        out_t = tensor(out)
-        if out_t.size != 1:
-            raise ValueError(
-                f"compiled_value_and_grad requires a scalar output, got shape {out_t.shape}"
-            )
+        out_t, _ = _split_output(
+            f(*call_args, **kwargs), False, "compiled_value_and_grad"
+        )
         out_t.backward()
         grads = tuple(
             leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
             for leaf in leaves
         )
-        return float(out_t.data), grads, out_t, leaves
+        return _Trace(float(out_t.data), (), grads, out_t, (), leaves)
 
     # The DP hot loop calls ``wrapped(control)`` — one positional diff arg,
     # no kwargs.  Precompute the dispatch shape so the per-call key is two
@@ -366,9 +385,10 @@ def compiled_value_and_grad(
             grads = tuple(grad_list)
             return (value, grads[0]) if isinstance(argnums, int) else (value, grads)
 
-        value, grads = _uncompiled_call(
+        trace = _uncompiled_call(
             cache, key, program, lambda: _eager(args, kwargs), prof, counters
         )
+        value, grads = trace.value, trace.grads
         return (value, grads[0]) if isinstance(argnums, int) else (value, grads)
 
     wrapped.profile = prof
@@ -378,13 +398,20 @@ def compiled_value_and_grad(
 
 
 def compiled_value_and_grad_tree(
-    f: Callable[..., Any], profile: bool = False
-) -> Callable[..., Tuple[float, Any]]:
+    f: Callable[..., Any], profile: bool = False, has_aux: bool = False
+) -> Callable[..., Tuple[Any, Any]]:
     """Trace-once counterpart of :func:`repro.nn.pytree.value_and_grad_tree`.
 
     ``f(params, *rest)`` takes a parameter pytree; the wrapper differentiates
     every leaf.  Used by the PINN training loops, where the loss graph
     topology is identical across all epochs.
+
+    With ``has_aux=True``, ``f`` returns ``(loss, aux)`` — ``aux`` a tuple
+    of scalar tensors on the loss's tape — and the wrapper returns
+    ``((value, aux_values), grads)``: the program pins the aux nodes'
+    buffers, so each call reads them from the same kernel run that
+    computed the loss.  An aux the kernel would not recompute (not on the
+    loss's tape) makes the signature fall back to the eager tape.
     """
     from repro.nn.pytree import tree_flatten, tree_unflatten
 
@@ -392,24 +419,26 @@ def compiled_value_and_grad_tree(
     prof = ReplayProfile() if profile else None
     counters = {"traces": 0, "replays": 0, "eager": 0, "codegen_fallbacks": 0}
 
-    def _eager(params, args, kwargs):
+    def _eager(params, args, kwargs) -> _Trace:
         leaves, treedef = tree_flatten(params)
         leaf_tensors = [_owned_leaf(x) for x in leaves]
-        out = f(tree_unflatten(treedef, leaf_tensors), *args, **kwargs)
-        out_t = out if isinstance(out, Tensor) else Tensor(out)
-        if out_t.size != 1:
-            raise ValueError("compiled_value_and_grad_tree requires a scalar output")
+        out_t, aux = _split_output(
+            f(tree_unflatten(treedef, leaf_tensors), *args, **kwargs),
+            has_aux,
+            "compiled_value_and_grad_tree",
+        )
         out_t.backward()
         grads = [
             t.grad if t.grad is not None else np.zeros_like(t.data)
             for t in leaf_tensors
         ]
-        return float(out_t.data), grads, out_t, leaf_tensors
+        aux_values = tuple(float(asdata(a)) for a in aux)
+        return _Trace(float(out_t.data), aux_values, grads, out_t, aux, leaf_tensors)
 
-    def wrapped(params: Any, *args: Any, **kwargs: Any) -> Tuple[float, Any]:
+    def wrapped(params: Any, *args: Any, **kwargs: Any) -> Tuple[Any, Any]:
         leaves, treedef = tree_flatten(params)
         key = (
-            repr(treedef),
+            treedef,
             tuple(_diff_key(l) for l in leaves),
             tuple(_const_key(a) for a in args),
             tuple((k, _const_key(v)) for k, v in sorted(kwargs.items())),
@@ -417,14 +446,17 @@ def compiled_value_and_grad_tree(
 
         program = cache.get(key, _MISSING)
         if _is_program(program):
-            value, grad_list = program.replay([asdata(l) for l in leaves], prof)
+            value, grads = program.replay([asdata(l) for l in leaves], prof)
             _bump(counters, "replays")
-            return value, tree_unflatten(treedef, grad_list)
+            if has_aux:
+                value = (value, program.aux_values())
+            return value, tree_unflatten(treedef, grads)
 
-        value, grads = _uncompiled_call(
+        trace = _uncompiled_call(
             cache, key, program, lambda: _eager(params, args, kwargs), prof, counters
         )
-        return value, tree_unflatten(treedef, grads)
+        value = (trace.value, trace.aux_values) if has_aux else trace.value
+        return value, tree_unflatten(treedef, trace.grads)
 
     wrapped.profile = prof
     wrapped.cache_info = _cache_info(cache, counters)

@@ -16,7 +16,8 @@ then runs three passes over it:
 2. **Dead-buffer elimination** — a node's value buffer is dropped when
    no retained computation reads it after the forward sweep (its own VJP
    does not reference the output, no consumer's VJP references it as an
-   operand, and every consumer is lowered symbolically).  Cotangents of
+   operand, and every consumer is lowered symbolically).  The root and
+   the caller's auxiliary outputs are pinned, never dropped.  Cotangents of
    all interior (non-leaf, non-root) nodes are likewise transient — the
    backward sweep writes them into arena slots, never into one
    persistent buffer per node.
@@ -266,11 +267,13 @@ class LoweredProgram:
 
     ``leaf_pos[j]`` is the node index of differentiated leaf ``j``, or -1
     when the output does not depend on it (its gradient is zero).
+    ``output_pos[k]`` is the node index of aux output ``k`` (pinned).
     """
 
     root: Tensor
     leaves: List[Tensor]
     leaf_pos: List[int]
+    output_pos: List[int]
     nodes: List[IRNode]
     fwd_schedule: List[int]
     bwd_steps: List[BwdStep]
@@ -466,12 +469,19 @@ def _resolve_args(ir: IRNode, nodes: List[IRNode], pos: Dict[int, int], consts) 
     return True
 
 
-def lower(root: Tensor, leaves: Sequence[Tensor]) -> LoweredProgram:
+def lower(
+    root: Tensor, leaves: Sequence[Tensor], outputs: Sequence[Any] = ()
+) -> LoweredProgram:
     """Build the IR of the tape ending at ``root``, run fusion + DBE, and
     compute liveness intervals.
 
-    ``leaves`` are the differentiated inputs, in argument order.  Arena
-    *slot assignment* happens in the emitter (requests must be
+    ``leaves`` are the differentiated inputs, in argument order.
+    ``outputs`` are auxiliary values the caller reads after each run
+    (``has_aux``): each must be a node of ``root``'s tape — anything else
+    would keep its trace-time value forever, so it raises
+    :class:`LoweringError` — and each is pinned like the root: dead-buffer
+    elimination keeps its value buffer, so no arena slot stands in for
+    it.  Arena *slot assignment* happens in the emitter (requests must be
     step-sorted and include backward scratch temporaries); this pass
     decides *which* buffers are transient and their liveness endpoints.
     """
@@ -482,6 +492,15 @@ def lower(root: Tensor, leaves: Sequence[Tensor]) -> LoweredProgram:
                 f"op {n._op!r} records no forward-replay closure"
             )
     pos = {id(n): i for i, n in enumerate(order)}
+    output_pos = []
+    for k, out in enumerate(outputs):
+        if not isinstance(out, Tensor) or id(out) not in pos:
+            raise LoweringError(
+                f"aux output {k} is not on the root's tape; a compiled "
+                "program could only return its trace-time value"
+            )
+        output_pos.append(pos[id(out)])
+    pinned = {0, *output_pos}
     consts: Dict[int, Tuple[str, Any]] = {}
 
     nodes: List[IRNode] = []
@@ -625,7 +644,7 @@ def lower(root: Tensor, leaves: Sequence[Tensor]) -> LoweredProgram:
     for ir in nodes:
         if (
             ir.kind == "elemwise"
-            and ir.idx != 0
+            and ir.idx not in pinned
             and ir.idx not in needed_in_bwd
             and ir.children
             and all(
@@ -669,6 +688,7 @@ def lower(root: Tensor, leaves: Sequence[Tensor]) -> LoweredProgram:
         root=root,
         leaves=list(leaves),
         leaf_pos=[pos.get(id(l), -1) for l in leaves],
+        output_pos=output_pos,
         nodes=nodes,
         fwd_schedule=fwd_schedule,
         bwd_steps=bwd_steps,

@@ -38,7 +38,16 @@ from repro.cloud.halton import halton_sequence
 from repro.nn.derivatives import mlp_with_derivatives
 from repro.nn.mlp import MLP
 from repro.nn.optimizers import Adam
-from repro.nn.pytree import value_and_grad_tree
+from repro.nn.pytree import (
+    ravel_leaves,
+    tree_flatten,
+    tree_leaves,
+    tree_map,
+    tree_ravel,
+    tree_unflatten,
+    tree_zip_map,
+    value_and_grad_tree,
+)
 from repro.nn.schedules import paper_schedule
 from repro.obs.health import current_watchdog
 from repro.obs.hooks import record_compile_cache
@@ -63,8 +72,11 @@ class PINNTrainConfig:
     two networks.  ``compile`` routes the loss through trace-once
     compilation (:mod:`repro.autodiff.compile`): the loss graph is
     recorded at the first epoch and compiled to one fused NumPy kernel
-    that each subsequent epoch runs over reused buffers — the epoch loop
-    skips all Tensor/closure rebuilds.
+    that each subsequent epoch runs over reused buffers.  A compiled
+    epoch builds no Tensor or closure: the kernel also yields the
+    epoch's cost and residual (pinned aux outputs of the loss), and the
+    Adam update is a fixed handful of vector ufuncs over the flat
+    parameter vector.  Results are bitwise those of ``compile=False``.
     """
 
     epochs: int = 2000
@@ -115,14 +127,25 @@ def _train(
     params: Dict[str, Any],
     config: PINNTrainConfig,
     alternating_keys: Optional[Sequence[str]] = None,
-    trackers=(),
+    has_aux: bool = False,
     recorder=None,
-) -> Tuple[Dict[str, Any], List[float], Dict[str, List[float]]]:
+) -> Tuple[Dict[str, Any], List[float], List[Tuple[float, ...]]]:
     """Generic Adam training loop over a dict-of-pytrees parameter set.
 
     When ``alternating_keys`` is given, epoch ``t`` only applies the
     update to key ``alternating_keys[t % len]`` (the Mowlavi & Nabi
     alternating scheme); gradients for the frozen parts are discarded.
+
+    With ``has_aux`` the loss returns ``(loss, aux)`` (see
+    :func:`~repro.nn.pytree.value_and_grad_tree`) and the third return
+    value lists each epoch's aux values — read from the same evaluation
+    (under ``config.compile``, the same kernel run) that produced the
+    loss; without it that list is empty.
+
+    Between epochs the parameters live in one flat vector
+    (:func:`~repro.nn.pytree.tree_ravel`): Adam updates it in a fixed
+    number of vector ops, and the frozen networks' gradients are zeroed
+    as slices of the flat gradient.
 
     ``recorder`` (a :class:`~repro.obs.recorder.TraceRecorder`, optional)
     receives one iteration record per epoch — loss as the cost, the
@@ -133,14 +156,16 @@ def _train(
     if config.compile:
         from repro.autodiff.compile import compiled_value_and_grad_tree
 
-        vg = compiled_value_and_grad_tree(loss_fn)
+        vg = compiled_value_and_grad_tree(loss_fn, has_aux=has_aux)
     else:
-        vg = value_and_grad_tree(loss_fn)
+        vg = value_and_grad_tree(loss_fn, has_aux=has_aux)
+    flat, unravel = tree_ravel(params)
+    frozen = _frozen_slices(params, alternating_keys)
     opt = Adam(lr=config.lr)
-    state = opt.init(params)
+    state = opt.init(flat)
     schedule = paper_schedule(config.lr)
     history: List[float] = []
-    tracked: Dict[str, List[float]] = {name: [] for name, _ in trackers}
+    aux_history: List[Tuple[float, ...]] = []
     trace = recorder if recorder else None
     wd = current_watchdog()
     with Timer() as timer:
@@ -148,23 +173,23 @@ def _train(
             if trace is not None:
                 timer.mark()
             with _span("grad", "phase"):
-                val, grads = vg(params)
+                val, grads = vg(unravel(flat))
             if trace is not None:
                 t_grad = timer.lap("grad")
+            if has_aux:
+                val, aux = val
+                aux_history.append(aux)
             history.append(val)
-            with _span("eval", "phase"):
-                for name, fn in trackers:
-                    tracked[name].append(fn(params))
             lr = schedule(epoch, config.epochs)
             with _span("update", "phase"):
-                if alternating_keys:
+                g = ravel_leaves(grads)
+                if frozen:
                     active = alternating_keys[epoch % len(alternating_keys)]
-                    for k in params:
-                        if k != active:
-                            grads[k] = _zeros_like_tree(grads[k])
-                params, state = opt.step(params, grads, state, lr=lr)
+                    for sl in frozen[active]:
+                        g[sl] = 0.0
+                flat, state = opt.step(flat, g, state, lr=lr)
             if wd is not None or trace is not None:
-                gnorm = _tree_grad_norm(grads)
+                gnorm = float(np.sqrt(g @ g))  # of the applied gradient
             if wd is not None:
                 for ev in wd.observe_iteration(epoch, float(val), gnorm):
                     if trace is not None:
@@ -181,7 +206,7 @@ def _train(
         trace.set_meta(epochs_run=config.epochs, train_wall_time_s=timer.elapsed)
         if config.compile:
             record_compile_cache(trace, vg)
-    return params, history, tracked
+    return unravel(flat), history, aux_history
 
 
 def _train_batched(
@@ -191,8 +216,8 @@ def _train_batched(
     n: int,
     config: PINNTrainConfig,
     alternating_keys: Optional[Sequence[str]] = None,
-    trackers=(),
-) -> Tuple[Dict[str, Any], List[List[float]], Dict[str, List[List[float]]]]:
+    has_aux: bool = False,
+) -> Tuple[Dict[str, Any], List[List[float]], List[Tuple[np.ndarray, ...]]]:
     """Adam loop over N stacked parameter sets via one ``vbatch`` trace.
 
     The batched counterpart of :func:`_train`: every leaf of
@@ -208,14 +233,13 @@ def _train_batched(
     ``extras`` are additional *batched* positional arguments for
     ``loss_fn`` (stacked along axis 0, not differentiated): the per-ω
     weight vector in step 1, the frozen per-ω control parameters in
-    step 2.  ``trackers`` map the stacked params to an ``(n,)`` float
-    array per epoch.  ``config.compile`` is ignored here — the batched
-    trace is re-recorded each epoch (one stacked program is already far
-    fewer Python dispatches than N eager tapes).
+    step 2.  With ``has_aux`` the third return value lists each epoch's
+    aux outputs, each an ``(n,)`` array.  ``config.compile`` is ignored
+    here — the batched trace is re-recorded each epoch (one stacked
+    program is already far fewer Python dispatches than N eager tapes).
     """
     from repro.autodiff.batching import vbatch
     from repro.autodiff.tensor import Tensor, asdata
-    from repro.nn.pytree import tree_flatten, tree_unflatten
 
     bfn = vbatch(loss_fn, in_axes=(0,) * (1 + len(extras)))
     ones = np.ones(n)
@@ -224,66 +248,155 @@ def _train_batched(
         leaves, treedef = tree_flatten(ps)
         lts = [Tensor(asdata(x), requires_grad=True) for x in leaves]
         out = bfn(tree_unflatten(treedef, lts), *extras)
+        aux = ()
+        if has_aux:
+            out, aux = out
         out.backward(ones)
-        grads = tree_unflatten(
-            treedef,
-            [
-                t.grad if t.grad is not None else np.zeros_like(t.data)
-                for t in lts
-            ],
+        g = ravel_leaves(
+            [t.grad if t.grad is not None else np.zeros_like(t.data) for t in lts]
         )
-        return np.asarray(out.data, dtype=np.float64).copy(), grads
+        vals = np.asarray(out.data, dtype=np.float64).copy()
+        return vals, tuple(np.asarray(a.data, dtype=np.float64).copy() for a in aux), g
 
+    flat, unravel = tree_ravel(params_stack)
+    frozen = _frozen_slices(params_stack, alternating_keys)
     opt = Adam(lr=config.lr)
-    state = opt.init(params_stack)
+    state = opt.init(flat)
     schedule = paper_schedule(config.lr)
     histories: List[List[float]] = [[] for _ in range(n)]
-    tracked: Dict[str, List[List[float]]] = {
-        name: [[] for _ in range(n)] for name, _ in trackers
-    }
+    aux_history: List[Tuple[np.ndarray, ...]] = []
     for epoch in range(config.epochs):
         with _span("grad", "phase"):
-            vals, grads = vg(params_stack)
+            vals, aux, g = vg(unravel(flat))
         for i in range(n):
             histories[i].append(float(vals[i]))
-        with _span("eval", "phase"):
-            for name, fn in trackers:
-                tv = fn(params_stack)
-                for i in range(n):
-                    tracked[name][i].append(float(tv[i]))
+        if has_aux:
+            aux_history.append(aux)
         lr = schedule(epoch, config.epochs)
         with _span("update", "phase"):
-            if alternating_keys:
-                active = alternating_keys[epoch % len(alternating_keys)]
-                for k in params_stack:
-                    if k != active:
-                        grads[k] = _zeros_like_tree(grads[k])
-            params_stack, state = opt.step(params_stack, grads, state, lr=lr)
-    return params_stack, histories, tracked
+            if frozen:
+                for sl in frozen[alternating_keys[epoch % len(alternating_keys)]]:
+                    g[sl] = 0.0
+            flat, state = opt.step(flat, g, state, lr=lr)
+    return unravel(flat), histories, aux_history
 
 
-def _zeros_like_tree(tree):
-    from repro.nn.pytree import tree_map
+def _frozen_slices(
+    params: Dict[str, Any], alternating_keys: Optional[Sequence[str]]
+) -> Dict[str, List[slice]]:
+    """For each alternating key, the slices of the flat parameter vector
+    (sorted-key ``tree_flatten`` order) that its epochs freeze: those of
+    every other key.  Empty without alternation."""
+    if not alternating_keys:
+        return {}
+    spans, lo = {}, 0
+    for k in sorted(params):
+        hi = lo + sum(np.size(x) for x in tree_leaves(params[k]))
+        spans[k] = slice(lo, hi)
+        lo = hi
+    return {
+        active: [sl for k, sl in spans.items() if k != active]
+        for active in alternating_keys
+    }
 
-    return tree_map(lambda x: np.zeros_like(np.asarray(x)), tree)
 
+# ======================================================================
+# Shared by both problems
+# ======================================================================
+class _PINNPair:
+    """The state/control network pair and the two line-search steps.
 
-def _tree_grad_norm(tree) -> float:
-    """Global 2-norm across every leaf of a gradient pytree."""
-    from repro.nn.pytree import tree_flatten
+    Subclasses provide ``net_u``, ``net_c``, ``config`` and the loss terms
+    ``residual_loss(pu)``, ``boundary_loss(pu, pc)`` and
+    ``cost_objective(pu)``.
+    """
 
-    leaves, _ = tree_flatten(tree)
-    total = 0.0
-    for leaf in leaves:
-        a = np.asarray(leaf, dtype=np.float64).ravel()
-        total += float(a @ a)
-    return float(np.sqrt(total))
+    def init_params(self, seed: Optional[int] = None) -> Dict[str, Any]:
+        """Fresh parameter pair ``{"u": ..., "c": ...}``."""
+        seed = self.config.seed if seed is None else seed
+        return {
+            "u": self.net_u.init_params(seed),
+            "c": self.net_c.init_params(seed + 1),
+        }
+
+    def loss_terms(self, params: Dict[str, Any], omega: float) -> Tuple[Any, Tuple[Any, Any]]:
+        """Full multi-objective loss ``L_F + L_B + ω J`` and two of its
+        terms: ``(total, (J, L_F))``, all on one tape.
+
+        The ops run in the order residual, boundary, add, cost, mul, add
+        — the order of the plain sum ``L_F + L_B + ω J`` — so the tape, and
+        every bit of its gradients, is the sum's.
+        """
+        pu = params["u"]
+        residual = self.residual_loss(pu)
+        fit = residual + self.boundary_loss(pu, params["c"])
+        cost = self.cost_objective(pu)
+        return fit + omega * cost, (cost, residual)
+
+    def loss(self, params: Dict[str, Any], omega: float) -> Any:
+        """Full multi-objective loss ``L_F + L_B + ω J``."""
+        return self.loss_terms(params, omega)[0]
+
+    # ------------------------------------------------------------------
+    def train_pair(
+        self,
+        omega: float,
+        config: Optional[PINNTrainConfig] = None,
+        seed=None,
+        recorder=None,
+    ) -> PINNRunResult:
+        """Line-search step 1: alternating training of ``(u_θ, c_θ)``.
+
+        The per-epoch cost and residual histories are the aux terms of
+        :meth:`loss_terms`, taken from the evaluation that also produced
+        the epoch's loss and gradient.
+        """
+        cfg = config or self.config
+        if recorder:
+            recorder.set_meta(omega=omega)
+        params, hist, aux = _train(
+            lambda p: self.loss_terms(p, omega),
+            self.init_params(seed),
+            cfg,
+            alternating_keys=("u", "c") if cfg.alternating else None,
+            has_aux=True,
+            recorder=recorder,
+        )
+        return PINNRunResult(
+            omega=omega,
+            params_u=params["u"],
+            params_c=params["c"],
+            loss_history=hist,
+            cost_history=[cost for cost, _ in aux],
+            residual_history=[residual for _, residual in aux],
+        )
+
+    def retrain_state(
+        self,
+        params_c,
+        config: Optional[PINNTrainConfig] = None,
+        seed=None,
+        recorder=None,
+    ):
+        """Line-search step 2: fresh state net, frozen control, no ωJ."""
+        cfg = config or self.config
+        # ``seed=0`` must mean seed 0, not "fall back to the config seed"
+        # — the parallel line search derives per-task seeds that can
+        # legitimately be any integer.
+        base_seed = cfg.seed if seed is None else seed
+        params = {"u": self.net_u.init_params(base_seed + 7)}
+
+        def forward_loss(p):
+            return self.residual_loss(p["u"]) + self.boundary_loss(p["u"], params_c)
+
+        params, hist, _ = _train(forward_loss, params, cfg, recorder=recorder)
+        return params["u"], hist
 
 
 # ======================================================================
 # Laplace
 # ======================================================================
-class LaplacePINN:
+class LaplacePINN(_PINNPair):
     """PINN for the Laplace control problem.
 
     The paper's architecture: a 3×30 tanh MLP for the state and a small
@@ -320,15 +433,6 @@ class LaplacePINN:
         self.side_data = laplace_side_data(t)
         self.top_target = laplace_target_flux(tt)
 
-    # ------------------------------------------------------------------
-    def init_params(self, seed: Optional[int] = None) -> Dict[str, Any]:
-        """Fresh parameter pair ``{"u": ..., "c": ...}``."""
-        seed = self.config.seed if seed is None else seed
-        return {
-            "u": self.net_u.init_params(seed),
-            "c": self.net_c.init_params(seed + 1),
-        }
-
     def residual_loss(self, pu) -> Any:
         """Mean-square Laplace residual at interior collocation points."""
         _, _, d2 = mlp_with_derivatives(self.net_u, pu, self.x_int)
@@ -355,70 +459,11 @@ class LaplacePINN:
         flux = du[1][:, 0]
         return ops.sum_(self.top_quad * ops.square(flux - self.top_target))
 
-    def loss(self, params: Dict[str, Any], omega: float) -> Any:
-        """Full multi-objective loss ``L_F + L_B + ω J``."""
-        return (
-            self.residual_loss(params["u"])
-            + self.boundary_loss(params["u"], params["c"])
-            + omega * self.cost_objective(params["u"])
-        )
-
     # ------------------------------------------------------------------
-    def train_pair(
-        self,
-        omega: float,
-        config: Optional[PINNTrainConfig] = None,
-        seed=None,
-        recorder=None,
-    ) -> PINNRunResult:
-        """Line-search step 1: alternating training of ``(u_θ, c_θ)``."""
-        cfg = config or self.config
-        params = self.init_params(seed)
-        trackers = (
-            ("cost", lambda p: float(self.cost_objective(p["u"]).data)),
-            ("residual", lambda p: float(self.residual_loss(p["u"]).data)),
-        )
-        if recorder:
-            recorder.set_meta(omega=omega)
-        params, hist, tracked = _train(
-            lambda p: self.loss(p, omega),
-            params,
-            cfg,
-            alternating_keys=("u", "c") if cfg.alternating else None,
-            trackers=trackers,
-            recorder=recorder,
-        )
-        return PINNRunResult(
-            omega=omega,
-            params_u=params["u"],
-            params_c=params["c"],
-            loss_history=hist,
-            cost_history=tracked["cost"],
-            residual_history=tracked["residual"],
-        )
-
-    def retrain_state(
-        self,
-        params_c,
-        config: Optional[PINNTrainConfig] = None,
-        seed=None,
-        recorder=None,
-    ):
-        """Line-search step 2: fresh state net, frozen control, no ωJ."""
-        cfg = config or self.config
-        # ``seed=0`` must mean seed 0, not "fall back to the config seed"
-        # — the parallel line search derives per-task seeds that can
-        # legitimately be any integer.
-        base_seed = cfg.seed if seed is None else seed
-        params = {"u": self.net_u.init_params(base_seed + 7)}
-
-        def forward_loss(p):
-            return self.residual_loss(p["u"]) + self.boundary_loss(
-                p["u"], params_c
-            )
-
-        params, hist, _ = _train(forward_loss, params, cfg, recorder=recorder)
-        return params["u"], hist
+    # Own attributes of each class, so a timing wrapper patched onto one
+    # class leaves the other alone.
+    train_pair = _PINNPair.train_pair
+    retrain_state = _PINNPair.retrain_state
 
     # ------------------------------------------------------------------
     # Evaluation on the RBF problem's grid (cross-method comparison)
@@ -445,7 +490,7 @@ class LaplacePINN:
 # ======================================================================
 # Navier–Stokes
 # ======================================================================
-class NavierStokesPINN:
+class NavierStokesPINN(_PINNPair):
     """PINN for the channel-flow control problem.
 
     State net ``(x, y) → (u, v, p)`` (paper: 5×50 tanh), control net
@@ -495,15 +540,6 @@ class NavierStokesPINN:
         )
         self.v_top_data = self.v_bot_data.copy()
 
-    # ------------------------------------------------------------------
-    def init_params(self, seed: Optional[int] = None) -> Dict[str, Any]:
-        """Fresh ``{"u": state_params, "c": control_params}``."""
-        seed = self.config.seed if seed is None else seed
-        return {
-            "u": self.net_u.init_params(seed),
-            "c": self.net_c.init_params(seed + 1),
-        }
-
     def residual_loss(self, pu) -> Any:
         """Momentum + continuity mean-square residuals (interior)."""
         Re = self.ns_config.reynolds
@@ -552,65 +588,11 @@ class NavierStokesPINN:
         dv = w[:, 1]
         return 0.5 * ops.sum_(self.out_quad * (ops.square(du) + ops.square(dv)))
 
-    def loss(self, params: Dict[str, Any], omega: float) -> Any:
-        """Full multi-objective loss."""
-        return (
-            self.residual_loss(params["u"])
-            + self.boundary_loss(params["u"], params["c"])
-            + omega * self.cost_objective(params["u"])
-        )
-
     # ------------------------------------------------------------------
-    def train_pair(
-        self,
-        omega: float,
-        config: Optional[PINNTrainConfig] = None,
-        seed=None,
-        recorder=None,
-    ) -> PINNRunResult:
-        """Line-search step 1 for the channel problem."""
-        cfg = config or self.config
-        params = self.init_params(seed)
-        trackers = (
-            ("cost", lambda p: float(self.cost_objective(p["u"]).data)),
-            ("residual", lambda p: float(self.residual_loss(p["u"]).data)),
-        )
-        if recorder:
-            recorder.set_meta(omega=omega)
-        params, hist, tracked = _train(
-            lambda p: self.loss(p, omega),
-            params,
-            cfg,
-            alternating_keys=("u", "c") if cfg.alternating else None,
-            trackers=trackers,
-            recorder=recorder,
-        )
-        return PINNRunResult(
-            omega=omega,
-            params_u=params["u"],
-            params_c=params["c"],
-            loss_history=hist,
-            cost_history=tracked["cost"],
-            residual_history=tracked["residual"],
-        )
-
-    def retrain_state(
-        self,
-        params_c,
-        config: Optional[PINNTrainConfig] = None,
-        seed=None,
-        recorder=None,
-    ):
-        """Line-search step 2 for the channel problem."""
-        cfg = config or self.config
-        base_seed = cfg.seed if seed is None else seed  # 0 is a valid seed
-        params = {"u": self.net_u.init_params(base_seed + 7)}
-
-        def forward_loss(p):
-            return self.residual_loss(p["u"]) + self.boundary_loss(p["u"], params_c)
-
-        params, hist, _ = _train(forward_loss, params, cfg, recorder=recorder)
-        return params["u"], hist
+    # Own attributes of each class, so a timing wrapper patched onto one
+    # class leaves the other alone.
+    train_pair = _PINNPair.train_pair
+    retrain_state = _PINNPair.retrain_state
 
     # ------------------------------------------------------------------
     def control_values(self, params_c) -> np.ndarray:
@@ -652,16 +634,12 @@ def _omega_task_key(omega: float) -> str:
 
 def _stack_trees(trees: Sequence[Any]) -> Any:
     """Stack same-structured pytrees leafwise along a new axis 0."""
-    from repro.nn.pytree import tree_zip_map
-
     return tree_zip_map(lambda *xs: np.stack([np.asarray(x) for x in xs]), *trees)
 
 
 def _unstack_tree(stacked: Any, i: int) -> Any:
     """Slice item ``i`` out of a stacked pytree (copies, so the slice
     survives further in-place optimiser updates to the stack)."""
-    from repro.nn.pytree import tree_map
-
     return tree_map(lambda x: np.asarray(x)[i].copy(), stacked)
 
 
@@ -680,34 +658,18 @@ def _omega_batch_task(pinn, omegas, cfg1, cfg2, seeds, want_trace):
     signature parity with ``_omega_task``; batched training emits
     profiler spans but no per-epoch trace records.
     """
-    from repro.autodiff.batching import vbatch
-
     n = len(omegas)
     om = np.asarray([float(o) for o in omegas], dtype=np.float64)
-    stacked = _stack_trees(
-        [
-            {
-                "u": pinn.net_u.init_params(s),
-                "c": pinn.net_c.init_params(s + 1),
-            }
-            for s in seeds
-        ]
-    )
-    cost_fn = vbatch(lambda p: pinn.cost_objective(p["u"]))
-    res_fn = vbatch(lambda p: pinn.residual_loss(p["u"]))
-    trackers = (
-        ("cost", lambda ps: np.asarray(cost_fn(ps).data, dtype=np.float64)),
-        ("residual", lambda ps: np.asarray(res_fn(ps).data, dtype=np.float64)),
-    )
+    stacked = _stack_trees([pinn.init_params(s) for s in seeds])
     with _span("pinn.train_pair_batched", "method", {"n_omega": n}):
-        stacked, hists, tracked = _train_batched(
-            pinn.loss,
+        stacked, hists, aux = _train_batched(
+            pinn.loss_terms,
             (om,),
             stacked,
             n,
             cfg1,
             alternating_keys=("u", "c") if cfg1.alternating else None,
-            trackers=trackers,
+            has_aux=True,
         )
 
     def retrain_loss(p, pc):
@@ -732,8 +694,8 @@ def _omega_batch_task(pinn, omegas, cfg1, cfg2, seeds, want_trace):
             params_u=_unstack_tree(stacked["u"], i),
             params_c=_unstack_tree(stacked["c"], i),
             loss_history=hists[i],
-            cost_history=tracked["cost"][i],
-            residual_history=tracked["residual"][i],
+            cost_history=[float(j[i]) for j, _ in aux],
+            residual_history=[float(r[i]) for _, r in aux],
         )
         values.append(
             {"run": run, "cost": float(cost), "params_u": pu_re, "trace": None}

@@ -21,6 +21,8 @@ from repro.nn.pytree import (
     tree_unflatten,
     tree_zip_map,
     tree_leaves,
+    tree_ravel,
+    ravel_leaves,
     value_and_grad_tree,
     grad_tree,
 )
@@ -41,6 +43,8 @@ __all__ = [
     "tree_unflatten",
     "tree_zip_map",
     "tree_leaves",
+    "tree_ravel",
+    "ravel_leaves",
     "value_and_grad_tree",
     "grad_tree",
     "glorot_normal",

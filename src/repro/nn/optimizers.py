@@ -14,7 +14,13 @@ from typing import Any, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.pytree import tree_leaves, tree_map, tree_zip_map
+from repro.nn.pytree import (
+    ravel_leaves,
+    tree_leaves,
+    tree_map,
+    tree_ravel,
+    tree_zip_map,
+)
 
 
 def global_grad_norm(grads: Any) -> float:
@@ -76,7 +82,12 @@ class SGD:
 class Adam:
     """Adam (Kingma & Ba) with bias correction.
 
-    State is ``(step_count, m_tree, v_tree)``.
+    State is ``(step_count, m, v)`` with flat moments: a bare array's
+    have its shape, a pytree's are one float64 vector over its leaves in
+    ``tree_flatten`` order.  A step ravels a pytree into one vector (a
+    bare array is used as is) and runs a fixed sequence of ufuncs
+    whatever the leaf count.  The update is elementwise, so every element
+    gets the bits a per-leaf update would give it.
     """
 
     def __init__(
@@ -95,41 +106,43 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
 
-    def init(self, params: Any) -> Tuple[int, Any, Any]:
+    def init(self, params: Any) -> Tuple[int, np.ndarray, np.ndarray]:
         """Create zeroed first/second-moment accumulators."""
-        zeros = lambda p: np.zeros_like(np.asarray(p, dtype=np.float64))
-        return (0, tree_map(zeros, params), tree_map(zeros, params))
+        if isinstance(params, np.ndarray):
+            shape = params.shape
+        else:
+            shape = (sum(np.size(p) for p in tree_leaves(params)),)
+        return (0, np.zeros(shape), np.zeros(shape))
 
     def step(
         self,
         params: Any,
         grads: Any,
-        state: Tuple[int, Any, Any],
+        state: Tuple[int, np.ndarray, np.ndarray],
         lr: Optional[float] = None,
-    ) -> Tuple[Any, Tuple[int, Any, Any]]:
-        """One Adam update; returns ``(new_params, new_state)``."""
+    ) -> Tuple[Any, Tuple[int, np.ndarray, np.ndarray]]:
+        """One Adam update; returns ``(new_params, new_state)``.
+
+        ``params`` is a bare array or a pytree, and ``grads`` has the same
+        structure.  A pytree comes back with every leaf a view of one
+        fresh vector.
+        """
         eta = self.lr if lr is None else float(lr)
         t, m, v = state
+        if isinstance(params, np.ndarray):
+            p, g, unravel = params, np.asarray(grads), None
+        else:
+            p, unravel = tree_ravel(params)
+            g = ravel_leaves(grads)
+        if g.size != m.size:
+            raise ValueError(f"gradient has {g.size} entries for {m.size} parameters")
+        g = g.reshape(m.shape)
         t += 1
-        m = tree_zip_map(
-            lambda mi, g: self.beta1 * mi + (1 - self.beta1) * np.asarray(g),
-            m,
-            grads,
-        )
-        v = tree_zip_map(
-            lambda vi, g: self.beta2 * vi + (1 - self.beta2) * np.asarray(g) ** 2,
-            v,
-            grads,
-        )
+        m = self.beta1 * m + (1 - self.beta1) * g
+        v = self.beta2 * v + (1 - self.beta2) * g**2
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-
-        def update(p: np.ndarray, mi: np.ndarray, vi: np.ndarray) -> np.ndarray:
-            mhat = mi / bc1
-            vhat = vi / bc2
-            return np.asarray(p, dtype=np.float64) - eta * mhat / (
-                np.sqrt(vhat) + self.eps
-            )
-
-        new_params = tree_zip_map(update, params, m, v)
-        return new_params, (t, m, v)
+        new = np.asarray(p, dtype=np.float64) - eta * (m / bc1) / (
+            np.sqrt(v / bc2) + self.eps
+        )
+        return (new if unravel is None else unravel(new)), (t, m, v)

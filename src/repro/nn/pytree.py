@@ -8,6 +8,7 @@ arguments via :func:`value_and_grad_tree`.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -19,23 +20,27 @@ def _is_leaf(x: Any) -> bool:
     return not isinstance(x, (list, tuple, dict))
 
 
+_LEAF = ("leaf", None, None)
+
+
 def tree_flatten(tree: Any) -> Tuple[List[Any], Any]:
     """Flatten a nested container into ``(leaves, treedef)``.
 
-    The treedef is an opaque structure usable with :func:`tree_unflatten`.
-    Dict keys are traversed in sorted order for determinism.
+    The treedef is a nested tuple usable with :func:`tree_unflatten`;
+    being hashable, it can key a cache directly.  Dict keys are traversed
+    in sorted order for determinism.
     """
     leaves: List[Any] = []
 
     def build(node: Any) -> Any:
         if isinstance(node, dict):
-            keys = sorted(node.keys())
-            return ("dict", keys, [build(node[k]) for k in keys])
+            keys = tuple(sorted(node.keys()))
+            return ("dict", keys, tuple(build(node[k]) for k in keys))
         if isinstance(node, (list, tuple)):
             kind = "list" if isinstance(node, list) else "tuple"
-            return (kind, None, [build(c) for c in node])
+            return (kind, None, tuple(build(c) for c in node))
         leaves.append(node)
-        return ("leaf", None, None)
+        return _LEAF
 
     treedef = build(tree)
     return leaves, treedef
@@ -86,22 +91,60 @@ def tree_zip_map(f: Callable[..., Any], *trees: Any) -> Any:
     return tree_unflatten(treedef, zipped)
 
 
+def _concat(leaves: Sequence[Any]) -> np.ndarray:
+    if not leaves:
+        return np.zeros(0)
+    return np.concatenate([np.ravel(x) for x in leaves], dtype=np.float64)
+
+
+def ravel_leaves(tree: Any) -> np.ndarray:
+    """Every leaf of ``tree``, raveled and concatenated into one float64
+    vector (``tree_flatten`` order)."""
+    return _concat(tree_flatten(tree)[0])
+
+
+def tree_ravel(tree: Any) -> Tuple[np.ndarray, Callable[[np.ndarray], Any]]:
+    """``(flat, unravel)``: the leaves as one vector and its inverse.
+
+    ``flat`` is :func:`ravel_leaves` of ``tree``; ``unravel(v)`` rebuilds
+    the tree from any vector of that length, every leaf a reshaped *view*
+    of ``v`` (the ``jax.flatten_util.ravel_pytree`` analogue).
+    """
+    leaves, treedef = tree_flatten(tree)
+    shapes = [np.shape(x) for x in leaves]
+    bounds = np.cumsum([0] + [math.prod(s) for s in shapes]).tolist()
+    spans = list(zip(bounds, bounds[1:], shapes))
+
+    def unravel(v: np.ndarray) -> Any:
+        return tree_unflatten(treedef, [v[lo:hi].reshape(s) for lo, hi, s in spans])
+
+    return _concat(leaves), unravel
+
+
 def value_and_grad_tree(
     f: Callable[..., Any],
-) -> Callable[..., Tuple[float, Any]]:
+    has_aux: bool = False,
+) -> Callable[..., Tuple[Any, Any]]:
     """``value_and_grad`` where the *first* argument is a parameter pytree.
 
     ``f(params, *rest)`` must return a scalar; the transform returns
     ``(value, grads)`` with ``grads`` a pytree of the same structure holding
     ``numpy`` arrays.  Remaining positional arguments are passed through
     unchanged (not differentiated).
+
+    With ``has_aux=True`` (JAX's convention) ``f`` returns ``(loss, aux)``
+    where ``aux`` is a tuple of scalar tensors computed alongside the
+    loss; the transform returns ``((value, aux_values), grads)`` with
+    ``aux_values`` a tuple of floats.
     """
 
-    def wrapped(params: Any, *args: Any, **kwargs: Any) -> Tuple[float, Any]:
+    def wrapped(params: Any, *args: Any, **kwargs: Any) -> Tuple[Any, Any]:
         leaves, treedef = tree_flatten(params)
         leaf_tensors = [Tensor(asdata(x), requires_grad=True) for x in leaves]
         wrapped_params = tree_unflatten(treedef, leaf_tensors)
         out = f(wrapped_params, *args, **kwargs)
+        if has_aux:
+            out, aux = out
         out_t = out if isinstance(out, Tensor) else Tensor(out)
         if out_t.size != 1:
             raise ValueError("value_and_grad_tree requires a scalar output")
@@ -113,7 +156,10 @@ def value_and_grad_tree(
                 for t in leaf_tensors
             ],
         )
-        return float(out_t.data), grads
+        value = float(out_t.data)
+        if has_aux:
+            return (value, tuple(float(asdata(a)) for a in aux)), grads
+        return value, grads
 
     return wrapped
 

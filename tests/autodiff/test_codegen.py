@@ -8,8 +8,9 @@ the stacked-matmul VJPs, the cotangent-aliasing rewrites, and the
 solve-family programs whose opaque closures run inside generated source.
 Parity is checked at inputs other than the traced ones: build-time
 validation only replays the traced inputs, so a stale-buffer bug can
-pass it.  When lowering or validation fails, the wrapper must fall back
-to the eager tape — warning once, never changing results.
+pass it.  The same holds for aux outputs (``has_aux``).  When lowering
+or validation fails, the wrapper must fall back to the eager tape —
+warning once, never changing results.
 """
 
 from __future__ import annotations
@@ -22,9 +23,15 @@ import pytest
 
 from repro.autodiff import linalg, ops
 from repro.autodiff.batching import vbatch
-from repro.autodiff.compile import ReplayProfile, compiled_value_and_grad
+from repro.autodiff.compile import (
+    ReplayProfile,
+    compiled_value_and_grad,
+    compiled_value_and_grad_tree,
+)
 from repro.autodiff.functional import value_and_grad
-from repro.autodiff.tensor import asdata
+from repro.autodiff.lowering import lower
+from repro.autodiff.tensor import Tensor, asdata, tensor
+from repro.nn.pytree import value_and_grad_tree
 
 
 def _rng(case, salt: str = ""):
@@ -197,7 +204,7 @@ class TestCotangentAliasing:
 def test_codegen_falls_back_to_eager_on_lowering_failure(monkeypatch):
     import repro.autodiff.compile as compile_mod
 
-    def boom(root, leaves, profiled=False):
+    def boom(root, leaves, outputs=(), profiled=False):
         raise compile_mod.CompileError("synthetic lowering failure")
 
     def loss(x):
@@ -217,6 +224,97 @@ def test_codegen_falls_back_to_eager_on_lowering_failure(monkeypatch):
     assert info["programs"] == 0 and info["eager"] == 1
     assert v == ev
     np.testing.assert_array_equal(g, eg)
+
+
+# ----------------------------------------------------------------------
+# Aux outputs (has_aux): pinned values, recomputed by every kernel run
+# ----------------------------------------------------------------------
+_X_AUX = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
+
+
+def _aux_loss(p):
+    """A loss returning a reduction and an elementwise scalar as aux.
+
+    ``scaled`` is ``mul(0.5, sum)``: its only consumer, ``mul(3.0, .)``,
+    never reads it in the backward, so dead-buffer elimination would
+    hand its buffer to the arena if the aux pin did not keep it.
+    """
+    h = ops.tanh(ops.matmul(_X_AUX, p["W"]) + p["b"])
+    fit = ops.mean(ops.square(h))
+    scaled = 0.5 * ops.sum_(h * p["b"])
+    return fit + 3.0 * scaled, (fit, scaled)
+
+
+def _aux_params(seed=0):
+    rng = np.random.default_rng(seed)
+    return {"W": rng.standard_normal((3, 5)), "b": rng.uniform(0.1, 1.0, 5)}
+
+
+def _perturbed_tree(params, seed):
+    rng = np.random.default_rng(seed)
+    return {k: v * rng.uniform(0.95, 1.05, v.shape) for k, v in params.items()}
+
+
+def test_aux_values_match_eager_bitwise():
+    """Trace plus two compiled calls at perturbed inputs: value, aux and
+    gradients all equal eager's, with no fallback."""
+    p0 = _aux_params()
+    param_sets = [p0, _perturbed_tree(p0, 1), _perturbed_tree(p0, 2)]
+    eager = value_and_grad_tree(_aux_loss, has_aux=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cvg = compiled_value_and_grad_tree(_aux_loss, has_aux=True)
+        results = [cvg(p) for p in param_sets]
+    info = cvg.cache_info()
+    assert info["codegen_fallbacks"] == 0
+    assert info["programs"] == 1 and info["replays"] == 2
+    for call, (p, ((v, aux), g)) in enumerate(zip(param_sets, results)):
+        (ev, eaux), eg = eager(p)
+        assert v == ev, call
+        assert len(aux) == 2 and aux == eaux, call
+        for k in g:
+            assert np.array_equal(g[k], eg[k]), (call, k)
+
+
+def test_aux_elementwise_intermediate_is_pinned():
+    """The elementwise aux is exactly what dead-buffer elimination drops
+    without the pin; pinned, it keeps its buffer and stays fresh."""
+    p0 = _aux_params(3)
+    leaves = {k: Tensor(v.copy(), requires_grad=True) for k, v in p0.items()}
+    root, (fit, scaled) = _aux_loss(leaves)
+    plain = lower(root, list(leaves.values()))
+    pinned = lower(root, list(leaves.values()), outputs=(fit, scaled))
+    idx = pinned.output_pos[1]
+    assert plain.nodes[idx].node is scaled and plain.nodes[idx].value_transient
+    assert not pinned.nodes[idx].value_transient
+
+    eager = value_and_grad_tree(_aux_loss, has_aux=True)
+    cvg = compiled_value_and_grad_tree(_aux_loss, has_aux=True)
+    cvg(p0)  # trace
+    for seed in (4, 5):
+        p = _perturbed_tree(p0, seed)
+        (_, (_, got)), _ = cvg(p)
+        (_, (_, want)), _ = eager(p)
+        assert got == want, seed
+    assert cvg.cache_info()["replays"] == 2
+
+
+def test_aux_off_the_tape_falls_back_to_eager():
+    """An aux the kernel would not recompute (here a tensor built from
+    raw input data, off the tape) must never come back stale: the
+    signature falls back to eager with one warning and one count."""
+    def loss(p):
+        return ops.sum_(ops.square(p["w"])), (tensor(np.sum(p["w"].data)),)
+
+    cvg = compiled_value_and_grad_tree(loss, has_aux=True)
+    with pytest.warns(RuntimeWarning, match="falling back"):
+        (_, (a0,)), _ = cvg({"w": np.arange(3.0)})  # trace + failed build
+    (v, (a1,)), g = cvg({"w": np.full(3, 2.0)})  # eager execution
+    assert (a0, a1) == (3.0, 6.0)
+    assert v == 12.0 and np.array_equal(g["w"], np.full(3, 4.0))
+    info = cvg.cache_info()
+    assert info["codegen_fallbacks"] == 1
+    assert info["programs"] == 0 and info["eager"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from repro.nn.pytree import (
     tree_flatten,
     tree_leaves,
     tree_map,
+    tree_ravel,
     tree_unflatten,
     tree_zip_map,
     value_and_grad_tree,
@@ -43,6 +44,31 @@ class TestFlattenUnflatten:
         _, td = tree_flatten([1, 2])
         with pytest.raises(ValueError):
             tree_unflatten(td, [1, 2, 3])
+
+    def test_treedef_is_a_structural_cache_key(self):
+        _, a = tree_flatten({"u": [np.ones(2), np.ones(1)], "c": (3.0,)})
+        _, b = tree_flatten({"c": (7.0,), "u": [np.zeros(5), np.zeros(4)]})
+        _, c = tree_flatten({"u": [np.ones(2)], "c": (3.0,)})
+        assert a == b and hash(a) == hash(b)
+        assert a != c
+        assert len({a, b, c}) == 2
+
+
+class TestRavel:
+    def test_flat_order_and_views(self):
+        tree = {"b": np.arange(3.0), "a": [np.full((2, 2), 5.0), 7.0]}
+        flat, unravel = tree_ravel(tree)
+        np.testing.assert_array_equal(flat, [5, 5, 5, 5, 7, 0, 1, 2])
+        v = np.arange(8.0)
+        out = unravel(v)
+        assert out["a"][0].shape == (2, 2) and out["a"][1].shape == ()
+        np.testing.assert_array_equal(out["b"], [5.0, 6.0, 7.0])
+        assert np.shares_memory(out["b"], v)
+
+    def test_empty_tree(self):
+        flat, unravel = tree_ravel({})
+        assert flat.shape == (0,)
+        assert unravel(flat) == {}
 
 
 class TestMaps:
@@ -94,6 +120,18 @@ class TestValueAndGradTree:
     def test_non_scalar_raises(self):
         with pytest.raises(ValueError, match="scalar"):
             value_and_grad_tree(lambda p: p["w"] * 2)({"w": np.ones(2)})
+
+    def test_has_aux_returns_aux_values(self):
+        def loss(p):
+            a = ops.sum_(ops.square(p["w"]))
+            b = ops.mean(p["w"])
+            return a + b, (a, b)
+
+        (val, aux), grads = value_and_grad_tree(loss, has_aux=True)(
+            {"w": np.array([1.0, 2.0])}
+        )
+        assert val == 6.5 and aux == (5.0, 1.5)
+        np.testing.assert_allclose(grads["w"], [2.5, 4.5])
 
     def test_grad_tree_shortcut(self):
         g = grad_tree(lambda p: ops.sum_(ops.square(p[0])))([np.array([3.0])])
