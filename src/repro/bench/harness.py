@@ -106,7 +106,7 @@ def run_laplace_dal(
     """DAL on the Laplace problem (Table 1 column / Fig. 3 curves)."""
     s = scale or get_scale()
     prob = problem or make_laplace_problem(s)
-    oracle = LaplaceDAL(prob, compile=s.laplace.compile)
+    oracle = LaplaceDAL(prob)
     _tag_trace(recorder, "DAL", "laplace", s, prob.backend)
 
     def run():
@@ -280,7 +280,7 @@ def run_ns_dal(
     cfg = _ns_config(s, s.ns.refinements_dal, reynolds)
     oracle = NavierStokesDAL(
         prob, cfg, adjoint_refinements=s.ns.adjoint_refinements,
-        compile=s.ns.compile, recorder=recorder,
+        recorder=recorder,
     )
     _tag_trace(recorder, "DAL", "navier-stokes", s, prob.backend)
 

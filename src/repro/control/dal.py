@@ -54,17 +54,12 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.autodiff.sparse import make_linear_solver
 from repro.obs.hooks import record_solver_cache
 from repro.obs.profile import span as _span
-from repro.pde.discrete import row_selector
 from repro.pde.laplace import LaplaceControlProblem
 from repro.pde.navier_stokes import ChannelFlowProblem, NSConfig
-from repro.utils.validation import check_finite
 
 
 class LaplaceDAL:
@@ -73,14 +68,9 @@ class LaplaceDAL:
     Runs on either operator backend: the direct and adjoint systems share
     one factorisation — dense LU for the global collocation matrix,
     sparse ``splu`` for the RBF-FD system (``backend="local"``).
-
-    ``compile=True`` enables buffer reuse across iterations (the DAL
-    analogue of the DP replay engine): the adjoint right-hand side is
-    preallocated and zeroed once — only its top-wall entries are ever
-    written, so per-call allocation of the full nodal vector disappears.
     """
 
-    def __init__(self, problem: LaplaceControlProblem, compile: bool = False) -> None:
+    def __init__(self, problem: LaplaceControlProblem) -> None:
         self.problem = problem
         # Direct and adjoint share the system matrix (Laplace operator,
         # all-Dirichlet rows): one factorisation (or preconditioner,
@@ -90,8 +80,6 @@ class LaplaceDAL:
             method=getattr(problem, "solver", "direct"),
             **(getattr(problem, "solver_opts", None) or {}),
         )
-        self.compile = bool(compile)
-        self._b_adj = np.zeros(problem.cloud.n) if self.compile else None
 
     def value(self, c: np.ndarray) -> float:
         """Direct solve + cost quadrature."""
@@ -107,10 +95,8 @@ class LaplaceDAL:
         mismatch = p.flux_rows @ u - p.target
         cost = float(p.quad_w @ (mismatch * mismatch))
 
-        # Adjoint: zero data everywhere except the top wall.  Under
-        # ``compile`` the vector is a preallocated workspace — off-wall
-        # entries are zeroed once at construction and never touched.
-        b_adj = self._b_adj if self._b_adj is not None else np.zeros(p.cloud.n)
+        # Adjoint: zero data everywhere except the top wall.
+        b_adj = np.zeros(p.cloud.n)
         b_adj[p.top] = 2.0 * mismatch
         with _span("dal.adjoint", "method"):
             lam = self.solver.solve_numpy(b_adj)
@@ -155,11 +141,11 @@ class NSAdjointState:
 class NavierStokesDAL:
     """DAL oracle for the channel-flow problem.
 
-    ``compile=True`` reuses two persistent ``(n, n)`` workspaces for the
-    dense adjoint momentum matrix assembly, replacing the ~5 full-size
-    temporaries that operator arithmetic would otherwise allocate on
-    every gradient evaluation (no effect on the sparse backend, whose
-    assembly is already pattern-bounded).
+    The direct solve is :meth:`ChannelFlowProblem.solve`.  The adjoint
+    momentum system is the direct one with the advection reversed and a
+    Robin diagonal on the outflow rows; it is factorised once per adjoint
+    solve through :meth:`ChannelFlowProblem.momentum_solver`, on the
+    problem's backend and ``solver``.
 
     Telemetry: assigning a :class:`~repro.obs.recorder.TraceRecorder` to
     :attr:`recorder` makes every adjoint solve emit an ``adjoint`` event
@@ -174,7 +160,6 @@ class NavierStokesDAL:
         problem: ChannelFlowProblem,
         config: Optional[NSConfig] = None,
         adjoint_refinements: Optional[int] = None,
-        compile: bool = False,
         recorder=None,
     ) -> None:
         self.problem = problem
@@ -184,10 +169,7 @@ class NavierStokesDAL:
             if adjoint_refinements is not None
             else max(3 * self.config.refinements, 15)
         )
-        self.compile = bool(compile)
         self.recorder = recorder
-        self._A_buf: Optional[np.ndarray] = None
-        self._T_buf: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     def value(self, c: np.ndarray) -> float:
@@ -210,52 +192,11 @@ class NavierStokesDAL:
         ux, uy = nd.dx @ u, nd.dy @ u
         vx, vy = nd.dx @ v, nd.dy @ v
 
-        # Adjoint momentum matrix: reversed advection; Dirichlet rows on
-        # the velocity-prescribed boundaries; Robin rows at the outflow.
-        dirichlet_groups = ("inflow", "wall_bottom", "wall_top", "blowing", "suction")
+        # Adjoint momentum system: reversed advection, the direct system's
+        # Dirichlet and outflow-normal rows, plus the outflow Robin term
+        # Re (u·n) with n = (1, 0).  One factorisation for every refinement.
         out = pr.outflow
-        beta = Re * u[out]  # Re (u·n) with n = (1, 0)
-        if pr.backend == "local":
-            op = (
-                sp.diags(-u) @ nd.dx
-                + sp.diags(-v) @ nd.dy
-                - (1.0 / Re) * nd.lap
-            )
-            A = sp.diags(mask) @ op  # interior mask zeroes boundary rows
-            for g in dirichlet_groups:
-                A = A + row_selector(n, pr.cloud.groups[g])
-            A = (
-                A
-                + row_selector(n, out) @ sp.csr_matrix(nd.normal)
-                + sp.csr_matrix((beta, (out, out)), shape=(n, n))
-            )
-            lu = spla.splu(sp.csc_matrix(A))
-            solve_sys = lu.solve
-        else:
-            if self.compile:
-                if self._A_buf is None:
-                    self._A_buf = np.empty((n, n))
-                    self._T_buf = np.empty((n, n))
-                A, T = self._A_buf, self._T_buf
-                np.multiply((-u)[:, None], nd.dx, out=A)
-                np.multiply((-v)[:, None], nd.dy, out=T)
-                A += T
-                np.multiply(1.0 / Re, nd.lap, out=T)
-                A -= T
-                A *= mask[:, None]
-            else:
-                op = (-u)[:, None] * nd.dx + (-v)[:, None] * nd.dy - (1.0 / Re) * nd.lap
-                A = mask[:, None] * op
-            for g in dirichlet_groups:
-                idx = pr.cloud.groups[g]
-                A[idx] = 0.0
-                A[idx, idx] = 1.0
-            A[out] = nd.normal[out]
-            A[out, out] += beta
-            lu = sla.lu_factor(A, check_finite=False)
-
-            def solve_sys(b: np.ndarray) -> np.ndarray:
-                return sla.lu_solve(lu, b, check_finite=False)
+        solve_sys = pr.momentum_solver(-u, -v, Re, robin=Re * u[out])
 
         lx = np.zeros(n)
         ly = np.zeros(n)
@@ -269,12 +210,10 @@ class NavierStokesDAL:
             bx = mask * (-(lx * ux + ly * vx) + sx)
             by = mask * (-(lx * uy + ly * vy) + sy)
             # Outflow Robin data (σ lagged):  n = (1, 0).
-            bx_full = bx.copy()
-            by_full = by.copy()
-            bx_full[out] = -Re * (sigma[out] + mismatch_u)
-            by_full[out] = -Re * mismatch_v
-            lx_star = solve_sys(bx_full)
-            ly_star = solve_sys(by_full)
+            bx[out] = -Re * (sigma[out] + mismatch_u)
+            by[out] = -Re * mismatch_v
+            lx_star = solve_sys(bx)
+            ly_star = solve_sys(by)
 
             div = nd.dx @ lx_star + nd.dy @ ly_star
             phi = pr.pressure_solver.solve_numpy(mask * div / dt)

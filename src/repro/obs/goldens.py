@@ -87,7 +87,7 @@ def _build_oracle(cfg: Tier0Config):
         if cfg.method == "dp":
             return LaplaceDP(problem, compile=cfg.compile)
         if cfg.method == "dal":
-            return LaplaceDAL(problem, compile=cfg.compile)
+            return LaplaceDAL(problem)
     elif cfg.problem == "navier-stokes":
         from repro.cloud.channel import ChannelCloud
         from repro.control.dal import NavierStokesDAL
@@ -104,10 +104,7 @@ def _build_oracle(cfg: Tier0Config):
             return NavierStokesDP(problem, ns_cfg, compile=cfg.compile)
         if cfg.method == "dal":
             return NavierStokesDAL(
-                problem,
-                ns_cfg,
-                adjoint_refinements=cfg.adjoint_refinements,
-                compile=cfg.compile,
+                problem, ns_cfg, adjoint_refinements=cfg.adjoint_refinements
             )
     raise ValueError(f"unknown tier-0 combination: {cfg.problem}/{cfg.method}")
 

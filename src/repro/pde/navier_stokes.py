@@ -33,22 +33,27 @@ to iteratively bring the fields to steady states" with ``k`` refinements:
 3. **projection**: ``uⁿ⁺¹ = u* − dt ∇φ`` away from Dirichlet nodes,
    ``pⁿ⁺¹ = pⁿ + φ``.
 
-The same assembly runs in two modes: plain NumPy (used by DAL and for
-forward evaluation) and on the autodiff tape (used by DP — gradients flow
-through *all* ``k`` refinements, which is why DP's memory grows with ``k``
-as the paper's Table 3 reports).
+One loop runs the scheme, on the autodiff tape's primitives.
+:meth:`ChannelFlowProblem.solve_ad` runs it with a taped control (DP —
+gradients flow through *all* ``k`` refinements, which is why DP's memory
+grows with ``k`` as the paper's Table 3 reports), and
+:meth:`ChannelFlowProblem.solve` with an ndarray control, so nothing is
+taped (DAL's direct solve and forward evaluation).  The DAL adjoint's
+reversed-advection momentum system is built from the same operands and
+factorised through :meth:`ChannelFlowProblem.momentum_solver`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.autodiff import ops
+from repro.autodiff.krylov import krylov_pattern_solve
 from repro.autodiff.linalg import RowScaledSystem
 from repro.autodiff.linalg import row_scaled_solve as ad_solve
 from repro.autodiff.sparse import (
@@ -56,7 +61,7 @@ from repro.autodiff.sparse import (
     sparse_matvec,
     sparse_pattern_solve,
 )
-from repro.autodiff.tensor import Tensor, asdata, tensor
+from repro.autodiff.tensor import Tensor, tensor
 from repro.cloud.base import Cloud
 from repro.cloud.channel import ChannelCloud, ChannelGeometry
 from repro.obs.profile import span as _span
@@ -91,15 +96,12 @@ class NSConfig:
     """Solver configuration.
 
     ``refinements`` is the paper's ``k`` (DAL used 3, DP used 10);
-    ``pseudo_dt`` the projection pseudo-timestep; ``relax`` optional
-    velocity under-relaxation.
+    ``pseudo_dt`` the projection pseudo-timestep.
     """
 
     reynolds: float = 100.0
     refinements: int = 10
     pseudo_dt: float = 0.5
-    relax: float = 1.0
-    check: bool = True
 
 
 @dataclass
@@ -223,11 +225,12 @@ class ChannelFlowProblem:
         )
 
         # Fixed sparsity pattern of the momentum system (local backend):
-        # the union of the masked advection/diffusion stencils and the
-        # u-field boundary rows.  Momentum matrices for *any* frozen
-        # velocity live on this pattern, so both the NumPy and the tape
-        # path assemble a value vector and never touch the structure —
-        # which is what makes the VJP w.r.t. the values a cheap gather.
+        # the union of the masked advection/diffusion stencils, the
+        # u-field boundary rows and the outflow diagonal (the DAL
+        # adjoint's Robin term).  Momentum matrices for *any* frozen
+        # velocity live on this pattern, so every solve assembles a value
+        # vector and never touches the structure — which is what makes
+        # the VJP w.r.t. the values a cheap gather.
         if backend == "local":
             def _absval(M) -> sp.csr_matrix:
                 M = sp.csr_matrix(M).copy()
@@ -235,16 +238,22 @@ class ChannelFlowProblem:
                 return M
 
             Mint = sp.diags(self.mask_int)
+            out = self.outflow
             pattern = (
                 _absval(Mint @ nd.dx)
                 + _absval(Mint @ nd.dy)
                 + _absval(Mint @ nd.lap)
                 + _absval(self.rows_u)
+                + sp.csr_matrix(
+                    (np.ones(out.size), (out, out)), shape=(cloud_.n, cloud_.n)
+                )
             ).tocsr()
             pattern.eliminate_zeros()
             rows, cols = pattern.nonzero()
             self._mom_rows = rows.astype(np.int64)
             self._mom_cols = cols.astype(np.int64)
+            diag = np.flatnonzero(rows == cols)
+            self._mom_robin = diag[np.searchsorted(rows[diag], out)]
 
             def _on_pattern(M) -> np.ndarray:
                 return np.asarray(sp.csr_matrix(M)[rows, cols]).ravel()
@@ -323,26 +332,22 @@ class ChannelFlowProblem:
             + (self._mom_bc - self._mom_lap / reynolds)
         )
 
-    def momentum_matrix_numpy(self, u: np.ndarray, v: np.ndarray, reynolds: float):
-        """Frozen-advection momentum system on its sparsity pattern (local)."""
-        return sp.csr_matrix(
-            (
-                self.momentum_data_numpy(u, v, reynolds),
-                (self._mom_rows, self._mom_cols),
-            ),
-            shape=(self.cloud.n, self.cloud.n),
-        )
-
-    def momentum_system(self, reynolds: float) -> RowScaledSystem:
+    def momentum_system(
+        self, reynolds: float, robin: Optional[np.ndarray] = None
+    ) -> RowScaledSystem:
         """The constant operands of the dense momentum system.
 
         ``A = diag(mask·u)·∂x + diag(mask·v)·∂y + C`` with
         ``C = rows_u − mask·lap/Re``, the only velocity-independent part;
-        build it once per solve.
+        build it once per solve.  ``robin`` adds a diagonal on the outflow
+        rows (whose ``rows_u`` rows are the normal derivative): the DAL
+        adjoint's Robin condition.
         """
         C = self.nodal.lap * (-1.0 / reynolds)  # rows_u − mask·lap/Re, in place
         C *= self.mask_int[:, None]
         C += self.rows_u
+        if robin is not None:
+            C[self.outflow, self.outflow] += robin
         return self._momentum.with_constant(C)
 
     def momentum_matrix_ad(self, u, v, reynolds: float, system=None):
@@ -359,85 +364,47 @@ class ChannelFlowProblem:
         mask = self.mask_int
         return mask * u, mask * v, system
 
-    # ------------------------------------------------------------------
-    # NumPy solve (DAL / forward evaluation)
-    # ------------------------------------------------------------------
-    def solve(self, control: np.ndarray, config: NSConfig) -> NSState:
-        """Iterate the projection scheme for ``config.refinements`` steps."""
-        control = np.asarray(control, dtype=np.float64)
-        if control.shape != (self.n_control,):
-            raise ValueError(
-                f"control must have shape ({self.n_control},), got {control.shape}"
-            )
-        nd, mask, dt = self.nodal, self.mask_int, config.pseudo_dt
-        u, v = self.u_init.copy(), self.v_init.copy()
-        p = self.initial_pressure(config.reynolds)
-        b_u_bc = self.S_in @ control
-        state = NSState(u=u, v=v, p=p)
-        local = self.backend == "local"
-        system = None if local else self.momentum_system(config.reynolds)
+    def momentum_solver(
+        self, a: np.ndarray, b: np.ndarray, reynolds: float,
+        robin: Optional[np.ndarray] = None,
+    ) -> Callable[[np.ndarray], np.ndarray]:
+        """One factorisation of a momentum-type system, as a NumPy solve.
 
-        for _ in range(config.refinements):
-            with _span("ns.momentum", "pde"):
-                bu = mask * (-(nd.dx @ p)) + b_u_bc
-                bv = mask * (-(nd.dy @ p)) + self.b_v_fixed
-                if local:
-                    A = self.momentum_matrix_numpy(u, v, config.reynolds)
-                if local and self.solver == "iterative":
-                    from repro.autodiff.krylov import KrylovSolver
-
-                    ks = KrylovSolver(A, **self.solver_opts)
-                    u_star = ks.solve_numpy(bu)
-                    v_star = ks.solve_numpy(bv)
-                elif local:
-                    lu = spla.splu(sp.csc_matrix(A))
-                    u_star = lu.solve(bu)
-                    v_star = lu.solve(bv)
-                else:
-                    # The kernel of the DP tape's solve, so ``solve_ad``
-                    # reproduces these velocities bit for bit.
-                    lu = system.factor(mask * u, mask * v)
-                    u_star = lu.solve(bu)
-                    v_star = lu.solve(bv)
-
-            with _span("ns.pressure", "pde"):
-                div = nd.dx @ u_star + nd.dy @ v_star
-                phi = self.pressure_solver.solve_numpy(mask * div * (1.0 / dt))
-
-            with _span("ns.projection", "pde"):
-                u_new = u_star - dt * self.free_uv * (nd.dx @ phi)
-                v_new = v_star - dt * self.free_uv * (nd.dy @ phi)
-                if config.relax != 1.0:
-                    a = config.relax
-                    u_new = (1 - a) * u + a * u_new
-                    v_new = (1 - a) * v + a * v_new
-                p = p + phi
-
-            state.update_history.append(
-                float(max(np.max(np.abs(u_new - u)), np.max(np.abs(v_new - v))))
-            )
-            u, v = u_new, v_new
-            state.div_history.append(
-                float(np.max(np.abs((nd.dx @ u + nd.dy @ v)[self.cloud.internal])))
-            )
-            if config.check:
-                check_finite(u, "u")
-                check_finite(v, "v")
-
-        state.u, state.v, state.p = u, v, p
-        return state
+        The system is ``diag(mask·a)·∂x + diag(mask·b)·∂y + C`` with the
+        ``C`` of :meth:`momentum_system`; ``robin`` adds a diagonal on the
+        outflow rows.  The DAL adjoint's reversed-advection system is
+        ``a = −u``, ``b = −v``, ``robin = Re·u[out]``.  Dense: the
+        :class:`~repro.autodiff.linalg.RowScaledSystem` kernel; local: the
+        fixed momentum pattern through
+        :func:`~repro.autodiff.sparse.make_linear_solver` (``splu`` or
+        Krylov, per ``solver``).
+        """
+        if self.backend == "dense":
+            mask = self.mask_int
+            system = self.momentum_system(reynolds, robin)
+            return system.factor(mask * a, mask * b).solve
+        data = self.momentum_data_numpy(a, b, reynolds)
+        if robin is not None:
+            data[self._mom_robin] += robin
+        n = self.cloud.n
+        A = sp.csr_matrix((data, (self._mom_rows, self._mom_cols)), shape=(n, n))
+        return make_linear_solver(
+            A, method=self.solver, **self.solver_opts
+        ).solve_numpy
 
     # ------------------------------------------------------------------
-    # Autodiff solve (DP)
+    # The projection loop
     # ------------------------------------------------------------------
-    def solve_ad(
+    def _refine(
         self, control, config: NSConfig
-    ) -> Tuple[Tensor, Tensor, Tensor]:
-        """Projection iterations on the tape; differentiable w.r.t. control.
+    ) -> Iterator[Tuple[Tensor, Tensor, Tensor]]:
+        """Run the projection scheme, yielding ``(u, v, p)`` per iterate.
 
-        The momentum matrix depends on the previous velocity iterate, so
-        gradients propagate through assembly *and* solve of every
-        refinement — the full discretise-then-optimise gradient.
+        The first yield is the initial guess, then one per refinement.
+        Every operation goes through the tape primitives: with a taped
+        control (DP) the momentum matrix's dependence on the previous
+        velocity iterate puts assembly *and* solve of every refinement on
+        the tape; with an ndarray control every node is a detached leaf.
         """
         nd, mask, dt = self.nodal, self.mask_int, config.pseudo_dt
         c = tensor(control)
@@ -445,6 +412,7 @@ class ChannelFlowProblem:
         v = tensor(self.v_init)
         p = tensor(self.initial_pressure(config.reynolds))
         b_u_bc = ops.matmul(self.S_in, c)
+        yield u, v, p
 
         n = self.cloud.n
         local = self.backend == "local"
@@ -458,6 +426,11 @@ class ChannelFlowProblem:
             def dym(t):
                 return sparse_matvec(nd.dy, t)
 
+            if self.solver == "iterative":
+                pattern_solve = partial(krylov_pattern_solve, **self.solver_opts)
+            else:
+                pattern_solve = sparse_pattern_solve
+
         else:
             def dxm(t):
                 return ops.matmul(nd.dx, t)
@@ -469,49 +442,71 @@ class ChannelFlowProblem:
             with _span("ns.momentum", "pde"):
                 bu = mask * (-dxm(p)) + b_u_bc
                 bv = mask * (-dym(p)) + self.b_v_fixed
-                if local and self.solver == "iterative":
-                    from repro.autodiff.krylov import krylov_pattern_solve
-
+                # One factorisation serves both velocity components.
+                B = ops.stack([bu, bv], axis=1)
+                if local:
                     data = self.momentum_data_ad(u, v, config.reynolds)
-                    u_star = krylov_pattern_solve(
-                        self._mom_rows, self._mom_cols, (n, n), data, bu,
-                        **self.solver_opts,
-                    )
-                    v_star = krylov_pattern_solve(
-                        self._mom_rows, self._mom_cols, (n, n), data, bv,
-                        **self.solver_opts,
-                    )
-                elif local:
-                    data = self.momentum_data_ad(u, v, config.reynolds)
-                    u_star = sparse_pattern_solve(
-                        self._mom_rows, self._mom_cols, (n, n), data, bu
-                    )
-                    v_star = sparse_pattern_solve(
-                        self._mom_rows, self._mom_cols, (n, n), data, bv
+                    X = pattern_solve(
+                        self._mom_rows, self._mom_cols, (n, n), data, B
                     )
                 else:
-                    # One factorisation serves both velocity components.
                     s1, s2, system = self.momentum_matrix_ad(
                         u, v, config.reynolds, system
                     )
-                    X = ad_solve(s1, s2, system, ops.stack([bu, bv], axis=1))
-                    u_star = X[:, 0]
-                    v_star = X[:, 1]
+                    X = ad_solve(s1, s2, system, B)
+                u_star = X[:, 0]
+                v_star = X[:, 1]
 
             with _span("ns.pressure", "pde"):
                 div = dxm(u_star) + dym(v_star)
                 phi = self.pressure_solver(mask * div * (1.0 / dt))
 
             with _span("ns.projection", "pde"):
-                u_new = u_star - dt * (self.free_uv * dxm(phi))
-                v_new = v_star - dt * (self.free_uv * dym(phi))
-                if config.relax != 1.0:
-                    a = config.relax
-                    u_new = (1 - a) * u + a * u_new
-                    v_new = (1 - a) * v + a * v_new
+                u = u_star - dt * (self.free_uv * dxm(phi))
+                v = v_star - dt * (self.free_uv * dym(phi))
                 p = p + phi
-                u, v = u_new, v_new
+            yield u, v, p
 
+    def solve(self, control: np.ndarray, config: NSConfig) -> NSState:
+        """Iterate the projection scheme in NumPy, with its histories.
+
+        Runs :meth:`_refine` on an ndarray control, so nothing is taped
+        (DAL's direct solve, forward evaluation).
+        """
+        control = np.asarray(control, dtype=np.float64)
+        if control.shape != (self.n_control,):
+            raise ValueError(
+                f"control must have shape ({self.n_control},), got {control.shape}"
+            )
+        nd = self.nodal
+        iterates = self._refine(control, config)
+        u, v, p = (t.data for t in next(iterates))
+        state = NSState(u=u, v=v, p=p)
+        for tu, tv, tp in iterates:
+            u_new, v_new, p = tu.data, tv.data, tp.data
+            state.update_history.append(
+                float(max(np.max(np.abs(u_new - u)), np.max(np.abs(v_new - v))))
+            )
+            u, v = u_new, v_new
+            state.div_history.append(
+                float(np.max(np.abs((nd.dx @ u + nd.dy @ v)[self.cloud.internal])))
+            )
+            check_finite(u, "u")
+            check_finite(v, "v")
+
+        state.u, state.v, state.p = u, v, p
+        return state
+
+    def solve_ad(
+        self, control, config: NSConfig
+    ) -> Tuple[Tensor, Tensor, Tensor]:
+        """Projection iterations on the tape; differentiable w.r.t. control.
+
+        Gradients propagate through assembly *and* solve of every
+        refinement — the full discretise-then-optimise gradient.
+        """
+        for u, v, p in self._refine(control, config):
+            pass
         return u, v, p
 
     # ------------------------------------------------------------------

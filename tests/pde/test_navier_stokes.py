@@ -151,13 +151,6 @@ class TestAutodiffPath:
         )
         assert abs(float(g @ d) - num) < 1e-7 * max(1.0, abs(num))
 
-    def test_relaxation_path(self, channel_problem):
-        cfg = NSConfig(reynolds=100.0, refinements=6, pseudo_dt=0.5, relax=0.7)
-        c = channel_problem.default_control()
-        st = channel_problem.solve(c, cfg)
-        u, v, _ = channel_problem.solve_ad(c, cfg)
-        np.testing.assert_allclose(u.data, st.u, rtol=1e-12)
-
 
 class TestReynoldsDependence:
     def test_low_re_converges_faster(self, channel_problem):

@@ -1,0 +1,225 @@
+"""Reference oracles for the Navier–Stokes projection loop and DAL adjoint.
+
+``ChannelFlowProblem.solve`` and ``solve_ad`` drive one projection loop,
+and ``NavierStokesDAL.solve_adjoint`` factorises its reversed-advection
+system through ``ChannelFlowProblem.momentum_solver``.  The functions
+below are independent plain-NumPy versions of both, with one branch per
+backend: the forward loop assembles and factorises each refinement's
+momentum system itself, and the adjoint assembles its matrix row by row
+(Dirichlet unit rows, outflow Robin rows).  ``solve`` must reproduce the
+forward reference bit for bit; the DAL gradient may differ only by
+rounding, because the production adjoint factorises a condensed block.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from repro.autodiff.krylov import KrylovSolver
+from repro.cloud.channel import ChannelCloud
+from repro.control.dal import NavierStokesDAL
+from repro.obs.metrics import use_registry
+from repro.pde.discrete import row_selector
+from repro.pde.navier_stokes import ChannelFlowProblem, NSConfig
+
+DIRICHLET_GROUPS = ("inflow", "wall_bottom", "wall_top", "blowing", "suction")
+
+
+def reference_solve(pr: ChannelFlowProblem, control: np.ndarray, cfg: NSConfig):
+    """The projection loop in NumPy: ``(u, v, p, update_hist, div_hist)``."""
+    nd, mask, dt = pr.nodal, pr.mask_int, cfg.pseudo_dt
+    n = pr.cloud.n
+    u, v = pr.u_init.copy(), pr.v_init.copy()
+    p = pr.initial_pressure(cfg.reynolds)
+    b_u_bc = pr.S_in @ control
+    update_hist, div_hist = [], []
+    local = pr.backend == "local"
+    system = None if local else pr.momentum_system(cfg.reynolds)
+    for _ in range(cfg.refinements):
+        bu = mask * (-(nd.dx @ p)) + b_u_bc
+        bv = mask * (-(nd.dy @ p)) + pr.b_v_fixed
+        if local:
+            A = sp.csr_matrix(
+                (pr.momentum_data_numpy(u, v, cfg.reynolds),
+                 (pr._mom_rows, pr._mom_cols)),
+                shape=(n, n),
+            )
+        if local and pr.solver == "iterative":
+            ks = KrylovSolver(A, **pr.solver_opts)
+            u_star, v_star = ks.solve_numpy(bu), ks.solve_numpy(bv)
+        elif local:
+            lu = spla.splu(sp.csc_matrix(A))
+            u_star, v_star = lu.solve(bu), lu.solve(bv)
+        else:
+            lu = system.factor(mask * u, mask * v)
+            u_star, v_star = lu.solve(bu), lu.solve(bv)
+
+        div = nd.dx @ u_star + nd.dy @ v_star
+        phi = pr.pressure_solver.solve_numpy(mask * div * (1.0 / dt))
+        u_new = u_star - dt * pr.free_uv * (nd.dx @ phi)
+        v_new = v_star - dt * pr.free_uv * (nd.dy @ phi)
+        p = p + phi
+
+        update_hist.append(
+            float(max(np.max(np.abs(u_new - u)), np.max(np.abs(v_new - v))))
+        )
+        u, v = u_new, v_new
+        div_hist.append(
+            float(np.max(np.abs((nd.dx @ u + nd.dy @ v)[pr.cloud.internal])))
+        )
+    return u, v, p, update_hist, div_hist
+
+
+def reference_adjoint_matrix(pr: ChannelFlowProblem, u, v, reynolds: float):
+    """Reversed advection, Dirichlet unit rows, outflow Robin rows."""
+    nd, mask, n, out = pr.nodal, pr.mask_int, pr.cloud.n, pr.outflow
+    beta = reynolds * u[out]
+    if pr.backend == "local":
+        op = sp.diags(-u) @ nd.dx + sp.diags(-v) @ nd.dy - (1.0 / reynolds) * nd.lap
+        A = sp.diags(mask) @ op
+        for g in DIRICHLET_GROUPS:
+            A = A + row_selector(n, pr.cloud.groups[g])
+        return (
+            A
+            + row_selector(n, out) @ sp.csr_matrix(nd.normal)
+            + sp.csr_matrix((beta, (out, out)), shape=(n, n))
+        )
+    op = (-u)[:, None] * nd.dx + (-v)[:, None] * nd.dy - (1.0 / reynolds) * nd.lap
+    A = mask[:, None] * op
+    for g in DIRICHLET_GROUPS:
+        idx = pr.cloud.groups[g]
+        A[idx] = 0.0
+        A[idx, idx] = 1.0
+    A[out] = nd.normal[out]
+    A[out, out] += beta
+    return A
+
+
+def reference_dal(pr: ChannelFlowProblem, control, cfg: NSConfig, refinements: int):
+    """DAL cost and gradient with the reference forward and adjoint solves."""
+    nd, mask, dt, Re = pr.nodal, pr.mask_int, cfg.pseudo_dt, cfg.reynolds
+    u, v, _, _, _ = reference_solve(pr, control, cfg)
+    A = reference_adjoint_matrix(pr, u, v, Re)
+    if pr.backend == "local":
+        solve_sys = spla.splu(sp.csc_matrix(A)).solve
+    else:
+        lu = sla.lu_factor(A, check_finite=False)
+
+        def solve_sys(b):
+            return sla.lu_solve(lu, b, check_finite=False)
+
+    out = pr.outflow
+    ux, uy, vx, vy = nd.dx @ u, nd.dy @ u, nd.dx @ v, nd.dy @ v
+    lx, ly, sigma = np.zeros(pr.cloud.n), np.zeros(pr.cloud.n), np.zeros(pr.cloud.n)
+    mismatch_u, mismatch_v = u[out] - pr.u_target, v[out]
+    for _ in range(refinements):
+        bx = mask * (-(lx * ux + ly * vx) + nd.dx @ sigma)
+        by = mask * (-(lx * uy + ly * vy) + nd.dy @ sigma)
+        bx[out] = -Re * (sigma[out] + mismatch_u)
+        by[out] = -Re * mismatch_v
+        lx_star, ly_star = solve_sys(bx), solve_sys(by)
+        div = nd.dx @ lx_star + nd.dy @ ly_star
+        phi = pr.pressure_solver.solve_numpy(mask * div / dt)
+        lx = lx_star - dt * pr.free_uv * (nd.dx @ phi)
+        ly = ly_star - dt * pr.free_uv * (nd.dy @ phi)
+        sigma = sigma - phi
+    grad = -(1.0 / Re) * (nd.dx @ lx)[pr.inflow] - sigma[pr.inflow]
+    return pr.cost(u, v), grad
+
+
+def _rel(a, b) -> float:
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+@pytest.fixture(scope="module")
+def local_direct():
+    return ChannelFlowProblem(
+        cloud=ChannelCloud(21, 11), perturbation=0.3, backend="local"
+    )
+
+
+@pytest.fixture(scope="module")
+def local_iterative():
+    return ChannelFlowProblem(
+        cloud=ChannelCloud(21, 11), perturbation=0.3, backend="local",
+        solver="iterative",
+    )
+
+
+@pytest.fixture(params=["dense", "local-direct", "local-iterative"])
+def problem(request, channel_problem, local_direct, local_iterative):
+    return {
+        "dense": channel_problem,
+        "local-direct": local_direct,
+        "local-iterative": local_iterative,
+    }[request.param]
+
+
+def _perturbed_control(pr: ChannelFlowProblem) -> np.ndarray:
+    c = pr.default_control()
+    return c * (1.0 + 0.05 * np.sin(7.0 * pr.inflow_y))
+
+
+@pytest.mark.parametrize("k", [3, 10])
+def test_solve_matches_reference_bitwise(problem, k):
+    cfg = NSConfig(reynolds=100.0, refinements=k)
+    c = _perturbed_control(problem)
+    u, v, p, upd, div = reference_solve(problem, c, cfg)
+    st = problem.solve(c, cfg)
+    np.testing.assert_array_equal(st.u, u)
+    np.testing.assert_array_equal(st.v, v)
+    np.testing.assert_array_equal(st.p, p)
+    assert st.update_history == upd
+    assert st.div_history == div
+
+
+@pytest.mark.parametrize("backend", ["dense", "local-direct"])
+def test_dal_gradient_matches_reference(backend, channel_problem, local_direct):
+    pr = channel_problem if backend == "dense" else local_direct
+    cfg = NSConfig(reynolds=100.0, refinements=3)
+    dal = NavierStokesDAL(pr, cfg)
+    c = _perturbed_control(pr)
+    j_ref, g_ref = reference_dal(pr, c, cfg, dal.adjoint_refinements)
+    j, g = dal.value_and_grad(c)
+    assert j == j_ref
+    assert _rel(g, g_ref) <= 1e-11
+
+
+def test_dal_iterative_matches_direct(local_direct, local_iterative):
+    cfg = NSConfig(reynolds=100.0, refinements=3)
+    c = _perturbed_control(local_direct)
+    j_d, g_d = NavierStokesDAL(local_direct, cfg).value_and_grad(c)
+    j_i, g_i = NavierStokesDAL(local_iterative, cfg).value_and_grad(c)
+    assert j_i == pytest.approx(j_d, rel=1e-8)
+    assert _rel(g_i, g_d) <= 1e-8
+
+
+class TestDenseFactorisationCount:
+    """One LU per refinement forward, one per adjoint solve."""
+
+    K = 4
+
+    def _count(self, fn) -> int:
+        with use_registry() as reg:
+            fn()
+            return reg.counter("linalg.dense.factorizations").value
+
+    def test_solve(self, channel_problem):
+        cfg = NSConfig(refinements=self.K)
+        c = channel_problem.default_control()
+        assert self._count(lambda: channel_problem.solve(c, cfg)) == self.K
+
+    def test_solve_ad(self, channel_problem):
+        cfg = NSConfig(refinements=self.K)
+        c = channel_problem.default_control()
+        assert self._count(lambda: channel_problem.solve_ad(c, cfg)) == self.K
+
+    def test_solve_adjoint(self, channel_problem):
+        dal = NavierStokesDAL(channel_problem, NSConfig(refinements=self.K))
+        st = channel_problem.solve(channel_problem.default_control(), dal.config)
+        assert dal.adjoint_refinements > 1
+        assert self._count(lambda: dal.solve_adjoint(st.u, st.v)) == 1
