@@ -1,8 +1,8 @@
 """ABLATION — multi-RHS factorisation reuse (the vbatch solve rule).
 
 The batching transform lowers N independent PDE solves to ONE
-factorisation serving an ``(N_rhs, n)`` block — the mechanism behind the
-batched ω line search and :func:`repro.control.loop.batched_cost_sweep`.
+factorisation serving an ``(N_rhs, n)`` block — the mechanism behind
+:func:`repro.control.loop.batched_cost_sweep`.
 This ablation quantifies that reuse in isolation: for
 N_rhs ∈ {1, 8, 64, 256}, solve the same Laplace system against N random
 right-hand sides (a) refactorising per RHS, as a naive loop over
@@ -121,7 +121,7 @@ def test_reuse_wins_at_scale(sweep, benchmark):
 
 def test_sparse_block_bitwise_for_narrow_blocks(sweep, benchmark):
     """SuperLU's multi-RHS path is column-for-column bitwise in the
-    narrow-block regime the batched line search and cost sweeps use
+    narrow-block regime the batched cost sweeps use
     (wide blocks may take a blocked substitution); the dense getrs block
     is only allclose even at 2 columns."""
     benchmark(lambda: None)

@@ -236,10 +236,6 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for the run matrix / PINN "
                              "line search (overrides $REPRO_JOBS)")
-    parser.add_argument("--batch", action="store_true",
-                        help="vectorise the PINN omega candidates through "
-                             "vbatch (stacked training; composes with --jobs "
-                             "for process x batch parallelism)")
     args = parser.parse_args(argv)
 
     methods = tuple(m for m in args.methods if not (args.skip_pinn and m == "pinn"))
@@ -296,7 +292,7 @@ def main(argv=None) -> int:
                 print("  " + r.summary())
             if "pinn" in methods:
                 r = _run(trace_out, profile_out, run_laplace_pinn, prob, scale,
-                         jobs=jobs, batch=args.batch, watch=watch)
+                         jobs=jobs, watch=watch)
                 results.append(r)
                 print("  " + r.summary()
                       + f"  (omega* = {r.extra['best_omega']:g})")
@@ -314,7 +310,7 @@ def main(argv=None) -> int:
                 print("  " + r.summary())
             if "pinn" in methods:
                 r = _run(trace_out, profile_out, run_ns_pinn, prob, scale,
-                         jobs=jobs, batch=args.batch, watch=watch)
+                         jobs=jobs, watch=watch)
                 results.append(r)
                 print("  " + r.summary()
                       + f"  (physical J = {r.extra['physical_cost']:.3e})")

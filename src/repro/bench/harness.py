@@ -201,16 +201,14 @@ def run_laplace_pinn(
     scale: Optional[ExperimentScale] = None,
     recorder=None,
     jobs: Optional[int] = None,
-    batch: bool = False,
 ) -> ControlResult:
     """PINN with the two-step ω line search on Laplace (Fig. 3c–e).
 
     ``jobs`` fans the ω candidates across worker processes (default: the
     ``$REPRO_JOBS`` resolution of :func:`repro.parallel.resolve_jobs`);
-    ``batch`` vectorises the candidates through
-    :func:`repro.autodiff.vbatch` (composable with ``jobs`` for
-    process × batch parallelism).  Either way results are
-    bitwise-identical to the serial search.
+    results are bitwise-identical to the serial search.  The scale's
+    ``pinn.compile`` flag (``$REPRO_COMPILE``) runs each candidate's
+    training on the compiled tier.
     """
     s = scale or get_scale()
     prob = problem or make_laplace_problem(s)
@@ -226,8 +224,7 @@ def run_laplace_pinn(
 
     def run():
         return omega_line_search(
-            pinn, s.pinn.laplace_omegas, recorder=recorder, jobs=jobs,
-            batch=batch,
+            pinn, s.pinn.laplace_omegas, recorder=recorder, jobs=jobs
         )
 
     ls, t, mem = measure_run(run, recorder)
@@ -351,13 +348,13 @@ def run_ns_pinn(
     scale: Optional[ExperimentScale] = None,
     recorder=None,
     jobs: Optional[int] = None,
-    batch: bool = False,
 ) -> ControlResult:
     """PINN with the two-step ω line search on the channel problem.
 
-    ``jobs`` fans the ω candidates across worker processes and ``batch``
-    stacks them through :func:`repro.autodiff.vbatch`; results are
-    bitwise-identical to the serial search either way.
+    ``jobs`` fans the ω candidates across worker processes; results are
+    bitwise-identical to the serial search.  The scale's ``pinn.compile``
+    flag (``$REPRO_COMPILE``) runs each candidate's training on the
+    compiled tier.
     """
     s = scale or get_scale()
     prob = problem or make_ns_problem(s)
@@ -376,8 +373,7 @@ def run_ns_pinn(
 
     def run():
         return omega_line_search(
-            pinn, s.pinn.ns_omegas, recorder=recorder, jobs=jobs,
-            batch=batch,
+            pinn, s.pinn.ns_omegas, recorder=recorder, jobs=jobs
         )
 
     ls, t, mem = measure_run(run, recorder)

@@ -40,12 +40,8 @@ from repro.nn.mlp import MLP
 from repro.nn.optimizers import Adam
 from repro.nn.pytree import (
     ravel_leaves,
-    tree_flatten,
     tree_leaves,
-    tree_map,
     tree_ravel,
-    tree_unflatten,
-    tree_zip_map,
     value_and_grad_tree,
 )
 from repro.nn.schedules import paper_schedule
@@ -209,78 +205,6 @@ def _train(
     return unravel(flat), history, aux_history
 
 
-def _train_batched(
-    loss_fn,
-    extras: Tuple[Any, ...],
-    params_stack: Dict[str, Any],
-    n: int,
-    config: PINNTrainConfig,
-    alternating_keys: Optional[Sequence[str]] = None,
-    has_aux: bool = False,
-) -> Tuple[Dict[str, Any], List[List[float]], List[Tuple[np.ndarray, ...]]]:
-    """Adam loop over N stacked parameter sets via one ``vbatch`` trace.
-
-    The batched counterpart of :func:`_train`: every leaf of
-    ``params_stack`` carries a leading axis of length ``n`` and the whole
-    fleet trains in one stacked tensor program per epoch —
-    ``backward(ones(n))`` seeds each slice with the same cotangent 1.0
-    that N independent scalar backwards would, the Adam update and the
-    LR schedule are elementwise, and the alternating mask zeroes the same
-    keys in every slice, so slice ``i`` of every epoch is bitwise the
-    serial run for candidate ``i`` (the batching rules guarantee bitwise
-    per-slice forwards and parameter-side VJPs).
-
-    ``extras`` are additional *batched* positional arguments for
-    ``loss_fn`` (stacked along axis 0, not differentiated): the per-ω
-    weight vector in step 1, the frozen per-ω control parameters in
-    step 2.  With ``has_aux`` the third return value lists each epoch's
-    aux outputs, each an ``(n,)`` array.  ``config.compile`` is ignored
-    here — the batched trace is re-recorded each epoch (one stacked
-    program is already far fewer Python dispatches than N eager tapes).
-    """
-    from repro.autodiff.batching import vbatch
-    from repro.autodiff.tensor import Tensor, asdata
-
-    bfn = vbatch(loss_fn, in_axes=(0,) * (1 + len(extras)))
-    ones = np.ones(n)
-
-    def vg(ps):
-        leaves, treedef = tree_flatten(ps)
-        lts = [Tensor(asdata(x), requires_grad=True) for x in leaves]
-        out = bfn(tree_unflatten(treedef, lts), *extras)
-        aux = ()
-        if has_aux:
-            out, aux = out
-        out.backward(ones)
-        g = ravel_leaves(
-            [t.grad if t.grad is not None else np.zeros_like(t.data) for t in lts]
-        )
-        vals = np.asarray(out.data, dtype=np.float64).copy()
-        return vals, tuple(np.asarray(a.data, dtype=np.float64).copy() for a in aux), g
-
-    flat, unravel = tree_ravel(params_stack)
-    frozen = _frozen_slices(params_stack, alternating_keys)
-    opt = Adam(lr=config.lr)
-    state = opt.init(flat)
-    schedule = paper_schedule(config.lr)
-    histories: List[List[float]] = [[] for _ in range(n)]
-    aux_history: List[Tuple[np.ndarray, ...]] = []
-    for epoch in range(config.epochs):
-        with _span("grad", "phase"):
-            vals, aux, g = vg(unravel(flat))
-        for i in range(n):
-            histories[i].append(float(vals[i]))
-        if has_aux:
-            aux_history.append(aux)
-        lr = schedule(epoch, config.epochs)
-        with _span("update", "phase"):
-            if frozen:
-                for sl in frozen[alternating_keys[epoch % len(alternating_keys)]]:
-                    g[sl] = 0.0
-            flat, state = opt.step(flat, g, state, lr=lr)
-    return unravel(flat), histories, aux_history
-
-
 def _frozen_slices(
     params: Dict[str, Any], alternating_keys: Optional[Sequence[str]]
 ) -> Dict[str, List[slice]]:
@@ -349,14 +273,15 @@ class _PINNPair:
 
         The per-epoch cost and residual histories are the aux terms of
         :meth:`loss_terms`, taken from the evaluation that also produced
-        the epoch's loss and gradient.
+        the epoch's loss and gradient.  Without ``seed`` the networks
+        start from ``config.seed``, as :meth:`retrain_state` does.
         """
         cfg = config or self.config
         if recorder:
             recorder.set_meta(omega=omega)
         params, hist, aux = _train(
             lambda p: self.loss_terms(p, omega),
-            self.init_params(seed),
+            self.init_params(cfg.seed if seed is None else seed),
             cfg,
             alternating_keys=("u", "c") if cfg.alternating else None,
             has_aux=True,
@@ -632,84 +557,15 @@ def _omega_task_key(omega: float) -> str:
     return f"omega={float(omega):.17g}"
 
 
-def _stack_trees(trees: Sequence[Any]) -> Any:
-    """Stack same-structured pytrees leafwise along a new axis 0."""
-    return tree_zip_map(lambda *xs: np.stack([np.asarray(x) for x in xs]), *trees)
-
-
-def _unstack_tree(stacked: Any, i: int) -> Any:
-    """Slice item ``i`` out of a stacked pytree (copies, so the slice
-    survives further in-place optimiser updates to the stack)."""
-    return tree_map(lambda x: np.asarray(x)[i].copy(), stacked)
-
-
-def _omega_batch_task(pinn, omegas, cfg1, cfg2, seeds, want_trace):
-    """A chunk of ω candidates trained as ONE stacked tensor program.
-
-    The vbatch analogue of looping :func:`_omega_task`: per-ω parameter
-    sets are initialised from the same :func:`derive_seed` keys the
-    serial and parallel paths use, stacked leafwise, and both line-search
-    steps train through :func:`_train_batched` — so slice ``i`` is
-    bitwise the serial candidate ``i``, at a fraction of the dispatch
-    cost.  Step-2's frozen controls ride along as a stacked non-gradient
-    argument; the final cost evaluation is plain per-ω NumPy.  Module
-    level so the parallel engine can ship chunks to workers (process ×
-    batch two-level parallelism).  ``want_trace`` is accepted for
-    signature parity with ``_omega_task``; batched training emits
-    profiler spans but no per-epoch trace records.
-    """
-    n = len(omegas)
-    om = np.asarray([float(o) for o in omegas], dtype=np.float64)
-    stacked = _stack_trees([pinn.init_params(s) for s in seeds])
-    with _span("pinn.train_pair_batched", "method", {"n_omega": n}):
-        stacked, hists, aux = _train_batched(
-            pinn.loss_terms,
-            (om,),
-            stacked,
-            n,
-            cfg1,
-            alternating_keys=("u", "c") if cfg1.alternating else None,
-            has_aux=True,
-        )
-
-    def retrain_loss(p, pc):
-        return pinn.residual_loss(p["u"]) + pinn.boundary_loss(p["u"], pc)
-
-    pc_stack = stacked["c"]
-    stacked2 = _stack_trees(
-        [{"u": pinn.net_u.init_params(s + 7)} for s in seeds]
-    )
-    with _span("pinn.retrain_state_batched", "method", {"n_omega": n}):
-        stacked2, _, _ = _train_batched(
-            retrain_loss, (pc_stack,), stacked2, n, cfg2
-        )
-
-    values = []
-    for i, omega in enumerate(omegas):
-        pu_re = _unstack_tree(stacked2["u"], i)
-        with _span("eval", "phase"):
-            cost = pinn.evaluate_cost(pu_re)
-        run = PINNRunResult(
-            omega=float(omega),
-            params_u=_unstack_tree(stacked["u"], i),
-            params_c=_unstack_tree(stacked["c"], i),
-            loss_history=hists[i],
-            cost_history=[float(j[i]) for j, _ in aux],
-            residual_history=[float(r[i]) for _, r in aux],
-        )
-        values.append(
-            {"run": run, "cost": float(cost), "params_u": pu_re, "trace": None}
-        )
-    return values
-
-
 def _omega_task(pinn, omega, cfg1, cfg2, seed, want_trace):
     """One ω candidate, end to end: step-1 pair, step-2 retrain, eval.
 
-    Module-level so the parallel engine can ship it to workers under any
-    start method.  Identical code runs on the serial path — per-ω results
-    are bitwise equal between serial and parallel execution because the
-    seed is an explicit argument, not ambient state.
+    The only per-ω body of the search, serial or parallel.  Module-level
+    so the parallel engine can ship it to workers under any start method;
+    per-ω results are bitwise equal between serial and parallel execution
+    because the seed is an explicit argument, not ambient state.  With
+    ``want_trace`` the step-1 epochs go to a fresh task recorder, which
+    the search folds into its own in ω order.
     """
     from repro.obs.recorder import TraceRecorder
 
@@ -731,7 +587,6 @@ def omega_line_search(
     recorder=None,
     jobs: Optional[int] = None,
     engine=None,
-    batch: bool = False,
 ) -> LineSearchResult:
     """Run the Mowlavi & Nabi two-step strategy over an ω range.
 
@@ -741,94 +596,51 @@ def omega_line_search(
 
     Every ω trains from a seed derived from ``(cfg1.seed, ω)`` — never
     from shared RNG state — so the search is embarrassingly parallel and
-    its outcome is independent of execution order.  With ``jobs > 1``
-    (or ``$REPRO_JOBS``) the candidates fan out across worker processes
-    via :mod:`repro.parallel`; step 2 retrains only the candidates whose
-    step-1 worker survived (a crashed or failed ω is dropped from the
-    search, recorded in ``LineSearchResult.failures``).  Serial and
-    parallel runs produce bitwise-identical ``best_omega`` / costs.
+    its outcome is independent of execution order.  Each candidate runs
+    :func:`_omega_task`: in this process, or with ``jobs > 1`` (or
+    ``$REPRO_JOBS``) fanned out across worker processes via
+    :mod:`repro.parallel`.  A crashed or failed parallel ω is dropped
+    from the search and recorded in ``LineSearchResult.failures``.
+    Serial and parallel runs, and a one-ω run against the same ω inside
+    a longer list, produce bitwise-identical results.  For speed, train
+    on the compiled tier (``PINNTrainConfig(compile=True)``).
 
     ``recorder`` receives the step-1 training epochs of every ω in
     sequence (epoch indices restart per ω; the ``omega`` metadata key
-    reflects the most recent run) plus the line-search verdict.
-
-    ``batch=True`` vectorises the candidates through
-    :func:`repro.autodiff.vbatch`: all ω pairs train as one stacked
-    tensor program (one Python dispatch per primitive per epoch instead
-    of N), bitwise identical per candidate to the serial loop.  Combined
-    with ``jobs > 1`` the candidates are split into contiguous chunks,
-    one batched program per worker process — two-level (process × batch)
-    parallelism.  Batched training emits profiler spans but no per-epoch
-    recorder iterations (the verdict metadata is still recorded); it
-    also bypasses ``config.compile``.  Every path — serial, parallel,
-    batched, and N_ω == 1 degenerate runs of any of them — derives the
-    identical per-ω seed from ``(cfg1.seed, ω)``, so results agree
-    bitwise across all of them.
+    reflects the last candidate) plus the line-search verdict.
     """
     from repro.parallel import ParallelEngine, TaskError, resolve_jobs
     from repro.parallel.seeding import derive_seed
 
-    if not omegas:
+    if len(omegas) == 0:
         raise ValueError("need at least one omega")
     cfg1 = config_step1 or pinn.config
     cfg2 = config_step2 or cfg1
     seeds = [derive_seed(cfg1.seed, _omega_task_key(o)) for o in omegas]
     n_jobs = engine.jobs if engine is not None else resolve_jobs(jobs)
+    want_trace = bool(recorder)
 
-    step1: List[PINNRunResult] = []
-    step2_costs: List[float] = []
-    omegas_run: List[float] = []
     failures: List[Any] = []
-    best = None
-
     if n_jobs > 1 and len(omegas) > 1:
         from repro.parallel.task import Task
 
         eng = engine or ParallelEngine(jobs=n_jobs, root_seed=cfg1.seed)
-        if batch:
-            # Process × batch: contiguous ω chunks, one stacked batched
-            # program per worker.  Chunk membership cannot change any
-            # candidate's result (each slice is bitwise the serial run).
-            n_chunks = min(eng.jobs, len(omegas))
-            bounds = np.linspace(0, len(omegas), n_chunks + 1).astype(int)
-            chunks = [
-                (list(omegas[lo:hi]), seeds[lo:hi])
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            tasks = [
-                Task(
-                    key=f"omega_batch[{_omega_task_key(ch[0][0])}"
-                    f"..{_omega_task_key(ch[0][-1])}]",
-                    fn=_omega_batch_task,
-                    args=(pinn, ch[0], cfg1, cfg2, ch[1], False),
-                )
-                for ch in chunks
-            ]
-        else:
-            tasks = [
-                Task(
-                    key=_omega_task_key(o),
-                    fn=_omega_task,
-                    args=(pinn, o, cfg1, cfg2, s, recorder is not None),
-                )
-                for o, s in zip(omegas, seeds)
-            ]
+        tasks = [
+            Task(
+                key=_omega_task_key(o),
+                fn=_omega_task,
+                args=(pinn, o, cfg1, cfg2, s, want_trace),
+            )
+            for o, s in zip(omegas, seeds)
+        ]
         with _span("pinn.line_search", "method", {"jobs": eng.jobs}):
             task_results = eng.run(tasks)
         outcomes = []
-        if batch:
-            for (chunk_omegas, _), res in zip(chunks, task_results):
-                if res.ok:
-                    outcomes.extend(zip(chunk_omegas, res.value))
-                else:
-                    failures.append(res)
-        else:
-            for omega, res in zip(omegas, task_results):
-                if res.ok:
-                    outcomes.append((omega, res.value))
-                else:
-                    failures.append(res)
+        for omega, res in zip(omegas, task_results):
+            if res.ok:
+                outcomes.append((omega, res.value))
+            else:
+                failures.append(res)
         if not outcomes:
             first = failures[0]
             raise TaskError(
@@ -836,35 +648,19 @@ def omega_line_search(
                 f"{first.key} -> {first.status} "
                 f"({(first.error or {}).get('message', 'no detail')})"
             )
-    elif batch:
-        with _span("pinn.line_search_batched", "method", {"n_omega": len(omegas)}):
-            values = _omega_batch_task(
-                pinn, list(omegas), cfg1, cfg2, seeds, False
-            )
-        outcomes = list(zip(omegas, values))
     else:
-        # Serial path: stream every ω's epochs straight into the shared
-        # recorder (same record stream a parallel run reassembles from
-        # worker shards, modulo timing fields).
-        outcomes = []
-        for omega, seed in zip(omegas, seeds):
-            with _span("pinn.train_pair", "method", {"omega": float(omega)}):
-                run = pinn.train_pair(omega, cfg1, seed=seed, recorder=recorder)
-            with _span("pinn.retrain_state", "method", {"omega": float(omega)}):
-                pu_re, _ = pinn.retrain_state(run.params_c, cfg2, seed=seed)
-            with _span("eval", "phase"):
-                cost = pinn.evaluate_cost(pu_re)
-            value = {
-                "run": run,
-                "cost": float(cost),
-                "params_u": pu_re,
-                "trace": None,
-            }
-            outcomes.append((omega, value))
+        outcomes = [
+            (omega, _omega_task(pinn, omega, cfg1, cfg2, seed, want_trace))
+            for omega, seed in zip(omegas, seeds)
+        ]
 
+    step1: List[PINNRunResult] = []
+    step2_costs: List[float] = []
+    omegas_run: List[float] = []
+    best = None
     for omega, value in outcomes:
         run, cost, pu_re = value["run"], value["cost"], value["params_u"]
-        if recorder and value["trace"] is not None:
+        if want_trace:
             recorder.absorb(value["trace"])
         step1.append(run)
         step2_costs.append(cost)

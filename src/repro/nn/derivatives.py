@@ -109,36 +109,3 @@ def mlp_with_derivatives(
     d2u = [d2a[i] for i in range(d)] if need_second else []
     return a, du, d2u
 
-
-def mlp_ensemble_with_derivatives(
-    model: MLP,
-    params_stack: Any,
-    x: ArrayLike,
-    need_second: bool = True,
-) -> Tuple[Tensor, List[Tensor], List[Tensor]]:
-    """:func:`mlp_with_derivatives` for a *stack* of N parameter sets.
-
-    ``params_stack`` is a parameter pytree whose leaves carry a leading
-    ensemble axis of length N (e.g. the per-ω networks of a batched line
-    search, stacked leafwise); the evaluation points ``x`` are shared.
-    One :func:`repro.autodiff.vbatch` trace pushes all N networks through
-    the layer loop as stacked matmuls, so the tape records ``O(layers)``
-    nodes instead of ``O(N · layers)`` and every BLAS call covers the
-    whole ensemble.  Each returned tensor gains a leading N axis —
-    ``u`` is ``(N, batch, out_dim)``, ``du[i]``/``d2u[i]`` likewise —
-    and slice ``j`` is bitwise :func:`mlp_with_derivatives` of parameter
-    set ``j`` (the batching rules' stacked-GEMM arrangements are bitwise
-    per slice).  Gradients flow to ``params_stack`` leaves as usual.
-    """
-    from repro.autodiff.batching import vbatch
-
-    def fn(params):
-        u, du, d2u = mlp_with_derivatives(model, params, x, need_second)
-        return [u] + du + d2u
-
-    d = model.in_dim
-    outs = vbatch(fn, in_axes=0)(params_stack)
-    u = outs[0]
-    du = outs[1 : 1 + d]
-    d2u = outs[1 + d :] if need_second else []
-    return u, du, d2u

@@ -533,8 +533,8 @@ class LocalRBFSolver:
         ``splu`` factorisation serves the whole block via a single
         multi-column triangular solve, counted as one entry in
         ``n_solves``.  SuperLU's multi-RHS path is bitwise-identical to
-        per-column solves for the narrow blocks the batched line search
-        and cost sweeps produce (observed up to ~50 columns); very wide
+        per-column solves for the narrow blocks the batched cost sweeps
+        produce (observed up to ~50 columns); very wide
         blocks may take a blocked substitution that perturbs last bits.
         """
         b_block = np.asarray(b_block, dtype=np.float64)

@@ -6,6 +6,8 @@ search selects by retrained cost — not paper-level accuracy, which the
 benchmark suite covers at larger budgets.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,22 @@ class TestLaplacePINNComponents:
         )
         run = pinn.train_pair(omega=0.1)
         assert run.loss_history[-1] < run.loss_history[0]
+
+    def test_train_pair_seeds_from_passed_config(self, laplace_problem):
+        """Regression: without ``seed``, step 1 starts from the passed
+        config's seed (as step 2 does), not the constructor's."""
+        cfg = PINNTrainConfig(epochs=10, lr=2e-3, n_interior=40, n_boundary=8)
+        pinn = LaplacePINN(
+            laplace_problem, state_hidden=(6,), control_hidden=(4,), config=cfg
+        )
+        by_config = pinn.train_pair(0.1, replace(cfg, seed=5))
+        by_arg = pinn.train_pair(0.1, cfg, seed=5)
+        assert by_config.loss_history == by_arg.loss_history
+        for key in ("params_u", "params_c"):
+            for la, lb in zip(getattr(by_config, key), getattr(by_arg, key)):
+                assert np.array_equal(la["W"], lb["W"])
+                assert np.array_equal(la["b"], lb["b"])
+        assert by_config.loss_history != pinn.train_pair(0.1).loss_history
 
     def test_retrain_state_reduces_forward_loss(self, lap_pinn):
         run = lap_pinn.train_pair(omega=0.1)
@@ -151,6 +169,25 @@ class TestLineSearchParallel:
             out.append(layer["b"].ravel())
         return np.concatenate(out)
 
+    def _assert_same(self, a: LineSearchResult, b: LineSearchResult):
+        assert b.best_omega == a.best_omega
+        assert b.best_cost == a.best_cost
+        assert b.step2_costs == a.step2_costs
+        assert np.array_equal(
+            self._flat(b.params_u_retrained), self._flat(a.params_u_retrained)
+        )
+        assert np.array_equal(self._flat(b.params_c), self._flat(a.params_c))
+        for ra, rb in zip(a.step1, b.step1):
+            assert rb.loss_history == ra.loss_history
+            assert rb.cost_history == ra.cost_history
+            assert rb.residual_history == ra.residual_history
+            assert np.array_equal(
+                self._flat(rb.params_u), self._flat(ra.params_u)
+            )
+            assert np.array_equal(
+                self._flat(rb.params_c), self._flat(ra.params_c)
+            )
+
     def test_parallel_bitwise_identical_to_serial(self, laplace_problem):
         serial = omega_line_search(
             self._pinn(laplace_problem), self.OMEGAS, jobs=1
@@ -199,6 +236,55 @@ class TestLineSearchParallel:
         assert len(rec_s.records) == len(rec_p.records)
         assert diff_traces(rec_s, rec_p, TolerancePolicy()) == []
 
+    def test_single_candidate_bitwise_across_all_paths(self, laplace_problem):
+        """Regression: the degenerate N_ω == 1 run must reuse the same
+        derived ``(cfg.seed, ω)`` key as any multi-candidate run that
+        includes the same ω — serial and parallel alike."""
+        omega = self.OMEGAS[1]
+        solo = omega_line_search(self._pinn(laplace_problem), [omega], jobs=1)
+        solo_jobs = omega_line_search(
+            self._pinn(laplace_problem), [omega], jobs=2
+        )
+        self._assert_same(solo, solo_jobs)
+
+        multi = omega_line_search(
+            self._pinn(laplace_problem), self.OMEGAS, jobs=1
+        )
+        i = multi.omegas.index(omega)
+        run_multi, run_solo = multi.step1[i], solo.step1[0]
+        assert run_multi.loss_history == run_solo.loss_history
+        assert run_multi.residual_history == run_solo.residual_history
+        assert multi.step2_costs[i] == solo.step2_costs[0]
+        assert np.array_equal(
+            self._flat(run_multi.params_c), self._flat(run_solo.params_c)
+        )
+
+    def test_ndarray_omegas_match_tuple(self, laplace_problem):
+        """Regression: an ndarray of ω is a valid candidate list."""
+        omegas = self.OMEGAS[:2]
+        as_tuple = omega_line_search(
+            self._pinn(laplace_problem), tuple(omegas), jobs=1
+        )
+        as_array = omega_line_search(
+            self._pinn(laplace_problem), np.array(omegas), jobs=1
+        )
+        self._assert_same(as_tuple, as_array)
+        assert as_array.omegas == as_tuple.omegas
+        with pytest.raises(ValueError):
+            omega_line_search(self._pinn(laplace_problem), np.array([]))
+
+    def test_recorder_gets_verdict_meta(self, laplace_problem):
+        from repro.obs import TraceRecorder
+
+        rec = TraceRecorder()
+        ls = omega_line_search(
+            self._pinn(laplace_problem), self.OMEGAS, recorder=rec, jobs=1
+        )
+        assert rec.meta["best_omega"] == ls.best_omega
+        assert rec.meta["step2_costs"] == ls.step2_costs
+        assert rec.meta["omega"] == self.OMEGAS[-1]
+        assert len(rec.iterations) == len(self.OMEGAS) * self.CFG.epochs
+
     def test_failed_candidate_dropped_not_fatal(self, laplace_problem):
         ls = omega_line_search(self._pinn(laplace_problem, _FailingPINN),
                                self.OMEGAS, jobs=2)
@@ -216,99 +302,6 @@ class TestLineSearchParallel:
         with pytest.raises(TaskError, match="omega"):
             omega_line_search(pinn, [1e-2, 1.0], jobs=2)
 
-
-
-class TestLineSearchBatched:
-    """vbatch'd ω line search vs the serial loop, plus the N_ω == 1
-    regression: every path (serial, batched, parallel, degenerate
-    single-candidate) derives the per-ω seed from ``(cfg.seed, ω)``, so
-    one candidate's result is bitwise the same everywhere it appears."""
-
-    CFG = PINNTrainConfig(epochs=40, lr=2e-3, n_interior=60, n_boundary=10, seed=0)
-    OMEGAS = [1e-2, 1e-1, 1.0]
-
-    def _pinn(self, laplace_problem):
-        return LaplacePINN(
-            laplace_problem, state_hidden=(8,), control_hidden=(6,),
-            config=self.CFG,
-        )
-
-    @staticmethod
-    def _flat(params):
-        out = []
-        for layer in params:
-            out.append(layer["W"].ravel())
-            out.append(layer["b"].ravel())
-        return np.concatenate(out)
-
-    def _assert_same(self, a: LineSearchResult, b: LineSearchResult):
-        assert b.best_omega == a.best_omega
-        assert b.best_cost == a.best_cost
-        assert b.step2_costs == a.step2_costs
-        assert np.array_equal(
-            self._flat(b.params_u_retrained), self._flat(a.params_u_retrained)
-        )
-        assert np.array_equal(self._flat(b.params_c), self._flat(a.params_c))
-        for ra, rb in zip(a.step1, b.step1):
-            assert rb.loss_history == ra.loss_history
-            assert rb.cost_history == ra.cost_history
-            assert rb.residual_history == ra.residual_history
-            assert np.array_equal(
-                self._flat(rb.params_u), self._flat(ra.params_u)
-            )
-            assert np.array_equal(
-                self._flat(rb.params_c), self._flat(ra.params_c)
-            )
-
-    def test_batched_bitwise_identical_to_serial(self, laplace_problem):
-        serial = omega_line_search(self._pinn(laplace_problem), self.OMEGAS)
-        batched = omega_line_search(
-            self._pinn(laplace_problem), self.OMEGAS, batch=True
-        )
-        self._assert_same(serial, batched)
-
-    def test_batch_composes_with_jobs(self, laplace_problem):
-        serial = omega_line_search(self._pinn(laplace_problem), self.OMEGAS)
-        two_level = omega_line_search(
-            self._pinn(laplace_problem), self.OMEGAS, batch=True, jobs=2
-        )
-        self._assert_same(serial, two_level)
-
-    def test_single_candidate_bitwise_across_all_paths(self, laplace_problem):
-        """Regression: the degenerate N_ω == 1 run must reuse the same
-        derived ``(cfg.seed, ω)`` key as any multi-candidate run that
-        includes the same ω — serial, batched, and parallel alike."""
-        omega = self.OMEGAS[1]
-        solo = omega_line_search(self._pinn(laplace_problem), [omega])
-        solo_batch = omega_line_search(
-            self._pinn(laplace_problem), [omega], batch=True
-        )
-        solo_jobs = omega_line_search(
-            self._pinn(laplace_problem), [omega], jobs=2
-        )
-        self._assert_same(solo, solo_batch)
-        self._assert_same(solo, solo_jobs)
-
-        multi = omega_line_search(
-            self._pinn(laplace_problem), self.OMEGAS, batch=True
-        )
-        i = multi.omegas.index(omega)
-        run_multi, run_solo = multi.step1[i], solo.step1[0]
-        assert run_multi.loss_history == run_solo.loss_history
-        assert multi.step2_costs[i] == solo.step2_costs[0]
-        assert np.array_equal(
-            self._flat(run_multi.params_c), self._flat(run_solo.params_c)
-        )
-
-    def test_batched_recorder_gets_verdict_meta(self, laplace_problem):
-        from repro.obs import TraceRecorder
-
-        rec = TraceRecorder()
-        ls = omega_line_search(
-            self._pinn(laplace_problem), self.OMEGAS, recorder=rec, batch=True
-        )
-        assert rec.meta["best_omega"] == ls.best_omega
-        assert rec.meta["step2_costs"] == ls.step2_costs
 
 
 class TestNavierStokesPINN:

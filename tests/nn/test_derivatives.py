@@ -114,85 +114,3 @@ class TestWeightGradients:
             fd = (fp - fm) / (2 * h)
             assert abs(fd - gleaves[li][idx]) < 1e-6 * max(1.0, abs(fd))
 
-
-class TestEnsembleDerivatives:
-    """mlp_ensemble_with_derivatives: one vbatch trace over N parameter
-    sets must reproduce every per-network result bitwise, and gradients
-    must flow back to the stacked leaves."""
-
-    N = 3
-
-    @staticmethod
-    def _stack(params_list):
-        flats = [tree_flatten(p) for p in params_list]
-        treedef = flats[0][1]
-        leaves = [
-            np.stack([np.asarray(f[0][i]) for f in flats])
-            for i in range(len(flats[0][0]))
-        ]
-        return tree_unflatten(treedef, leaves), treedef
-
-    def _nets(self, arch):
-        in_dim, hidden, out_dim = arch
-        m = MLP(in_dim, hidden, out_dim)
-        params = [m.init_params(seed) for seed in range(self.N)]
-        X = np.random.default_rng(23).uniform(-1, 1, (6, in_dim))
-        return m, params, X
-
-    @pytest.mark.parametrize(
-        "arch",
-        [(2, (12, 12), 2), (2, (8,), 1), (3, (5, 5), 4)],
-        ids=["2-12-12-2", "2-8-1", "3-5-5-4"],
-    )
-    def test_slices_bitwise_match_per_network(self, arch):
-        from repro.nn.derivatives import mlp_ensemble_with_derivatives
-
-        m, params, X = self._nets(arch)
-        stacked, _ = self._stack(params)
-        u, du, d2u = mlp_ensemble_with_derivatives(m, stacked, X)
-        assert u.shape == (self.N, X.shape[0], arch[2])
-        for j in range(self.N):
-            uj, duj, d2uj = mlp_with_derivatives(m, params[j], X)
-            assert np.array_equal(u.data[j], uj.data), f"u slice {j}"
-            for i in range(arch[0]):
-                assert np.array_equal(du[i].data[j], duj[i].data)
-                assert np.array_equal(d2u[i].data[j], d2uj[i].data)
-
-    def test_need_second_false(self):
-        from repro.nn.derivatives import mlp_ensemble_with_derivatives
-
-        m, params, X = self._nets((2, (8,), 1))
-        stacked, _ = self._stack(params)
-        u, du, d2u = mlp_ensemble_with_derivatives(m, stacked, X, need_second=False)
-        assert d2u == []
-        assert len(du) == 2 and du[0].shape == (self.N, X.shape[0], 1)
-
-    def test_gradients_match_per_network(self):
-        from repro.nn.derivatives import mlp_ensemble_with_derivatives
-
-        m, params, X = self._nets((2, (6, 6), 1))
-
-        def loss_one(p):
-            u, du, d2u = mlp_with_derivatives(m, p, X)
-            return ops.mean(ops.square(d2u[0] + d2u[1])) + ops.mean(ops.square(u))
-
-        stacked, treedef = self._stack(params)
-
-        def loss_stacked(p):
-            u, du, d2u = mlp_ensemble_with_derivatives(m, p, X)
-            lap = d2u[0] + d2u[1]
-            # Mean over everything except the ensemble axis, then sum:
-            # gradient slice j == gradient of loss_one(params[j]).
-            return ops.sum_(
-                ops.mean(ops.square(lap), axis=(1, 2))
-                + ops.mean(ops.square(u), axis=(1, 2))
-            )
-
-        _, grads = value_and_grad_tree(loss_stacked)(stacked)
-        gstack, _ = tree_flatten(grads)
-        for j in range(self.N):
-            _, gj = value_and_grad_tree(loss_one)(params[j])
-            for gs, g1 in zip(gstack, tree_flatten(gj)[0]):
-                np.testing.assert_allclose(
-                    np.asarray(gs)[j], np.asarray(g1), rtol=0, atol=1e-12
-                )

@@ -107,8 +107,8 @@ def adam_problems(draw):
 
     ``nested`` mimics the PINN's ``{"u": [...], "c": {...}}`` pair and
     zeroes one subtree's gradient on alternate steps (the alternating
-    scheme); ``stacked`` gives every leaf a shared leading axis (the
-    batched line search).
+    scheme); ``stacked`` gives every leaf a shared leading axis (a
+    ``vbatch`` population).
     """
     layout = draw(st.sampled_from(LAYOUTS))
     shapes = draw(st.lists(array_shapes(min_dims=0, max_dims=3, max_side=4),
