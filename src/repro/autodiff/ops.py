@@ -390,7 +390,7 @@ def maximum(a: ArrayLike, b: ArrayLike) -> Tensor:
     ta, tb = tensor(a), tensor(b)
     x, y = ta.data, tb.data
     out = np.maximum(x, y)
-    mask = x >= y
+    mask = np.asarray(x >= y)  # a 0-d comparison gives a bool scalar
 
     # fwd refreshes the tie mask in place so the VJP closures (which
     # capture it by reference) stay valid when input values change.
@@ -416,7 +416,7 @@ def minimum(a: ArrayLike, b: ArrayLike) -> Tensor:
     ta, tb = tensor(a), tensor(b)
     x, y = ta.data, tb.data
     out = np.minimum(x, y)
-    mask = x <= y
+    mask = np.asarray(x <= y)
 
     def fwd(o: np.ndarray, x=x, y=y, m=mask) -> None:
         np.minimum(x, y, out=o)
@@ -459,7 +459,7 @@ def clip(a: ArrayLike, lo: float, hi: float) -> Tensor:
     ta = tensor(a)
     x = ta.data
     out = np.clip(x, lo, hi)
-    mask = (x >= lo) & (x <= hi)
+    mask = np.asarray((x >= lo) & (x <= hi))
 
     def fwd(o: np.ndarray, x=x, m=mask) -> None:
         np.clip(x, lo, hi, out=o)

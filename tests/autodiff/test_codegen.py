@@ -122,6 +122,70 @@ def test_codegen_stacked_matmul_parity(sa, sb):
 
 
 # ----------------------------------------------------------------------
+# Binary elementwise ops: every unbroadcast plan of every VJP slot
+# ----------------------------------------------------------------------
+BROADCAST_SHAPES = [(), (3,), (4, 3), (4, 1), (1, 3)]
+BINARY_OPS = {
+    "add": ops.add, "sub": ops.sub, "mul": ops.mul, "div": ops.div,
+    "power": ops.power, "maximum": ops.maximum, "minimum": ops.minimum,
+    # a fixed checkerboard condition over the broadcast output shape
+    "where": lambda a, b: ops.where(
+        np.indices(np.broadcast_shapes(np.shape(asdata(a)), np.shape(asdata(b))))
+        .sum(axis=0) % 2 == 0,
+        a, b,
+    ),
+}
+BROADCAST_CASES = [
+    (name, sa, sb, diff)
+    for name in BINARY_OPS
+    for sa in BROADCAST_SHAPES
+    for sb in BROADCAST_SHAPES
+    for diff in ((0, 1), (0,), (1,))  # both traced; b constant; a constant
+]
+
+
+@pytest.mark.parametrize(
+    "name,sa,sb,diff", BROADCAST_CASES,
+    ids=[f"{n}-{sa}-{sb}-d{''.join(map(str, d))}" for n, sa, sb, d in BROADCAST_CASES],
+)
+def test_codegen_binary_broadcast_slot_parity(name, sa, sb, diff):
+    rng = np.random.default_rng(zlib.crc32(f"{name}{sa}{sb}".encode()))
+    a, b = rng.uniform(0.5, 2.0, sa), rng.uniform(0.5, 2.0, sb)
+    f = BINARY_OPS[name]
+
+    def loss(x, y):
+        return ops.sum_(ops.square(f(x, y)))
+
+    _assert_tier_matches_eager(loss, (a, b), diff, f"{name} {sa} {sb} d{diff}")
+
+
+@pytest.mark.parametrize("shape", BROADCAST_SHAPES, ids=str)
+@pytest.mark.parametrize("name", list(BINARY_OPS))
+def test_codegen_binary_same_operand_parity(name, shape):
+    # f(x, x): both slots push into one cotangent (ties for max/min).
+    x = np.random.default_rng(zlib.crc32(f"{name}{shape}".encode())).uniform(
+        0.5, 2.0, shape
+    )
+    f = BINARY_OPS[name]
+    _assert_tier_matches_eager(
+        lambda t: ops.sum_(ops.square(f(t, t))), (x,), 0, f"{name}(x, x) {shape}"
+    )
+
+
+@pytest.mark.parametrize("op", [
+    lambda a: ops.maximum(a, 0.7),
+    lambda a: ops.minimum(a, 0.7),
+    lambda a: ops.clip(a, -1.0, 0.7),
+], ids=["maximum", "minimum", "clip"])
+def test_codegen_zero_dim_selection_ops_compile(op):
+    # A 0-d comparison yields a NumPy bool scalar, not a buffer: the tie
+    # mask must still be an array the forward can refresh in place.
+    _assert_tier_matches_eager(
+        lambda a: ops.sum_(op(a)), (np.array(1.2),), 0, "0-d selection"
+    )
+
+
+# ----------------------------------------------------------------------
 # Solve-family programs lower WITHOUT falling back (opaque closures run
 # inside the generated source via recorded F/V callbacks)
 # ----------------------------------------------------------------------
