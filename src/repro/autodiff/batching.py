@@ -60,6 +60,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Un
 
 import numpy as np
 
+from repro.autodiff.elementwise import ELEMENTWISE
 from repro.autodiff.tensor import Tensor, asdata, no_grad, tensor
 
 __all__ = [
@@ -460,36 +461,16 @@ def _binary_rule(raw: Callable, a, b, **kwargs) -> BatchTracer:
     return BatchTracer(raw(ia, ib, **kwargs))
 
 
-_UNARY_NAMES = (
-    "neg",
-    "square",
-    "sqrt",
-    "abs",
-    "exp",
-    "log",
-    "sin",
-    "cos",
-    "tanh",
-    "sinh",
-    "cosh",
-    "arctan",
-    "sigmoid",
-    "clip",
-)
-_BINARY_NAMES = ("add", "sub", "mul", "div", "power", "maximum", "minimum")
-
-for _n in _UNARY_NAMES:
-    _BATCH_RULES[_n] = _unary_rule
-for _n in _BINARY_NAMES:
-    _BATCH_RULES[_n] = _binary_rule
-
-
-@register_rule("where")
 def _where_rule(raw, cond, a, b):
     c, x, y = _align_item_ranks([cond, a, b])
     if isinstance(cond, BatchTracer):  # a traced condition is just data
         c = c.data
     return BatchTracer(raw(c, x, y))
+
+
+_ELEMENTWISE_RULES = {"unary": _unary_rule, "binary": _binary_rule, "where": _where_rule}
+for _e in ELEMENTWISE.values():
+    _BATCH_RULES[_e.name] = _ELEMENTWISE_RULES[_e.batch]
 
 
 # ----------------------------------------------------------------------

@@ -46,6 +46,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.autodiff.elementwise import (
+    ELEMENTWISE,
+    IDENTITY,
+    NEGATE,
+    bind,
+    call,
+    in_place,
+)
 from repro.autodiff.lowering import (
     ArenaPlanner,
     BwdStep,
@@ -57,28 +65,6 @@ from repro.autodiff.lowering import (
 )
 
 __all__ = ["CodegenProgram", "codegen_program"]
-
-
-_UNARY = {
-    "neg": "negative",
-    "sqrt": "sqrt",
-    "abs": "abs",
-    "exp": "exp",
-    "log": "log",
-    "sin": "sin",
-    "cos": "cos",
-    "tanh": "tanh",
-    "sinh": "sinh",
-    "cosh": "cosh",
-    "arctan": "arctan",
-}
-_BINARY = {
-    "add": "add",
-    "sub": "subtract",
-    "mul": "multiply",
-    "div": "divide",
-    "power": "power",
-}
 
 
 class _Segment:
@@ -113,7 +99,6 @@ class _Emitter:
         self._const_names: Dict[int, str] = {}
         self.valname: Dict[int, str] = {}
         self.cotname: Dict[int, str] = {}
-        self._notmask: Dict[int, str] = {}
 
         for ir in self.nodes:
             if not ir.value_transient:
@@ -146,8 +131,9 @@ class _Emitter:
             s = self.nodes[st.src]
             if not s.symbolic_bwd:
                 continue
+            entry = ELEMENTWISE.get(s.op)
             p = s.arg_pos[st.slot] if s.arg_pos else 0
-            if s.op == "add" or (s.op == "sub" and p == 0):
+            if entry is not None and entry.vjp[p] == IDENTITY:
                 ok = unbroadcast_plan(s.shape, d.shape) is None
             else:
                 ok = s.op in ("reshape", "transpose")
@@ -234,6 +220,18 @@ class _Emitter:
             return self.bval(r) if bwd else self.val(r)
         return self.const(self.lw.consts[r][1])
 
+    def symbol(self, ir: IRNode, sym: str, g: Optional[str] = None) -> str:
+        """Source for one table symbol of ``ir`` (see
+        :mod:`repro.autodiff.elementwise`); ``g`` is given in backward code."""
+        bwd = g is not None
+        if sym == "g":
+            return g
+        if sym == "out":
+            return self.bval(ir.idx)
+        if sym in ("x", "y"):
+            return self.ref(ir, "xy".index(sym), bwd)
+        return self.literal(ir.params[sym])
+
     def cot_target(self, st: BwdStep) -> str:
         idx = st.dst
         name = self.cotname.get(idx)
@@ -293,43 +291,21 @@ class _Emitter:
             self.line(f"{name}({self.val(ir.idx)})")
             return
         o = self.def_val(ir)
+        entry = ELEMENTWISE.get(op)
+        if entry is not None:
+            def resolve(sym: str) -> str:
+                return self.symbol(ir, sym)
+
+            fwd = bind(entry.fwd, resolve)
+            lines = [f"np.copyto({o}, {fwd})"] if isinstance(fwd, str) else in_place(fwd, o)
+            for name, aux in entry.aux:
+                m = self.literal(ir.params[name])
+                lines += in_place(bind(aux, resolve), m)
+            for line in lines:
+                self.line(line)
+            return
         a = [self.ref(ir, k) for k in range(len(ir.args))]
-        if op in _BINARY:
-            self.line(f"np.{_BINARY[op]}({a[0]}, {a[1]}, out={o})")
-        elif op in _UNARY:
-            self.line(f"np.{_UNARY[op]}({a[0]}, out={o})")
-        elif op == "square":
-            self.line(f"np.multiply({a[0]}, {a[0]}, out={o})")
-        elif op == "sigmoid":
-            self.line(f"np.negative({a[0]}, out={o})")
-            self.line(f"np.exp({o}, out={o})")
-            self.line(f"{o} += 1.0")
-            self.line(f"np.divide(1.0, {o}, out={o})")
-        elif op in ("maximum", "minimum"):
-            m = self.const(ir.params["mask"])
-            nm = self._notmask.setdefault(
-                ir.idx, self.const(np.empty_like(ir.params["mask"]))
-            )
-            uf = "maximum" if op == "maximum" else "minimum"
-            cmp = "greater_equal" if op == "maximum" else "less_equal"
-            self.line(f"np.{uf}({a[0]}, {a[1]}, out={o})")
-            self.line(f"np.{cmp}({a[0]}, {a[1]}, out={m})")
-            self.line(f"np.logical_not({m}, out={nm})")
-        elif op == "where":
-            m = self.const(ir.params["mask"])
-            nm = self._notmask.setdefault(
-                ir.idx, self.const(np.logical_not(ir.params["mask"]))
-            )
-            self.line(f"np.copyto({o}, {a[0]}, where={m})")
-            self.line(f"np.copyto({o}, {a[1]}, where={nm})")
-        elif op == "clip":
-            m = self.const(ir.params["mask"])
-            lo = self.literal(ir.params["lo"])
-            hi = self.literal(ir.params["hi"])
-            self.line(f"np.clip({a[0]}, {lo}, {hi}, out={o})")
-            self.line(f"np.greater_equal({a[0]}, {lo}, out={m})")
-            self.line(f"np.logical_and({m}, {a[0]} <= {hi}, out={m})")
-        elif op in ("sum", "mean"):
+        if op in ("sum", "mean"):
             axis = ir.params["axis"]
             kd = ir.params["keepdims"]
             self.line(f"{a[0]}.{op}(axis={axis!r}, keepdims={kd!r}, out={o})")
@@ -367,38 +343,17 @@ class _Emitter:
             e = f"(-{src})" if negate else src
             self._accumulate(st, t, self._plan_expr(e, plan, S))
 
-    def push_ufunc(self, st: BwdStep, uf: str, args: Sequence[str], O, S, dtype) -> None:
-        plan = unbroadcast_plan(O, S)
-        t = self.cot_target(st)
-        call = ", ".join(args)
-        if plan is None and st.first:
-            self.line(f"np.{uf}({call}, out={t})")
-            return
-        s = self.scratch(O, dtype)
-        self.line(f"np.{uf}({call}, out={s})")
-        if plan is None:
-            self.line(f"{t} += {s}")
-        else:
-            self._accumulate(st, t, self._plan_expr(s, plan, S))
-
     def push_chain(self, st: BwdStep, steps, O, S, dtype) -> None:
         plan = unbroadcast_plan(O, S)
         t = self.cot_target(st)
         direct = plan is None and st.first
-
-        def emit_step(uf, ops, out, s):
-            ops2 = ", ".join(s if o == "__" else o for o in ops)
-            self.line(f"np.{uf}({ops2}, out={out})")
-
         if direct and len(steps) == 1:
-            uf, ops = steps[0]
-            emit_step(uf, ops, t, "")
+            self.line(call(steps[0], "", t))
             return
         s = self.scratch(O, dtype)
         last = len(steps) - 1
-        for i, (uf, ops) in enumerate(steps):
-            out = t if (direct and i == last) else s
-            emit_step(uf, ops, out, s)
+        for i, step in enumerate(steps):
+            self.line(call(step, s, t if (direct and i == last) else s))
         if direct:
             return
         if plan is None:
@@ -457,103 +412,10 @@ class _Emitter:
 
         op = s.op
         p = s.arg_pos[st.slot] if s.arg_pos else 0
+        entry = ELEMENTWISE.get(op)
 
-        if op == "add":
-            self.push_identity(st, g, O, S)
-        elif op == "sub":
-            self.push_identity(st, g, O, S, negate=(p == 1))
-        elif op == "neg":
-            self.push_identity(st, g, O, S, negate=True)
-        elif op == "mul":
-            other = self.ref(s, 1 - p, bwd=True)
-            self.push_ufunc(st, "multiply", [g, other], O, S, dt)
-        elif op == "div":
-            x, y = self.ref(s, 0, bwd=True), self.ref(s, 1, bwd=True)
-            if p == 0:
-                self.push_ufunc(st, "divide", [g, y], O, S, dt)
-            else:
-                self.push_chain(
-                    st,
-                    [
-                        ("negative", [g]),
-                        ("multiply", ["__", x]),
-                        ("divide", ["__", f"({y} * {y})"]),
-                    ],
-                    O, S, dt,
-                )
-        elif op == "power":
-            x, y = self.ref(s, 0, bwd=True), self.ref(s, 1, bwd=True)
-            self.push_expr(st, f"{g} * {y} * {x} ** ({y} - 1.0)", O, S)
-        elif op == "square":
-            x = self.ref(s, 0, bwd=True)
-            self.push_chain(
-                st, [("multiply", ["2.0", g]), ("multiply", ["__", x])], O, S, dt
-            )
-        elif op == "sqrt":
-            o = self.bval(st.src)
-            self.push_expr(st, f"{g} * 0.5 / np.where({o} > 0, {o}, np.inf)", O, S)
-        elif op == "abs":
-            x = self.ref(s, 0, bwd=True)
-            self.push_chain(st, [("sign", [x]), ("multiply", [g, "__"])], O, S, dt)
-        elif op == "exp":
-            self.push_ufunc(st, "multiply", [g, self.bval(st.src)], O, S, dt)
-        elif op == "log":
-            self.push_ufunc(st, "divide", [g, self.ref(s, 0, bwd=True)], O, S, dt)
-        elif op == "sin":
-            x = self.ref(s, 0, bwd=True)
-            self.push_chain(st, [("cos", [x]), ("multiply", [g, "__"])], O, S, dt)
-        elif op == "cos":
-            x = self.ref(s, 0, bwd=True)
-            self.push_chain(
-                st,
-                [("sin", [x]), ("multiply", [g, "__"]), ("negative", ["__"])],
-                O, S, dt,
-            )
-        elif op == "tanh":
-            cse = self.lw.cse_tanh.get(st.src)
-            if cse is not None:
-                # The forward taped ``1 - tanh^2`` (derivative
-                # propagation); reuse it — one multiply instead of the
-                # three-kernel recomputation, bitwise-identical.
-                self.push_ufunc(st, "multiply", [g, self.bval(cse)], O, S, dt)
-            else:
-                o = self.bval(st.src)
-                self.push_chain(
-                    st,
-                    [
-                        ("multiply", [o, o]),
-                        ("subtract", ["1.0", "__"]),
-                        ("multiply", [g, "__"]),
-                    ],
-                    O, S, dt,
-                )
-        elif op == "sinh":
-            x = self.ref(s, 0, bwd=True)
-            self.push_chain(st, [("cosh", [x]), ("multiply", [g, "__"])], O, S, dt)
-        elif op == "cosh":
-            x = self.ref(s, 0, bwd=True)
-            self.push_chain(st, [("sinh", [x]), ("multiply", [g, "__"])], O, S, dt)
-        elif op == "arctan":
-            x = self.ref(s, 0, bwd=True)
-            self.push_chain(
-                st,
-                [("multiply", [x, x]), ("add", ["1.0", "__"]), ("divide", [g, "__"])],
-                O, S, dt,
-            )
-        elif op == "sigmoid":
-            o = self.bval(st.src)
-            self.push_expr(st, f"{g} * {o} * (1.0 - {o})", O, S)
-        elif op in ("maximum", "minimum"):
-            m = self.const(s.params["mask"])
-            mask = m if p == 0 else self._notmask[st.src]
-            self.push_ufunc(st, "multiply", [g, mask], O, S, dt)
-        elif op == "where":
-            m = self.const(s.params["mask"])
-            e = f"np.where({m}, {g}, 0.0)" if p == 0 else f"np.where({m}, 0.0, {g})"
-            self.push_expr(st, e, O, S)
-        elif op == "clip":
-            m = self.const(s.params["mask"])
-            self.push_ufunc(st, "multiply", [g, m], O, S, dt)
+        if entry is not None:
+            self._push_elementwise(st, s, entry.vjp[p], g, O, S, dt)
         elif op in ("sum", "mean"):
             self._push_reduction(st, s, g, S)
         elif op == "matmul":
@@ -567,6 +429,24 @@ class _Emitter:
             self._push_scatter(st, s, g, S, d.dtype)
         else:  # pragma: no cover
             raise LoweringError(f"no backward emitter for op {op!r}")
+
+    def _push_elementwise(self, st: BwdStep, s: IRNode, rule, g: str, O, S, dt) -> None:
+        cse = self.lw.cse_tanh.get(st.src)
+        if rule == IDENTITY:
+            self.push_identity(st, g, O, S)
+        elif rule == NEGATE:
+            self.push_identity(st, g, O, S, negate=True)
+        elif cse is not None:
+            # The forward taped ``1 - tanh^2`` (derivative propagation);
+            # reuse it — one multiply instead of the three-kernel
+            # recomputation, bitwise-identical.
+            self.push_chain(st, [("multiply", g, self.bval(cse))], O, S, dt)
+        else:
+            rule = bind(rule, lambda sym: self.symbol(s, sym, g))
+            if isinstance(rule, str):
+                self.push_expr(st, rule, O, S)
+            else:
+                self.push_chain(st, rule, O, S, dt)
 
     def _push_reduction(self, st: BwdStep, s: IRNode, g: str, S) -> None:
         axis = s.params["axis"]
@@ -590,18 +470,18 @@ class _Emitter:
         meta_a, meta_b = s.node._meta[0]
         na, nb = meta_a.ndim, meta_b.ndim
         if (na, nb) == (2, 2):
-            args = [g, f"{B}.T"] if p == 0 else [f"{A}.T", g]
-            self.push_ufunc(st, "matmul", args, S, S, dt)
+            args = (g, f"{B}.T") if p == 0 else (f"{A}.T", g)
+            self.push_chain(st, [("matmul", *args)], S, S, dt)
         elif (na, nb) == (2, 1):
             if p == 0:  # np.outer(g, B)
-                self.push_ufunc(st, "multiply", [f"{g}[:, None]", B], S, S, dt)
+                self.push_chain(st, [("multiply", f"{g}[:, None]", B)], S, S, dt)
             else:
-                self.push_ufunc(st, "matmul", [f"{A}.T", g], S, S, dt)
+                self.push_chain(st, [("matmul", f"{A}.T", g)], S, S, dt)
         elif (na, nb) == (1, 2):
             if p == 0:
-                self.push_ufunc(st, "matmul", [B, g], S, S, dt)
+                self.push_chain(st, [("matmul", B, g)], S, S, dt)
             else:  # np.outer(A, g)
-                self.push_ufunc(st, "multiply", [f"{A}[:, None]", g], S, S, dt)
+                self.push_chain(st, [("multiply", f"{A}[:, None]", g)], S, S, dt)
         elif na >= 2 and nb >= 2:
             # Stacked operands: eager's general formulas
             #   dA = unbroadcast(g @ swapaxes(B, -1, -2), A.shape)
@@ -616,10 +496,10 @@ class _Emitter:
 
             if p == 0:
                 O2 = batch + (meta_a.shape[-2], meta_a.shape[-1])
-                self.push_ufunc(st, "matmul", [g, swapT(B, nb)], O2, S, dt)
+                self.push_chain(st, [("matmul", g, swapT(B, nb))], O2, S, dt)
             else:
                 O2 = batch + (meta_b.shape[-2], meta_b.shape[-1])
-                self.push_ufunc(st, "matmul", [swapT(A, na), g], O2, S, dt)
+                self.push_chain(st, [("matmul", swapT(A, na), g)], O2, S, dt)
         else:  # pragma: no cover - classification keeps other combos opaque
             raise LoweringError(f"matmul combo ({na}, {nb}) is not symbolic")
 

@@ -47,6 +47,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.autodiff.elementwise import ELEMENTWISE
 from repro.autodiff.tensor import Tensor, VIEW_FWD, _topological_order
 
 __all__ = [
@@ -55,8 +56,6 @@ __all__ = [
     "IRNode",
     "LoweredProgram",
     "LoweringError",
-    "OpSpec",
-    "ELEMWISE_SPECS",
     "REDUCTION_OPS",
     "lower",
     "unbroadcast_plan",
@@ -66,65 +65,6 @@ __all__ = [
 class LoweringError(RuntimeError):
     """Raised when a program cannot be lowered (caller falls back)."""
 
-
-# ----------------------------------------------------------------------
-# Op specs: what the symbolic backward of each elementwise op reads
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class OpSpec:
-    """Static lowering facts for one elementwise primitive.
-
-    ``reads_out`` — some emitted VJP references the node's own output
-    buffer (``exp``, ``tanh``, ...), which pins the value buffer across
-    the forward→backward boundary.  ``reads_args[j]`` — the set of
-    operand positions whose *values* the VJP for parent-arg ``j`` reads;
-    any node sitting in one of those positions must keep its value alive
-    into the backward sweep.  ``masks`` names the auxiliary mask buffers
-    the forward refreshes for the backward (``maximum``/``clip``).
-    """
-
-    name: str
-    nargs: int
-    reads_out: bool = False
-    reads_args: Tuple[Tuple[int, ...], ...] = ()
-    masks: Tuple[str, ...] = ()
-
-
-def _spec(name, nargs, reads_out=False, reads_args=None, masks=()):
-    if reads_args is None:
-        reads_args = tuple(() for _ in range(nargs))
-    return OpSpec(name, nargs, reads_out, tuple(tuple(r) for r in reads_args), masks)
-
-
-#: Elementwise primitives the codegen backend lowers symbolically.
-ELEMWISE_SPECS: Dict[str, OpSpec] = {
-    s.name: s
-    for s in [
-        _spec("add", 2),
-        _spec("sub", 2),
-        _spec("mul", 2, reads_args=((1,), (0,))),
-        _spec("div", 2, reads_args=((1,), (0, 1))),
-        _spec("neg", 1),
-        # base-branch only; an exponent on the tape makes the node opaque
-        _spec("power", 2, reads_args=((0, 1), (0, 1))),
-        _spec("square", 1, reads_args=((0,),)),
-        _spec("sqrt", 1, reads_out=True),
-        _spec("abs", 1, reads_args=((0,),)),
-        _spec("exp", 1, reads_out=True),
-        _spec("log", 1, reads_args=((0,),)),
-        _spec("sin", 1, reads_args=((0,),)),
-        _spec("cos", 1, reads_args=((0,),)),
-        _spec("tanh", 1, reads_out=True),
-        _spec("sinh", 1, reads_args=((0,),)),
-        _spec("cosh", 1, reads_args=((0,),)),
-        _spec("arctan", 1, reads_args=((0,),)),
-        _spec("sigmoid", 1, reads_out=True),
-        _spec("maximum", 2, masks=("mask", "notmask")),
-        _spec("minimum", 2, masks=("mask", "notmask")),
-        _spec("where", 2),
-        _spec("clip", 1, masks=("mask", "mask2")),
-    ]
-}
 
 #: Reductions with symbolic forward + backward (single-node groups).
 REDUCTION_OPS = ("sum", "mean")
@@ -405,7 +345,7 @@ def _classify(ir: IRNode) -> None:
     if meta is None:
         ir.kind = "opaque"
         return
-    if op in ELEMWISE_SPECS:
+    if op in ELEMENTWISE:
         ir.kind = "elemwise"
         ir.symbolic_fwd = True
         ir.symbolic_bwd = True
@@ -437,7 +377,7 @@ def _resolve_args(ir: IRNode, nodes: List[IRNode], pos: Dict[int, int], consts) 
 
     Returns False (→ opaque) when a parent's buffer cannot be identified
     among the recorded operands, or a differentiated operand sits in a
-    position the emitter has no VJP for (``power`` exponents).
+    slot its table entry marks ``eager_only`` (``power`` exponents).
     """
     meta = ir.node._meta
     operands = meta[0] if meta else ()
@@ -464,8 +404,9 @@ def _resolve_args(ir: IRNode, nodes: List[IRNode], pos: Dict[int, int], consts) 
             if key not in consts:
                 consts[key] = (f"c{len(consts)}", arg)
             ir.args.append(("const", key))
-    if ir.op == "power" and any(p == 1 for p in ir.arg_pos):
-        return False  # exponent on the tape: no symbolic VJP
+    entry = ELEMENTWISE.get(ir.op)
+    if entry is not None and any(p in entry.eager_only for p in ir.arg_pos):
+        return False  # e.g. a ``power`` exponent on the tape
     return True
 
 
@@ -591,15 +532,15 @@ def lower(
     for ir in nodes:
         if not ir.symbolic_bwd:
             continue
-        spec = ELEMWISE_SPECS.get(ir.op)
-        if spec is not None and spec.reads_out and ir.parents:
+        entry = ELEMENTWISE.get(ir.op)
+        if entry is not None and entry.reads_out and ir.parents:
             needed_in_bwd.add(ir.idx)
         read_positions: Set[int] = set()
         if ir.kind == "matmul":
             read_positions = {0, 1}
-        elif spec is not None:
+        elif entry is not None:
             for j in range(len(ir.parents)):
-                read_positions.update(spec.reads_args[ir.arg_pos[j]])
+                read_positions.update(entry.reads_args[ir.arg_pos[j]])
         for k in read_positions:
             kind, ref = ir.args[k]
             if kind == "node":

@@ -5,6 +5,12 @@ Python loops over elements — see the HPC guides) and records one VJP closure
 per differentiable input.  The VJPs are standard; where broadcasting is
 possible the cotangent is reduced with :func:`~repro.autodiff.tensor.unbroadcast`.
 
+The elementwise primitives (``add`` … ``clip``) are not written out here:
+each is one entry of :mod:`repro.autodiff.elementwise`, from which
+:func:`_build_elementwise` generates the public function at import time.
+Matmul, reductions, views and ``concatenate``/``stack`` are written by
+hand below.
+
 Primitives accept raw arrays or :class:`~repro.autodiff.tensor.Tensor`
 inputs interchangeably.
 
@@ -16,25 +22,40 @@ value **in place** from the parent buffers it captured by reference at trace
 time.  Because the VJP closures capture those same arrays by reference, a
 recorded tape can be re-executed for new input values without rebuilding a
 single Tensor or closure — the compiled tier (:mod:`repro.autodiff.compile`)
-calls it for every op it cannot lower.  Three rules keep replay sound:
+calls it for every op it cannot lower.  For a tabled elementwise op both
+kinds of closure are built from its entry: ``fwd`` runs the entry's forward
+and ``aux`` step chains in place, and each VJP closure evaluates the
+entry's VJP for its operand over the captured operand arrays (and the
+output buffer, when the VJP reads ``out``) — the same ufuncs, in the same
+order, as the kernel the compiled tier emits.  Three rules keep replay
+sound:
 
 1. ``fwd`` writes only into the supplied buffer (plus any value-dependent
-   auxiliaries such as the ``maximum`` tie mask, which it refreshes in
-   place so the captured VJP closures stay current);
+   auxiliaries — an entry's ``aux`` buffers, such as the ``maximum`` tie
+   mask — which it refreshes in place so the captured VJP closures stay
+   current);
 2. an op whose output *aliases* a parent buffer (reshape/transpose views,
    basic-index views) records the :data:`~repro.autodiff.tensor.VIEW_FWD`
    sentinel instead — the view updates for free when the parent does;
 3. VJPs never capture value-dependent temporaries that ``fwd`` does not
-   refresh (e.g. ``power``'s exponent branch recomputes from parent data).
+   refresh (e.g. ``power``'s exponent VJP recomputes ``log(a)`` from parent
+   data).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.autodiff.batching import composite, primitive
+from repro.autodiff.elementwise import (
+    ELEMENTWISE,
+    Elementwise,
+    in_place,
+    nest,
+    symbols,
+)
 from repro.autodiff.tensor import (
     ArrayLike,
     Tensor,
@@ -79,400 +100,75 @@ def _broadcast_view(
 
 
 # ----------------------------------------------------------------------
-# Arithmetic
+# Elementwise primitives: built from their table entries
 # ----------------------------------------------------------------------
-@primitive("add")
-def add(a: ArrayLike, b: ArrayLike) -> Tensor:
-    """Elementwise ``a + b`` with NumPy broadcasting."""
-    ta, tb = tensor(a), tensor(b)
-    x, y = ta.data, tb.data
-    out = x + y
-    return make_node(
-        out,
-        [
-            (ta, lambda g, s=x.shape: unbroadcast(g, s)),
-            (tb, lambda g, s=y.shape: unbroadcast(g, s)),
-        ],
-        "add",
-        fwd=lambda o, x=x, y=y: np.add(x, y, out=o),
-        meta=((x, y), None),
-    )
+def _build_elementwise(e: Elementwise) -> Callable:
+    """Generate ``ops.<name>`` for one table entry.
 
-
-@primitive("sub")
-def sub(a: ArrayLike, b: ArrayLike) -> Tensor:
-    """Elementwise ``a - b``."""
-    ta, tb = tensor(a), tensor(b)
-    x, y = ta.data, tb.data
-    out = x - y
-    return make_node(
-        out,
-        [
-            (ta, lambda g, s=x.shape: unbroadcast(g, s)),
-            (tb, lambda g, s=y.shape: unbroadcast(-g, s)),
-        ],
-        "sub",
-        fwd=lambda o, x=x, y=y: np.subtract(x, y, out=o),
-        meta=((x, y), None),
-    )
-
-
-@primitive("mul")
-def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
-    """Elementwise ``a * b``."""
-    ta, tb = tensor(a), tensor(b)
-    x, y = ta.data, tb.data
-    out = x * y
-    return make_node(
-        out,
-        [
-            (ta, lambda g, o=y, s=x.shape: unbroadcast(g * o, s)),
-            (tb, lambda g, o=x, s=y.shape: unbroadcast(g * o, s)),
-        ],
-        "mul",
-        fwd=lambda o, x=x, y=y: np.multiply(x, y, out=o),
-        meta=((x, y), None),
-    )
-
-
-@primitive("div")
-def div(a: ArrayLike, b: ArrayLike) -> Tensor:
-    """Elementwise ``a / b``."""
-    ta, tb = tensor(a), tensor(b)
-    x, y = ta.data, tb.data
-    out = x / y
-    return make_node(
-        out,
-        [
-            (ta, lambda g, d=y, s=x.shape: unbroadcast(g / d, s)),
-            (
-                tb,
-                lambda g, n=x, d=y, s=y.shape: unbroadcast(
-                    -g * n / (d * d), s
-                ),
-            ),
-        ],
-        "div",
-        fwd=lambda o, x=x, y=y: np.divide(x, y, out=o),
-        meta=((x, y), None),
-    )
-
-
-@primitive("neg")
-def neg(a: ArrayLike) -> Tensor:
-    """Elementwise negation."""
-    ta = tensor(a)
-    return make_node(
-        -ta.data,
-        [(ta, lambda g: -g)],
-        "neg",
-        fwd=lambda o, x=ta.data: np.negative(x, out=o),
-        meta=((ta.data,), None),
-    )
-
-
-@primitive("power")
-def power(a: ArrayLike, b: ArrayLike) -> Tensor:
-    """Elementwise ``a ** b`` differentiable in both arguments.
-
-    The exponent VJP uses ``log(a)`` and is therefore only valid for
-    positive bases when the exponent requires gradients; for the common
-    constant-exponent case (e.g. the cubic polyharmonic kernel ``r**3``)
-    only the base branch is recorded.
+    The source is what one would write by hand — forward, one VJP lambda
+    per operand, one replay closure — so a call costs what a hand-written
+    primitive costs.  Operands of a binary op may broadcast, so their
+    VJPs reduce with :func:`unbroadcast`.
     """
-    ta, tb = tensor(a), tensor(b)
-    out = ta.data ** tb.data
+    xs = e.operands
+    args = [p for p in e.params if p in ("a", "b")]
+    tens = ["t" + p for p in args]
+    sig = ", ".join(
+        f"{p}: {'float' if p in e.statics else 'ArrayLike'!r}" for p in e.params
+    )
+    src = [f"def {e.py_name}({sig}) -> 'Tensor':"]
+    if "cond" in e.params:
+        src.append("    mask = asdata(cond).astype(bool)")
+    src.append(f"    {', '.join(tens)} = {', '.join(f'tensor({p})' for p in args)}")
+    src.append(f"    {', '.join(xs)} = {', '.join(t + '.data' for t in tens)}")
 
-    def vjp_base(g: np.ndarray) -> np.ndarray:
-        return unbroadcast(g * tb.data * ta.data ** (tb.data - 1.0), ta.data.shape)
+    fwd, rest = (e.fwd, ()) if isinstance(e.fwd, str) else (nest(e.fwd[:1]), e.fwd[1:])
+    if e.reads_out or rest:  # VJPs and replay must hold the node's own buffer
+        fwd = f"np.asarray({fwd})"
+    src.append(f"    out = {fwd}")
+    src += ["    " + line for line in in_place(rest, "out")]
+    for name, chain in e.aux:
+        src.append(f"    {name} = np.asarray({nest(chain)})")
 
-    parents = [(ta, vjp_base)]
-    if tb.needs_tape():
+    aux_names = [name for name, _ in e.aux]
+    held = set(symbols(e.fwd)).union(*(symbols(c) for _, c in e.aux), aux_names)
+    src.append(f"    def fwd(o, {', '.join(f'{s}={s}' for s in sorted(held))}):")
+    if isinstance(e.fwd, str):
+        src.append(f"        np.copyto(o, {e.fwd})")
+    else:
+        src += ["        " + line for line in in_place(e.fwd, "o")]
+    for name, chain in e.aux:
+        src += ["        " + line for line in in_place(chain, name)]
 
-        def vjp_exp(g: np.ndarray) -> np.ndarray:
-            x, y = ta.data, tb.data
-            with np.errstate(divide="ignore", invalid="ignore"):
-                loga = np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), 0.0)
-            return unbroadcast(g * (x ** y) * loga, y.shape)
-
-        parents.append((tb, vjp_exp))
-    return make_node(
-        out,
-        parents,
-        "power",
-        fwd=lambda o, x=ta.data, y=tb.data: np.power(x, y, out=o),
-        meta=((ta.data, tb.data), None),
+    parents = []
+    for t, x, rule in zip(tens, xs, e.vjp):
+        body = rule if isinstance(rule, str) else nest(rule)
+        lam = ["g", *(f"{s}={s}" for s in sorted(symbols(rule) - {"g"}))]
+        if len(xs) == 2:
+            lam.append(f"s={x}.shape")
+            body = f"unbroadcast({body}, s)"
+        parents.append(f"({t}, lambda {', '.join(lam)}: {body})")
+    params = [*e.statics, *(["mask"] if "cond" in e.params else []), *aux_names]
+    meta = "{" + ", ".join(f"{p!r}: {p}" for p in params) + "}" if params else "None"
+    src.append(
+        f"    return make_node(out, [{', '.join(parents)}], {e.name!r}, fwd=fwd,"
+        f" meta=(({', '.join(xs)},), {meta}))"
     )
 
-
-@primitive("square")
-def square(a: ArrayLike) -> Tensor:
-    """Elementwise square (faster than ``power(a, 2)``)."""
-    ta = tensor(a)
-    x = ta.data
-    return make_node(
-        x * x,
-        [(ta, lambda g, x=x: 2.0 * g * x)],
-        "square",
-        fwd=lambda o, x=x: np.multiply(x, x, out=o),
-        meta=((x,), None),
+    ns = {"np": np, "tensor": tensor, "asdata": asdata, "make_node": make_node,
+          "unbroadcast": unbroadcast}
+    code = compile(
+        "\n".join(src), f"<repro.autodiff.ops:{e.name}>", "exec", dont_inherit=True
     )
+    exec(code, ns)
+    fn = ns[e.py_name]
+    fn.__doc__, fn.__module__, fn.__qualname__ = e.doc, __name__, e.py_name
+    return primitive(e.name)(fn)
 
 
-@primitive("sqrt")
-def sqrt(a: ArrayLike) -> Tensor:
-    """Elementwise square root."""
-    ta = tensor(a)
-    out = np.asarray(np.sqrt(ta.data))
-
-    def vjp(g: np.ndarray, o: np.ndarray = out) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return g * 0.5 / np.where(o > 0, o, np.inf)
-
-    return make_node(
-        out,
-        [(ta, vjp)],
-        "sqrt",
-        fwd=lambda o, x=ta.data: np.sqrt(x, out=o),
-        meta=((ta.data,), None),
-    )
-
-
-@primitive("abs")
-def abs_(a: ArrayLike) -> Tensor:
-    """Elementwise absolute value (subgradient 0 at the kink)."""
-    ta = tensor(a)
-    return make_node(
-        np.abs(ta.data),
-        [(ta, lambda g, x=ta.data: g * np.sign(x))],
-        "abs",
-        fwd=lambda o, x=ta.data: np.abs(x, out=o),
-        meta=((ta.data,), None),
-    )
-
-
-# ----------------------------------------------------------------------
-# Elementwise transcendentals
-# ----------------------------------------------------------------------
-@primitive("exp")
-def exp(a: ArrayLike) -> Tensor:
-    """Elementwise exponential."""
-    ta = tensor(a)
-    out = np.asarray(np.exp(ta.data))
-    return make_node(
-        out,
-        [(ta, lambda g, o=out: g * o)],
-        "exp",
-        fwd=lambda o, x=ta.data: np.exp(x, out=o),
-        meta=((ta.data,), None),
-    )
-
-
-@primitive("log")
-def log(a: ArrayLike) -> Tensor:
-    """Elementwise natural logarithm."""
-    ta = tensor(a)
-    return make_node(
-        np.log(ta.data),
-        [(ta, lambda g, x=ta.data: g / x)],
-        "log",
-        fwd=lambda o, x=ta.data: np.log(x, out=o),
-        meta=((ta.data,), None),
-    )
-
-
-@primitive("sin")
-def sin(a: ArrayLike) -> Tensor:
-    """Elementwise sine."""
-    ta = tensor(a)
-    return make_node(
-        np.sin(ta.data),
-        [(ta, lambda g, x=ta.data: g * np.cos(x))],
-        "sin",
-        fwd=lambda o, x=ta.data: np.sin(x, out=o),
-        meta=((ta.data,), None),
-    )
-
-
-@primitive("cos")
-def cos(a: ArrayLike) -> Tensor:
-    """Elementwise cosine."""
-    ta = tensor(a)
-    return make_node(
-        np.cos(ta.data),
-        [(ta, lambda g, x=ta.data: -g * np.sin(x))],
-        "cos",
-        fwd=lambda o, x=ta.data: np.cos(x, out=o),
-        meta=((ta.data,), None),
-    )
-
-
-@primitive("tanh")
-def tanh(a: ArrayLike) -> Tensor:
-    """Elementwise hyperbolic tangent (the paper's PINN activation)."""
-    ta = tensor(a)
-    out = np.asarray(np.tanh(ta.data))
-    return make_node(
-        out,
-        [(ta, lambda g, o=out: g * (1.0 - o * o))],
-        "tanh",
-        fwd=lambda o, x=ta.data: np.tanh(x, out=o),
-        meta=((ta.data,), None),
-    )
-
-
-@primitive("sinh")
-def sinh(a: ArrayLike) -> Tensor:
-    """Elementwise hyperbolic sine."""
-    ta = tensor(a)
-    return make_node(
-        np.sinh(ta.data),
-        [(ta, lambda g, x=ta.data: g * np.cosh(x))],
-        "sinh",
-        fwd=lambda o, x=ta.data: np.sinh(x, out=o),
-        meta=((ta.data,), None),
-    )
-
-
-@primitive("cosh")
-def cosh(a: ArrayLike) -> Tensor:
-    """Elementwise hyperbolic cosine."""
-    ta = tensor(a)
-    return make_node(
-        np.cosh(ta.data),
-        [(ta, lambda g, x=ta.data: g * np.sinh(x))],
-        "cosh",
-        fwd=lambda o, x=ta.data: np.cosh(x, out=o),
-        meta=((ta.data,), None),
-    )
-
-
-@primitive("arctan")
-def arctan(a: ArrayLike) -> Tensor:
-    """Elementwise inverse tangent."""
-    ta = tensor(a)
-    return make_node(
-        np.arctan(ta.data),
-        [(ta, lambda g, x=ta.data: g / (1.0 + x * x))],
-        "arctan",
-        fwd=lambda o, x=ta.data: np.arctan(x, out=o),
-        meta=((ta.data,), None),
-    )
-
-
-@primitive("sigmoid")
-def sigmoid(a: ArrayLike) -> Tensor:
-    """Elementwise logistic sigmoid."""
-    ta = tensor(a)
-    out = np.asarray(1.0 / (1.0 + np.exp(-ta.data)))
-
-    def fwd(o: np.ndarray, x: np.ndarray = ta.data) -> None:
-        np.negative(x, out=o)
-        np.exp(o, out=o)
-        o += 1.0
-        np.divide(1.0, o, out=o)
-
-    return make_node(
-        out,
-        [(ta, lambda g, o=out: g * o * (1.0 - o))],
-        "sigmoid",
-        fwd=fwd,
-        meta=((ta.data,), None),
-    )
-
-
-# ----------------------------------------------------------------------
-# Selection / clipping
-# ----------------------------------------------------------------------
-@primitive("maximum")
-def maximum(a: ArrayLike, b: ArrayLike) -> Tensor:
-    """Elementwise maximum; ties route the gradient to the first input."""
-    ta, tb = tensor(a), tensor(b)
-    x, y = ta.data, tb.data
-    out = np.maximum(x, y)
-    mask = np.asarray(x >= y)  # a 0-d comparison gives a bool scalar
-
-    # fwd refreshes the tie mask in place so the VJP closures (which
-    # capture it by reference) stay valid when input values change.
-    def fwd(o: np.ndarray, x=x, y=y, m=mask) -> None:
-        np.maximum(x, y, out=o)
-        np.greater_equal(x, y, out=m)
-
-    return make_node(
-        out,
-        [
-            (ta, lambda g, m=mask, s=x.shape: unbroadcast(g * m, s)),
-            (tb, lambda g, m=mask, s=y.shape: unbroadcast(g * ~m, s)),
-        ],
-        "maximum",
-        fwd=fwd,
-        meta=((x, y), {"mask": mask}),
-    )
-
-
-@primitive("minimum")
-def minimum(a: ArrayLike, b: ArrayLike) -> Tensor:
-    """Elementwise minimum; ties route the gradient to the first input."""
-    ta, tb = tensor(a), tensor(b)
-    x, y = ta.data, tb.data
-    out = np.minimum(x, y)
-    mask = np.asarray(x <= y)
-
-    def fwd(o: np.ndarray, x=x, y=y, m=mask) -> None:
-        np.minimum(x, y, out=o)
-        np.less_equal(x, y, out=m)
-
-    return make_node(
-        out,
-        [
-            (ta, lambda g, m=mask, s=x.shape: unbroadcast(g * m, s)),
-            (tb, lambda g, m=mask, s=y.shape: unbroadcast(g * ~m, s)),
-        ],
-        "minimum",
-        fwd=fwd,
-        meta=((x, y), {"mask": mask}),
-    )
-
-
-@primitive("where")
-def where(cond: ArrayLike, a: ArrayLike, b: ArrayLike) -> Tensor:
-    """Differentiable ``np.where`` (the condition itself is constant)."""
-    c = asdata(cond).astype(bool)
-    ta, tb = tensor(a), tensor(b)
-    x, y = ta.data, tb.data
-    out = np.where(c, x, y)
-    return make_node(
-        out,
-        [
-            (ta, lambda g, m=c, s=x.shape: unbroadcast(np.where(m, g, 0.0), s)),
-            (tb, lambda g, m=c, s=y.shape: unbroadcast(np.where(m, 0.0, g), s)),
-        ],
-        "where",
-        fwd=lambda o, m=c, x=x, y=y: np.copyto(o, np.where(m, x, y)),
-        meta=((x, y), {"mask": c}),
-    )
-
-
-@primitive("clip")
-def clip(a: ArrayLike, lo: float, hi: float) -> Tensor:
-    """Clamp values to ``[lo, hi]``; gradient is zero outside the interval."""
-    ta = tensor(a)
-    x = ta.data
-    out = np.clip(x, lo, hi)
-    mask = np.asarray((x >= lo) & (x <= hi))
-
-    def fwd(o: np.ndarray, x=x, m=mask) -> None:
-        np.clip(x, lo, hi, out=o)
-        np.greater_equal(x, lo, out=m)
-        np.logical_and(m, x <= hi, out=m)
-
-    return make_node(
-        out,
-        [(ta, lambda g, m=mask: g * m)],
-        "clip",
-        fwd=fwd,
-        meta=((x,), {"lo": lo, "hi": hi, "mask": mask}),
-    )
+for _e in ELEMENTWISE.values():
+    globals()[_e.py_name] = _build_elementwise(_e)
+del _e
 
 
 # ----------------------------------------------------------------------

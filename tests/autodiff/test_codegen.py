@@ -15,6 +15,7 @@ warning once, never changing results.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 import zlib
 
@@ -28,6 +29,7 @@ from repro.autodiff.compile import (
     compiled_value_and_grad,
     compiled_value_and_grad_tree,
 )
+from repro.autodiff.elementwise import ELEMENTWISE
 from repro.autodiff.functional import value_and_grad
 from repro.autodiff.lowering import lower
 from repro.autodiff.tensor import Tensor, asdata, tensor
@@ -183,6 +185,47 @@ def test_codegen_zero_dim_selection_ops_compile(op):
     _assert_tier_matches_eager(
         lambda a: ops.sum_(op(a)), (np.array(1.2),), 0, "0-d selection"
     )
+
+
+# ----------------------------------------------------------------------
+# Read-sets: every buffer a table entry's VJP reads survives DBE
+# ----------------------------------------------------------------------
+_STATIC_ARGS = {"cond": np.indices((4, 3)).sum(axis=0) % 2 == 0, "lo": 0.8, "hi": 1.6}
+# Every entry with each non-empty set of traced operands; an
+# ``eager_only`` slot would make the node opaque, so it stays constant.
+READ_SET_CASES = [
+    (e, diff)
+    for e in ELEMENTWISE.values()
+    for diff in itertools.chain.from_iterable(
+        itertools.combinations(
+            [k for k in range(len(e.operands)) if k not in e.eager_only], r
+        )
+        for r in (2, 1)
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "entry,diff", READ_SET_CASES,
+    ids=[f"{e.name}-d{''.join(map(str, d))}" for e, d in READ_SET_CASES],
+)
+def test_codegen_read_sets_keep_what_each_vjp_reads(entry, diff):
+    # Each traced operand is an interior elementwise value and the output
+    # only feeds a reduction, so dead-buffer elimination drops every
+    # buffer the entry's read-sets leave out: a VJP reading one of them
+    # fails the build, and the program falls back.
+    f = getattr(ops, entry.py_name)
+    rng = np.random.default_rng(zlib.crc32(entry.name.encode()))
+    args = tuple(rng.uniform(0.5, 2.0, (4, 3)) for _ in entry.operands)
+
+    def loss(*xs):
+        operands = iter(ops.add(x, 0.0) for x in xs)
+        return ops.sum_(f(*(
+            next(operands) if p in ("a", "b") else _STATIC_ARGS[p]
+            for p in entry.params
+        )))
+
+    _assert_tier_matches_eager(loss, args, diff, f"{entry.name} d{diff} read-sets")
 
 
 # ----------------------------------------------------------------------
