@@ -39,7 +39,7 @@ used throughout the tests and figures as ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -231,18 +231,38 @@ class LaplaceControlProblem:
 
     # ------------------------------------------------------------------
     def rhs(self, c: np.ndarray) -> np.ndarray:
-        """Right-hand side for control values ``c`` (NumPy path)."""
-        c = np.asarray(c, dtype=np.float64)
-        if c.shape != (self.n_control,):
-            raise ValueError(
-                f"control must have shape ({self.n_control},), got {c.shape}"
-            )
-        return self.b_fixed + self.S_top @ c
+        """Right-hand side for control values ``c`` (NumPy path).
 
-    def cost_from_state(self, u: np.ndarray) -> float:
-        """Evaluate J from a nodal state (NumPy path)."""
-        mismatch = self.flux_rows @ u - self.target
-        return float(self.quad_w @ (mismatch * mismatch))
+        ``c`` is one control ``(n_control,)``, giving an ``(n,)`` vector,
+        or a stack ``(k, n_control)`` of controls, giving an ``(n, k)``
+        block with one column per control.
+        """
+        c = np.asarray(c, dtype=np.float64)
+        if c.ndim not in (1, 2) or c.shape[-1] != self.n_control:
+            raise ValueError(
+                f"control must have shape ({self.n_control},) or "
+                f"(k, {self.n_control}), got {c.shape}"
+            )
+        if c.ndim == 1:
+            return self.b_fixed + self.S_top @ c
+        return self.b_fixed[:, None] + self.S_top @ c.T
+
+    def cost_from_state(
+        self, u: np.ndarray, target: Optional[np.ndarray] = None
+    ) -> Union[float, np.ndarray]:
+        """Evaluate J from a nodal state (NumPy path).
+
+        ``u`` is one state ``(n,)``, giving a float, or an ``(n, k)``
+        block of states, giving ``(k,)`` costs.  ``target`` replaces the
+        problem's target flux: ``(n_control,)`` for every state, or
+        ``(n_control, k)`` with one column per state of a block.
+        """
+        t = self.target if target is None else np.asarray(target, dtype=np.float64)
+        if u.ndim == 2 and t.ndim == 1:
+            t = t[:, None]
+        mismatch = self.flux_rows @ u - t
+        j = self.quad_w @ (mismatch * mismatch)
+        return float(j) if u.ndim == 1 else j
 
     def zero_control(self) -> np.ndarray:
         """The paper's initial control (identically zero)."""

@@ -286,9 +286,9 @@ class RBFSolver:
 
         One factorisation (cached under ``cache_key`` exactly as in
         :meth:`solve`) serves every row of ``b_block`` through a single
-        multi-RHS ``getrs`` call — the dense analogue of the multi-RHS
-        reuse :func:`repro.autodiff.vbatch` performs on the tape.  Counts
-        as one entry in ``n_solves``.  Returns the ``(N_rhs, n)`` block
+        multi-RHS ``getrs`` call — the same reuse the served coalesced
+        evaluate gets from one ``solve_numpy`` on an ``(n, k)`` block.
+        Counts as one entry in ``n_solves``.  Returns the ``(N_rhs, n)`` block
         of solutions (``N_rhs = 0`` is allowed and returns an empty
         block without touching LAPACK).
         """

@@ -271,11 +271,13 @@ def _evaluate_batch(state: WorkerState, requests: List) -> List[Dict[str, Any]]:
 
     Every request in the batch shares a coalesce key — same family and
     system shape — which is what makes stacking sound.  For Laplace the
-    right-hand sides become the columns of one ``(n, k)`` block pushed
-    through a single factorised ``getrs``/``splu`` call; the per-request
-    targets enter only in the post-solve mismatch.  Navier–Stokes costs
-    are nonlinear in the control, so they run sequentially (still one
-    worker round-trip).
+    controls' right-hand sides become the columns of one ``(n, k)`` block
+    (:meth:`~repro.pde.laplace.LaplaceControlProblem.rhs`) pushed through
+    a single factorised ``getrs``/``splu`` call, and
+    :meth:`~repro.pde.laplace.LaplaceControlProblem.cost_from_state`
+    prices the state block, each column against its request's target.
+    Navier–Stokes costs are nonlinear in the control, so they run
+    sequentially (still one worker round-trip).
     """
     if not requests:
         return []
@@ -301,9 +303,9 @@ def _evaluate_batch(state: WorkerState, requests: List) -> List[Dict[str, Any]]:
 
     prob = state.problem(family, requests[0].nx, requests[0].ny)
     solver = state.solver(family, requests[0].nx, requests[0].ny)
-    n_control = prob.S_top.shape[1]
-    columns: List[np.ndarray] = []
-    targets: List[Optional[np.ndarray]] = []
+    n_control = prob.n_control
+    controls: List[np.ndarray] = []
+    targets: List[np.ndarray] = []
     slots: List[int] = []
     out: List[Optional[Dict[str, Any]]] = [None] * len(requests)
     for i, req in enumerate(requests):
@@ -324,17 +326,15 @@ def _evaluate_batch(state: WorkerState, requests: List) -> List[Dict[str, Any]]:
                 )
                 continue
             target = t
-        columns.append(prob.S_top @ c + prob.b_fixed)
+        controls.append(c)
         targets.append(target)
         slots.append(i)
-    if columns:
+    if controls:
         # The coalesced solve: k right-hand sides, one factorisation.
-        rhs_block = np.stack(columns, axis=1)
-        u_block = solver.solve_numpy(rhs_block)
-        for j, i in enumerate(slots):
-            mismatch = prob.flux_rows @ u_block[:, j] - targets[j]
-            cost = float(np.sum(prob.quad_w * np.square(mismatch)))
-            out[i] = _evaluate_payload(cost, requests[i])
+        u_block = solver.solve_numpy(prob.rhs(np.stack(controls)))
+        costs = prob.cost_from_state(u_block, np.stack(targets, axis=1))
+        for i, cost in zip(slots, costs):
+            out[i] = _evaluate_payload(float(cost), requests[i])
     return out  # type: ignore[return-value]
 
 

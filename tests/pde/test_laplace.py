@@ -104,6 +104,27 @@ class TestProblemSetup:
         u, *_ = np.linalg.lstsq(p.flux_rows, p.target, rcond=None)
         assert p.cost_from_state(u) < 1e-18
 
+    def test_stacked_controls_match_one_at_a_time(self, laplace_problem):
+        p = laplace_problem
+        rng = np.random.default_rng(5)
+        C = rng.normal(scale=0.2, size=(3, p.n_control))
+        R = p.rhs(C)
+        assert R.shape == (p.cloud.n, 3)
+        for j in range(3):
+            np.testing.assert_array_equal(R[:, j], p.rhs(C[j]))
+        U = rng.normal(size=(p.cloud.n, 3))
+        T = p.target[:, None] + rng.normal(scale=0.1, size=(p.n_control, 3))
+        shared = p.cost_from_state(U)
+        own = p.cost_from_state(U, T)
+        assert shared.shape == own.shape == (3,)
+        for j in range(3):
+            assert shared[j] == pytest.approx(p.cost_from_state(U[:, j]), rel=1e-12)
+            assert own[j] == pytest.approx(
+                p.cost_from_state(U[:, j], T[:, j]), rel=1e-12
+            )
+        with pytest.raises(ValueError):
+            p.rhs(np.zeros((2, 3, p.n_control)))
+
     def test_cost_at_analytic_state_is_small(self, laplace_problem):
         p = laplace_problem
         u_exact = p.optimal_state()

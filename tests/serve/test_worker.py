@@ -92,6 +92,50 @@ def test_per_item_length_error_does_not_poison_batch(state, n_control):
     assert "control" in err["error"]["message"]
 
 
+def test_coalesced_evaluate_matches_independent_dal_oracle(state, n_control):
+    # The served evaluate against a separately built LaplaceDAL oracle:
+    # 3 plain controls, 1 with its own target, and 1 of the wrong length
+    # in the middle of the coalesced job.
+    import copy
+
+    from repro.control.dal import LaplaceDAL
+
+    prob = state.problem("laplace", 26, 11)
+    rng = np.random.default_rng(11)
+    controls = rng.normal(scale=0.2, size=(4, n_control))
+    target = prob.target + rng.normal(scale=0.1, size=prob.target.shape)
+    requests = _job_evaluate(controls[:2])["requests"]
+    requests.append(parse_request({
+        "family": "laplace", "kind": "evaluate",
+        "control": [0.0] * (n_control - 1),
+    }))
+    requests.append(parse_request({
+        "family": "laplace", "kind": "evaluate",
+        "control": list(controls[2]), "target": list(target),
+    }))
+    requests += _job_evaluate(controls[3:])["requests"]
+    reply = execute_job(state, {"op": "evaluate", "requests": requests})
+    assert reply["ok"]
+    results = reply["results"]
+    assert len(results) == 5
+
+    bad = results[2]
+    assert bad["error"]["type"] == "RequestError"
+    assert "control" in bad["error"]["message"]
+
+    custom = copy.copy(prob)
+    custom.target = target
+    expected = [
+        LaplaceDAL(prob).value(controls[0]),
+        LaplaceDAL(prob).value(controls[1]),
+        LaplaceDAL(custom).value(controls[2]),
+        LaplaceDAL(prob).value(controls[3]),
+    ]
+    for slot, want in zip((0, 1, 3, 4), expected):
+        assert results[slot]["kind"] == "evaluate"
+        assert results[slot]["cost"] == pytest.approx(want, rel=1e-12, abs=0), slot
+
+
 def test_wrong_target_length_is_typed_request_error(state):
     spec = {"family": "laplace", "kind": "solve", "method": "dp",
             "iterations": 1, "target": [0.5, 0.5]}
