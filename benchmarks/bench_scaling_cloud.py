@@ -1,7 +1,7 @@
 """SCALING — matrix-free Krylov vs direct splu across cloud sizes.
 
 Thin pytest wrapper around :mod:`repro.bench.scaling_cloud`: the sweep
-runs at the smoke tier by default (``REPRO_FULL=1`` extends it to the
+runs at the default tier (``REPRO_FULL=1`` extends it to the
 100k-node regime the backend exists for), the table lands in
 ``benchmarks/artifacts/scaling_cloud.txt`` and the raw rows in
 ``scaling_cloud.json``.  Gate-style assertions keep the numbers honest:
@@ -27,7 +27,7 @@ SIZES = FULL_SIZES if is_full_scale() else DEFAULT_SIZES
 
 #: Iteration ceiling scales with the sweep tier: ILU quality (at a fixed
 #: drop tolerance) degrades slowly with conditioning, so the 100k tier
-#: is allowed more iterations than the CI smoke tier.
+#: is allowed more iterations than the default tier.
 MAX_ITERATIONS = 600 if is_full_scale() else 120
 
 

@@ -29,8 +29,8 @@ Install pattern mirrors :mod:`repro.obs.profile`: a process-wide
 watchdog set via :func:`set_watchdog` / the :func:`watching` context
 manager, read by loops through :func:`current_watchdog` — one global
 load hoisted outside the loop, one ``is not None`` test per iteration
-when disabled.  The ``trace_smoke`` gate bounds the total enabled-path
-observability overhead at 2 %.
+when disabled.  The design budget for the total enabled-path
+observability overhead is 2 %.
 
 Heartbeats — the parallel half of run health — live in
 :mod:`repro.parallel`: workers touch a per-task heartbeat file and the

@@ -18,8 +18,8 @@ calls the *module-level* :func:`span` helper::
 
 With no profiler installed (the default), :func:`span` returns a shared
 no-op context manager: the disabled path costs one global read and an
-empty ``with`` block — the ``profile_smoke`` CI gate bounds the total at
-2 % on the hottest instrumented loops.  Installing a profiler
+empty ``with`` block, within a 2 % design budget on the hottest
+instrumented loops.  Installing a profiler
 (:func:`profiling` / :func:`set_profiler`) makes the same call sites
 record real spans.
 
@@ -166,8 +166,7 @@ class SpanProfiler:
     ----------
     track_rss:
         Record peak-RSS watermark deltas per span (one ``getrusage``
-        syscall on enter and exit).  Off by default: the smoke gate runs
-        with the default configuration.
+        syscall on enter and exit).  Off by default.
     """
 
     enabled = True
@@ -550,8 +549,8 @@ def span(name: str, category: str = "", attrs: Optional[Dict[str, Any]] = None):
     """Record a span on the active profiler (shared no-op when disabled).
 
     This is the call instrumented code uses.  The disabled path is one
-    module-global read plus an empty context manager; the ``profile_smoke``
-    gate holds the instrumented hot loops to ≤ 2 % total overhead.
+    module-global read plus an empty context manager, within a 2 % design
+    budget on the instrumented hot loops.
     """
     p = _ACTIVE
     if p is None:
