@@ -39,7 +39,7 @@ from repro.pde.navier_stokes import ChannelFlowProblem
 
 LAPLACE_SIZES = (6, 8, 10, 12)     # nx; N = nx**2 — overhead-bound regime
 NS_SHAPE = (21, 11)                # the default-tier channel cloud
-NS_REFINEMENTS = 10                # paper's DP setting
+NS_K = 10                         # paper's DP setting
 PINN_CONFIGS = (                   # (hidden, n_interior)
     ((20, 20), 100),
     ((30, 30, 30), 300),
@@ -89,11 +89,11 @@ def dp_sweep():
     times, grads = {}, {}
     for tier, flag in (("eager", False), ("compiled", True)):
         dp = NavierStokesDP(
-            problem, NSConfig(refinements=NS_REFINEMENTS), compile=flag
+            problem, NSConfig(refinements=NS_K), compile=flag
         )
         _, grads[tier] = dp.value_and_grad(c0)
         times[tier] = _best(lambda: dp.value_and_grad(c0), rounds=3, reps=4)
-    rows.append({"name": f"NS DP {NS_SHAPE[0]}x{NS_SHAPE[1]} k={NS_REFINEMENTS}",
+    rows.append({"name": f"NS DP {NS_SHAPE[0]}x{NS_SHAPE[1]} k={NS_K}",
                  "times": times, "grads": grads})
     return rows
 

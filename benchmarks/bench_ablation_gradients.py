@@ -9,11 +9,12 @@ gradient against a high-order FD reference, on both problems.
 import numpy as np
 import pytest
 
-from repro.bench.harness import make_laplace_problem, make_ns_problem
+from repro.bench.harness import spec_for
 from repro.bench.tables import render_table
 from repro.control.dal import LaplaceDAL, NavierStokesDAL
 from repro.control.dp import LaplaceDP, NavierStokesDP
 from repro.control.fd import FiniteDifferenceOracle
+from repro.control.spec import build_problem
 from repro.pde.navier_stokes import NSConfig
 
 
@@ -23,7 +24,7 @@ def rel_err(a, b):
 
 @pytest.fixture(scope="module")
 def laplace_grads(scale):
-    prob = make_laplace_problem(scale)
+    prob = build_problem(spec_for(scale, "laplace", "dp"))
     dp = LaplaceDP(prob)
     dal = LaplaceDAL(prob)
     fd = FiniteDifferenceOracle(dp.value, prob.zero_control(), eps=1e-6)
@@ -36,7 +37,7 @@ def laplace_grads(scale):
 
 @pytest.fixture(scope="module")
 def ns_grads(scale):
-    prob = make_ns_problem(scale)
+    prob = build_problem(spec_for(scale, "ns", "dp"))
     cfg = NSConfig(
         reynolds=scale.ns.reynolds,
         refinements=4,
@@ -94,7 +95,7 @@ def test_dp_is_gold_standard_ns(ns_grads, benchmark):
 
 def test_fd_cost_scales_with_dimension(scale, benchmark):
     """FD needs 2n+1 evaluations — the reason it loses to DP at scale."""
-    prob = make_laplace_problem(scale)
+    prob = build_problem(spec_for(scale, "laplace", "dp"))
     dp = LaplaceDP(prob)
     fd = FiniteDifferenceOracle(dp.value, prob.zero_control())
     c = prob.zero_control()

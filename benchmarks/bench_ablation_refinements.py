@@ -10,10 +10,11 @@ three) and peak (tape) memory.
 import numpy as np
 import pytest
 
-from repro.bench.harness import make_ns_problem
+from repro.bench.harness import spec_for
 from repro.bench.metrics import measure_run
 from repro.bench.tables import render_table
 from repro.control.dp import NavierStokesDP
+from repro.control.spec import build_problem
 from repro.pde.navier_stokes import NSConfig
 
 KS = (2, 4, 8, 12)
@@ -21,7 +22,7 @@ KS = (2, 4, 8, 12)
 
 @pytest.fixture(scope="module")
 def sweep(scale):
-    prob = make_ns_problem(scale)
+    prob = build_problem(spec_for(scale, "ns", "dp"))
     c = prob.default_control()
     out = []
     for k in KS:
@@ -67,7 +68,7 @@ def test_time_grows_with_k(sweep, benchmark):
 
 def test_dp_gradient_per_k(scale, benchmark):
     """Timed benchmark of the k used in the paper's DP column."""
-    prob = make_ns_problem(scale)
+    prob = build_problem(spec_for(scale, "ns", "dp"))
     cfg = NSConfig(
         reynolds=scale.ns.reynolds,
         refinements=scale.ns.refinements_dp,

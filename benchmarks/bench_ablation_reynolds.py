@@ -5,10 +5,12 @@ to better solutions with DAL."  This ablation runs DAL at Re ∈ {10, 100}
 and DP at both for reference, reporting the final costs.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.bench.harness import run_ns_dal, run_ns_dp
+from repro.bench.harness import run, spec_for
 from repro.bench.tables import render_table
 
 
@@ -17,8 +19,9 @@ def sweep(scale, ns_problem_bench):
     prob = ns_problem_bench
     out = {}
     for re in (10.0, 100.0):
-        out[("DAL", re)] = run_ns_dal(prob, scale, reynolds=re)
-        out[("DP", re)] = run_ns_dp(prob, scale, reynolds=re)
+        for m in ("dal", "dp"):
+            spec = replace(spec_for(scale, "ns", m), reynolds=re)
+            out[(m.upper(), re)] = run(spec, problem=prob)
     return out
 
 

@@ -9,11 +9,12 @@ the unit of work the iteration counts multiply.
 import numpy as np
 
 from repro.bench.configs import FULL_SCALE
-from repro.bench.harness import make_laplace_problem
+from repro.bench.harness import spec_for
 from repro.bench.tables import render_hyperparameter_table
 from repro.control.dal import LaplaceDAL
 from repro.control.dp import LaplaceDP
 from repro.control.pinn import LaplacePINN, PINNTrainConfig
+from repro.control.spec import build_problem
 
 
 def _table_text(scale) -> str:
@@ -52,7 +53,7 @@ def test_table1_render(scale, save_artifact, benchmark):
 
 def test_table1_dal_gradient_unit(scale, benchmark):
     """One DAL gradient = one direct + one adjoint solve."""
-    prob = make_laplace_problem(scale)
+    prob = build_problem(spec_for(scale, "laplace", "dp"))
     dal = LaplaceDAL(prob)
     c = prob.zero_control()
     j, g = benchmark(dal.value_and_grad, c)
@@ -61,7 +62,7 @@ def test_table1_dal_gradient_unit(scale, benchmark):
 
 def test_table1_dp_gradient_unit(scale, benchmark):
     """One DP gradient = one taped solve + one reverse pass."""
-    prob = make_laplace_problem(scale)
+    prob = build_problem(spec_for(scale, "laplace", "dp"))
     dp = LaplaceDP(prob)
     c = prob.zero_control()
     j, g = benchmark(dp.value_and_grad, c)
@@ -70,7 +71,7 @@ def test_table1_dp_gradient_unit(scale, benchmark):
 
 def test_table1_pinn_epoch_unit(scale, benchmark):
     """One PINN epoch = one loss + backward over both networks."""
-    prob = make_laplace_problem(scale)
+    prob = build_problem(spec_for(scale, "laplace", "dp"))
     cfg = PINNTrainConfig(
         epochs=1,
         lr=scale.pinn.laplace_lr,

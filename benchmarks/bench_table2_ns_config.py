@@ -7,11 +7,12 @@ work of each method (one gradient / one epoch).
 import numpy as np
 
 from repro.bench.configs import FULL_SCALE
-from repro.bench.harness import make_ns_problem
+from repro.bench.harness import spec_for
 from repro.bench.tables import render_hyperparameter_table
 from repro.control.dal import NavierStokesDAL
 from repro.control.dp import NavierStokesDP
 from repro.control.pinn import NavierStokesPINN, PINNTrainConfig
+from repro.control.spec import build_problem
 from repro.nn.pytree import value_and_grad_tree
 from repro.pde.navier_stokes import NSConfig
 
@@ -54,7 +55,7 @@ def test_table2_render(scale, save_artifact, benchmark):
 
 
 def test_table2_dal_gradient_unit(scale, benchmark):
-    prob = make_ns_problem(scale)
+    prob = build_problem(spec_for(scale, "ns", "dp"))
     cfg = NSConfig(
         reynolds=scale.ns.reynolds,
         refinements=scale.ns.refinements_dal,
@@ -67,7 +68,7 @@ def test_table2_dal_gradient_unit(scale, benchmark):
 
 
 def test_table2_dp_gradient_unit(scale, benchmark):
-    prob = make_ns_problem(scale)
+    prob = build_problem(spec_for(scale, "ns", "dp"))
     cfg = NSConfig(
         reynolds=scale.ns.reynolds,
         refinements=scale.ns.refinements_dp,
@@ -80,7 +81,7 @@ def test_table2_dp_gradient_unit(scale, benchmark):
 
 
 def test_table2_pinn_epoch_unit(scale, benchmark):
-    prob = make_ns_problem(scale)
+    prob = build_problem(spec_for(scale, "ns", "dp"))
     cfg = PINNTrainConfig(
         epochs=1,
         lr=scale.pinn.ns_lr,

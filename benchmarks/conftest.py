@@ -17,16 +17,8 @@ import pathlib
 import pytest
 
 from repro.bench.configs import get_scale
-from repro.bench.harness import (
-    make_laplace_problem,
-    make_ns_problem,
-    run_laplace_dal,
-    run_laplace_dp,
-    run_laplace_pinn,
-    run_ns_dal,
-    run_ns_dp,
-    run_ns_pinn,
-)
+from repro.bench.harness import run, spec_for
+from repro.control.spec import build_problem
 
 ARTIFACTS = pathlib.Path(__file__).parent / "artifacts"
 
@@ -53,22 +45,22 @@ def save_artifact():
 @pytest.fixture(scope="session")
 def laplace_problem_bench(scale):
     """The Laplace control problem shared by every Laplace benchmark."""
-    return make_laplace_problem(scale)
+    return build_problem(spec_for(scale, "laplace", "dp"))
 
 
 @pytest.fixture(scope="session")
 def ns_problem_bench(scale):
     """The channel-flow problem shared by every NS benchmark."""
-    return make_ns_problem(scale)
+    return build_problem(spec_for(scale, "ns", "dp"))
 
 
 @pytest.fixture(scope="session")
 def laplace_runs(laplace_problem_bench, scale):
     """One optimisation run per method on Laplace (Table 3 / Fig. 3)."""
     return {
-        "DAL": run_laplace_dal(laplace_problem_bench, scale),
-        "DP": run_laplace_dp(laplace_problem_bench, scale),
-        "PINN": run_laplace_pinn(laplace_problem_bench, scale),
+        m.upper(): run(spec_for(scale, "laplace", m),
+                       problem=laplace_problem_bench)
+        for m in ("dal", "dp", "pinn")
     }
 
 
@@ -76,7 +68,6 @@ def laplace_runs(laplace_problem_bench, scale):
 def ns_runs(ns_problem_bench, scale):
     """One optimisation run per method on NS (Table 3 / Figs. 1, 4)."""
     return {
-        "DAL": run_ns_dal(ns_problem_bench, scale),
-        "DP": run_ns_dp(ns_problem_bench, scale),
-        "PINN": run_ns_pinn(ns_problem_bench, scale),
+        m.upper(): run(spec_for(scale, "ns", m), problem=ns_problem_bench)
+        for m in ("dal", "dp", "pinn")
     }

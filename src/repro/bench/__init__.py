@@ -4,8 +4,10 @@
   ``default`` tier (CI-speed) and a ``full`` tier (``REPRO_FULL=1``).
 - :mod:`repro.bench.metrics` — wall-time + peak-memory measurement of a
   control run (Table 3 rows).
-- :mod:`repro.bench.harness` — end-to-end runners: one function per
-  method × problem, returning :class:`~repro.control.problem.ControlResult`.
+- :mod:`repro.bench.harness` — end-to-end runs: :func:`spec_for` maps a
+  scale tier to a :class:`~repro.control.spec.RunSpec` per method ×
+  problem, and :func:`run` runs any spec into a
+  :class:`~repro.control.problem.ControlResult`.
 - :mod:`repro.bench.tables` — plain-text table renderers matching the
   paper's layout.
 """
@@ -19,17 +21,7 @@ from repro.bench.configs import (
     is_full_scale,
 )
 from repro.bench.metrics import measure_run
-from repro.bench.harness import (
-    run_laplace_dal,
-    run_laplace_dp,
-    run_laplace_fd,
-    run_laplace_pinn,
-    run_ns_dal,
-    run_ns_dp,
-    run_ns_pinn,
-    make_laplace_problem,
-    make_ns_problem,
-)
+from repro.bench.harness import run, spec_for
 from repro.bench.tables import render_table, render_hyperparameter_table, render_performance_table
 
 __all__ = [
@@ -40,15 +32,8 @@ __all__ = [
     "get_scale",
     "is_full_scale",
     "measure_run",
-    "run_laplace_dal",
-    "run_laplace_dp",
-    "run_laplace_fd",
-    "run_laplace_pinn",
-    "run_ns_dal",
-    "run_ns_dp",
-    "run_ns_pinn",
-    "make_laplace_problem",
-    "make_ns_problem",
+    "run",
+    "spec_for",
     "render_table",
     "render_hyperparameter_table",
     "render_performance_table",

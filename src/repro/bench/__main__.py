@@ -15,7 +15,7 @@ Options
     Restrict to one benchmark problem.
 ``--trace-dir DIR``
     Attach a :class:`~repro.obs.recorder.TraceRecorder` to every run and
-    write one ``<problem>_<method>.jsonl`` convergence trace per runner
+    write one ``<problem>_<method>.jsonl`` convergence trace per run
     into ``DIR``.  Defaults to ``$REPRO_TRACE_DIR`` when set; the CLI
     flag wins when both are given.
 ``--profile-dir DIR``
@@ -63,17 +63,9 @@ from repro.bench.configs import (
     trace_dir,
     watchdog_enabled,
 )
-from repro.bench.harness import (
-    make_laplace_problem,
-    make_ns_problem,
-    run_laplace_dal,
-    run_laplace_dp,
-    run_laplace_pinn,
-    run_ns_dal,
-    run_ns_dp,
-    run_ns_pinn,
-)
+from repro.bench.harness import run, spec_for
 from repro.bench.tables import render_performance_table
+from repro.control.spec import build_problem
 from repro.obs.health import Watchdog, watching
 from repro.obs.metrics import use_registry
 from repro.obs.profile import SpanProfiler, metrics_payload, profiling
@@ -81,17 +73,6 @@ from repro.obs.recorder import TraceRecorder
 from repro.parallel import ParallelEngine, Task, resolve_jobs
 
 METHODS = ("dal", "dp", "pinn")
-
-#: The full run matrix, keyed ``(problem, method)`` in canonical order.
-RUNNERS = {
-    ("laplace", "dal"): run_laplace_dal,
-    ("laplace", "dp"): run_laplace_dp,
-    ("laplace", "pinn"): run_laplace_pinn,
-    ("ns", "dal"): run_ns_dal,
-    ("ns", "dp"): run_ns_dp,
-    ("ns", "pinn"): run_ns_pinn,
-}
-
 
 def _parse_methods(spec: str) -> "tuple[str, ...]":
     """Validate a ``--methods`` comma list into a subset of METHODS."""
@@ -124,37 +105,39 @@ def _write_profile_artifacts(out_dir, profiler, result) -> None:
     print(f"    profile -> {trace_path}")
 
 
-def _call(runner, args, kwargs, watch):
-    """Invoke ``runner``, optionally under a fresh watchdog."""
+def _call(spec, kwargs, watch):
+    """Run ``spec``, optionally under a fresh watchdog."""
     if not watch:
-        return runner(*args, **kwargs)
+        return run(spec, **kwargs)
     with watching(Watchdog()) as wd:
-        result = runner(*args, **kwargs)
+        result = run(spec, **kwargs)
     if wd.counts:
         tally = ", ".join(f"{k}×{v}" for k, v in sorted(wd.counts.items()))
         print(f"    watchdog: {tally}", file=sys.stderr)
     return result
 
 
-def _run(trace_out, profile_out, runner, *args, watch=False, **kwargs):
-    """Run ``runner`` with whichever observability layers are requested.
+def _run(trace_out, profile_out, spec, scale_name, watch=False, **kwargs):
+    """Run ``spec`` with whichever observability layers are requested.
 
-    Tracing attaches a recorder and exports convergence JSONL; profiling
-    installs a span profiler plus a fresh metrics registry (so per-run
-    counters don't bleed across runs) and exports Chrome-trace + metrics
-    JSON; ``watch`` wraps the run in a health watchdog.  All default
-    off, leaving the hot loops on their no-op paths.
+    Tracing attaches a recorder (tagged with the scale tier) and exports
+    convergence JSONL; profiling installs a span profiler plus a fresh
+    metrics registry (so per-run counters don't bleed across runs) and
+    exports Chrome-trace + metrics JSON; ``watch`` wraps the run in a
+    health watchdog.  All default off, leaving the hot loops on their
+    no-op paths.
     """
     rec = TraceRecorder() if trace_out is not None else None
     if rec is not None:
+        rec.set_meta(scale=scale_name)
         kwargs["recorder"] = rec
     if profile_out is not None:
         prof = SpanProfiler()
         with use_registry(), profiling(prof):
-            result = _call(runner, args, kwargs, watch)
+            result = _call(spec, kwargs, watch)
             _write_profile_artifacts(profile_out, prof, result)
     else:
-        result = _call(runner, args, kwargs, watch)
+        result = _call(spec, kwargs, watch)
     if rec is not None:
         path = os.path.join(
             trace_out, f"{result.problem}_{result.method.lower()}.jsonl"
@@ -164,17 +147,16 @@ def _run(trace_out, profile_out, runner, *args, watch=False, **kwargs):
     return result
 
 
-def _matrix_task(problem_key, method, trace_out, profile_out, watch):
+def _matrix_task(spec, scale_name, trace_out, profile_out, watch):
     """One matrix entry, run inside a parallel worker.
 
-    The worker rebuilds the problem from the (environment-derived) scale
-    rather than receiving it pickled, so fork and spawn start methods
-    behave identically.  Per-run artifacts land in the shared output
+    The worker receives the pickled spec and builds the problem from it
+    rather than receiving the problem pickled, so fork and spawn start
+    methods behave identically.  Per-run artifacts land in the shared output
     directories under the same stems a serial run uses; the
     ``ControlResult`` pickles back for the parent's table.
     """
-    runner = RUNNERS[(problem_key, method)]
-    return _run(trace_out, profile_out, runner, scale=get_scale(), watch=watch)
+    return _run(trace_out, profile_out, spec, scale_name, watch=watch)
 
 
 def _merge_matrix_artifacts(trace_out, profile_out, results) -> None:
@@ -251,10 +233,10 @@ def main(argv=None) -> int:
         if out:
             os.makedirs(out, exist_ok=True)
 
-    problems = tuple(
+    families = tuple(
         p for p in ("laplace", "ns") if args.problem in (p, "all")
     )
-    matrix = [(p, m) for p in problems for m in methods]
+    matrix = [spec_for(scale, p, m) for p in families for m in methods]
     fan_matrix = jobs > 1 and len(matrix) > 1
 
     results = []
@@ -264,56 +246,38 @@ def main(argv=None) -> int:
         # entry loses only its own row of the table.
         engine = ParallelEngine(jobs=jobs, root_seed=0)
         tasks = [
-            Task(key=f"{p}_{m}", fn=_matrix_task,
-                 args=(p, m, trace_out, profile_out, watch))
-            for p, m in matrix
+            Task(key=f"{spec.family}_{spec.method}", fn=_matrix_task,
+                 args=(spec, scale.name, trace_out, profile_out, watch))
+            for spec in matrix
         ]
-        for (p, m), res in zip(matrix, engine.run(tasks)):
+        for spec, res in zip(matrix, engine.run(tasks)):
             if res.ok:
                 results.append(res.value)
                 print("  " + res.value.summary())
             else:
                 detail = (res.error or {}).get("message", res.status)
-                print(f"  {p}/{m}: FAILED ({res.status}: {detail})",
-                      file=sys.stderr)
+                print(f"  {spec.family}/{spec.method}: FAILED "
+                      f"({res.status}: {detail})", file=sys.stderr)
         _merge_matrix_artifacts(trace_out, profile_out, results)
     else:
-        if "laplace" in problems:
-            prob = make_laplace_problem(scale)
-            print(f"Laplace problem: {prob.cloud.n} nodes, "
-                  f"{prob.n_control}-dimensional control")
-            for name, runner in (("dal", run_laplace_dal),
-                                 ("dp", run_laplace_dp)):
-                if name not in methods:
-                    continue
-                r = _run(trace_out, profile_out, runner, prob, scale,
-                         watch=watch)
-                results.append(r)
-                print("  " + r.summary())
-            if "pinn" in methods:
-                r = _run(trace_out, profile_out, run_laplace_pinn, prob, scale,
-                         jobs=jobs, watch=watch)
-                results.append(r)
-                print("  " + r.summary()
-                      + f"  (omega* = {r.extra['best_omega']:g})")
-
-        if "ns" in problems:
-            prob = make_ns_problem(scale)
-            print(f"\nNavier-Stokes channel: {prob.cloud.n} nodes, "
-                  f"Re = {scale.ns.reynolds:g}")
-            for name, runner in (("dal", run_ns_dal), ("dp", run_ns_dp)):
-                if name not in methods:
-                    continue
-                r = _run(trace_out, profile_out, runner, prob, scale,
-                         watch=watch)
-                results.append(r)
-                print("  " + r.summary())
-            if "pinn" in methods:
-                r = _run(trace_out, profile_out, run_ns_pinn, prob, scale,
-                         jobs=jobs, watch=watch)
-                results.append(r)
-                print("  " + r.summary()
-                      + f"  (physical J = {r.extra['physical_cost']:.3e})")
+        # Every method of a family runs on one assembled problem.
+        built = {}
+        for spec in matrix:
+            prob = built.get(spec.family)
+            if prob is None:
+                prob = built[spec.family] = build_problem(spec)
+                if spec.family == "laplace":
+                    print(f"Laplace problem: {prob.cloud.n} nodes, "
+                          f"{prob.n_control}-dimensional control")
+                else:
+                    print(f"\nNavier-Stokes channel: {prob.cloud.n} nodes, "
+                          f"Re = {spec.reynolds:g}")
+            r = _run(trace_out, profile_out, spec, scale.name, problem=prob,
+                     jobs=jobs, watch=watch)
+            results.append(r)
+            note = (f"  (omega* = {r.extra['best_omega']:g})"
+                    if spec.method == "pinn" else "")
+            print("  " + r.summary() + note)
 
     print()
     print(render_performance_table(

@@ -120,6 +120,7 @@ def run_load(
     """
     from repro.serve.runner import ServiceThread
     from repro.serve.service import ServeConfig
+    from repro.serve.protocol import parse_request
     from repro.serve.worker import WorkerState
     from repro.serve.client import ServeClient
 
@@ -128,7 +129,8 @@ def run_load(
 
     # The parity reference shares nothing with the service but code.
     reference = WorkerState(root_seed)
-    n_control = reference.problem("laplace", 26, 11).n_control
+    n_control = reference.problem(
+        parse_request({"family": "laplace", "method": "dp"})).n_control
 
     config = ServeConfig(
         workers=workers,

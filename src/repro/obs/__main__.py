@@ -55,8 +55,11 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_record(args) -> int:
-    from repro.obs.goldens import run_tier0
+    from repro.obs.goldens import TIER0, run_tier0
 
+    if args.config not in TIER0:
+        args.parser.error(f"unknown config {args.config!r}; "
+                          f"available: {', '.join(sorted(TIER0))}")
     if args.profile_dir:
         from repro.obs.metrics import use_registry
         from repro.obs.profile import SpanProfiler, metrics_payload, profiling
@@ -99,10 +102,10 @@ def _cmd_report(args) -> int:
 def _cmd_list(args) -> int:
     from repro.obs.goldens import TIER0
 
-    for name, cfg in sorted(TIER0.items()):
+    for name, spec in sorted(TIER0.items()):
         print(
-            f"{name:24s} {cfg.problem:>13s} | {cfg.method.upper():>3s} | "
-            f"{cfg.iterations} iters @ lr {cfg.lr:g}"
+            f"{name:24s} {spec.problem_name:>13s} | {spec.method.upper():>3s} | "
+            f"{spec.iterations} iters @ lr {spec.lr:g}"
         )
     return 0
 
@@ -132,7 +135,7 @@ def main(argv=None) -> int:
     p.add_argument("--profile-dir", default=None, metavar="DIR",
                    help="also profile the run and write Chrome-trace + "
                         "metrics JSON artifacts here")
-    p.set_defaults(fn=_cmd_record)
+    p.set_defaults(fn=_cmd_record, parser=p)
 
     p = sub.add_parser(
         "report", help="render profile artifacts into a standalone HTML page"

@@ -5,7 +5,7 @@ this is the whole point of serving warm instead of forking per request:
 
 - **problems** keyed by ``(family, nx, ny)``: assembled collocation
   systems (and, for Navier–Stokes, the factorised pressure Poisson
-  solver);
+  solver), built from the request's :func:`request_spec`;
 - **solvers** keyed the same way: one LU/splu factorisation per system,
   shared by every oracle and every coalesced evaluation that touches
   that system — request N pays ``n_factorizations == 1`` and rides the
@@ -37,9 +37,8 @@ import numpy as np
 
 __all__ = [
     "WorkerState",
-    "build_oracle",
-    "build_problem",
     "execute_job",
+    "request_spec",
     "serve_worker_main",
 ]
 
@@ -54,22 +53,25 @@ class WorkerState:
         self.oracles: Dict[Tuple, Any] = {}
 
     # -- problem / solver / oracle caches ------------------------------
-    def problem(self, family: str, nx: int, ny: int):
-        key = (family, nx, ny)
+    def problem(self, request):
+        """The assembled system for a request's ``(family, nx, ny)``."""
+        key = (request.family, request.nx, request.ny)
         prob = self.problems.get(key)
         if prob is None:
-            prob = build_problem(family, nx, ny)
+            from repro.control.spec import build_problem
+
+            prob = build_problem(request_spec(request))
             self.problems[key] = prob
         return prob
 
-    def solver(self, family: str, nx: int, ny: int):
+    def solver(self, request):
         """The shared factorisation for one assembled system (laplace)."""
         from repro.autodiff.sparse import make_linear_solver
 
-        key = (family, nx, ny)
+        key = (request.family, request.nx, request.ny)
         solver = self.solvers.get(key)
         if solver is None:
-            prob = self.problem(family, nx, ny)
+            prob = self.problem(request)
             solver = make_linear_solver(
                 prob.system,
                 method=getattr(prob, "solver", "direct"),
@@ -83,20 +85,21 @@ class WorkerState:
                target_digest)
         oracle = self.oracles.get(key)
         if oracle is None:
-            prob = self._problem_for(request)
-            oracle = build_oracle(request.family, request.method, prob)
+            from repro.control.spec import build_oracle
+
+            oracle = build_oracle(request_spec(request),
+                                  self._problem_for(request))
             if request.family == "laplace":
                 # All Laplace oracles (and the coalesced evaluate path)
                 # share ONE factorisation per system — a per-request
                 # target only changes the post-solve mismatch, never
                 # the matrix.
-                oracle.solver = self.solver(request.family, request.nx,
-                                            request.ny)
+                oracle.solver = self.solver(request)
             self.oracles[key] = oracle
         return oracle
 
     def _problem_for(self, request):
-        prob = self.problem(request.family, request.nx, request.ny)
+        prob = self.problem(request)
         if request.target is None:
             return prob
         target = np.asarray(request.target, dtype=np.float64)
@@ -145,56 +148,41 @@ class _Reject(ValueError):
 
 
 # ----------------------------------------------------------------------
-# Oracles and problems
+# The served run
 # ----------------------------------------------------------------------
-def build_problem(family: str, nx: int, ny: int):
-    """One assembled problem instance for a request shape."""
-    if family == "laplace":
-        from repro.cloud.square import SquareCloud
-        from repro.pde.laplace import LaplaceControlProblem
+def request_spec(request):
+    """The :class:`~repro.control.spec.RunSpec` a served request runs.
 
-        return LaplaceControlProblem(SquareCloud(nx))
-    from repro.cloud.channel import ChannelCloud
-    from repro.pde.navier_stokes import ChannelFlowProblem
+    Every served setting that the request does not carry is fixed here.
+    Where these differ from the bench's ``spec_for`` (DESIGN §16):
 
-    return ChannelFlowProblem(cloud=ChannelCloud(nx, ny), perturbation=0.3)
-
-
-#: Pseudo-time refinements used for served Navier–Stokes requests —
-#: the DP paper value; bounded so one request cannot run unbounded.
-NS_REFINEMENTS = 10
-
-
-def build_oracle(family: str, method: str, problem):
-    """The ``control.*`` oracle a served request runs through.
-
-    Laplace DP runs with ``compile=True`` (trace-once compilation): the
-    first request traces and compiles, every subsequent same-shape
-    request runs the compiled program — the cross-request program-cache
-    contract.
+    - Laplace DP runs with ``compile=True`` (trace-once compilation):
+      the first request traces and compiles, every subsequent
+      same-shape request runs the compiled program — the cross-request
+      program-cache contract;
+    - every Navier–Stokes method uses the DP paper value of 10
+      pseudo-time refinements (the bench's DAL uses 3), bounded so one
+      request cannot run unbounded;
+    - a PINN solve trains step 1 of the ω line search only, at the
+      paper's Laplace ω* = 0.1, with 200 interior and 24 boundary
+      points, on the eager tier.
     """
-    if family == "laplace":
-        if method == "dp":
-            from repro.control.dp import LaplaceDP
+    from repro.control.spec import RunSpec
 
-            return LaplaceDP(problem, compile=True)
-        if method == "dal":
-            from repro.control.dal import LaplaceDAL
-
-            return LaplaceDAL(problem)
-    else:
-        from repro.pde.navier_stokes import NSConfig
-
-        cfg = NSConfig(refinements=NS_REFINEMENTS)
-        if method == "dp":
-            from repro.control.dp import NavierStokesDP
-
-            return NavierStokesDP(problem, cfg)
-        if method == "dal":
-            from repro.control.dal import NavierStokesDAL
-
-            return NavierStokesDAL(problem, cfg)
-    raise _Reject(f"method {method!r} is not served for family {family!r}")
+    return RunSpec(
+        family=request.family,
+        method=request.method,
+        nx=request.nx,
+        ny=request.ny,
+        compile=(request.family, request.method) == ("laplace", "dp"),
+        iterations=request.iterations,
+        lr=request.lr,
+        refinements=10,
+        hidden=(30, 30, 30),
+        omegas=(0.1,),
+        n_interior=200,
+        n_boundary=24,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -218,23 +206,14 @@ def _solve(state: WorkerState, request, digest: str) -> Dict[str, Any]:
     }
 
 
-#: Fixed cost weight for served PINN solves (the paper's Laplace ω*).
-PINN_OMEGA = 0.1
-
-
 def _solve_pinn(state: WorkerState, request, digest: str) -> Dict[str, Any]:
-    from repro.control.dp import LaplaceDP
-    from repro.control.pinn import LaplacePINN, PINNTrainConfig
+    from repro.control.spec import build_oracle
     from repro.parallel.seeding import derive_seed
 
-    prob = state._problem_for(request)
-    cfg = PINNTrainConfig(
-        epochs=request.iterations, lr=request.lr,
-        n_interior=200, n_boundary=24,
-    )
-    pinn = LaplacePINN(prob, config=cfg)
-    seed = derive_seed(request.seed, digest)
-    run = pinn.train_pair(PINN_OMEGA, seed=seed)
+    spec = request_spec(request)
+    pinn = build_oracle(spec, state._problem_for(request))
+    (omega,) = spec.omegas
+    run = pinn.train_pair(omega, seed=derive_seed(request.seed, digest))
     c = pinn.control_values(run.params_c)
     # Price the PINN control under the reference (RBF) physics, through
     # the same shared factorisation every other request uses.
@@ -281,13 +260,10 @@ def _evaluate_batch(state: WorkerState, requests: List) -> List[Dict[str, Any]]:
     """
     if not requests:
         return []
-    family = requests[0].family
-    if family != "laplace":
+    if requests[0].family != "laplace":
         out = []
-        from repro.pde.navier_stokes import NSConfig
-
-        cfg = NSConfig(refinements=NS_REFINEMENTS)
-        prob = state.problem(family, requests[0].nx, requests[0].ny)
+        cfg = request_spec(requests[0]).ns_config
+        prob = state.problem(requests[0])
         for req in requests:
             c = np.asarray(req.control, dtype=np.float64)
             if c.shape[0] != prob.inflow_y.shape[0]:
@@ -301,8 +277,8 @@ def _evaluate_batch(state: WorkerState, requests: List) -> List[Dict[str, Any]]:
             out.append(_evaluate_payload(cost, req))
         return out
 
-    prob = state.problem(family, requests[0].nx, requests[0].ny)
-    solver = state.solver(family, requests[0].nx, requests[0].ny)
+    prob = state.problem(requests[0])
+    solver = state.solver(requests[0])
     n_control = prob.n_control
     controls: List[np.ndarray] = []
     targets: List[np.ndarray] = []

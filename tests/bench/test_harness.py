@@ -11,16 +11,9 @@ from repro.bench.configs import (
     NavierStokesScale,
     PinnScale,
 )
-from repro.bench.harness import (
-    make_laplace_problem,
-    make_ns_problem,
-    run_laplace_dal,
-    run_laplace_dp,
-    run_laplace_fd,
-    run_laplace_pinn,
-    run_ns_dal,
-    run_ns_dp,
-)
+from repro.bench.harness import run, spec_for
+from repro.control.spec import build_problem
+from repro.pde.navier_stokes import NSConfig
 
 TINY = ExperimentScale(
     name="tiny",
@@ -42,33 +35,35 @@ TINY = ExperimentScale(
 
 @pytest.fixture(scope="module")
 def lap_problem():
-    return make_laplace_problem(TINY)
+    return build_problem(spec_for(TINY, "laplace", "dp"))
 
 
 @pytest.fixture(scope="module")
 def ns_problem():
-    return make_ns_problem(TINY)
+    return build_problem(spec_for(TINY, "ns", "dp"))
 
 
 class TestLaplaceRunners:
     def test_dp(self, lap_problem):
-        r = run_laplace_dp(lap_problem, TINY)
+        r = run(spec_for(TINY, "laplace", "dp"), problem=lap_problem)
         assert r.method == "DP" and r.problem == "laplace"
         assert r.final_cost < r.cost_history[0]
         assert r.wall_time_s > 0 and r.peak_mem_bytes > 0
         assert len(r.cost_history) == TINY.laplace.iterations
 
     def test_dal(self, lap_problem):
-        r = run_laplace_dal(lap_problem, TINY)
+        r = run(spec_for(TINY, "laplace", "dal"), problem=lap_problem)
         assert r.final_cost < r.cost_history[0]
 
     def test_fd(self, lap_problem):
-        r = run_laplace_fd(lap_problem, TINY, iterations=5)
+        spec = dataclasses.replace(spec_for(TINY, "laplace", "fd"),
+                                   iterations=5)
+        r = run(spec, problem=lap_problem)
         assert r.iterations == 5
         assert r.extra["n_evaluations"] > 5  # 2n+1 evals per iter
 
     def test_pinn(self, lap_problem):
-        r = run_laplace_pinn(lap_problem, TINY)
+        r = run(spec_for(TINY, "laplace", "pinn"), problem=lap_problem)
         assert r.method == "PINN"
         assert r.extra["best_omega"] == 1e-1
         assert len(r.extra["step2_costs"]) == 1
@@ -77,15 +72,25 @@ class TestLaplaceRunners:
 
 class TestNSRunners:
     def test_dp(self, ns_problem):
-        r = run_ns_dp(ns_problem, TINY)
+        r = run(spec_for(TINY, "ns", "dp"), problem=ns_problem)
         assert r.final_cost <= r.cost_history[0]
         assert r.extra["refinements"] == TINY.ns.refinements_dp
 
     def test_dal_records_final_not_best(self, ns_problem):
-        r = run_ns_dal(ns_problem, TINY)
+        r = run(spec_for(TINY, "ns", "dal"), problem=ns_problem)
         assert r.final_cost == r.cost_history[-1]
         assert "best_cost" in r.extra
 
     def test_dp_reynolds_override(self, ns_problem):
-        r = run_ns_dp(ns_problem, TINY, reynolds=10.0)
+        spec = dataclasses.replace(spec_for(TINY, "ns", "dp"), reynolds=10.0)
+        r = run(spec, problem=ns_problem)
         assert r.extra["reynolds"] == 10.0
+
+    def test_pinn(self, ns_problem):
+        r = run(spec_for(TINY, "ns", "pinn"), problem=ns_problem)
+        assert r.extra["best_omega"] == 1.0
+        # The headline cost is the control re-simulated by the solver.
+        cfg = NSConfig(TINY.ns.reynolds, TINY.ns.refinements_dp,
+                       TINY.ns.pseudo_dt)
+        state = ns_problem.solve(r.control, cfg)
+        assert r.final_cost == ns_problem.cost(state.u, state.v)

@@ -39,9 +39,11 @@ from repro.cloud.square import SquareCloud
 from repro.control.dal import LaplaceDAL, NavierStokesDAL
 from repro.control.dp import LaplaceDP, NavierStokesDP
 from repro.control.loop import optimize
+from repro.control.pinn import LaplacePINN, PINNTrainConfig
 from repro.obs.profile import SpanProfiler, profiling
 from repro.obs.recorder import TraceRecorder
 from repro.pde.laplace import LaplaceControlProblem
+from repro.parallel.seeding import derive_seed
 from repro.pde.navier_stokes import ChannelFlowProblem, NSConfig
 from repro.serve.protocol import parse_request, request_digest
 from repro.serve.worker import WorkerState, execute_job
@@ -165,17 +167,23 @@ SERVED = {
 }
 
 
+def _execute(job):
+    reply = execute_job(WorkerState(0), job)
+    assert reply["ok"], reply
+    return reply
+
+
+def _served_solve(request):
+    return _execute({"op": "solve", "request": request,
+                     "digest": request_digest(request)})["result"]
+
+
 def served(family, method):
     def cell():
         shape, build_problem, oracles = SERVED[family]
         request = parse_request({"family": family, "kind": "solve",
                                  "method": method, **shape})
-        reply = execute_job(WorkerState(0), {
-            "op": "solve", "request": request,
-            "digest": request_digest(request),
-        })
-        assert reply["ok"], reply
-        result = reply["result"]
+        result = _served_solve(request)
         control, history = optimize(oracles[method](build_problem()),
                                     request.iterations, request.lr)
         return Comparison(
@@ -183,6 +191,39 @@ def served(family, method):
              "control": np.array(result["control"])},
             {"cost": np.array(history.best_cost), "control": control})
     return cell
+
+
+def served_pinn():
+    request = parse_request({"family": "laplace", "kind": "solve",
+                             "method": "pinn", "nx": 10, "iterations": 20})
+    result = _served_solve(request)
+    problem = LaplaceControlProblem(SquareCloud(10))
+    pinn = LaplacePINN(problem, config=PINNTrainConfig(
+        epochs=20, lr=request.lr, n_interior=200, n_boundary=24))
+    run = pinn.train_pair(
+        0.1, seed=derive_seed(request.seed, request_digest(request)))
+    control = pinn.control_values(run.params_c)
+    return Comparison(
+        {"cost": np.array(result["final_cost"]),
+         "control": np.array(result["control"])},
+        {"cost": np.array(LaplaceDP(problem).value(control)),
+         "control": control})
+
+
+def served_ns_evaluate():
+    _, build_problem, _ = SERVED["ns"]
+    problem = build_problem()
+    controls = [problem.default_control(), 0.5 * problem.default_control()]
+    requests = [parse_request({"family": "ns", "kind": "evaluate", "nx": 13,
+                               "ny": 7, "control": list(c)})
+                for c in controls]
+    results = _execute({"op": "evaluate", "requests": requests})["results"]
+    reference = []
+    for c in controls:
+        state = problem.solve(c, NSConfig(refinements=10))
+        reference.append(problem.cost(state.u, state.v))
+    return Comparison({"cost": np.array([r["cost"] for r in results])},
+                      {"cost": np.array(reference)})
 
 
 CELLS = [
@@ -194,6 +235,9 @@ CELLS = [
 ] + [
     pytest.param(served(family, method), id=f"served-{family}-{method}")
     for family in ("laplace", "ns") for method in ("dp", "dal")
+] + [
+    pytest.param(served_pinn, id="served-laplace-pinn"),
+    pytest.param(served_ns_evaluate, id="served-ns-evaluate"),
 ]
 
 

@@ -74,3 +74,17 @@ def test_golden_traces_carry_identity_metadata():
         assert baseline.meta.get("method") in ("DP", "DAL")
         assert baseline.meta.get("problem") in ("laplace", "navier-stokes")
         assert len(baseline.iterations) == TIER0[name].iterations
+
+
+def test_record_unknown_config_is_a_usage_error(capsys):
+    from repro.obs.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["record", "no_such_tier0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "no_such_tier0" in err
+    assert all(name in err for name in TIER0)
+    # The library call itself keeps raising KeyError.
+    with pytest.raises(KeyError, match="available"):
+        run_tier0("no_such_tier0")

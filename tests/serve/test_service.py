@@ -75,9 +75,10 @@ def client(service):
 
 @pytest.fixture(scope="module")
 def n_control():
+    from repro.serve.protocol import parse_request
     from repro.serve.worker import WorkerState
 
-    return WorkerState(0).problem("laplace", 26, 11).n_control
+    return WorkerState(0).problem(parse_request(SOLVE)).n_control
 
 
 def test_healthz(client):

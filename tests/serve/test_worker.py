@@ -34,7 +34,7 @@ def _job_evaluate(controls, **over):
 
 @pytest.fixture(scope="module")
 def n_control(state):
-    return state.problem("laplace", 26, 11).n_control
+    return state.problem(_job_solve()["request"]).n_control
 
 
 def test_solve_returns_cost_and_control(state, n_control):
@@ -100,7 +100,7 @@ def test_coalesced_evaluate_matches_independent_dal_oracle(state, n_control):
 
     from repro.control.dal import LaplaceDAL
 
-    prob = state.problem("laplace", 26, 11)
+    prob = state.problem(_job_solve()["request"])
     rng = np.random.default_rng(11)
     controls = rng.normal(scale=0.2, size=(4, n_control))
     target = prob.target + rng.normal(scale=0.1, size=prob.target.shape)
