@@ -33,9 +33,9 @@ when disabled.  The design budget for the total enabled-path
 observability overhead is 2 %.
 
 Heartbeats — the parallel half of run health — live in
-:mod:`repro.parallel`: workers touch a per-task heartbeat file and the
-engine flags tasks whose heartbeat goes stale before the hard timeout
-fires (counter ``parallel.heartbeat_stalls``).
+:mod:`repro.parallel`: workers send beat frames over their pipe while a
+task runs, and the engine flags tasks whose beats stop before the hard
+timeout fires (counter ``parallel.heartbeat_stalls``).
 """
 
 from __future__ import annotations

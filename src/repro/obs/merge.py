@@ -1,11 +1,11 @@
-"""Merging per-worker observability shards into one artifact set.
+"""Merging per-run observability shards into one artifact set.
 
-The parallel engine runs observability per process: each worker exports
-its own Chrome trace, metrics snapshot, and (for instrumented runs) a
-convergence-trace JSONL.  This module folds those shards back into the
-single-artifact formats the rest of the tooling already consumes —
-``python -m repro.obs report`` renders a merged trace/metrics pair
-exactly like a serial one.
+A fanned-out bench matrix (``python -m repro.bench --jobs N``) writes
+one artifact set per run: a Chrome trace, a metrics snapshot, and (for
+instrumented runs) a convergence-trace JSONL.  This module folds those
+shards back into the single-artifact formats the rest of the tooling
+already consumes — ``python -m repro.obs report`` renders a merged
+trace/metrics pair exactly like a serial one.
 
 Merge semantics:
 

@@ -236,16 +236,17 @@ class MetricsRegistry:
             for name, v in sorted(caches.items())
         ]
 
-    # -- merge (parallel worker shards) --------------------------------
+    # -- merge (parallel worker replies) -------------------------------
     def merge_snapshot(self, snapshot: Dict[str, Any]) -> None:
         """Fold another registry's :meth:`snapshot` into this one.
 
-        The parallel engine gives every worker process a *fresh* registry
-        and ships its snapshot back as a shard; merging sums them into
-        the parent so artifacts look like one run.  Because each shard
-        starts from zero, summation is the correct combination for every
-        instrument kind — including gauges: a worker's ``cache.*`` gauge
-        holds that task's cumulative totals and the tasks are disjoint.
+        The parallel engine gives every task attempt a *fresh* registry
+        and ships its snapshot back in the attempt's reply; merging sums
+        them into the parent so artifacts look like one run.  Because
+        each snapshot starts from zero, summation is the correct
+        combination for every instrument kind — including gauges: an
+        attempt's ``cache.*`` gauge holds that task's cumulative totals
+        and the tasks are disjoint.
         Histogram bucket boundaries must match (they are fixed at
         construction precisely so snapshots stay mergeable).
         """

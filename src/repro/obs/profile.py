@@ -179,7 +179,7 @@ class SpanProfiler:
         self._local = threading.local()
         # Thread registration order -> stable small track ids.
         self._threads: Dict[int, str] = {}
-        # Chrome-trace events absorbed from worker-process shards; they
+        # Chrome-trace events absorbed from worker processes; they
         # carry their own (real) pid/tid and are re-emitted verbatim.
         self._external: List[Dict[str, Any]] = []
 
@@ -282,17 +282,17 @@ class SpanProfiler:
         """Number of spans still open on the calling thread."""
         return len(self._stack())
 
-    # -- worker shards -------------------------------------------------
+    # -- worker traces -------------------------------------------------
     def absorb_chrome_trace(self, doc: Dict[str, Any]) -> None:
-        """Merge a worker shard's Chrome trace into this profiler.
+        """Merge a worker's Chrome trace into this profiler.
 
         The parallel engine hands over the ``to_chrome_trace`` document a
-        worker process exported; its events keep their real pid/tid, so
-        each worker appears as its own process track next to the parent's
-        spans in Perfetto.  Absorbed events also contribute to
-        :meth:`phase_seconds` and :meth:`summary_rows` (total seconds and
-        call counts; self-time attribution stays in the worker's own
-        metrics shard, where the span tree lived).
+        worker process sent back with a task's reply; its events keep
+        their real pid/tid, so each worker appears as its own process
+        track next to the parent's spans in Perfetto.  Absorbed events
+        also contribute to :meth:`phase_seconds` and :meth:`summary_rows`
+        (total seconds and call counts; they are flat, so they carry no
+        self time).
         """
         events = [e for e in doc.get("traceEvents", []) if isinstance(e, dict)]
         with self._lock:
@@ -361,8 +361,7 @@ class SpanProfiler:
                     "category": category,
                     "calls": 0,
                     "seconds": 0.0,
-                    # Absorbed events are flat (no tree): self time is
-                    # attributed in the worker's own metrics shard.
+                    # Absorbed events are flat (no tree): no self time.
                     "self_seconds": 0.0,
                     "rss_delta_kb": 0,
                 }
@@ -421,8 +420,8 @@ class SpanProfiler:
                         "args": args,
                     }
                 )
-        # Worker-shard events ride along verbatim: their pid/tid are the
-        # worker's real ones, so each worker gets its own process track.
+        # Absorbed worker events ride along verbatim: their pid/tid are
+        # the worker's real ones, so each worker gets its own process track.
         events.extend(self.external_events())
         out: Dict[str, Any] = {"traceEvents": events, "displayTimeUnit": "ms"}
         # Profile artifacts share provenance with trace headers: the
@@ -565,7 +564,7 @@ def metrics_payload(
     """The ``repro.profile.metrics`` artifact document, fingerprinted.
 
     One shared constructor for the metrics-snapshot payload the bench
-    CLI, ``repro.obs record``, and the parallel worker shards all write:
+    CLI and ``repro.obs record`` write:
     run metadata, the environment fingerprint, the profiler's per-phase
     seconds and span rows, and the active registry snapshot.  ``profiler``
     defaults to the installed one (no-op rows when none is active).

@@ -14,17 +14,24 @@ determinism
     worker count, and retry history.
 
 fault isolation
-    Each task attempt runs in its own process.  A raising, crashed
-    (even SIGKILLed), or hung worker fails *only its task*; the pool and
-    its siblings keep running.  Failures are reported as structured
+    Tasks run on a warm pool of worker processes
+    (:mod:`repro.parallel.pool`), forked per run so they inherit the
+    task list.  A raising task fails only its task and its worker keeps
+    serving; a crashed (even SIGKILLed) or hung worker fails only its
+    attempt and is killed and replaced, while the pool and its siblings
+    keep running.  Failures are reported as structured
     :class:`~repro.parallel.task.TaskResult` records, optionally retried
     with exponential backoff.
 
 observability
-    Workers write their own metrics / Chrome-trace shards
-    (:mod:`repro.obs` runs per-process); the engine merges them back
-    into the parent's registry and profiler so artifacts look like one
-    run (spans keep their real worker pid/tid).
+    Each attempt runs with a fresh metrics registry (and span profiler
+    when the parent profiles) and ships both back in its reply over the
+    worker's pipe; the engine merges them into the parent's registry and
+    profiler so artifacts look like one run (spans keep their real
+    worker pid/tid).
+
+The same :class:`~repro.parallel.pool.Worker` / ``WarmPool`` pair runs
+the control service's warm workers (:mod:`repro.serve`).
 
 Entry points: :class:`~repro.parallel.engine.ParallelEngine` (or the
 :func:`~repro.parallel.engine.run_tasks` convenience) plus

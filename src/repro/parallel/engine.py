@@ -1,37 +1,40 @@
-"""The process-pool task engine.
+"""The warm-pool task engine.
 
-One process per task *attempt*: perfect fault isolation (a SIGKILLed or
-hung worker takes down nothing but its own attempt) at a per-task cost of
-one ``fork``/``spawn`` — negligible against the seconds-to-hours tasks
-this repo fans out (PINN trainings, benchmark runs).  The scheduler keeps
-at most ``jobs`` workers alive, enforces per-task deadlines, retries
-failures with exponential backoff, and returns structured
-:class:`~repro.parallel.task.TaskResult` records in submission order.
+Each :meth:`ParallelEngine.run` forks a :class:`~repro.parallel.pool.
+WarmPool` of ``min(jobs, len(tasks))`` workers that inherit the task
+list, then schedules task attempts onto them from an asyncio loop: a
+job is ``(index, attempt)``, and the round trip is the pool's
+:meth:`~repro.parallel.pool.Worker.call`.  A raising task leaves its
+worker in rotation; a crashed (even SIGKILLed) or timed-out attempt
+kills its worker and replaces it, so a fault still fails nothing but
+its own attempt.  The engine enforces per-task deadlines, retries
+failures with exponential backoff, flags stalled heartbeats, and
+returns structured :class:`~repro.parallel.task.TaskResult` records in
+submission order.
 
 Determinism: every attempt of task ``key`` is seeded with
 ``derive_seed(root_seed, key)`` — results never depend on scheduling
-order, worker count, or which attempt finally succeeded.
+order, worker count, which worker ran the attempt, or which attempt
+finally succeeded.
 
-Observability: workers run with a fresh per-process metrics registry
-(and, when the parent has a profiler installed, a fresh span profiler),
-export both as artifact shards, and the engine merges the shards back
-into the parent's registry/profiler after each task completes — spans
-keep the worker's real pid, registry snapshots are summed.
+Observability: each attempt runs with a fresh metrics registry (and,
+when the parent has a profiler installed, a fresh span profiler) and
+ships the registry snapshot and Chrome trace back in its reply; the
+engine merges a final attempt's into the parent's registry/profiler
+and drops a retried attempt's — spans keep the worker's real pid,
+registry snapshots are summed.
 """
 
 from __future__ import annotations
 
-import json
-import multiprocessing as mp
+import asyncio
 import os
-import shutil
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
-from multiprocessing import connection as mp_connection
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.parallel.pool import WORKER_ENV, WarmPool, Worker
 from repro.parallel.seeding import derive_seed, seed_everything
 from repro.parallel.task import (
     STATUS_CRASHED,
@@ -43,7 +46,7 @@ from repro.parallel.task import (
     exception_payload,
     record_task_metrics,
 )
-from repro.parallel.worker import WORKER_ENV, heartbeat_path, worker_main
+from repro.parallel.worker import task_worker_main
 
 __all__ = ["ParallelEngine", "resolve_jobs", "run_tasks"]
 
@@ -70,29 +73,18 @@ def resolve_jobs(cli_value: Optional[int] = None, env_var: str = "REPRO_JOBS") -
         raise ValueError(f"${env_var} must be an integer, got {raw!r}") from None
 
 
-def _sanitize(key: str) -> str:
-    """A filesystem-safe shard stem for a task key."""
-    return "".join(c if (c.isalnum() or c in "-_.") else "-" for c in key)
-
-
 @dataclass
-class _Running:
-    index: int
-    attempt: int
-    proc: Any
-    conn: Any
-    t0: float
-    deadline: Optional[float]
-    #: Heartbeat file this attempt's worker touches (None = disabled).
-    hb_path: Optional[str] = None
-    #: Wall-clock launch time (heartbeat mtimes are wall-clock).
-    wall0: float = 0.0
-    #: Set once when the heartbeat goes stale; sticky for the attempt.
+class _Beat:
+    """One attempt's heartbeat state, as the parent sees it."""
+
+    #: Loop time of the attempt's start or of its latest beat.
+    last: float
+    #: Set once when the beats go stale; sticky for the attempt.
     stalled: bool = False
 
 
 class ParallelEngine:
-    """Schedules tasks over a bounded pool of single-task worker processes.
+    """Schedules tasks over a warm pool of worker processes.
 
     Parameters
     ----------
@@ -112,20 +104,11 @@ class ParallelEngine:
         tasks — the scheduler keeps the pool busy while one task waits.
     root_seed:
         Root of the per-task seed derivation.
-    shard_dir:
-        Where workers write their obs shards.  ``None`` uses a temporary
-        directory that is merged and removed; an explicit directory is
-        kept (one ``<key>.metrics.json`` / ``<key>.trace.json`` pair per
-        task) for artifact upload.
-    mp_start:
-        Multiprocessing start method (default ``$REPRO_MP_START``, else
-        ``fork`` where available — task functions then need not be
-        picklable — else the platform default).
     heartbeat:
-        Interval (seconds) at which workers touch their heartbeat file;
-        ``0`` disables heartbeats entirely.
+        Interval (seconds) at which workers send a beat frame while a
+        task runs; ``0`` disables heartbeats entirely.
     heartbeat_stall:
-        Age (seconds) past which a worker's heartbeat counts as stale.
+        Age (seconds) past which a worker's last beat counts as stale.
         ``None`` defaults to ``max(5 * heartbeat, 5.0)``.  A stale task
         is flagged once — stderr warning, ``parallel.heartbeat_stalls``
         counter, ``TaskResult.stalled`` — but only the hard ``timeout``
@@ -140,8 +123,6 @@ class ParallelEngine:
         retries: int = 0,
         backoff: float = 0.05,
         root_seed: int = 0,
-        shard_dir: Optional[str] = None,
-        mp_start: Optional[str] = None,
         heartbeat: float = 1.0,
         heartbeat_stall: Optional[float] = None,
     ) -> None:
@@ -150,16 +131,10 @@ class ParallelEngine:
         self.retries = int(retries)
         self.backoff = float(backoff)
         self.root_seed = int(root_seed)
-        self.shard_dir = shard_dir
         self.heartbeat = max(0.0, float(heartbeat))
         if heartbeat_stall is None:
             heartbeat_stall = max(5.0 * self.heartbeat, 5.0)
         self.heartbeat_stall = float(heartbeat_stall)
-        if mp_start is None:
-            mp_start = os.environ.get("REPRO_MP_START") or None
-        if mp_start is None:
-            mp_start = "fork" if "fork" in mp.get_all_start_methods() else None
-        self._ctx = mp.get_context(mp_start)
 
     # ------------------------------------------------------------------
     def run(self, tasks: Sequence[Task]) -> List[TaskResult]:
@@ -176,10 +151,13 @@ class ParallelEngine:
             return [self._run_inline(t, s) for t, s in zip(tasks, seeds)]
         return self._run_pool(tasks, seeds)
 
+    def _max_attempts(self, task: Task) -> int:
+        return 1 + (self.retries if task.retries is None else task.retries)
+
     # -- serial fallback ----------------------------------------------
     def _run_inline(self, task: Task, seed: int) -> TaskResult:
         """Run one task in-process (identical seeding, no isolation)."""
-        max_attempts = 1 + (self.retries if task.retries is None else task.retries)
+        max_attempts = self._max_attempts(task)
         attempt = 0
         while True:
             attempt += 1
@@ -215,251 +193,124 @@ class ParallelEngine:
     def _run_pool(self, tasks: List[Task], seeds: List[int]) -> List[TaskResult]:
         from repro.obs.profile import current_profiler
 
-        want_trace = current_profiler() is not None
-        shard_dir = self.shard_dir
-        shard_tmp = shard_dir is None
-        if shard_tmp:
-            shard_dir = tempfile.mkdtemp(prefix="repro-parallel-obs-")
+        trace = current_profiler() is not None
+        pool = WarmPool(min(self.jobs, len(tasks)), task_worker_main,
+                        (tasks, seeds, trace, self.heartbeat))
+        try:
+            return asyncio.run(self._schedule(pool, tasks, seeds))
+        finally:
+            pool.shutdown()
 
-        from collections import deque
+    async def _schedule(self, pool: WarmPool, tasks: List[Task],
+                        seeds: List[int]) -> List[TaskResult]:
+        # Idle workers; tasks check them out first come first served,
+        # and a retry rejoins the back of the line after its backoff.
+        idle: "asyncio.Queue[Worker]" = asyncio.Queue()
+        for worker in pool.workers:
+            idle.put_nowait(worker)
+        return list(await asyncio.gather(*(
+            self._run_task(pool, idle, tasks[i], i, seeds[i])
+            for i in range(len(tasks))
+        )))
 
-        n = len(tasks)
-        results: List[Optional[TaskResult]] = [None] * n
-        ready = deque((i, 1) for i in range(n))  # (index, attempt) FIFO
-        sleeping: List[tuple] = []  # (not_before, index, attempt)
-        running: Dict[Any, _Running] = {}
-
-        def launch(index: int, attempt: int) -> None:
-            task = tasks[index]
-            stem = _sanitize(task.key)
-            shard = {
-                "dir": shard_dir,
-                "stem": stem,
-                "trace": want_trace,
-                "heartbeat": self.heartbeat,
-            }
-            parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-            proc = self._ctx.Process(
-                target=worker_main,
-                args=(
-                    child_conn,
-                    task.fn,
-                    task.args,
-                    task.kwargs,
-                    task.key,
-                    seeds[index],
-                    shard,
-                ),
-                name=f"repro-parallel:{task.key}",
-                daemon=True,
+    async def _run_task(self, pool: WarmPool, idle: "asyncio.Queue[Worker]",
+                        task: Task, index: int, seed: int) -> TaskResult:
+        """Run one task's attempts until it succeeds or runs out."""
+        loop = asyncio.get_running_loop()
+        timeout = self.timeout if task.timeout is None else task.timeout
+        max_attempts = self._max_attempts(task)
+        attempt = 0
+        while True:
+            attempt += 1
+            worker = await idle.get()
+            pid = worker.process.pid
+            t0 = loop.time()
+            beat = _Beat(t0)
+            watch = (loop.create_task(self._watch(beat, task.key, pid))
+                     if self.heartbeat else None)
+            reply = await worker.call(
+                (index, attempt), timeout,
+                on_beat=lambda: setattr(beat, "last", loop.time()),
             )
-            proc.start()
-            child_conn.close()
-            t0 = time.monotonic()
-            timeout = self.timeout if task.timeout is None else task.timeout
-            running[parent_conn] = _Running(
-                index=index,
-                attempt=attempt,
-                proc=proc,
-                conn=parent_conn,
-                t0=t0,
-                deadline=None if timeout is None else t0 + timeout,
-                hb_path=(
-                    heartbeat_path(shard_dir, stem) if self.heartbeat else None
-                ),
-                wall0=time.time(),
-            )
-
-        def settle(info: _Running, status: str, payload=None, error=None) -> None:
-            """Classify one finished attempt: finalize, or schedule a retry."""
-            task = tasks[info.index]
-            duration = time.monotonic() - info.t0
-            shards = (payload or {}).get("shards")
-            max_attempts = 1 + (
-                self.retries if task.retries is None else task.retries
-            )
-            if status != STATUS_OK and info.attempt < max_attempts:
-                self._discard_shards(shards)
-                delay = self.backoff * (2 ** (info.attempt - 1))
-                sleeping.append((time.monotonic() + delay, info.index, info.attempt + 1))
-                return
+            duration = loop.time() - t0
+            if watch is not None:
+                watch.cancel()
+            error = reply.get("error")
+            if "pid" in reply:  # the task's own reply: value or exception
+                idle.put_nowait(worker)
+                status = STATUS_OK if reply["ok"] else STATUS_ERROR
+            else:  # the round trip failed: the worker is dead or stuck
+                idle.put_nowait(pool.replace(worker))
+                if error["type"] == "RequestTimeout":
+                    status = STATUS_TIMEOUT
+                    error = {
+                        "type": "TaskTimeout",
+                        "message": (
+                            f"task {task.key!r} exceeded its {timeout:.3g}s "
+                            f"deadline and was killed"
+                        ),
+                        "traceback": "",
+                    }
+                else:
+                    status = STATUS_CRASHED
+                    error = {
+                        "type": "WorkerCrashed",
+                        "message": (
+                            f"worker pid {pid} exited with code "
+                            f"{worker.process.exitcode} before returning "
+                            f"a result"
+                        ),
+                        "traceback": "",
+                    }
+            if status != STATUS_OK and attempt < max_attempts:
+                # A retried attempt's obs are dropped, never merged.
+                await asyncio.sleep(self.backoff * (2 ** (attempt - 1)))
+                continue
             result = TaskResult(
                 key=task.key,
                 status=status,
-                value=(payload or {}).get("value"),
+                value=reply.get("value"),
                 error=error,
-                attempts=info.attempt,
+                attempts=attempt,
                 duration_s=duration,
-                worker_pid=(payload or {}).get("pid", info.proc.pid),
-                seed=seeds[info.index],
-                stalled=info.stalled,
+                worker_pid=reply.get("pid", pid),
+                seed=seed,
+                stalled=beat.stalled,
             )
-            results[info.index] = result
             record_task_metrics(result)
-            self._absorb_shards(shards, keep=not shard_tmp)
+            self._absorb(reply)
+            return result
 
-        try:
-            while ready or sleeping or running:
-                now = time.monotonic()
-                # Wake retries whose backoff has elapsed.
-                due = [s for s in sleeping if s[0] <= now]
-                if due:
-                    sleeping[:] = [s for s in sleeping if s[0] > now]
-                    for _, index, attempt in sorted(due):
-                        ready.append((index, attempt))
-                while ready and len(running) < self.jobs:
-                    index, attempt = ready.popleft()
-                    launch(index, attempt)
-                if not running:
-                    # Pool idle but retries pending: sleep until the next one.
-                    if sleeping:
-                        time.sleep(max(0.0, min(s[0] for s in sleeping) - now))
-                    continue
-                # Wait for a result, a death, or the nearest deadline.
-                wait_until = [
-                    r.deadline for r in running.values() if r.deadline is not None
-                ] + [s[0] for s in sleeping]
-                timeout = 0.5
-                if wait_until:
-                    timeout = max(0.0, min(min(wait_until) - time.monotonic(), 0.5))
-                done = mp_connection.wait(list(running), timeout=timeout)
-                for conn in done:
-                    info = running.pop(conn)
-                    try:
-                        payload = conn.recv()
-                    except (EOFError, OSError):
-                        payload = None  # died before reporting (e.g. SIGKILL)
-                    conn.close()
-                    info.proc.join(timeout=5.0)
-                    if payload is None:
-                        settle(
-                            info,
-                            STATUS_CRASHED,
-                            error={
-                                "type": "WorkerCrashed",
-                                "message": (
-                                    f"worker pid {info.proc.pid} exited with code "
-                                    f"{info.proc.exitcode} before returning a result"
-                                ),
-                                "traceback": "",
-                            },
-                        )
-                    elif payload.get("status") == "ok":
-                        settle(info, STATUS_OK, payload=payload)
-                    else:
-                        settle(
-                            info, STATUS_ERROR, payload=payload,
-                            error=payload.get("error"),
-                        )
-                # Heartbeat staleness: flag (once) workers whose beat
-                # stopped — an early warning channel, never a kill.
-                if self.heartbeat:
-                    wall_now = time.time()
-                    for info in running.values():
-                        if info.stalled or info.hb_path is None:
-                            continue
-                        try:
-                            age = wall_now - os.path.getmtime(info.hb_path)
-                        except OSError:
-                            # No file yet: allow worker startup (imports,
-                            # fork latency) one extra interval of grace.
-                            age = wall_now - info.wall0 - self.heartbeat
-                        if age > self.heartbeat_stall:
-                            info.stalled = True
-                            from repro.obs.metrics import get_registry
+    async def _watch(self, beat: _Beat, key: str, pid: int) -> None:
+        """Flag (once) an attempt whose beats stopped — an early warning
+        channel, never a kill.  Cancelled when the attempt ends."""
+        loop = asyncio.get_running_loop()
+        while True:
+            age = loop.time() - beat.last
+            if age >= self.heartbeat_stall:
+                break
+            await asyncio.sleep(self.heartbeat_stall - age)
+        beat.stalled = True
+        from repro.obs.metrics import get_registry
 
-                            get_registry().counter(
-                                "parallel.heartbeat_stalls"
-                            ).inc()
-                            print(
-                                f"[repro.parallel] task "
-                                f"{tasks[info.index].key!r} (pid "
-                                f"{info.proc.pid}) heartbeat stale for "
-                                f"{age:.1f}s — worker may be hung",
-                                file=sys.stderr,
-                            )
-                # Deadline enforcement for still-running workers.
-                now = time.monotonic()
-                for conn in [
-                    c for c, r in running.items()
-                    if r.deadline is not None and now >= r.deadline
-                ]:
-                    info = running.pop(conn)
-                    self._kill(info.proc)
-                    conn.close()
-                    settle(
-                        info,
-                        STATUS_TIMEOUT,
-                        error={
-                            "type": "TaskTimeout",
-                            "message": (
-                                f"task {tasks[info.index].key!r} exceeded its "
-                                f"{info.deadline - info.t0:.3g}s deadline and was killed"
-                            ),
-                            "traceback": "",
-                        },
-                    )
-        finally:
-            for info in running.values():
-                self._kill(info.proc)
-                info.conn.close()
-            if shard_tmp:
-                shutil.rmtree(shard_dir, ignore_errors=True)
-
-        missing = [tasks[i].key for i, r in enumerate(results) if r is None]
-        if missing:  # pragma: no cover - scheduler invariant
-            raise RuntimeError(f"tasks never settled: {missing}")
-        return results  # type: ignore[return-value]
-
-    # -- helpers -------------------------------------------------------
-    @staticmethod
-    def _kill(proc) -> None:
-        """Terminate, then SIGKILL, a worker; never raises."""
-        try:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=1.0)
-        except Exception:
-            pass
+        get_registry().counter("parallel.heartbeat_stalls").inc()
+        print(
+            f"[repro.parallel] task {key!r} (pid {pid}) heartbeat stale "
+            f"for {age:.1f}s — worker may be hung",
+            file=sys.stderr,
+        )
 
     @staticmethod
-    def _discard_shards(shards: Optional[Dict[str, str]]) -> None:
-        """Drop the shards of a *retried* attempt (never double-merged)."""
-        for path in (shards or {}).values():
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-
-    @staticmethod
-    def _absorb_shards(shards: Optional[Dict[str, str]], keep: bool) -> None:
-        """Merge one task's obs shards into the parent registry/profiler."""
-        if not shards:
-            return
+    def _absorb(reply: Dict[str, Any]) -> None:
+        """Merge a final attempt's obs into the parent registry/profiler."""
         from repro.obs.metrics import get_registry
         from repro.obs.profile import current_profiler
 
-        metrics_path = shards.get("metrics")
-        if metrics_path and os.path.exists(metrics_path):
-            try:
-                with open(metrics_path, "r", encoding="utf-8") as f:
-                    doc = json.load(f)
-                get_registry().merge_snapshot(doc.get("metrics", {}))
-            except (OSError, ValueError):
-                pass
-        trace_path = shards.get("trace")
+        if reply.get("metrics"):
+            get_registry().merge_snapshot(reply["metrics"])
         prof = current_profiler()
-        if prof is not None and trace_path and os.path.exists(trace_path):
-            try:
-                with open(trace_path, "r", encoding="utf-8") as f:
-                    prof.absorb_chrome_trace(json.load(f))
-            except (OSError, ValueError):
-                pass
-        if not keep:
-            ParallelEngine._discard_shards(shards)
+        if prof is not None and reply.get("trace"):
+            prof.absorb_chrome_trace(reply["trace"])
 
 
 def run_tasks(
@@ -469,7 +320,6 @@ def run_tasks(
     retries: int = 0,
     backoff: float = 0.05,
     root_seed: int = 0,
-    shard_dir: Optional[str] = None,
     heartbeat: float = 1.0,
     heartbeat_stall: Optional[float] = None,
 ) -> List[TaskResult]:
@@ -480,7 +330,6 @@ def run_tasks(
         retries=retries,
         backoff=backoff,
         root_seed=root_seed,
-        shard_dir=shard_dir,
         heartbeat=heartbeat,
         heartbeat_stall=heartbeat_stall,
     ).run(tasks)

@@ -1,10 +1,10 @@
 """Task and result records for the parallel engine.
 
-A :class:`Task` is a picklable unit of work with a stable ``key`` (the
-identity that drives seeding and artifact naming); a :class:`TaskResult`
-is the structured outcome record — status, attempts, duration, worker
-pid, exception payload — that the engine returns in input order and
-feeds into the metrics registry.
+A :class:`Task` is a unit of work with a stable ``key`` (the identity
+that drives seeding); a :class:`TaskResult` is the structured outcome
+record — status, attempts, duration, worker pid, exception payload —
+that the engine returns in input order and feeds into the metrics
+registry.
 """
 
 from __future__ import annotations
@@ -29,10 +29,12 @@ class TaskError(RuntimeError):
 
 @dataclass
 class Task:
-    """One unit of work: a picklable callable plus arguments.
+    """One unit of work: a callable plus arguments.
 
-    ``key`` must be unique within a submission and stable across runs —
-    it determines the task's derived seed and its obs shard names.
+    Workers inherit their tasks through ``fork`` where the platform has
+    it, so neither needs to pickle; only the return value crosses the
+    pipe.  ``key`` must be unique within a submission and stable across
+    runs — it determines the task's derived seed.
     ``timeout``/``retries`` override the engine defaults when not None.
     """
 
@@ -54,9 +56,9 @@ class TaskResult:
     the worker from the live exception, so it survives the pipe even
     when the exception object itself does not pickle.  ``duration_s``
     covers the final attempt only; ``attempts`` counts every attempt.
-    ``stalled`` is the engine's heartbeat verdict: the worker's
-    heartbeat file went stale while it ran (a hung-task early warning —
-    the status still reflects how the attempt ultimately ended).
+    ``stalled`` is the engine's heartbeat verdict: the worker's beats
+    stopped while it ran (a hung-task early warning — the status still
+    reflects how the attempt ultimately ended).
     """
 
     key: str

@@ -1,165 +1,122 @@
-"""Worker-process entry point for the parallel engine.
+"""The engine's warm-worker target: run task attempts until shutdown.
 
-Runs exactly one task attempt: seed the process, install per-process
-observability, call the function, ship a picklable payload back through
-the pipe.  Everything defensive lives here — a task may raise anything,
-return anything, or die outright, and the parent must still get (at
-worst) an EOF it can classify.
+Each worker inherits the engine's task list and derived seeds through
+``fork``, so a job is just ``(index, attempt)`` and nothing about a task
+is pickled.  An attempt seeds the process, installs fresh per-attempt
+observability, calls the function, and ships a picklable reply back
+through the pipe.  Everything defensive lives here — a task may raise
+anything, return anything, or die outright, and the parent must still
+get (at worst) an EOF it can classify.
 
-Heartbeats: when the shard spec carries a ``heartbeat`` interval, a
-daemon thread touches ``<stem>.heartbeat`` in the shard directory every
-interval.  The engine watches the file's mtime and flags a task whose
-heartbeat goes stale long before the hard timeout kills it — a hung
-worker (deadlock, SIGSTOP, livelocked solve) stops touching the file,
-while a merely slow one keeps beating.
+Heartbeats: with a ``heartbeat`` interval, a daemon thread sends a
+:data:`~repro.parallel.pool.BEAT` frame every interval while the task
+runs.  The engine flags a task whose beats stop long before the hard
+timeout kills it — a hung worker (deadlock, SIGSTOP, livelocked solve)
+stops beating, while a merely slow one keeps beating.  Beats and the
+reply share one send lock, and the beat thread stops before the reply
+is sent, so no beat ever follows a reply.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
-import time
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Sequence
 
+from repro.parallel.pool import BEAT, SHUTDOWN, WORKER_ENV
 from repro.parallel.seeding import seed_everything
-from repro.parallel.task import exception_payload
+from repro.parallel.task import Task, exception_payload
 
-#: Set in every worker process; ``resolve_jobs`` reads it to keep nested
-#: fan-outs (a PINN line search inside a bench-matrix worker) serial.
-WORKER_ENV = "REPRO_PARALLEL_WORKER"
+__all__ = ["WORKER_ENV", "task_worker_main"]
 
 
-def _write_shards(shard: Dict[str, Any], profiler, task_key: str) -> Dict[str, str]:
-    """Export this worker's obs state as artifact shards; return the paths."""
-    from repro.obs.profile import NULL_PROFILER, metrics_payload
-
-    os.makedirs(shard["dir"], exist_ok=True)
-    stem = os.path.join(shard["dir"], shard["stem"])
-    meta = {"task": task_key, "pid": os.getpid()}
-    paths: Dict[str, str] = {}
-
-    metrics_path = f"{stem}.metrics.json"
-    payload = metrics_payload(
-        profiler if profiler is not None else NULL_PROFILER, meta=meta
-    )
-    with open(metrics_path, "w", encoding="utf-8") as f:
-        json.dump(payload, f)
-    paths["metrics"] = metrics_path
-
-    if profiler is not None:
-        trace_path = f"{stem}.trace.json"
-        profiler.save_chrome_trace(trace_path, meta=meta)
-        paths["trace"] = trace_path
-    return paths
-
-
-def heartbeat_path(shard_dir: str, stem: str) -> str:
-    """Where one task's heartbeat file lives (shared with the engine)."""
-    return os.path.join(shard_dir, f"{stem}.heartbeat")
-
-
-def _heartbeat_loop(path: str, interval: float, stop: threading.Event) -> None:
-    """Touch ``path`` every ``interval`` seconds until ``stop`` is set.
+def _beat(send: Callable[[Any], None], interval: float,
+          stop: threading.Event) -> None:
+    """Send a beat every ``interval`` seconds until ``stop`` is set.
 
     The loop freezes with the process (SIGSTOP, deadlocked GIL holder,
     hard livelock under a C extension never releasing the GIL) — exactly
     the conditions the parent wants an early signal for.
     """
-    while True:
+    while not stop.wait(interval):
         try:
-            with open(path, "w", encoding="utf-8") as f:
-                f.write(f"{os.getpid()} {time.time():.6f}\n")
+            send(BEAT)
         except OSError:
-            pass  # a missed beat is a false stall at worst, never a crash
-        if stop.wait(interval):
-            return
+            return  # the parent is gone; the reply will fail the same way
 
 
-def worker_main(
-    conn,
-    fn,
-    args,
-    kwargs,
-    key: str,
-    seed: int,
-    shard: Optional[Dict[str, Any]] = None,
-) -> None:
-    """Execute one task attempt and send the outcome through ``conn``.
-
-    The payload is always a plain dict of picklable values.  If the
-    task's *return value* fails to pickle, a structured error payload is
-    sent instead — the parent never hangs on a poisoned channel.
-    """
-    os.environ[WORKER_ENV] = "1"
-    seed_everything(seed)
-
+def _attempt(task: Task, seed: int, trace: bool, heartbeat: float,
+             send: Callable[[Any], None]) -> Dict[str, Any]:
+    """Run one attempt; the reply carries its value or error and obs."""
     from repro.obs.metrics import MetricsRegistry, set_registry
     from repro.obs.profile import SpanProfiler, set_profiler
 
-    # Fresh per-process obs state: under the fork start method the child
-    # inherits the parent's registry/profiler objects, and writing into
-    # those copies would silently drop data (nothing flows back through
-    # fork).  Install clean instances and ship their contents as shards.
-    set_registry(MetricsRegistry())
-    profiler = SpanProfiler() if shard and shard.get("trace") else None
-    if profiler is not None:
-        set_profiler(profiler)
+    seed_everything(seed)
+    # Fresh per-attempt obs state: the parent merges a final attempt's
+    # registry snapshot and trace and drops a retried attempt's, so
+    # nothing may carry over from an earlier attempt in this process.
+    registry = MetricsRegistry()
+    set_registry(registry)
+    profiler = SpanProfiler() if trace else None
+    set_profiler(profiler)
 
-    hb_stop: Optional[threading.Event] = None
-    hb_file: Optional[str] = None
-    if shard and shard.get("heartbeat"):
-        try:
-            os.makedirs(shard["dir"], exist_ok=True)
-            hb_file = heartbeat_path(shard["dir"], shard["stem"])
-            hb_stop = threading.Event()
-            threading.Thread(
-                target=_heartbeat_loop,
-                args=(hb_file, float(shard["heartbeat"]), hb_stop),
-                name="repro-heartbeat",
-                daemon=True,
-            ).start()
-        except Exception:
-            hb_stop, hb_file = None, None  # heartbeats are best-effort
-
-    out: Dict[str, Any] = {"pid": os.getpid(), "shards": None}
+    stop = threading.Event()
+    beats = None
+    if heartbeat:
+        beats = threading.Thread(target=_beat, args=(send, heartbeat, stop),
+                                 name="repro-heartbeat", daemon=True)
+        beats.start()
+    out: Dict[str, Any] = {"pid": os.getpid()}
     try:
-        value = fn(*args, **kwargs)
-        out["status"] = "ok"
-        out["value"] = value
+        out["value"] = task.fn(*task.args, **task.kwargs)
+        out["ok"] = True
     except BaseException as exc:  # report *everything*; isolation is the point
-        out["status"] = "error"
+        out["ok"] = False
         out["error"] = exception_payload(exc)
     finally:
-        if hb_stop is not None:
-            hb_stop.set()
-            try:
-                os.unlink(hb_file)
-            except OSError:
-                pass
-        if shard is not None:
-            try:
-                out["shards"] = _write_shards(shard, profiler, key)
-            except Exception:
-                pass  # shard export must never mask the task outcome
+        if beats is not None:
+            stop.set()
+            beats.join()
+    out["metrics"] = registry.snapshot()
+    out["trace"] = profiler.to_chrome_trace() if profiler is not None else None
+    return out
 
-    try:
-        conn.send(out)
-    except Exception as exc:  # unpicklable return value
-        conn.send(
-            {
-                "pid": out["pid"],
-                "shards": out["shards"],
-                "status": "error",
-                "error": {
-                    "type": "UnpicklableResultError",
-                    "message": (
-                        f"task {key!r} returned a value that could not be "
-                        f"pickled back to the parent: {exc}"
-                    ),
-                    "traceback": "",
-                },
-            }
-        )
-    finally:
-        conn.close()
+
+def task_worker_main(conn, tasks: Sequence[Task], seeds: Sequence[int],
+                     trace: bool, heartbeat: float) -> None:
+    """Worker loop: one ``(index, attempt)`` job in, one reply out.
+
+    The reply is always a plain dict of picklable values.  If the task's
+    *return value* fails to pickle, a structured error reply is sent
+    instead — the parent never hangs on a poisoned channel.
+    """
+    lock = threading.Lock()
+
+    def send(msg: Any) -> None:
+        with lock:
+            conn.send(msg)
+
+    while True:
+        try:
+            job = conn.recv()
+        except (EOFError, KeyboardInterrupt):
+            break
+        if job is SHUTDOWN:
+            break
+        index, _ = job
+        task = tasks[index]
+        out = _attempt(task, seeds[index], trace, heartbeat, send)
+        try:
+            send(out)
+        except OSError:
+            break
+        except Exception as exc:  # unpicklable return value
+            send(dict(out, ok=False, value=None, error={
+                "type": "UnpicklableResultError",
+                "message": (
+                    f"task {task.key!r} returned a value that could not "
+                    f"be pickled back to the parent: {exc}"
+                ),
+                "traceback": "",
+            }))
+    conn.close()

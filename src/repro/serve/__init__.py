@@ -5,12 +5,13 @@ The serving layer turns the batch benchmark stack into an online
 service: JSON control requests (problem family, method, target profile,
 tolerance, scale) arrive over HTTP, are validated and content-digested
 (:mod:`repro.serve.protocol`), and routed to a pool of *warm* worker
-processes (:mod:`repro.serve.pool`) that keep compiled programs and LU
-factorisations alive across requests.  Compatible cost evaluations are
-coalesced into one multi-RHS solve (:mod:`repro.serve.coalesce`), and
-completed results land in a disk-backed store keyed by request digest
-(:mod:`repro.serve.store`) so idempotent re-submits replay byte-for-byte
-without touching a worker.
+processes (:mod:`repro.parallel.pool`, shared with the task engine;
+the job loop is :mod:`repro.serve.worker`) that keep compiled programs
+and LU factorisations alive across requests.  Compatible cost
+evaluations are coalesced into one multi-RHS solve
+(:mod:`repro.serve.coalesce`), and completed results land in a
+disk-backed store keyed by request digest (:mod:`repro.serve.store`) so
+idempotent re-submits replay byte-for-byte without touching a worker.
 
 Everything is stdlib: ``asyncio`` for the HTTP front
 (:mod:`repro.serve.service`), ``multiprocessing`` pipes for the workers.

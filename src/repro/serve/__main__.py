@@ -20,13 +20,28 @@ import sys
 from repro.serve.service import ControlService, ServeConfig
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def positive_seconds(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(prog="python -m repro.serve",
+                                 description=__doc__)
     ap.add_argument("--host", default="127.0.0.1")
     ap.add_argument("--port", type=int, default=8787)
-    ap.add_argument("--workers", type=int, default=2)
-    ap.add_argument("--queue-limit", type=int, default=32)
-    ap.add_argument("--timeout", type=float, default=60.0,
+    ap.add_argument("--workers", type=positive_int, default=2)
+    ap.add_argument("--queue-limit", type=positive_int, default=32)
+    ap.add_argument("--timeout", type=positive_seconds, default=60.0,
                     help="per-request worker deadline in seconds")
     ap.add_argument("--store-dir", default=None,
                     help="disk-backed result store (unset: disabled)")

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.obs.metrics import MetricsRegistry
+from repro.parallel.pool import WarmPool, Worker
 from repro.serve.coalesce import Coalescer
-from repro.serve.pool import ServeWorker, WarmPool
 from repro.serve.protocol import (
     RequestError,
     coalesce_key,
@@ -49,6 +49,7 @@ from repro.serve.protocol import (
     request_digest,
 )
 from repro.serve.store import ResultStore
+from repro.serve.worker import serve_worker_main
 
 __all__ = ["ControlService", "ServeConfig"]
 
@@ -115,7 +116,7 @@ class ControlService:
         self._server: Optional[asyncio.AbstractServer] = None
         # Idle workers.  Solves and coalesced evaluate batches check
         # workers out of this one FIFO queue, first come first served.
-        self._worker_queue: "asyncio.Queue[ServeWorker]" = asyncio.Queue()
+        self._worker_queue: "asyncio.Queue[Worker]" = asyncio.Queue()
         self._coalescer = Coalescer(
             self._flush_evaluate, self._worker_queue.get, self._settle_worker,
             max_width=self.config.coalesce_max,
@@ -134,7 +135,8 @@ class ControlService:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Boot the warm pool and bind the listening socket."""
-        self.pool = WarmPool(self.config.workers, self.config.root_seed)
+        self.pool = WarmPool(self.config.workers, serve_worker_main,
+                             (self.config.root_seed,))
         for worker in self.pool.workers:
             self._worker_queue.put_nowait(worker)
         self._server = await asyncio.start_server(
@@ -190,7 +192,7 @@ class ControlService:
     # ------------------------------------------------------------------
     # Worker dispatch
     # ------------------------------------------------------------------
-    def _settle_worker(self, worker: ServeWorker, reply: Any = None) -> None:
+    def _settle_worker(self, worker: Worker, reply: Any = None) -> None:
         """Return ``worker`` to rotation — or replace it if the reply
         says it crashed or blew its deadline (a timed-out worker is
         still busy with the stale job and must not serve again).  With
@@ -215,7 +217,7 @@ class ControlService:
         """Check a worker out and run one job on it."""
         return await self._run(await self._worker_queue.get(), job)
 
-    async def _run(self, worker: ServeWorker,
+    async def _run(self, worker: Worker,
                    job: Dict[str, Any]) -> Dict[str, Any]:
         """Run one job on a checked-out worker as its own task, then
         settle the worker.
@@ -243,7 +245,7 @@ class ControlService:
         return reply
 
     async def _flush_evaluate(self, requests: List[Any],
-                              worker: ServeWorker) -> List[Dict[str, Any]]:
+                              worker: Worker) -> List[Dict[str, Any]]:
         """Coalescer callback: one batched evaluate job per flush."""
         self.registry.counter("serve.coalesce.batches").inc()
         self.registry.counter("serve.coalesce.requests").inc(len(requests))

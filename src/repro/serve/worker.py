@@ -362,11 +362,9 @@ def execute_job(state: WorkerState, job: Dict[str, Any]) -> Dict[str, Any]:
 def serve_worker_main(conn, root_seed: int = 0) -> None:
     """Worker process entry point: job loop over a pipe until shutdown."""
     from repro.obs.metrics import MetricsRegistry, set_registry
-    from repro.parallel.worker import WORKER_ENV
+    from repro.parallel.pool import SHUTDOWN
 
-    # Mark this process as a worker so library code never fans out
-    # nested process pools, and isolate its metrics from the parent's.
-    os.environ[WORKER_ENV] = "1"
+    # Isolate this worker's metrics from the parent's.
     set_registry(MetricsRegistry())
     state = WorkerState(root_seed)
     while True:
@@ -374,10 +372,9 @@ def serve_worker_main(conn, root_seed: int = 0) -> None:
             job = conn.recv()
         except (EOFError, KeyboardInterrupt):
             break
-        op = job.get("op")
-        if op == "shutdown":
-            conn.send({"ok": True, "result": {"shutdown": True}})
+        if job is SHUTDOWN:
             break
+        op = job.get("op")
         if op == "crash":  # test hook: die without replying
             os._exit(2)
         if op == "sleep":  # test hook: hold the worker busy

@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.metrics import MetricsRegistry, get_registry, use_registry
+from repro.obs.profile import SpanProfiler, profiling, span
 from repro.parallel import (
     STATUS_CRASHED,
     STATUS_ERROR,
@@ -85,6 +86,18 @@ def _fail_until_marker(marker_path):
     with open(marker_path, "w", encoding="utf-8") as f:
         f.write("1")
     raise RuntimeError("first attempt fails")
+
+
+def _counted_work(marker_path=None):
+    """Bump ``task.work`` inside a ``task.body`` span; with a marker path,
+    fail the first attempt after both are recorded."""
+    get_registry().counter("task.work").inc()
+    with span("task.body"):
+        if marker_path is not None and not os.path.exists(marker_path):
+            with open(marker_path, "w", encoding="utf-8") as f:
+                f.write("1")
+            raise RuntimeError("first attempt fails")
+    return os.getpid()
 
 
 def _report_worker_env():
@@ -164,6 +177,23 @@ class TestRun:
                 [Task(key="t", fn=_square, args=(1,)),
                  Task(key="t", fn=_square, args=(2,))]
             )
+
+    def test_workers_are_reused_across_tasks(self):
+        results = run_tasks(
+            [Task(key=f"p{i}", fn=os.getpid) for i in range(6)],
+            jobs=2, timeout=60,
+        )
+        pids = {r.unwrap() for r in results}
+        assert pids == {r.worker_pid for r in results}
+        assert len(pids) <= 2 and os.getpid() not in pids
+
+        tasks = [Task(key=f"ok{i}", fn=_square, args=(i,)) for i in range(4)]
+        tasks.insert(2, Task(key="dead", fn=_sigkill_self))
+        results = run_tasks(tasks, jobs=2, timeout=60)
+        assert [r.status for r in results] == [
+            STATUS_OK, STATUS_OK, STATUS_CRASHED, STATUS_OK, STATUS_OK,
+        ]
+        assert [r.value for r in results if r.ok] == [0, 1, 4, 9]
 
     def test_worker_env_flag_set_and_nested_fanout_serial(self):
         (r,) = run_tasks([Task(key="t", fn=_report_worker_env)], jobs=2, timeout=60)
@@ -371,3 +401,26 @@ class TestMetrics:
             snap = reg.snapshot()
         assert snap["parallel.retries"]["value"] == 1
         assert snap["parallel.attempts"]["value"] == 2
+
+    def test_worker_obs_merged_once(self, tmp_path):
+        marker = str(tmp_path / "marker")
+        with use_registry(MetricsRegistry()) as reg, \
+                profiling(SpanProfiler()) as prof:
+            results = run_tasks(
+                [
+                    Task(key="once", fn=_counted_work),
+                    Task(key="retried", fn=_counted_work, args=(marker,),
+                         retries=1),
+                ],
+                jobs=2, timeout=60, backoff=0.01,
+            )
+            work = reg.counter("task.work").value
+        assert [r.status for r in results] == [STATUS_OK, STATUS_OK]
+        assert results[1].attempts == 2
+        # The failed first attempt's counter bump and span are dropped.
+        assert work == 2
+        body_pids = sorted(
+            e["pid"] for e in prof.external_events()
+            if e.get("name") == "task.body"
+        )
+        assert body_pids == sorted(r.worker_pid for r in results)

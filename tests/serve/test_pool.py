@@ -7,7 +7,8 @@ import os
 
 import pytest
 
-from repro.serve.pool import ServeWorker, WarmPool
+from repro.parallel.pool import WarmPool, Worker
+from repro.serve.worker import serve_worker_main
 
 
 def call(worker, job, timeout):
@@ -25,7 +26,7 @@ def call(worker, job, timeout):
 
 @pytest.fixture()
 def worker():
-    w = ServeWorker(worker_id=0, root_seed=0)
+    w = Worker(0, serve_worker_main, (0,))
     yield w
     w.shutdown()
 
@@ -56,7 +57,7 @@ def test_deadline_overrun_is_typed_timeout(worker):
 
 class TestWarmPool:
     def test_pool_boots_distinct_workers(self):
-        pool = WarmPool(size=2, root_seed=0)
+        pool = WarmPool(2, serve_worker_main, (0,))
         try:
             pids = {
                 call(w, {"op": "ping"}, timeout=30.0)["result"]["pid"]
@@ -67,7 +68,7 @@ class TestWarmPool:
             pool.shutdown()
 
     def test_replace_swaps_in_a_live_worker(self):
-        pool = WarmPool(size=1, root_seed=0)
+        pool = WarmPool(1, serve_worker_main, (0,))
         try:
             dead = pool.workers[0]
             call(dead, {"op": "crash"}, timeout=30.0)
@@ -82,7 +83,7 @@ class TestWarmPool:
             pool.shutdown()
 
     def test_shutdown_reaps_all_processes(self):
-        pool = WarmPool(size=2, root_seed=0)
+        pool = WarmPool(2, serve_worker_main, (0,))
         workers = list(pool.workers)
         pool.shutdown()
         assert all(not w.alive() for w in workers)

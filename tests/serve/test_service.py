@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.serve.client import ServeClient, ServeHTTPError
 from repro.serve.runner import ServiceThread
 from repro.serve.service import ServeConfig
@@ -371,3 +375,18 @@ def test_round_trips_start_no_threads(tmp_path, n_control):
         assert not any(t.is_alive() for t in burst)
         assert threading.active_count() == threads_before
         assert client.metrics()["metrics"]["serve.requests.ok"]["value"] == 8
+
+
+def test_cli_rejects_unusable_sizes():
+    # Each of these booted (or died in a traceback) instead of being a
+    # usage error; the subprocess timeout turns a boot into a failure.
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    for flag, value in (("--workers", "0"), ("--queue-limit", "0"),
+                        ("--timeout", "0"), ("--timeout", "-1")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.serve", flag, value],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 2, (flag, value, proc.stderr)
+        assert f"argument {flag}" in proc.stderr
