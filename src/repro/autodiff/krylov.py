@@ -51,6 +51,7 @@ from repro.autodiff.tensor import ArrayLike, Tensor, make_node, tensor
 from repro.obs.health import current_watchdog
 from repro.obs.metrics import get_registry
 from repro.obs.profile import span as _span
+from repro.obs.recorder import current_recorder
 
 __all__ = [
     "KrylovConvergenceError",
@@ -326,11 +327,12 @@ class KrylovSolver:
     fallback:
         On non-convergence, complete the solve with a direct sparse
         factorisation (built lazily, once) instead of raising.
-    recorder:
-        Optional :class:`~repro.obs.recorder.TraceRecorder`; every solve
-        emits a ``solve`` event with its iteration count and final
-        relative residual, the preconditioner build emits ``factorize``,
-        and failures emit ``"failure"``/``"fallback"``.
+
+    Telemetry: with a trace recorder installed
+    (:func:`~repro.obs.recorder.recording`) every solve emits a
+    ``solve`` event with its iteration count and final relative
+    residual, the preconditioner build emits ``factorize``, and
+    failures emit ``"failure"``/``"fallback"``.
     """
 
     solver_name = "sparse-krylov"
@@ -346,7 +348,6 @@ class KrylovSolver:
         maxiter: Optional[int] = None,
         restart: int = 50,
         fallback: bool = False,
-        recorder=None,
         ilu_drop_tol: float = 1e-4,
         ilu_fill_factor: float = 10.0,
     ) -> None:
@@ -380,7 +381,6 @@ class KrylovSolver:
         self.maxiter = 10 * self.n if maxiter is None else int(maxiter)
         self.restart = int(restart)
         self.fallback = bool(fallback)
-        self.recorder = recorder
         self.ilu_drop_tol = float(ilu_drop_tol)
         self.ilu_fill_factor = float(ilu_fill_factor)
 
@@ -399,14 +399,10 @@ class KrylovSolver:
             self._build_preconditioner()
         self.n_factorizations += 1
         get_registry().counter("krylov.precond_builds").inc()
-        if self.recorder:
-            self.recorder.solver_event(
-                self.solver_name,
-                "factorize",
-                n=self.n,
-                seconds=time.perf_counter() - t0,
-                nnz=self.nnz,
-            )
+        rec = current_recorder()
+        if rec is not None:
+            rec.solver_event(self.solver_name, "factorize", n=self.n,
+                             seconds=time.perf_counter() - t0, nnz=self.nnz)
 
     # -- preconditioner ------------------------------------------------
     def _build_preconditioner(self) -> None:
@@ -527,41 +523,27 @@ class KrylovSolver:
                     converged = False
         wd = current_watchdog()
         if wd is not None:
-            for ev in wd.observe_krylov(self.n, res.iterations, converged=converged):
-                if self.recorder:
-                    self.recorder.health_event(
-                        ev.check, ev.severity, ev.iteration, ev.value, ev.message
-                    )
-        if not converged:
-            reg.counter("krylov.failures").inc()
-            if self.recorder:
-                self.recorder.solver_event(
-                    self.solver_name,
-                    "fallback" if self.fallback else "failure",
-                    n=self.n,
-                    seconds=seconds,
-                    residual=final,
-                    nnz=self.nnz,
-                    iterations=res.iterations,
-                )
-            if not self.fallback:
-                raise KrylovConvergenceError(
-                    self.method, self.n, res.iterations, final, self.tol
-                )
-            self.n_fallbacks += 1
-            reg.counter("krylov.fallbacks").inc()
-            return self._direct_solve(b, trans)
-        if self.recorder:
-            self.recorder.solver_event(
-                self.solver_name,
-                "adjoint" if trans else "solve",
-                n=self.n,
-                seconds=seconds,
-                residual=final,
-                nnz=self.nnz,
-                iterations=res.iterations,
+            wd.observe_krylov(self.n, res.iterations, converged=converged)
+        rec = current_recorder()
+        if rec is not None:
+            if converged:
+                event = "adjoint" if trans else "solve"
+            else:
+                event = "fallback" if self.fallback else "failure"
+            rec.solver_event(
+                self.solver_name, event, n=self.n, seconds=seconds,
+                residual=final, nnz=self.nnz, iterations=res.iterations,
             )
-        return res.x
+        if converged:
+            return res.x
+        reg.counter("krylov.failures").inc()
+        if not self.fallback:
+            raise KrylovConvergenceError(
+                self.method, self.n, res.iterations, final, self.tol
+            )
+        self.n_fallbacks += 1
+        reg.counter("krylov.fallbacks").inc()
+        return self._direct_solve(b, trans)
 
     def _solve(self, b: np.ndarray, trans: bool = False) -> np.ndarray:
         """Solve for one vector or a column block, counting one solve."""
@@ -645,7 +627,7 @@ def krylov_pattern_solve(
 
     evaluated as a gather — never a dense outer product.  ``options``
     are forwarded to :class:`KrylovSolver` (method, tolerance, maxiter,
-    preconditioner, fallback, recorder).
+    preconditioner, fallback).
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)

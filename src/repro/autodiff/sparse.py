@@ -284,8 +284,9 @@ def make_linear_solver(A, method: str = "direct", **options):
     tape with an implicit/adjoint VJP, ``solve_numpy``,
     ``solve_transposed``, ``solve_block``).  ``options`` are forwarded
     to :class:`~repro.autodiff.krylov.KrylovSolver` (tolerances,
-    ``maxiter``, ``preconditioner``, ``fallback``, ``recorder``, ...)
-    and must be empty for the direct backends.
+    ``maxiter``, ``preconditioner``, ``fallback``, ...) and must be
+    empty for the direct backends.  A Krylov solver reports to the
+    installed trace recorder (:func:`~repro.obs.recorder.recording`).
     """
     if method not in ("direct", "iterative"):
         raise ValueError(

@@ -14,9 +14,9 @@ Options
 ``--problem {laplace,ns,all}``
     Restrict to one benchmark problem.
 ``--trace-dir DIR``
-    Attach a :class:`~repro.obs.recorder.TraceRecorder` to every run and
-    write one ``<problem>_<method>.jsonl`` convergence trace per run
-    into ``DIR``.  Defaults to ``$REPRO_TRACE_DIR`` when set; the CLI
+    Install a :class:`~repro.obs.recorder.TraceRecorder` around every
+    run and write one ``<problem>_<method>.jsonl`` convergence trace per
+    run into ``DIR``.  Defaults to ``$REPRO_TRACE_DIR`` when set; the CLI
     flag wins when both are given.
 ``--profile-dir DIR``
     Install a :class:`~repro.obs.profile.SpanProfiler` (and a fresh
@@ -53,6 +53,7 @@ and ``perf/compare.py``); this CLI prints one run's Table 3.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -66,10 +67,10 @@ from repro.bench.configs import (
 from repro.bench.harness import run, spec_for
 from repro.bench.tables import render_performance_table
 from repro.control.spec import build_problem
-from repro.obs.health import Watchdog, watching
+from repro.obs.health import watching
 from repro.obs.metrics import use_registry
-from repro.obs.profile import SpanProfiler, metrics_payload, profiling
-from repro.obs.recorder import TraceRecorder
+from repro.obs.profile import metrics_payload, profiling
+from repro.obs.recorder import TraceRecorder, recording
 from repro.parallel import ParallelEngine, Task, resolve_jobs
 
 METHODS = ("dal", "dp", "pinn")
@@ -105,39 +106,30 @@ def _write_profile_artifacts(out_dir, profiler, result) -> None:
     print(f"    profile -> {trace_path}")
 
 
-def _call(spec, kwargs, watch):
-    """Run ``spec``, optionally under a fresh watchdog."""
-    if not watch:
-        return run(spec, **kwargs)
-    with watching(Watchdog()) as wd:
-        result = run(spec, **kwargs)
-    if wd.counts:
-        tally = ", ".join(f"{k}×{v}" for k, v in sorted(wd.counts.items()))
-        print(f"    watchdog: {tally}", file=sys.stderr)
-    return result
-
-
 def _run(trace_out, profile_out, spec, scale_name, watch=False, **kwargs):
     """Run ``spec`` with whichever observability layers are requested.
 
-    Tracing attaches a recorder (tagged with the scale tier) and exports
+    Tracing installs a recorder (tagged with the scale tier) and exports
     convergence JSONL; profiling installs a span profiler plus a fresh
     metrics registry (so per-run counters don't bleed across runs) and
-    exports Chrome-trace + metrics JSON; ``watch`` wraps the run in a
-    health watchdog.  All default off, leaving the hot loops on their
-    no-op paths.
+    exports Chrome-trace + metrics JSON; ``watch`` installs a health
+    watchdog.  All default off, leaving the hot loops on their no-op
+    paths.
     """
-    rec = TraceRecorder() if trace_out is not None else None
-    if rec is not None:
-        rec.set_meta(scale=scale_name)
-        kwargs["recorder"] = rec
-    if profile_out is not None:
-        prof = SpanProfiler()
-        with use_registry(), profiling(prof):
-            result = _call(spec, kwargs, watch)
+    rec = TraceRecorder(scale=scale_name) if trace_out is not None else None
+    with contextlib.ExitStack() as installed:
+        if rec is not None:
+            installed.enter_context(recording(rec))
+        if profile_out is not None:
+            installed.enter_context(use_registry())
+            prof = installed.enter_context(profiling())
+        wd = installed.enter_context(watching()) if watch else None
+        result = run(spec, **kwargs)
+        if wd is not None and wd.counts:
+            tally = ", ".join(f"{k}×{v}" for k, v in sorted(wd.counts.items()))
+            print(f"    watchdog: {tally}", file=sys.stderr)
+        if profile_out is not None:
             _write_profile_artifacts(profile_out, prof, result)
-    else:
-        result = _call(spec, kwargs, watch)
     if rec is not None:
         path = os.path.join(
             trace_out, f"{result.problem}_{result.method.lower()}.jsonl"

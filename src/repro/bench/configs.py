@@ -69,7 +69,7 @@ def trace_dir(cli_value: "str | None" = None) -> "str | None":
 
     Pass ``--trace-dir`` to ``python -m repro.bench`` (or set
     ``REPRO_TRACE_DIR=/some/dir``; the CLI flag wins when both are given)
-    to make every benchmark runner attach a
+    to make every benchmark run install a
     :class:`~repro.obs.recorder.TraceRecorder` and write one
     ``<problem>_<method>.jsonl`` per run.  Unset (the default): telemetry
     stays disabled and the hot loops take the no-recorder fast path.

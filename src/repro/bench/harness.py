@@ -8,12 +8,11 @@ Table-3 metrics (final cost, iterations, wall time, peak memory) plus
 method-specific extras (cost history for Fig. 3b/4b, controls for
 Fig. 3a/4c, line-search data for Fig. 3c–e).
 
-:func:`run` accepts an optional ``recorder``
-(:class:`~repro.obs.recorder.TraceRecorder`): when given, the run emits
-per-iteration convergence telemetry — tagged with the method/problem
-identity — and the oracle's cumulative cache statistics, ready for
-JSONL export (``python -m repro.bench --trace-dir``).  Without one, the
-loops take their zero-overhead path.
+With a trace recorder installed (:func:`~repro.obs.recorder.recording`)
+:func:`run` emits per-iteration convergence telemetry — tagged with the
+method/problem identity — and the oracle's cumulative cache statistics,
+ready for JSONL export (``python -m repro.bench --trace-dir``).  Without
+one, the loops take their zero-overhead path.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from repro.control.pinn import omega_line_search
 from repro.control.problem import ControlResult
 from repro.control.spec import RunSpec, build_oracle, build_problem
 from repro.obs.hooks import record_oracle_telemetry
+from repro.obs.recorder import current_recorder
 
 
 def spec_for(scale: ExperimentScale, family: str, method: str) -> RunSpec:
@@ -75,7 +75,6 @@ def spec_for(scale: ExperimentScale, family: str, method: str) -> RunSpec:
 def run(
     spec: RunSpec,
     problem=None,
-    recorder=None,
     jobs: Optional[int] = None,
 ) -> ControlResult:
     """Run one spec and return its Table-3 row.
@@ -89,9 +88,10 @@ def run(
     """
     prob = problem if problem is not None else build_problem(spec)
     oracle = build_oracle(spec, prob)
-    if recorder:
-        recorder.set_meta(method=spec.method.upper(),
-                          problem=spec.problem_name, backend=prob.backend)
+    trace = current_recorder()
+    if trace is not None:
+        trace.set_meta(method=spec.method.upper(),
+                       problem=spec.problem_name, backend=prob.backend)
     if spec.family == "laplace":
         extra = {"control_x": prob.control_x}
     else:
@@ -100,9 +100,7 @@ def run(
 
     if spec.method == "pinn":
         ls, t, mem = measure_run(
-            lambda: omega_line_search(oracle, spec.omegas, recorder=recorder,
-                                      jobs=jobs),
-            recorder,
+            lambda: omega_line_search(oracle, spec.omegas, jobs=jobs)
         )
         c = oracle.control_values(ls.params_c)
         # Headline cost: the PINN's control priced under the reference
@@ -127,17 +125,13 @@ def run(
             "epoch_cost_history": best.cost_history,
         })
     else:
-        if hasattr(oracle, "recorder"):
-            oracle.recorder = recorder
         (c, hist), t, mem = measure_run(
-            lambda: optimize(oracle, spec.iterations, spec.lr,
-                             recorder=recorder),
-            recorder,
+            lambda: optimize(oracle, spec.iterations, spec.lr)
         )
         # FD prices through an eager DP oracle, whose solver holds the
         # cache telemetry.
         record_oracle_telemetry(
-            recorder, oracle.cost_fn.__self__ if spec.method == "fd" else oracle
+            oracle.cost_fn.__self__ if spec.method == "fd" else oracle
         )
         history = hist.costs
         # NS-DAL reports its *final* cost: the paper's Table 3 reflects

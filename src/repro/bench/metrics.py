@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple, TypeVar
+from typing import Callable, Tuple, TypeVar
 
+from repro.obs.recorder import current_recorder
 from repro.utils.timers import PeakMemory, Timer
 
 T = TypeVar("T")
 
 
-def measure_run(
-    fn: Callable[[], T], recorder=None
-) -> Tuple[T, float, int]:
+def measure_run(fn: Callable[[], T]) -> Tuple[T, float, int]:
     """Execute ``fn`` and return ``(result, wall_seconds, peak_bytes)``.
 
     Peak memory is tracked with ``tracemalloc`` (Python allocations,
@@ -20,8 +19,8 @@ def measure_run(
     therefore measured on the *same* footing for every method, preserving
     the comparison the paper's Table 3 makes.
 
-    When a live ``recorder`` is given, the measurements are also merged
-    into the trace metadata (``bench_wall_time_s``/``bench_peak_bytes``)
+    With a trace recorder installed, the measurements are also merged
+    into its metadata (``bench_wall_time_s``/``bench_peak_bytes``)
     so a trace artifact is self-describing without the table next to it.
 
     Child-worker memory: runs that fan out (``--jobs``) do their heavy
@@ -33,8 +32,9 @@ def measure_run(
     with PeakMemory(track_children=True) as mem:
         with Timer() as timer:
             result = fn()
-    if recorder:
-        recorder.set_meta(
+    trace = current_recorder()
+    if trace is not None:
+        trace.set_meta(
             bench_wall_time_s=timer.elapsed,
             bench_peak_bytes=mem.total_peak_bytes,
             bench_child_peak_bytes=mem.child_peak_bytes,

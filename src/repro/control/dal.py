@@ -58,6 +58,7 @@ import numpy as np
 from repro.autodiff.sparse import make_linear_solver
 from repro.obs.hooks import record_solver_cache
 from repro.obs.profile import span as _span
+from repro.obs.recorder import current_recorder
 from repro.pde.laplace import LaplaceControlProblem
 from repro.pde.navier_stokes import ChannelFlowProblem, NSConfig
 
@@ -123,9 +124,9 @@ class LaplaceDAL:
         b_adj[p.top] = 2.0 * mismatch
         return self.solver.solve_numpy(b_adj)
 
-    def report_telemetry(self, recorder) -> None:
+    def report_telemetry(self) -> None:
         """End-of-run cumulative telemetry: shared direct/adjoint LU stats."""
-        record_solver_cache(recorder, self.solver, "lu-cache")
+        record_solver_cache(self.solver, "lu-cache")
 
 
 @dataclass
@@ -147,9 +148,9 @@ class NavierStokesDAL:
     solve through :meth:`ChannelFlowProblem.momentum_solver`, on the
     problem's backend and ``solver``.
 
-    Telemetry: assigning a :class:`~repro.obs.recorder.TraceRecorder` to
-    :attr:`recorder` makes every adjoint solve emit an ``adjoint`` event
-    carrying its final update residual and refinement count — the
+    Telemetry: with a trace recorder installed
+    (:func:`~repro.obs.recorder.recording`) every adjoint solve emits an
+    ``adjoint`` event carrying its final update residual — the
     per-iteration signal behind the paper's DAL-at-``Re=100`` breakdown
     (§3.2): the adjoint stalling or blowing up shows in this residual
     long before the cost curve reveals it.
@@ -160,7 +161,6 @@ class NavierStokesDAL:
         problem: ChannelFlowProblem,
         config: Optional[NSConfig] = None,
         adjoint_refinements: Optional[int] = None,
-        recorder=None,
     ) -> None:
         self.problem = problem
         self.config = config or NSConfig(refinements=3)
@@ -169,7 +169,6 @@ class NavierStokesDAL:
             if adjoint_refinements is not None
             else max(3 * self.config.refinements, 15)
         )
-        self.recorder = recorder
 
     # ------------------------------------------------------------------
     def value(self, c: np.ndarray) -> float:
@@ -181,7 +180,7 @@ class NavierStokesDAL:
         self, u: np.ndarray, v: np.ndarray
     ) -> NSAdjointState:
         """Solve the adjoint system for a frozen direct flow ``(u, v)``."""
-        rec = self.recorder if self.recorder else None
+        rec = current_recorder()
         t_adj0 = time.perf_counter() if rec is not None else 0.0
         pr = self.problem
         nd, mask, cfg = pr.nodal, pr.mask_int, self.config
@@ -261,8 +260,6 @@ class NavierStokesDAL:
         """Parabolic inflow."""
         return self.problem.default_control()
 
-    def report_telemetry(self, recorder) -> None:
+    def report_telemetry(self) -> None:
         """End-of-run cumulative telemetry: pressure-LU cache stats."""
-        record_solver_cache(
-            recorder, self.problem.pressure_solver, "pressure-lu-cache"
-        )
+        record_solver_cache(self.problem.pressure_solver, "pressure-lu-cache")

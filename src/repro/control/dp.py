@@ -110,11 +110,11 @@ class LaplaceDP:
         """The nodal state for a given control (for figures)."""
         return self.solver.solve_numpy(self.problem.rhs(np.asarray(c)))
 
-    def report_telemetry(self, recorder) -> None:
+    def report_telemetry(self) -> None:
         """End-of-run cumulative telemetry: LU and compiled-program cache stats."""
-        record_solver_cache(recorder, self.solver, "lu-cache")
+        record_solver_cache(self.solver, "lu-cache")
         if self.compile:
-            record_compile_cache(recorder, self._vg)
+            record_compile_cache(self._vg)
 
 
 class NavierStokesDP:
@@ -169,10 +169,8 @@ class NavierStokesDP:
         """Parabolic inflow (the paper's NS initialisation)."""
         return self.problem.default_control()
 
-    def report_telemetry(self, recorder) -> None:
+    def report_telemetry(self) -> None:
         """End-of-run cumulative telemetry: pressure-LU and compiled-program stats."""
-        record_solver_cache(
-            recorder, self.problem.pressure_solver, "pressure-lu-cache"
-        )
+        record_solver_cache(self.problem.pressure_solver, "pressure-lu-cache")
         if self.compile:
-            record_compile_cache(recorder, self._vg)
+            record_compile_cache(self._vg)

@@ -18,6 +18,7 @@ from repro.nn.optimizers import Adam
 from repro.nn.schedules import paper_schedule
 from repro.obs.health import current_watchdog
 from repro.obs.profile import span as _span
+from repro.obs.recorder import current_recorder
 from repro.utils.timers import Timer
 
 
@@ -43,7 +44,6 @@ def optimize(
     c0: Optional[np.ndarray] = None,
     callback: Optional[Callable[[int, np.ndarray, float], None]] = None,
     grad_clip: Optional[float] = None,
-    recorder=None,
 ) -> tuple[np.ndarray, OptimizationHistory]:
     """Run Adam with the paper's schedule on a cost oracle.
 
@@ -63,18 +63,18 @@ def optimize(
         Optional global-norm gradient clip — useful for DAL on
         Navier–Stokes where the paper reports gradients "rising to very
         large values".
-    recorder:
-        Optional :class:`~repro.obs.recorder.TraceRecorder`.  When falsy
-        (``None`` or the null recorder) the loop takes no timestamps and
-        allocates nothing beyond the history it always kept; when live,
-        each iteration emits one record with the cost, gradient norm,
-        step size and grad/update phase seconds.
 
     Returns
     -------
     (best_control, history)
         The control achieving the lowest observed cost and the full
         per-iteration record.
+
+    Telemetry: with a trace recorder installed
+    (:func:`~repro.obs.recorder.recording`) each iteration emits one
+    record with the cost, gradient norm, step size and grad/update
+    phase seconds.  With none installed the loop takes no timestamps
+    and allocates nothing beyond the history it always kept.
     """
     if n_iterations < 1:
         raise ValueError("n_iterations must be >= 1")
@@ -84,9 +84,9 @@ def optimize(
     state = opt.init(c)
     history = OptimizationHistory()
     best_c, best_j = c.copy(), np.inf
-    trace = recorder if recorder else None
-    # One hoisted global read; the disabled path costs one ``is not
-    # None`` test per iteration (same class as the trace guards).
+    # Hoisted reads; a disabled channel costs one ``is not None`` test
+    # per iteration.
+    trace = current_recorder()
     wd = current_watchdog()
 
     with Timer() as timer:
@@ -112,14 +112,9 @@ def optimize(
                     callback(it, c, float(j))
                 grad_finite = bool(np.all(np.isfinite(g)))
                 if wd is not None:
-                    for ev in wd.observe_iteration(
+                    wd.observe_iteration(
                         it, history.costs[-1], history.grad_norms[-1]
-                    ):
-                        if trace is not None:
-                            trace.health_event(
-                                ev.check, ev.severity, ev.iteration,
-                                ev.value, ev.message,
-                            )
+                    )
             if not grad_finite:
                 # Divergence (the DAL-on-NS failure mode): stop updating
                 # but keep the record — the benchmark reports it.

@@ -48,6 +48,7 @@ from repro.nn.schedules import paper_schedule
 from repro.obs.health import current_watchdog
 from repro.obs.hooks import record_compile_cache
 from repro.obs.profile import span as _span
+from repro.obs.recorder import current_recorder
 from repro.utils.timers import Timer
 from repro.pde.laplace import (
     LaplaceControlProblem,
@@ -143,11 +144,12 @@ def _train(
     number of vector ops, and the frozen networks' gradients are zeroed
     as slices of the flat gradient.
 
-    ``recorder`` (a :class:`~repro.obs.recorder.TraceRecorder`, optional)
+    ``recorder`` (:meth:`~_PINNPair.train_pair` passes the installed
+    one; step 2 passes none, so its epochs stay out of the trace)
     receives one iteration record per epoch — loss as the cost, the
     global norm of the *applied* gradient (after alternating masking),
-    the scheduled step size, and grad/update phase seconds.  Falsy
-    recorders cost one truth test per epoch.
+    the scheduled step size, and grad/update phase seconds.  ``None``
+    costs one ``is not None`` test per epoch.
     """
     if config.compile:
         from repro.autodiff.compile import compiled_value_and_grad_tree
@@ -162,15 +164,14 @@ def _train(
     schedule = paper_schedule(config.lr)
     history: List[float] = []
     aux_history: List[Tuple[float, ...]] = []
-    trace = recorder if recorder else None
     wd = current_watchdog()
     with Timer() as timer:
         for epoch in range(config.epochs):
-            if trace is not None:
+            if recorder is not None:
                 timer.mark()
             with _span("grad", "phase"):
                 val, grads = vg(unravel(flat))
-            if trace is not None:
+            if recorder is not None:
                 t_grad = timer.lap("grad")
             if has_aux:
                 val, aux = val
@@ -184,24 +185,19 @@ def _train(
                     for sl in frozen[active]:
                         g[sl] = 0.0
                 flat, state = opt.step(flat, g, state, lr=lr)
-            if wd is not None or trace is not None:
+            if wd is not None or recorder is not None:
                 gnorm = float(np.sqrt(g @ g))  # of the applied gradient
             if wd is not None:
-                for ev in wd.observe_iteration(epoch, float(val), gnorm):
-                    if trace is not None:
-                        trace.health_event(
-                            ev.check, ev.severity, ev.iteration,
-                            ev.value, ev.message,
-                        )
-            if trace is not None:
-                trace.iteration(
+                wd.observe_iteration(epoch, float(val), gnorm)
+            if recorder is not None:
+                recorder.iteration(
                     epoch, float(val), gnorm, lr,
                     phases={"grad": t_grad, "update": timer.lap("update")},
                 )
-    if trace is not None:
-        trace.set_meta(epochs_run=config.epochs, train_wall_time_s=timer.elapsed)
+    if recorder is not None:
+        recorder.set_meta(epochs_run=config.epochs, train_wall_time_s=timer.elapsed)
         if config.compile:
-            record_compile_cache(trace, vg)
+            record_compile_cache(vg)
     return unravel(flat), history, aux_history
 
 
@@ -267,25 +263,26 @@ class _PINNPair:
         omega: float,
         config: Optional[PINNTrainConfig] = None,
         seed=None,
-        recorder=None,
     ) -> PINNRunResult:
         """Line-search step 1: alternating training of ``(u_θ, c_θ)``.
 
         The per-epoch cost and residual histories are the aux terms of
         :meth:`loss_terms`, taken from the evaluation that also produced
         the epoch's loss and gradient.  Without ``seed`` the networks
-        start from ``config.seed``, as :meth:`retrain_state` does.
+        start from ``config.seed``, as :meth:`retrain_state` does.  The
+        epochs are recorded to the installed trace recorder, if any.
         """
         cfg = config or self.config
-        if recorder:
-            recorder.set_meta(omega=omega)
+        trace = current_recorder()
+        if trace is not None:
+            trace.set_meta(omega=omega)
         params, hist, aux = _train(
             lambda p: self.loss_terms(p, omega),
             self.init_params(cfg.seed if seed is None else seed),
             cfg,
             alternating_keys=("u", "c") if cfg.alternating else None,
             has_aux=True,
-            recorder=recorder,
+            recorder=trace,
         )
         return PINNRunResult(
             omega=omega,
@@ -301,9 +298,9 @@ class _PINNPair:
         params_c,
         config: Optional[PINNTrainConfig] = None,
         seed=None,
-        recorder=None,
     ):
-        """Line-search step 2: fresh state net, frozen control, no ωJ."""
+        """Line-search step 2: fresh state net, frozen control, no ωJ
+        (its epochs are not recorded)."""
         cfg = config or self.config
         # ``seed=0`` must mean seed 0, not "fall back to the config seed"
         # — the parallel line search derives per-task seeds that can
@@ -314,7 +311,7 @@ class _PINNPair:
         def forward_loss(p):
             return self.residual_loss(p["u"]) + self.boundary_loss(p["u"], params_c)
 
-        params, hist, _ = _train(forward_loss, params, cfg, recorder=recorder)
+        params, hist, _ = _train(forward_loss, params, cfg)
         return params["u"], hist
 
 
@@ -557,26 +554,23 @@ def _omega_task_key(omega: float) -> str:
     return f"omega={float(omega):.17g}"
 
 
-def _omega_task(pinn, omega, cfg1, cfg2, seed, want_trace):
+def _omega_task(pinn, omega, cfg1, cfg2, seed):
     """One ω candidate, end to end: step-1 pair, step-2 retrain, eval.
 
     The only per-ω body of the search, serial or parallel.  Module-level
     so the parallel engine can ship it to workers under any start method;
     per-ω results are bitwise equal between serial and parallel execution
-    because the seed is an explicit argument, not ambient state.  With
-    ``want_trace`` the step-1 epochs go to a fresh task recorder, which
-    the search folds into its own in ω order.
+    because the seed is an explicit argument, not ambient state.  The
+    step-1 epochs go to the installed recorder; in a worker that is the
+    attempt's own, which the engine folds into the parent's in ω order.
     """
-    from repro.obs.recorder import TraceRecorder
-
-    recorder = TraceRecorder() if want_trace else None
     with _span("pinn.train_pair", "method", {"omega": float(omega)}):
-        run = pinn.train_pair(omega, cfg1, seed=seed, recorder=recorder)
+        run = pinn.train_pair(omega, cfg1, seed=seed)
     with _span("pinn.retrain_state", "method", {"omega": float(omega)}):
         pu_re, _ = pinn.retrain_state(run.params_c, cfg2, seed=seed)
     with _span("eval", "phase"):
         cost = pinn.evaluate_cost(pu_re)
-    return {"run": run, "cost": float(cost), "params_u": pu_re, "trace": recorder}
+    return {"run": run, "cost": float(cost), "params_u": pu_re}
 
 
 def omega_line_search(
@@ -584,7 +578,6 @@ def omega_line_search(
     omegas: Sequence[float],
     config_step1: Optional[PINNTrainConfig] = None,
     config_step2: Optional[PINNTrainConfig] = None,
-    recorder=None,
     jobs: Optional[int] = None,
     engine=None,
 ) -> LineSearchResult:
@@ -605,9 +598,10 @@ def omega_line_search(
     a longer list, produce bitwise-identical results.  For speed, train
     on the compiled tier (``PINNTrainConfig(compile=True)``).
 
-    ``recorder`` receives the step-1 training epochs of every ω in
-    sequence (epoch indices restart per ω; the ``omega`` metadata key
-    reflects the last candidate) plus the line-search verdict.
+    The installed trace recorder receives the step-1 training epochs of
+    every ω in sequence (epoch indices restart per ω; the ``omega``
+    metadata key reflects the last candidate) plus the line-search
+    verdict.
     """
     from repro.parallel import ParallelEngine, TaskError, resolve_jobs
     from repro.parallel.seeding import derive_seed
@@ -618,7 +612,6 @@ def omega_line_search(
     cfg2 = config_step2 or cfg1
     seeds = [derive_seed(cfg1.seed, _omega_task_key(o)) for o in omegas]
     n_jobs = engine.jobs if engine is not None else resolve_jobs(jobs)
-    want_trace = bool(recorder)
 
     failures: List[Any] = []
     if n_jobs > 1 and len(omegas) > 1:
@@ -629,7 +622,7 @@ def omega_line_search(
             Task(
                 key=_omega_task_key(o),
                 fn=_omega_task,
-                args=(pinn, o, cfg1, cfg2, s, want_trace),
+                args=(pinn, o, cfg1, cfg2, s),
             )
             for o, s in zip(omegas, seeds)
         ]
@@ -650,7 +643,7 @@ def omega_line_search(
             )
     else:
         outcomes = [
-            (omega, _omega_task(pinn, omega, cfg1, cfg2, seed, want_trace))
+            (omega, _omega_task(pinn, omega, cfg1, cfg2, seed))
             for omega, seed in zip(omegas, seeds)
         ]
 
@@ -660,22 +653,21 @@ def omega_line_search(
     best = None
     for omega, value in outcomes:
         run, cost, pu_re = value["run"], value["cost"], value["params_u"]
-        if want_trace:
-            recorder.absorb(value["trace"])
         step1.append(run)
         step2_costs.append(cost)
         omegas_run.append(float(omega))
         if best is None or cost < best[1]:
             best = (omega, cost, pu_re, run.params_c)
 
-    if recorder:
-        recorder.set_meta(
+    trace = current_recorder()
+    if trace is not None:
+        trace.set_meta(
             omegas=list(map(float, omegas)),
             best_omega=float(best[0]),
             step2_costs=[float(c) for c in step2_costs],
         )
         if failures:
-            recorder.set_meta(failed_tasks=[f.to_dict() for f in failures])
+            trace.set_meta(failed_tasks=[f.to_dict() for f in failures])
 
     return LineSearchResult(
         best_omega=best[0],

@@ -2,8 +2,9 @@
 
 Public surface:
 
-- :class:`~repro.obs.recorder.TraceRecorder` / :data:`NULL_RECORDER` —
-  collect typed per-iteration records; JSONL round-trip.
+- :class:`~repro.obs.recorder.TraceRecorder` / :func:`recording` —
+  collect typed per-iteration records from whatever runs while it is
+  installed; JSONL round-trip.  :data:`NULL_RECORDER` is its no-op twin.
 - :class:`~repro.obs.profile.SpanProfiler` / :func:`span` /
   :func:`profiling` — hierarchical wall-time spans, Chrome-trace and
   HTML export; module-level :func:`span` is a shared no-op while no
@@ -11,6 +12,10 @@ Public surface:
 - :class:`~repro.obs.metrics.MetricsRegistry` / :func:`get_registry` —
   process-wide counters, gauges and histograms (the cache counters of
   the autodiff layer live here).
+- The recorder, profiler, registry and watchdog install the same way
+  (:mod:`repro.obs._install`: nesting scoped installs, lock-free
+  reads); :mod:`repro.obs.attempt` carries all of them across the
+  worker pipe of :mod:`repro.parallel`.
 - :class:`~repro.obs.compare.TolerancePolicy` / :func:`diff_traces` —
   golden-trace comparison with per-field tolerances.
 - :mod:`repro.obs.goldens` — tier-0 configs that produce the committed
@@ -69,7 +74,14 @@ from repro.obs.profile import (
     set_profiler,
     span,
 )
-from repro.obs.recorder import NULL_RECORDER, NullRecorder, TraceRecorder
+from repro.obs.recorder import (
+    NULL_RECORDER,
+    NullRecorder,
+    TraceRecorder,
+    current_recorder,
+    recording,
+    set_recorder,
+)
 from repro.obs.schema import (
     SCHEMA_VERSION,
     CacheRecord,
@@ -102,6 +114,7 @@ __all__ = [
     "WatchdogConfig",
     "config_digest",
     "current_profiler",
+    "current_recorder",
     "current_watchdog",
     "diff_traces",
     "environment_fingerprint",
@@ -118,7 +131,9 @@ __all__ = [
     "record_compile_cache",
     "record_oracle_telemetry",
     "record_solver_cache",
+    "recording",
     "set_profiler",
+    "set_recorder",
     "set_registry",
     "set_watchdog",
     "span",

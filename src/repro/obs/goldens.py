@@ -16,12 +16,12 @@ Baselines live in ``tests/goldens/<name>.jsonl`` and are reblessed with
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.control.loop import optimize
 from repro.control.spec import RunSpec, build_oracle, build_problem
 from repro.obs.hooks import record_oracle_telemetry
-from repro.obs.recorder import TraceRecorder
+from repro.obs.recorder import TraceRecorder, recording
 
 #: One golden run per name: problem, method, and every relevant knob.
 TIER0: Dict[str, RunSpec] = {
@@ -38,12 +38,8 @@ TIER0: Dict[str, RunSpec] = {
 }
 
 
-def run_tier0(
-    name: str,
-    recorder: Optional[TraceRecorder] = None,
-    **overrides,
-) -> TraceRecorder:
-    """Run one tier-0 config under telemetry and return its trace.
+def run_tier0(name: str, **overrides) -> TraceRecorder:
+    """Run one tier-0 config under a fresh trace recorder and return it.
 
     ``overrides`` replace spec fields (``run_tier0("laplace_dp_tier0",
     lr=2e-2)``) — the injected-regression tests use this to verify the
@@ -58,16 +54,14 @@ def run_tier0(
     if overrides:
         spec = replace(spec, **overrides)
 
-    rec = recorder if recorder is not None else TraceRecorder()
-    rec.set_meta(
+    rec = TraceRecorder(
         config=name,
         method=spec.method.upper(),
         problem=spec.problem_name,
         backend=spec.backend,
     )
-    oracle = build_oracle(spec, build_problem(spec))
-    if hasattr(oracle, "recorder"):
-        oracle.recorder = rec
-    optimize(oracle, spec.iterations, spec.lr, recorder=rec)
-    record_oracle_telemetry(rec, oracle)
+    with recording(rec):
+        oracle = build_oracle(spec, build_problem(spec))
+        optimize(oracle, spec.iterations, spec.lr)
+        record_oracle_telemetry(oracle)
     return rec

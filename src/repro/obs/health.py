@@ -20,17 +20,17 @@ with three checks:
     solve additionally emits ``krylov_failure`` (severity ``error``).
 
 Events are :class:`~repro.obs.schema.HealthRecord` instances (schema
-v3); the instrumented loops forward them onto their recorder so they
-land in trace artifacts, and every occurrence increments a
-``health.<check>`` counter in the active metrics registry so
-``--profile-dir`` snapshots pick them up for free.
+v3).  The watchdog writes each event it keeps to the installed trace
+recorder (:func:`~repro.obs.recorder.current_recorder`), so events land
+in trace artifacts next to the records they explain, and every
+occurrence increments a ``health.<check>`` counter in the active
+metrics registry so ``--profile-dir`` snapshots pick them up for free.
 
-Install pattern mirrors :mod:`repro.obs.profile`: a process-wide
-watchdog set via :func:`set_watchdog` / the :func:`watching` context
-manager, read by loops through :func:`current_watchdog` — one global
-load hoisted outside the loop, one ``is not None`` test per iteration
-when disabled.  The design budget for the total enabled-path
-observability overhead is 2 %.
+It is installed like the profiler, registry and recorder
+(:func:`watching` / :func:`set_watchdog`) and read once per loop with
+:func:`current_watchdog`: one ``is not None`` test per iteration when
+disabled.  The design budget for the total enabled-path observability
+overhead is 2 %.
 
 Heartbeats — the parallel half of run health — live in
 :mod:`repro.parallel`: workers send beat frames over their pipe while a
@@ -45,7 +45,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
+from repro.obs._install import Slot
 from repro.obs.metrics import get_registry
+from repro.obs.recorder import current_recorder
 from repro.obs.schema import HealthRecord
 
 __all__ = [
@@ -81,10 +83,10 @@ class Watchdog:
     """Stateful per-run health monitor (one instance per monitored run).
 
     Not thread-safe: a watchdog watches one optimisation loop.  The
-    ``observe_*`` hooks return the events they raised (possibly empty)
-    so the calling loop can forward them to its recorder; every raised
-    event also increments ``health.<check>`` in the active registry and
-    the per-check :attr:`counts` tally.
+    ``observe_*`` hooks return the events they raised (possibly empty).
+    Every raised event increments ``health.<check>`` in the active
+    registry and the per-check :attr:`counts` tally; every kept event
+    is also written to the installed trace recorder, if any.
     """
 
     def __init__(self, config: Optional[WatchdogConfig] = None) -> None:
@@ -120,6 +122,9 @@ class Watchdog:
             value=float(value), message=message,
         )
         self.events.append(ev)
+        rec = current_recorder()
+        if rec is not None:
+            rec.health_event(check, ev.severity, ev.iteration, ev.value, message)
         return [ev]
 
     # -- checks --------------------------------------------------------
@@ -198,41 +203,20 @@ class Watchdog:
 
 
 # The process-wide active watchdog.  ``None`` (the default) keeps every
-# instrumented loop on its no-op path — one hoisted global read per run.
-_ACTIVE: Optional[Watchdog] = None
+# instrumented loop on its no-op path — one hoisted read per run.
+_WATCHDOG = Slot()
 
 
 def current_watchdog() -> Optional[Watchdog]:
     """The installed watchdog, or ``None`` when monitoring is disabled."""
-    return _ACTIVE
+    return _WATCHDOG.current
 
 
 def set_watchdog(watchdog: Optional[Watchdog]) -> Optional[Watchdog]:
     """Install ``watchdog`` process-wide; returns the previous one."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = watchdog if watchdog else None
-    return previous
+    return _WATCHDOG.set(watchdog)
 
 
-class _Watching:
-    """Context manager installing a watchdog for the duration of a block."""
-
-    __slots__ = ("_watchdog", "_previous")
-
-    def __init__(self, watchdog: Optional[Watchdog]):
-        self._watchdog = watchdog if watchdog is not None else Watchdog()
-        self._previous: Optional[Watchdog] = None
-
-    def __enter__(self) -> Watchdog:
-        self._previous = set_watchdog(self._watchdog)
-        return self._watchdog
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        set_watchdog(self._previous)
-        return False
-
-
-def watching(watchdog: Optional[Watchdog] = None) -> _Watching:
+def watching(watchdog: Optional[Watchdog] = None):
     """``with watching() as wd:`` — install (a fresh) watchdog for a block."""
-    return _Watching(watchdog)
+    return _WATCHDOG.scoped(watchdog if watchdog is not None else Watchdog())

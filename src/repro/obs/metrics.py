@@ -27,6 +27,7 @@ import threading
 from bisect import bisect_left
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.obs._install import Slot
 from repro.obs.schema import CacheRecord
 
 __all__ = [
@@ -296,65 +297,28 @@ class MetricsRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-# Process-wide default registry.  Hot loops fetch instruments from here;
-# tests swap it with ``use_registry`` to observe in isolation.
+# Process-wide registry.  Hot loops fetch instruments from here; tests
+# swap it with ``use_registry`` to observe in isolation.
 _DEFAULT = MetricsRegistry()
-_registry = _DEFAULT
-
-# Guards installation/restoration of the process-wide registry.  Reads
-# (``get_registry``) stay lock-free — a single global load — because the
-# hot loops call it per event; only the rare install path pays for the
-# lock.  An RLock so an installer may re-enter (e.g. a hook that swaps
-# registries while already holding the lock via ``use_registry``).
-_INSTALL_LOCK = threading.RLock()
+_REGISTRY = Slot(_DEFAULT, optional=False)
 
 
 def get_registry() -> MetricsRegistry:
     """The active process-wide registry."""
-    return _registry
+    return _REGISTRY.current
 
 
 def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
     """Install ``registry`` process-wide; returns the previous one.
 
-    Install and read-of-previous happen atomically under a module lock,
-    so concurrent installers (e.g. task-completion callbacks on different
-    threads) cannot interleave and observe each other's half-applied
-    swap.
+    Install and read-of-previous happen atomically under the install
+    lock, so concurrent installers cannot observe each other's
+    half-applied swap.
     """
-    global _registry
-    with _INSTALL_LOCK:
-        previous = _registry
-        _registry = registry
-        return previous
+    return _REGISTRY.set(registry)
 
 
-class _UseRegistry:
-    __slots__ = ("_registry", "_previous")
-
-    def __init__(self, registry: Optional[MetricsRegistry]):
-        self._registry = registry if registry is not None else MetricsRegistry()
-        self._previous = None
-
-    def __enter__(self) -> MetricsRegistry:
-        self._previous = set_registry(self._registry)
-        return self._registry
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        # Restore only if our install is still the active one.  If a
-        # concurrent ``set_registry``/``use_registry`` replaced it while
-        # this block ran, blindly restoring ``_previous`` would clobber
-        # that installer's registry with a stale one — exactly the
-        # interleaving bug concurrent task callbacks used to hit.  The
-        # check-and-restore is atomic under the install lock.
-        global _registry
-        with _INSTALL_LOCK:
-            if _registry is self._registry:
-                _registry = self._previous
-        return False
-
-
-def use_registry(registry: Optional[MetricsRegistry] = None) -> _UseRegistry:
+def use_registry(registry: Optional[MetricsRegistry] = None):
     """``with use_registry() as reg:`` — scoped (fresh) registry install.
 
     Reentrant: blocks may nest (each restores its own predecessor), and
@@ -362,4 +326,4 @@ def use_registry(registry: Optional[MetricsRegistry] = None) -> _UseRegistry:
     previous registry is restored only if this block's registry is still
     the active one, so a stale restore can never clobber a newer install.
     """
-    return _UseRegistry(registry)
+    return _REGISTRY.scoped(registry if registry is not None else MetricsRegistry())

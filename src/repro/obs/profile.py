@@ -46,6 +46,8 @@ import threading
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.obs._install import Slot
+
 try:  # pragma: no cover - resource is POSIX-only
     import resource
 
@@ -505,43 +507,22 @@ NULL_PROFILER = NullProfiler()
 
 # The process-wide active profiler.  ``None`` (the default) keeps every
 # instrumented call site on the no-op path.
-_ACTIVE: Optional[SpanProfiler] = None
+_PROFILER = Slot()
 
 
 def current_profiler() -> Optional[SpanProfiler]:
     """The installed profiler, or ``None`` when profiling is disabled."""
-    return _ACTIVE
+    return _PROFILER.current
 
 
 def set_profiler(profiler: Optional[SpanProfiler]) -> Optional[SpanProfiler]:
     """Install ``profiler`` process-wide; returns the previous one."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = profiler if profiler else None
-    return previous
+    return _PROFILER.set(profiler)
 
 
-class _Profiling:
-    """Context manager installing a profiler for the duration of a block."""
-
-    __slots__ = ("_profiler", "_previous")
-
-    def __init__(self, profiler: Optional[SpanProfiler]):
-        self._profiler = profiler if profiler is not None else SpanProfiler()
-        self._previous = None
-
-    def __enter__(self) -> SpanProfiler:
-        self._previous = set_profiler(self._profiler)
-        return self._profiler
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        set_profiler(self._previous)
-        return False
-
-
-def profiling(profiler: Optional[SpanProfiler] = None) -> _Profiling:
+def profiling(profiler: Optional[SpanProfiler] = None):
     """``with profiling() as prof:`` — install (a fresh) profiler for a block."""
-    return _Profiling(profiler)
+    return _PROFILER.scoped(profiler if profiler is not None else SpanProfiler())
 
 
 def span(name: str, category: str = "", attrs: Optional[Dict[str, Any]] = None):
@@ -551,7 +532,7 @@ def span(name: str, category: str = "", attrs: Optional[Dict[str, Any]] = None):
     module-global read plus an empty context manager, within a 2 % design
     budget on the instrumented hot loops.
     """
-    p = _ACTIVE
+    p = _PROFILER.current
     if p is None:
         return _NOOP_SPAN
     return p.span(name, category, attrs)
@@ -572,7 +553,8 @@ def metrics_payload(
     from repro.obs.fingerprint import environment_fingerprint
     from repro.obs.metrics import get_registry
 
-    prof: Any = profiler if profiler is not None else (_ACTIVE or NULL_PROFILER)
+    prof: Any = profiler if profiler is not None else current_profiler()
+    prof = prof or NULL_PROFILER
     return {
         "kind": "repro.profile.metrics",
         "meta": dict(meta) if meta else {},
@@ -596,7 +578,7 @@ def profiled(name: Optional[str] = None, category: str = "function") -> Callable
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            p = _ACTIVE
+            p = _PROFILER.current
             if p is None:
                 return fn(*args, **kwargs)
             with p.span(label, category):

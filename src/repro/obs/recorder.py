@@ -1,10 +1,12 @@
 """Trace recording: the live :class:`TraceRecorder` and its no-op twin.
 
-Every instrumented loop takes an optional recorder.  Passing ``None`` (or
-the shared :data:`NULL_RECORDER`) keeps the hot path allocation-free: the
-loops guard each emission with ``if recorder:`` — both ``None`` and
-:class:`NullRecorder` are falsy — so disabled telemetry costs one truth
-test per iteration and nothing else.  The enabled path appends frozen
+A recorder is installed process-wide like the profiler, the registry
+and the watchdog (:mod:`repro.obs._install`): :func:`recording` /
+:func:`set_recorder` install it and instrumented code reads it with
+:func:`current_recorder`, hoisted out of its loop.  With none installed
+(or the shared :data:`NULL_RECORDER`, which installs as ``None``) the
+hot path is allocation-free: each emission is guarded by one
+``is not None`` test.  The enabled path appends frozen
 :mod:`repro.obs.schema` records to in-memory lists and defers all
 serialisation to :meth:`TraceRecorder.to_jsonl`.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.obs._install import Slot
 from repro.obs.schema import (
     CacheRecord,
     HealthRecord,
@@ -161,7 +164,7 @@ class TraceRecorder:
     def absorb(self, other: "TraceRecorder") -> None:
         """Append another recorder's records and merge its metadata.
 
-        Used to fold per-task recorders from parallel workers back into
+        Used to fold the recorders of parallel task attempts back into
         the parent's trace in task order — the merged record stream (and
         the last-write-wins metadata) matches what the serial run would
         have emitted into one shared recorder.
@@ -253,10 +256,9 @@ class NullRecorder:
     """Telemetry disabled: every method is a no-op and ``bool()`` is False.
 
     The class is stateless (``__slots__`` is empty) and the methods take
-    the same signatures as :class:`TraceRecorder`, so it can be passed
-    anywhere a recorder is expected without branching at the call sites —
-    though the instrumented loops still prefer the ``if recorder:`` guard,
-    which skips even the argument computation.
+    the same signatures as :class:`TraceRecorder`, so it can stand in
+    anywhere a recorder is expected without branching at the call sites.
+    Installing it is the same as installing none.
     """
 
     __slots__ = ()
@@ -296,3 +298,23 @@ class NullRecorder:
 
 #: Shared stateless no-op recorder.
 NULL_RECORDER = NullRecorder()
+
+
+# The process-wide installed recorder.  ``None`` (the default) keeps
+# every instrumented loop on its no-op path.
+_RECORDER = Slot()
+
+
+def current_recorder() -> Optional[TraceRecorder]:
+    """The installed recorder, or ``None`` when tracing is disabled."""
+    return _RECORDER.current
+
+
+def set_recorder(recorder: Optional[TraceRecorder]) -> Optional[TraceRecorder]:
+    """Install ``recorder`` process-wide; returns the previous one."""
+    return _RECORDER.set(recorder)
+
+
+def recording(recorder: Optional[TraceRecorder] = None):
+    """``with recording() as rec:`` — install (a fresh) recorder for a block."""
+    return _RECORDER.scoped(recorder if recorder is not None else TraceRecorder())

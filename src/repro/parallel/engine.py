@@ -17,12 +17,13 @@ Determinism: every attempt of task ``key`` is seeded with
 order, worker count, which worker ran the attempt, or which attempt
 finally succeeded.
 
-Observability: each attempt runs with a fresh metrics registry (and,
-when the parent has a profiler installed, a fresh span profiler) and
-ships the registry snapshot and Chrome trace back in its reply; the
-engine merges a final attempt's into the parent's registry/profiler
-and drops a retried attempt's — spans keep the worker's real pid,
-registry snapshots are summed.
+Observability: each attempt runs with fresh telemetry — a metrics
+registry, plus a span profiler and a trace recorder when the parent has
+one installed — and ships it back in its reply.  Once every task is
+done, the engine folds each final attempt's telemetry into the parent's
+in task input order (:func:`repro.obs.attempt.fold`) and drops a
+retried attempt's: spans keep the worker's real pid, registry
+snapshots are summed, records are appended.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.attempt import fold, installed_channels
 from repro.parallel.pool import WORKER_ENV, WarmPool, Worker
 from repro.parallel.seeding import derive_seed, seed_everything
 from repro.parallel.task import (
@@ -71,6 +73,9 @@ def resolve_jobs(cli_value: Optional[int] = None, env_var: str = "REPRO_JOBS") -
         return max(1, int(raw))
     except ValueError:
         raise ValueError(f"${env_var} must be an integer, got {raw!r}") from None
+
+
+_Done = Tuple[TaskResult, Optional[Dict[str, Any]]]
 
 
 @dataclass
@@ -191,18 +196,18 @@ class ParallelEngine:
 
     # -- pool ----------------------------------------------------------
     def _run_pool(self, tasks: List[Task], seeds: List[int]) -> List[TaskResult]:
-        from repro.obs.profile import current_profiler
-
-        trace = current_profiler() is not None
         pool = WarmPool(min(self.jobs, len(tasks)), task_worker_main,
-                        (tasks, seeds, trace, self.heartbeat))
+                        (tasks, seeds, installed_channels(), self.heartbeat))
         try:
-            return asyncio.run(self._schedule(pool, tasks, seeds))
+            done = asyncio.run(self._schedule(pool, tasks, seeds))
         finally:
             pool.shutdown()
+        for _, exported in done:  # input order, not completion order
+            fold(exported)
+        return [result for result, _ in done]
 
     async def _schedule(self, pool: WarmPool, tasks: List[Task],
-                        seeds: List[int]) -> List[TaskResult]:
+                        seeds: List[int]) -> List[_Done]:
         # Idle workers; tasks check them out first come first served,
         # and a retry rejoins the back of the line after its backoff.
         idle: "asyncio.Queue[Worker]" = asyncio.Queue()
@@ -214,7 +219,7 @@ class ParallelEngine:
         )))
 
     async def _run_task(self, pool: WarmPool, idle: "asyncio.Queue[Worker]",
-                        task: Task, index: int, seed: int) -> TaskResult:
+                        task: Task, index: int, seed: int) -> _Done:
         """Run one task's attempts until it succeeds or runs out."""
         loop = asyncio.get_running_loop()
         timeout = self.timeout if task.timeout is None else task.timeout
@@ -278,8 +283,7 @@ class ParallelEngine:
                 stalled=beat.stalled,
             )
             record_task_metrics(result)
-            self._absorb(reply)
-            return result
+            return result, reply.get("obs")
 
     async def _watch(self, beat: _Beat, key: str, pid: int) -> None:
         """Flag (once) an attempt whose beats stopped — an early warning
@@ -299,18 +303,6 @@ class ParallelEngine:
             f"for {age:.1f}s — worker may be hung",
             file=sys.stderr,
         )
-
-    @staticmethod
-    def _absorb(reply: Dict[str, Any]) -> None:
-        """Merge a final attempt's obs into the parent registry/profiler."""
-        from repro.obs.metrics import get_registry
-        from repro.obs.profile import current_profiler
-
-        if reply.get("metrics"):
-            get_registry().merge_snapshot(reply["metrics"])
-        prof = current_profiler()
-        if prof is not None and reply.get("trace"):
-            prof.absorb_chrome_trace(reply["trace"])
 
 
 def run_tasks(

@@ -2,11 +2,11 @@
 
 Each worker inherits the engine's task list and derived seeds through
 ``fork``, so a job is just ``(index, attempt)`` and nothing about a task
-is pickled.  An attempt seeds the process, installs fresh per-attempt
-observability, calls the function, and ships a picklable reply back
-through the pipe.  Everything defensive lives here — a task may raise
-anything, return anything, or die outright, and the parent must still
-get (at worst) an EOF it can classify.
+is pickled.  An attempt seeds the process, installs fresh telemetry
+(:func:`repro.obs.attempt.capture`), calls the function, and ships a
+picklable reply back through the pipe.  Everything defensive lives
+here — a task may raise anything, return anything, or die outright,
+and the parent must still get (at worst) an EOF it can classify.
 
 Heartbeats: with a ``heartbeat`` interval, a daemon thread sends a
 :data:`~repro.parallel.pool.BEAT` frame every interval while the task
@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Callable, Dict, Sequence
+from typing import Any, Callable, Dict, Sequence, Tuple
 
+from repro.obs.attempt import capture
 from repro.parallel.pool import BEAT, SHUTDOWN, WORKER_ENV
 from repro.parallel.seeding import seed_everything
 from repro.parallel.task import Task, exception_payload
@@ -45,20 +46,11 @@ def _beat(send: Callable[[Any], None], interval: float,
             return  # the parent is gone; the reply will fail the same way
 
 
-def _attempt(task: Task, seed: int, trace: bool, heartbeat: float,
-             send: Callable[[Any], None]) -> Dict[str, Any]:
+def _attempt(task: Task, seed: int, channels: Tuple[bool, bool],
+             heartbeat: float, send: Callable[[Any], None]) -> Dict[str, Any]:
     """Run one attempt; the reply carries its value or error and obs."""
-    from repro.obs.metrics import MetricsRegistry, set_registry
-    from repro.obs.profile import SpanProfiler, set_profiler
-
     seed_everything(seed)
-    # Fresh per-attempt obs state: the parent merges a final attempt's
-    # registry snapshot and trace and drops a retried attempt's, so
-    # nothing may carry over from an earlier attempt in this process.
-    registry = MetricsRegistry()
-    set_registry(registry)
-    profiler = SpanProfiler() if trace else None
-    set_profiler(profiler)
+    export = capture(*channels)
 
     stop = threading.Event()
     beats = None
@@ -77,13 +69,12 @@ def _attempt(task: Task, seed: int, trace: bool, heartbeat: float,
         if beats is not None:
             stop.set()
             beats.join()
-    out["metrics"] = registry.snapshot()
-    out["trace"] = profiler.to_chrome_trace() if profiler is not None else None
+    out["obs"] = export()
     return out
 
 
 def task_worker_main(conn, tasks: Sequence[Task], seeds: Sequence[int],
-                     trace: bool, heartbeat: float) -> None:
+                     channels: Tuple[bool, bool], heartbeat: float) -> None:
     """Worker loop: one ``(index, attempt)`` job in, one reply out.
 
     The reply is always a plain dict of picklable values.  If the task's
@@ -105,7 +96,7 @@ def task_worker_main(conn, tasks: Sequence[Task], seeds: Sequence[int],
             break
         index, _ = job
         task = tasks[index]
-        out = _attempt(task, seeds[index], trace, heartbeat, send)
+        out = _attempt(task, seeds[index], channels, heartbeat, send)
         try:
             send(out)
         except OSError:

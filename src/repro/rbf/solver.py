@@ -27,6 +27,7 @@ import scipy.sparse.linalg as spla
 
 from repro.cloud.base import BoundaryKind, Cloud
 from repro.obs.profile import span as _span
+from repro.obs.recorder import current_recorder
 from repro.rbf.assembly import LinearOperator2D
 from repro.rbf.kernels import Kernel, polyharmonic
 from repro.rbf.local import LocalOperators, build_local_operators
@@ -146,14 +147,14 @@ class RBFSolver:
     triangular solves so regression tests can assert
     factorise-once/solve-many behaviour across loop iterations.
 
-    Telemetry: assigning a :class:`~repro.obs.recorder.TraceRecorder` to
-    :attr:`recorder` makes every factorisation emit a ``factorize`` event
-    (with a LAPACK ``gecon`` condition estimate) and every solve a
-    ``solve`` event with the relative residual.  Residuals require the
-    system matrix, which is only retained for factorisations performed
-    *while* a recorder is attached — cached factorisations from before
-    report ``residual=None``.  With no recorder the solve path is
-    unchanged (no matrix retention, no timestamps).
+    Telemetry: with a trace recorder installed
+    (:func:`~repro.obs.recorder.recording`) every factorisation emits a
+    ``factorize`` event (with a LAPACK ``gecon`` condition estimate) and
+    every solve a ``solve`` event with the relative residual.  Residuals
+    require the system matrix, which is only retained for factorisations
+    performed *while* a recorder is installed — cached factorisations
+    from before report ``residual=None``.  With no recorder the solve
+    path is unchanged (no matrix retention, no timestamps).
     """
 
     solver_name = "rbf-dense-lu"
@@ -173,7 +174,6 @@ class RBFSolver:
         self._lu_cache: Dict[object, object] = {}
         self.n_factorizations = 0
         self.n_solves = 0
-        self.recorder = None
 
     def _cache_token(self) -> tuple:
         """Discretisation fingerprint mixed into every cache key.
@@ -257,7 +257,7 @@ class RBFSolver:
         the caller asserts the matrix is unchanged (true for linear
         problems whose control enters only through boundary *values*).
         """
-        rec = self.recorder if self.recorder else None
+        rec = current_recorder()
         lu, A_kept = self._factors(problem, cache_key, rec)
         b = self.assemble_rhs(problem)
         t0 = time.perf_counter() if rec is not None else 0.0
@@ -298,7 +298,7 @@ class RBFSolver:
                 f"b_block must have shape (N_rhs, {self.cloud.n}), "
                 f"got {b_block.shape}"
             )
-        rec = self.recorder if self.recorder else None
+        rec = current_recorder()
         lu, A_kept = self._factors(problem, cache_key, rec)
         if b_block.shape[0] == 0:
             return b_block.copy()
@@ -314,7 +314,6 @@ class RBFSolver:
                 self.solver_name,
                 "solve",
                 n=self.cloud.n,
-                n_rhs=b_block.shape[0],
                 seconds=time.perf_counter() - t0,
                 residual=(
                     _relative_residual(A_kept, x.T, b_block.T)
@@ -341,12 +340,13 @@ class LocalRBFSolver:
     Supports the same boundary-condition kinds: Dirichlet (unit rows),
     Neumann (stencil-sparse normal rows) and Robin (``normal + β·I``).
 
-    Telemetry mirrors :class:`RBFSolver`: attach a recorder to
-    :attr:`recorder` for per-factorisation/per-solve events.  The sparse
-    matrix is always kept next to its factors (it is nnz-bounded), so
-    residuals are reported even for factorisations cached before the
-    recorder was attached; condition estimates are not available for
-    ``splu`` factors and are reported as ``None``.
+    Telemetry mirrors :class:`RBFSolver`: an installed trace recorder
+    gets per-factorisation/per-solve events.  The sparse matrix is
+    always kept next to its factors (it is nnz-bounded), so residuals
+    are reported even for factorisations cached before the recorder was
+    installed; condition estimates are not available for ``splu``
+    factors and are reported as ``None``.  On the iterative path the
+    :class:`~repro.autodiff.krylov.KrylovSolver` reports instead.
 
     ``linear_solver="iterative"`` swaps the exact ``splu`` factorisation
     for a matrix-free preconditioned Krylov iteration
@@ -386,7 +386,6 @@ class LocalRBFSolver:
         self._lu_cache: Dict[object, object] = {}
         self.n_factorizations = 0
         self.n_solves = 0
-        self.recorder = None
         if linear_solver == "iterative":
             self.solver_name = "rbf-sparse-krylov"
 
@@ -472,7 +471,7 @@ class LocalRBFSolver:
             # The KrylovSolver emits its own factorize/solve events
             # (with iteration counts), so the generic events below are
             # suppressed for this path.
-            fac = KrylovSolver(A, recorder=self.recorder, **self.solver_opts)
+            fac = KrylovSolver(A, **self.solver_opts)
             self.n_factorizations += 1
             if key is not None:
                 self._lu_cache[key] = (fac, A)
@@ -495,7 +494,6 @@ class LocalRBFSolver:
     def _apply(self, fac, b: np.ndarray) -> np.ndarray:
         """One (multi-)RHS application of the cached solver state."""
         if self.linear_solver == "iterative":
-            fac.recorder = self.recorder  # follow late-attached recorders
             return fac.solve_numpy(b)
         return fac.solve(b)
 
@@ -503,7 +501,7 @@ class LocalRBFSolver:
         self, problem: LinearPDEProblem, cache_key: Optional[str] = None
     ) -> np.ndarray:
         """Sparse solve with per-key caching of the factorisation state."""
-        rec = self.recorder if self.recorder else None
+        rec = current_recorder()
         fac, A = self._factors(problem, cache_key, rec)
         b = self.assemble_rhs(problem)
         t0 = time.perf_counter() if rec is not None else 0.0
@@ -543,7 +541,7 @@ class LocalRBFSolver:
                 f"b_block must have shape (N_rhs, {self.cloud.n}), "
                 f"got {b_block.shape}"
             )
-        rec = self.recorder if self.recorder else None
+        rec = current_recorder()
         fac, A = self._factors(problem, cache_key, rec)
         if b_block.shape[0] == 0:
             return b_block.copy()
@@ -559,7 +557,6 @@ class LocalRBFSolver:
                 self.solver_name,
                 "solve",
                 n=self.cloud.n,
-                n_rhs=b_block.shape[0],
                 seconds=time.perf_counter() - t0,
                 residual=_relative_residual(A, x.T, b_block.T),
                 nnz=int(A.nnz),

@@ -35,6 +35,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.obs.hooks import cache_counts
+
 __all__ = [
     "WorkerState",
     "execute_job",
@@ -116,30 +118,18 @@ class WorkerState:
 
     # -- cumulative cache counters (piggybacked on every reply) --------
     def cache_obs(self) -> Dict[str, Dict[str, int]]:
-        lu_hits = lu_miss = 0
-        for solver in self.solvers.values():
-            n_fact = int(getattr(solver, "n_factorizations", 0))
-            n_solve = int(getattr(solver, "n_solves", 0))
-            lu_hits += max(n_solve - n_fact, 0)
-            lu_miss += n_fact
-        for prob in self.problems.values():
-            ps = getattr(prob, "pressure_solver", None)
-            if ps is not None:
-                n_fact = int(getattr(ps, "n_factorizations", 0))
-                n_solve = int(getattr(ps, "n_solves", 0))
-                lu_hits += max(n_solve - n_fact, 0)
-                lu_miss += n_fact
-        replays = traces = 0
-        for oracle in self.oracles.values():
-            vg = getattr(oracle, "_vg", None)
-            info = vg.cache_info() if hasattr(vg, "cache_info") else None
-            if info:
-                replays += int(info.get("replays", 0))
-                traces += int(info.get("traces", 0)) + int(info.get("eager", 0))
-        return {
-            "lu-cache": {"hits": lu_hits, "misses": lu_miss},
-            "compiled-replay": {"hits": replays, "misses": traces},
-        }
+        solvers = [*self.solvers.values(), *(
+            getattr(p, "pressure_solver", None) for p in self.problems.values()
+        )]
+        vgs = [getattr(o, "_vg", None) for o in self.oracles.values()]
+        return {"lu-cache": _total(solvers), "compiled-replay": _total(vgs)}
+
+
+def _total(owners) -> Dict[str, int]:
+    """Summed cache counts of ``owners`` under the one hit/miss rule."""
+    counts = [c for c in map(cache_counts, owners) if c is not None]
+    return {"hits": sum(h for h, _ in counts),
+            "misses": sum(m for _, m in counts)}
 
 
 class _Reject(ValueError):

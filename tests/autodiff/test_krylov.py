@@ -46,7 +46,7 @@ from repro.autodiff.sparse import (
     sparse_pattern_solve,
 )
 from repro.autodiff.tensor import tensor
-from repro.obs import TraceRecorder
+from repro.obs import TraceRecorder, recording
 
 M = 10
 N_RHS = 3
@@ -322,10 +322,10 @@ class TestFailureModes:
 
     def test_failure_emits_obs_event(self):
         A, b = self._hard_system()
-        rec = TraceRecorder(test="krylov-failure")
-        ks = KrylovSolver(A, preconditioner=None, maxiter=2, recorder=rec)
-        with pytest.raises(KrylovConvergenceError):
-            ks.solve_numpy(b)
+        with recording(TraceRecorder(test="krylov-failure")) as rec:
+            ks = KrylovSolver(A, preconditioner=None, maxiter=2)
+            with pytest.raises(KrylovConvergenceError):
+                ks.solve_numpy(b)
         events = [e.event for e in rec.solver_events]
         assert events == ["factorize", "failure"]
         failure = rec.solver_events[-1]
@@ -335,11 +335,9 @@ class TestFailureModes:
 
     def test_fallback_completes_with_direct_solve(self):
         A, b = self._hard_system()
-        rec = TraceRecorder(test="krylov-fallback")
-        ks = KrylovSolver(
-            A, preconditioner=None, maxiter=2, fallback=True, recorder=rec
-        )
-        x = ks.solve_numpy(b)
+        with recording(TraceRecorder(test="krylov-fallback")) as rec:
+            ks = KrylovSolver(A, preconditioner=None, maxiter=2, fallback=True)
+            x = ks.solve_numpy(b)
         # The fallback path IS a direct splu solve — bitwise equal.
         np.testing.assert_array_equal(
             x, spla.splu(sp.csc_matrix(A)).solve(b)
@@ -372,9 +370,9 @@ class TestFailureModes:
 
     def test_success_and_adjoint_events_carry_iterations(self):
         A, rng = _system(seed=14)
-        rec = TraceRecorder(test="krylov-events")
-        ks = KrylovSolver(A, recorder=rec)
-        _grad_of_loss(ks, rng.standard_normal(M))
+        with recording(TraceRecorder(test="krylov-events")) as rec:
+            ks = KrylovSolver(A)
+            _grad_of_loss(ks, rng.standard_normal(M))
         events = [e.event for e in rec.solver_events]
         assert events == ["factorize", "solve", "adjoint"]
         for e in rec.solver_events[1:]:

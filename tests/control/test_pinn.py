@@ -137,14 +137,14 @@ class _FailingPINN(LaplacePINN):
 
     poisoned_omega = 1.0
 
-    def train_pair(self, omega, config=None, seed=None, recorder=None):
+    def train_pair(self, omega, config=None, seed=None):
         if omega == self.poisoned_omega:
             raise RuntimeError(f"poisoned omega {omega}")
-        return super().train_pair(omega, config, seed=seed, recorder=recorder)
+        return super().train_pair(omega, config, seed=seed)
 
 
 class _AllFailPINN(LaplacePINN):
-    def train_pair(self, omega, config=None, seed=None, recorder=None):
+    def train_pair(self, omega, config=None, seed=None):
         raise RuntimeError(f"poisoned omega {omega}")
 
 
@@ -224,15 +224,12 @@ class TestLineSearchParallel:
         assert rev.best_cost == fwd.best_cost
 
     def test_recorder_stream_matches_serial(self, laplace_problem):
-        from repro.obs import TolerancePolicy, TraceRecorder, diff_traces
+        from repro.obs import TolerancePolicy, diff_traces, recording
 
-        rec_s, rec_p = TraceRecorder(), TraceRecorder()
-        omega_line_search(
-            self._pinn(laplace_problem), self.OMEGAS, recorder=rec_s, jobs=1
-        )
-        omega_line_search(
-            self._pinn(laplace_problem), self.OMEGAS, recorder=rec_p, jobs=2
-        )
+        with recording() as rec_s:
+            omega_line_search(self._pinn(laplace_problem), self.OMEGAS, jobs=1)
+        with recording() as rec_p:
+            omega_line_search(self._pinn(laplace_problem), self.OMEGAS, jobs=2)
         assert len(rec_s.records) == len(rec_p.records)
         assert diff_traces(rec_s, rec_p, TolerancePolicy()) == []
 
@@ -274,12 +271,12 @@ class TestLineSearchParallel:
             omega_line_search(self._pinn(laplace_problem), np.array([]))
 
     def test_recorder_gets_verdict_meta(self, laplace_problem):
-        from repro.obs import TraceRecorder
+        from repro.obs import recording
 
-        rec = TraceRecorder()
-        ls = omega_line_search(
-            self._pinn(laplace_problem), self.OMEGAS, recorder=rec, jobs=1
-        )
+        with recording() as rec:
+            ls = omega_line_search(
+                self._pinn(laplace_problem), self.OMEGAS, jobs=1
+            )
         assert rec.meta["best_omega"] == ls.best_omega
         assert rec.meta["step2_costs"] == ls.step2_costs
         assert rec.meta["omega"] == self.OMEGAS[-1]

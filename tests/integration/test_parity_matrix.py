@@ -41,7 +41,7 @@ from repro.control.dp import LaplaceDP, NavierStokesDP
 from repro.control.loop import optimize
 from repro.control.pinn import LaplacePINN, PINNTrainConfig
 from repro.obs.profile import SpanProfiler, profiling
-from repro.obs.recorder import TraceRecorder
+from repro.obs.recorder import recording
 from repro.pde.laplace import LaplaceControlProblem
 from repro.parallel.seeding import derive_seed
 from repro.pde.navier_stokes import ChannelFlowProblem, NSConfig
@@ -134,8 +134,8 @@ def krylov(oracle_cls):
 
 def traced():
     problem = _laplace()
-    recorder = TraceRecorder()
-    candidate = _run(LaplaceDP(problem), recorder=recorder)
+    with recording() as recorder:
+        candidate = _run(LaplaceDP(problem))
     n_records = len(recorder.iterations)
     return Comparison(candidate, _run(LaplaceDP(problem)), invariants={
         f"one record per iteration (got {n_records})": n_records == ITERS,

@@ -88,3 +88,18 @@ def test_record_unknown_config_is_a_usage_error(capsys):
     # The library call itself keeps raising KeyError.
     with pytest.raises(KeyError, match="available"):
         run_tier0("no_such_tier0")
+
+
+def test_iterative_run_traces_krylov_solves():
+    # The Krylov solver reports to the installed recorder, so a tier-0
+    # run on the iterative backend carries its solves in the trace next
+    # to the iterations they served.
+    from repro.obs.health import watching
+
+    with watching():
+        trace = run_tier0("laplace_dp_tier0", backend="local", solver="iterative")
+    krylov = [e for e in trace.solver_events if e.solver == "sparse-krylov"]
+    solves = [e for e in krylov if e.event in ("solve", "adjoint")]
+    assert solves
+    assert all(e.iterations >= 1 for e in solves)
+    assert len(trace.iterations) == TIER0["laplace_dp_tier0"].iterations

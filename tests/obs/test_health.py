@@ -191,12 +191,10 @@ class TestLoopIntegration:
 
     def test_optimize_forwards_events_to_the_recorder(self):
         from repro.control.loop import optimize
-        from repro.obs.recorder import TraceRecorder
+        from repro.obs.recorder import recording
 
-        rec = TraceRecorder()
-        with watching():
-            optimize(self._nan_oracle(), n_iterations=10, initial_lr=1e-2,
-                     recorder=rec)
+        with watching(), recording() as rec:
+            optimize(self._nan_oracle(), n_iterations=10, initial_lr=1e-2)
         checks = [r.check for r in rec.healths]
         assert "nan" in checks
         assert rec.summary()["health"]["nan"] >= 1

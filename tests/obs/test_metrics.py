@@ -16,7 +16,7 @@ from repro.obs.metrics import (
     set_registry,
     use_registry,
 )
-from repro.obs.recorder import TraceRecorder
+from repro.obs.recorder import recording
 from repro.obs.schema import CacheRecord
 
 
@@ -204,9 +204,8 @@ class TestCounterMigrationEquivalence:
             n_factorizations = 2
             n_solves = 12
 
-        rec = TraceRecorder()
-        with use_registry() as reg:
-            record_solver_cache(rec, FakeSolver(), name="lu-cache")
+        with recording() as rec, use_registry() as reg:
+            record_solver_cache(FakeSolver(), name="lu-cache")
             (from_registry,) = reg.cache_records()
         (from_trace,) = rec.caches
         assert from_trace.cache == from_registry.cache == "lu-cache"
@@ -221,7 +220,7 @@ class TestCounterMigrationEquivalence:
             n_solves = 5
 
         with use_registry() as reg:
-            record_solver_cache(None, FakeSolver())
+            record_solver_cache(FakeSolver())
             (rec,) = reg.cache_records()
         assert (rec.hits, rec.misses) == (4, 1)
 

@@ -358,6 +358,21 @@ class TestSolveBlock:
                 _dirichlet_problem(), np.zeros((2, square_cloud_12.n + 1))
             )
 
+    @pytest.mark.parametrize("solver_cls", [RBFSolver, LocalRBFSolver])
+    def test_block_under_recorder(self, square_cloud_12, solver_cls):
+        from repro.obs import recording
+
+        B = self._block(solver_cls(square_cloud_12))[:3]
+        plain = solver_cls(square_cloud_12).solve_block(_dirichlet_problem(), B)
+        with recording() as rec:
+            traced = solver_cls(square_cloud_12).solve_block(
+                _dirichlet_problem(), B
+            )
+        assert np.array_equal(traced, plain)
+        solves = [e for e in rec.solver_events if e.event == "solve"]
+        assert len(solves) == 1
+        assert solves[0].n == square_cloud_12.n
+
 
 class TestIterativeBackend:
     """LocalRBFSolver with ``linear_solver="iterative"`` (Krylov path)."""
@@ -408,12 +423,12 @@ class TestIterativeBackend:
         assert fac.n_fallbacks == 0
 
     def test_events_come_from_the_krylov_solver(self, square_cloud_12):
-        from repro.obs import TraceRecorder
+        from repro.obs import TraceRecorder, recording
 
         solver = LocalRBFSolver(square_cloud_12, linear_solver="iterative")
-        solver.recorder = TraceRecorder(test="rbf-iterative")
-        solver.solve(_dirichlet_problem(1.0), cache_key="k")
-        events = solver.recorder.solver_events
+        with recording(TraceRecorder(test="rbf-iterative")) as rec:
+            solver.solve(_dirichlet_problem(1.0), cache_key="k")
+        events = rec.solver_events
         # The KrylovSolver reports its own factorize/solve (with
         # iteration counts); the generic rbf-sparse events are
         # suppressed so nothing is double-counted.
