@@ -47,7 +47,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.autodiff.batching import primitive
-from repro.autodiff.tensor import ArrayLike, Tensor, make_node, tensor
+from repro.autodiff.linalg import FactorizedSolver
+from repro.autodiff.sparse import _pattern_solve
+from repro.autodiff.tensor import ArrayLike, Tensor
 from repro.obs.health import current_watchdog
 from repro.obs.metrics import get_registry
 from repro.obs.profile import span as _span
@@ -295,16 +297,19 @@ _METHODS = {"bicgstab": bicgstab, "gmres": gmres}
 _PRECONDITIONERS = ("ilu", "jacobi", None)
 
 
-class KrylovSolver:
+class KrylovSolver(FactorizedSolver, op="krylov_solve"):
     """A differentiable matrix-free iterative solver for sparse systems.
 
     Joins :class:`~repro.autodiff.linalg.LUSolver` and
     :class:`~repro.autodiff.sparse.SparseLUSolver` behind
-    :func:`~repro.autodiff.sparse.make_linear_solver`: the same interface
+    :func:`~repro.autodiff.sparse.make_linear_solver`: the same
+    :class:`~repro.autodiff.linalg.FactorizedSolver` interface
     (``__call__`` on the tape, ``solve_numpy``, ``solve_transposed``,
-    ``solve_block``), but the forward solve is a preconditioned Krylov
-    iteration and the adjoint solve runs the *transposed* preconditioned
-    iteration — never the dense or factored inverse.  Only the operator
+    ``solve_block``), but the "factorisation" is the preconditioner, the
+    forward solve is a preconditioned Krylov iteration and the adjoint
+    solve runs the *transposed* preconditioned iteration — implicit
+    differentiation, independent of the forward iteration count, never
+    the dense or factored inverse.  Only the operator
     (CSR + its transpose) and the nnz-bounded preconditioner are stored,
     so memory stays ``O(nnz)`` at any cloud size.
 
@@ -545,7 +550,7 @@ class KrylovSolver:
         reg.counter("krylov.fallbacks").inc()
         return self._direct_solve(b, trans)
 
-    def _solve(self, b: np.ndarray, trans: bool = False) -> np.ndarray:
+    def _solve(self, b: np.ndarray, trans: bool) -> np.ndarray:
         """Solve for one vector or a column block, counting one solve."""
         self.n_solves += 1
         b = np.asarray(b, dtype=np.float64)
@@ -559,49 +564,6 @@ class KrylovSolver:
         for j in range(b.shape[1]):
             out[:, j] = self._solve_vec(np.ascontiguousarray(b[:, j]), trans)
         return out
-
-    # -- differentiable interface (mirrors SparseLUSolver) -------------
-    @primitive("krylov_solve")
-    def __call__(self, b: ArrayLike) -> Tensor:
-        """Solve ``A x = b`` differentiably w.r.t. ``b``.
-
-        The VJP solves the transposed preconditioned system — implicit
-        differentiation, independent of the forward iteration count.
-        """
-        tb = tensor(b)
-        bd = tb.data
-        x = self._solve(bd)
-
-        def vjp_b(g: np.ndarray) -> np.ndarray:
-            return self._solve(g, trans=True)
-
-        def fwd(o: np.ndarray) -> None:
-            o[...] = self._solve(bd)
-
-        # Operand metadata only; opaque to codegen (the operator and
-        # preconditioner live in closures, reached via callback).
-        return make_node(
-            x, [(tb, vjp_b)], "krylov_solve", fwd=fwd, meta=((bd,), None)
-        )
-
-    def solve_block(self, b_block: ArrayLike) -> Tensor:
-        """Solve an ``(N, n)`` row-block of right-hand sides at once.
-
-        Mirrors :meth:`SparseLUSolver.solve_block`: the block is
-        transposed into columns, solved per column (bitwise equal to N
-        independent solves), and transposed back — forward and adjoint.
-        """
-        from repro.autodiff import ops
-
-        return ops.transpose(self(ops.transpose(b_block)))
-
-    def solve_numpy(self, b: np.ndarray) -> np.ndarray:
-        """Plain NumPy solve (no tape)."""
-        return self._solve(np.asarray(b, dtype=np.float64))
-
-    def solve_transposed(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``Aᵀ x = b`` (the adjoint system) without taping."""
-        return self._solve(np.asarray(b, dtype=np.float64), trans=True)
 
 
 @primitive("krylov_pattern_solve")
@@ -629,43 +591,7 @@ def krylov_pattern_solve(
     are forwarded to :class:`KrylovSolver` (method, tolerance, maxiter,
     preconditioner, fallback).
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    td, tb = tensor(data), tensor(b)
-    if td.data.shape != rows.shape:
-        raise ValueError(
-            f"data has shape {td.data.shape}, pattern has {rows.shape}"
-        )
-    dd, bd = td.data, tb.data
-
-    def build() -> KrylovSolver:
-        A = sp.csr_matrix((dd, (rows, cols)), shape=shape)
-        return KrylovSolver(A, **options)
-
-    # One-slot holder: the forward-replay closure rebuilds the operator
-    # (and its preconditioner) from the *current* pattern values; the
-    # VJPs read through the holder so the adjoint iteration always runs
-    # against the matching operator.
-    holder = [build()]
-    x = np.asarray(holder[0]._solve(bd))
-
-    def solve_T(g: np.ndarray) -> np.ndarray:
-        return holder[0]._solve(g, trans=True)
-
-    def vjp_b(g: np.ndarray) -> np.ndarray:
-        return solve_T(g)
-
-    def vjp_data(g: np.ndarray) -> np.ndarray:
-        w = solve_T(g)
-        if x.ndim == 1:
-            return -w[rows] * x[cols]
-        return -np.sum(w[rows] * x[cols], axis=1)
-
-    def fwd(o: np.ndarray) -> None:
-        holder[0] = build()
-        o[...] = holder[0]._solve(bd)
-
-    return make_node(
-        x, [(td, vjp_data), (tb, vjp_b)], "krylov_pattern_solve", fwd=fwd,
-        meta=((dd, bd), {"shape": shape}),
+    return _pattern_solve(
+        "krylov_pattern_solve", lambda A: KrylovSolver(A, **options),
+        rows, cols, shape, data, b,
     )

@@ -379,7 +379,80 @@ def row_scaled_solve(
     )
 
 
-class LUSolver:
+class FactorizedSolver:
+    """Factorise once, solve many: the adjoint-solve contract in one place.
+
+    A subclass factorises ``A`` in ``__init__`` (setting ``n``,
+    ``n_factorizations`` and ``n_solves``) and implements only
+    ``_solve(b, transposed)`` for ``b`` of shape ``(n,)`` or ``(n, k)``,
+    counting its own solves.  Everything else derives from it:
+
+    - ``__call__`` puts ``x = A⁻¹ b`` on the tape; its VJP is the
+      transposed solve ``w = A⁻ᵀ x̄`` with the *same* factors, the discrete
+      adjoint that makes DP gradients exact;
+    - :meth:`solve_block` solves an ``(N, n)`` row-block on the tape;
+    - :meth:`solve_numpy` / :meth:`solve_transposed` are the untaped
+      forward and adjoint solves.
+
+    The subclass names its registered primitive in the class statement,
+    ``class LUSolver(FactorizedSolver, op="lu_solve")``: batching rules and
+    conformance cases are keyed by that name, and it labels the tape node.
+    """
+
+    n: int
+    n_factorizations: int
+    n_solves: int
+
+    def __init_subclass__(cls, op: str, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+
+        def __call__(self, b: ArrayLike) -> Tensor:
+            """Solve ``A x = b`` differentiably w.r.t. ``b``."""
+            tb = tensor(b)
+            bd = tb.data
+            x = self._solve(bd, False)
+
+            def vjp_b(g: np.ndarray) -> np.ndarray:
+                return self._solve(g, True)
+
+            # Constant matrix: replay re-solves with the cached factors.
+            def fwd(o: np.ndarray) -> None:
+                o[...] = self._solve(bd, False)
+
+            # Operand metadata only; opaque to codegen (the factors live
+            # in the solver object, reached via closure callbacks).
+            return make_node(x, [(tb, vjp_b)], op, fwd=fwd, meta=((bd,), None))
+
+        __call__.__qualname__ = f"{cls.__qualname__}.__call__"
+        cls.__call__ = primitive(op)(__call__)
+
+    def _solve(self, b: np.ndarray, transposed: bool) -> np.ndarray:
+        raise NotImplementedError
+
+    def solve_block(self, b_block: ArrayLike) -> Tensor:
+        """Solve an ``(N, n)`` row-block of right-hand sides at once.
+
+        The block is transposed into the ``(n, N)`` column layout, so one
+        ``_solve`` against the cached factors serves all N systems, and
+        the adjoint pass mirrors it: the transposed solve in the VJP
+        receives the cotangent block in the same layout.  This is the
+        arrangement the :mod:`~repro.autodiff.batching` solve rule emits.
+        Dense LU runs one multi-RHS ``getrs`` (equal to per-vector solves
+        to rounding); ``splu`` and Krylov columns are bitwise equal to
+        per-vector solves.
+        """
+        return ops.transpose(self(ops.transpose(b_block)))
+
+    def solve_numpy(self, b: np.ndarray) -> np.ndarray:
+        """Plain NumPy solve (no tape)."""
+        return self._solve(np.asarray(b, dtype=np.float64), False)
+
+    def solve_transposed(self, b: np.ndarray) -> np.ndarray:
+        """Solve ``Aᵀ x = b`` (the adjoint system) without taping."""
+        return self._solve(np.asarray(b, dtype=np.float64), True)
+
+
+class LUSolver(FactorizedSolver, op="lu_solve"):
     """A differentiable solver with a *cached* LU factorisation.
 
     For optimal-control loops the system matrix is constant across
@@ -416,53 +489,15 @@ class LUSolver:
         self._lu_f = np.asfortranarray(lu_mat)
         (self._getrs,) = sla.get_lapack_funcs(("getrs",), (self._lu_f,))
 
-    def _solve(self, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    def _solve(self, b: np.ndarray, transposed: bool) -> np.ndarray:
         self.n_solves += 1
         get_registry().counter("linalg.dense.solves").inc()
-        x, info = self._getrs(self._lu_f, self._piv, b, trans=trans)
+        x, info = self._getrs(
+            self._lu_f, self._piv, b, trans=1 if transposed else 0
+        )
         if info != 0:
             raise np.linalg.LinAlgError(f"getrs failed with info={info}")
         return x
-
-    @primitive("lu_solve")
-    def __call__(self, b: ArrayLike) -> Tensor:
-        """Solve ``A x = b`` differentiably w.r.t. ``b``."""
-        tb = tensor(b)
-        bd = tb.data
-        x = self._solve(bd)
-
-        def vjp_b(g: np.ndarray) -> np.ndarray:
-            return self._solve(g, trans=1)
-
-        # Constant matrix: replay re-solves with the cached factors.
-        def fwd(o: np.ndarray, bd=bd) -> None:
-            o[...] = self._solve(bd)
-
-        # Operand metadata only; stays opaque to codegen (cached factors
-        # live in the solver object, reached via closure callbacks).
-        return make_node(
-            x, [(tb, vjp_b)], "lu_solve", fwd=fwd, meta=((bd,), None)
-        )
-
-    def solve_block(self, b_block: ArrayLike) -> Tensor:
-        """Solve an ``(N, n)`` row-block of right-hand sides at once.
-
-        The block is transposed into LAPACK's native ``(n, N)`` column
-        layout so ONE ``getrs`` call against the cached factors serves
-        all N systems — and the adjoint pass mirrors it: the transposed
-        solve in the VJP receives the cotangent block in the same layout
-        and batches through a single ``getrs(trans=1)``.  This is the
-        arrangement the :mod:`~repro.autodiff.batching` solve rule emits.
-        """
-        return ops.transpose(self(ops.transpose(b_block)))
-
-    def solve_numpy(self, b: np.ndarray) -> np.ndarray:
-        """Plain NumPy solve (no tape)."""
-        return self._solve(np.asarray(b, dtype=np.float64))
-
-    def solve_transposed(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``Aᵀ x = b`` (the adjoint system) without taping."""
-        return self._solve(np.asarray(b, dtype=np.float64), trans=1)
 
 
 @primitive("lstsq")

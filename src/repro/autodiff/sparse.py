@@ -28,14 +28,14 @@ forward and the transposed (adjoint) solve.  Three entry points:
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.autodiff.batching import primitive
-from repro.autodiff.linalg import LUSolver
+from repro.autodiff.linalg import FactorizedSolver, LUSolver
 from repro.autodiff.tensor import ArrayLike, Tensor, make_node, tensor
 from repro.obs.metrics import get_registry
 
@@ -118,6 +118,59 @@ def sparse_matvec(M, x: ArrayLike) -> Tensor:
     )
 
 
+def _pattern_solve(
+    name: str,
+    factorize: Callable[[sp.csr_matrix], FactorizedSolver],
+    rows: np.ndarray,
+    cols: np.ndarray,
+    shape: Tuple[int, int],
+    data: ArrayLike,
+    b: ArrayLike,
+) -> Tensor:
+    """The body of every pattern solve: ``factorize`` is the only difference.
+
+    ``A = csr((data, (rows, cols)), shape)`` is handed to ``factorize``
+    (a :class:`FactorizedSolver` constructor); the node is recorded as
+    primitive ``name``.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    td, tb = tensor(data), tensor(b)
+    if td.data.shape != rows.shape:
+        raise ValueError(
+            f"data has shape {td.data.shape}, pattern has {rows.shape}"
+        )
+    dd, bd = td.data, tb.data
+
+    def build() -> FactorizedSolver:
+        return factorize(sp.csr_matrix((dd, (rows, cols)), shape=shape))
+
+    # One-slot holder: the forward-replay closure re-assembles and
+    # re-factorises from the *current* pattern values (they live on the
+    # tape and change between replays); the VJPs read through the holder
+    # so the adjoint solves always use the matching factorisation.
+    holder = [build()]
+    x = holder[0].solve_numpy(bd)
+
+    def vjp_b(g: np.ndarray) -> np.ndarray:
+        return holder[0].solve_transposed(g)
+
+    def vjp_data(g: np.ndarray) -> np.ndarray:
+        w = holder[0].solve_transposed(g)
+        if x.ndim == 1:
+            return -w[rows] * x[cols]
+        return -np.sum(w[rows] * x[cols], axis=1)
+
+    def fwd(o: np.ndarray) -> None:
+        holder[0] = build()
+        o[...] = holder[0].solve_numpy(bd)
+
+    return make_node(
+        x, [(td, vjp_data), (tb, vjp_b)], name, fwd=fwd,
+        meta=((dd, bd), {"shape": shape}),
+    )
+
+
 @primitive("sparse_pattern_solve")
 def sparse_pattern_solve(
     rows: np.ndarray,
@@ -130,8 +183,9 @@ def sparse_pattern_solve(
 
     ``A = csr((data, (rows, cols)), shape)`` with a fixed sparsity pattern
     ``(rows, cols)``; ``data`` may be a Tensor (e.g. assembled from the
-    frozen-advection velocity), and the VJP scatters the dense adjoint
-    formula ``Ā = -w xᵀ`` onto the pattern only:
+    frozen-advection velocity).  Each call (and each replay) factorises
+    ``A`` once with a :class:`SparseLUSolver`, and the VJP scatters the
+    dense adjoint formula ``Ā = -w xᵀ`` onto the pattern only:
 
     .. math::
 
@@ -140,45 +194,12 @@ def sparse_pattern_solve(
     Duplicate ``(row, col)`` entries are summed by the CSR constructor,
     and each duplicate receives the same (correct) cotangent.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    td, tb = tensor(data), tensor(b)
-    if td.data.shape != rows.shape:
-        raise ValueError(
-            f"data has shape {td.data.shape}, pattern has {rows.shape}"
-        )
-    dd, bd = td.data, tb.data
-    A = sp.csr_matrix((dd, (rows, cols)), shape=shape)
-    # One-slot holder: the forward-replay closure re-assembles and
-    # re-factorises from the *current* pattern values (they live on the
-    # tape and change between replays); the VJPs read through the holder
-    # so the adjoint solves always use the matching factorisation.
-    holder = [_splu(A)]
-    x = np.asarray(holder[0].solve(np.ascontiguousarray(bd)))
-
-    def solve_T(g: np.ndarray) -> np.ndarray:
-        return holder[0].solve(np.ascontiguousarray(g), trans="T")
-
-    def vjp_b(g: np.ndarray) -> np.ndarray:
-        return solve_T(g)
-
-    def vjp_data(g: np.ndarray) -> np.ndarray:
-        w = solve_T(g)
-        if x.ndim == 1:
-            return -w[rows] * x[cols]
-        return -np.sum(w[rows] * x[cols], axis=1)
-
-    def fwd(o: np.ndarray) -> None:
-        holder[0] = _splu(sp.csr_matrix((dd, (rows, cols)), shape=shape))
-        o[...] = holder[0].solve(np.ascontiguousarray(bd))
-
-    return make_node(
-        x, [(td, vjp_data), (tb, vjp_b)], "sparse_pattern_solve", fwd=fwd,
-        meta=((dd, bd), {"shape": shape}),
+    return _pattern_solve(
+        "sparse_pattern_solve", SparseLUSolver, rows, cols, shape, data, b
     )
 
 
-class SparseLUSolver:
+class SparseLUSolver(FactorizedSolver, op="sparse_lu_solve"):
     """A differentiable sparse solver with a cached ``splu`` factorisation.
 
     The sparse sibling of :class:`~repro.autodiff.linalg.LUSolver`: the
@@ -188,7 +209,9 @@ class SparseLUSolver:
     solve-many.  ``n_factorizations`` counts numeric factorisations and
     ``n_solves`` counts triangular solves against the cached factors, so
     regression tests (and the telemetry layer's cache records) can assert
-    the cache is actually hit.
+    the cache is actually hit.  SuperLU's multi-RHS solve is bitwise equal
+    to per-column solves for the narrow blocks used here (observed up to
+    ~50 columns).
     """
 
     solver_name = "sparse-splu"
@@ -211,58 +234,25 @@ class SparseLUSolver:
         self.n_solves = 0
         get_registry().counter("linalg.sparse.factorizations").inc()
 
-    def _solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+    def _solve(self, b: np.ndarray, transposed: bool) -> np.ndarray:
         self.n_solves += 1
         get_registry().counter("linalg.sparse.solves").inc()
-        return self._lu.solve(np.ascontiguousarray(b), trans=trans)
-
-    @primitive("sparse_lu_solve")
-    def __call__(self, b: ArrayLike) -> Tensor:
-        """Solve ``A x = b`` differentiably w.r.t. ``b``."""
-        tb = tensor(b)
-        bd = tb.data
-        x = self._solve(bd)
-
-        def vjp_b(g: np.ndarray) -> np.ndarray:
-            return self._solve(g, trans="T")
-
-        def fwd(o: np.ndarray) -> None:
-            o[...] = self._solve(bd)
-
-        return make_node(
-            x, [(tb, vjp_b)], "sparse_lu_solve", fwd=fwd, meta=((bd,), None)
+        return self._lu.solve(
+            np.ascontiguousarray(b), trans="T" if transposed else "N"
         )
 
-    def solve_block(self, b_block: ArrayLike) -> Tensor:
-        """Solve an ``(N, n)`` row-block of right-hand sides at once.
 
-        One ``splu`` triangular solve against an ``(n, N)`` column block
-        serves all N systems, forward and adjoint (the VJP's transposed
-        solve receives the cotangent block in the same layout) — the
-        sparse mirror of :meth:`~repro.autodiff.linalg.LUSolver.solve_block`
-        and the arrangement the batching solve rule emits.
-        """
-        from repro.autodiff import ops
-
-        return ops.transpose(self(ops.transpose(b_block)))
-
-    def solve_numpy(self, b: np.ndarray) -> np.ndarray:
-        """Plain NumPy solve (no tape)."""
-        return self._solve(np.asarray(b, dtype=np.float64))
-
-    def solve_transposed(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``Aᵀ x = b`` (the adjoint system) without taping."""
-        return self._solve(np.asarray(b, dtype=np.float64), trans="T")
-
-
-def make_linear_solver(A, method: str = "direct", **options):
-    """Build the differentiable solver matching ``A``'s storage and ``method``.
+def make_linear_solver(A, solver: str = "direct", **options) -> FactorizedSolver:
+    """Build the differentiable solver matching ``A``'s storage and ``solver``.
 
     The single dispatch point that lets the DP/DAL oracles run on any
-    backend from one flag:
+    backend from one flag (the ``solver`` field of
+    :class:`~repro.pde.laplace.LaplaceControlProblem`,
+    :class:`~repro.pde.navier_stokes.ChannelFlowProblem` and
+    :class:`~repro.control.spec.RunSpec`):
 
     ==========  ===============  =============================================
-    storage     ``method``       solver
+    storage     ``solver``       solver
     ==========  ===============  =============================================
     dense       ``"direct"``     :class:`~repro.autodiff.linalg.LUSolver`
     sparse      ``"direct"``     :class:`SparseLUSolver`
@@ -280,23 +270,24 @@ def make_linear_solver(A, method: str = "direct", **options):
     ``toarray``) are treated as dense operands, matching the behaviour
     of every other ``scipy.sparse`` consumer in the repository.
 
-    All three solvers expose the same interface (``__call__`` on the
-    tape with an implicit/adjoint VJP, ``solve_numpy``,
-    ``solve_transposed``, ``solve_block``).  ``options`` are forwarded
-    to :class:`~repro.autodiff.krylov.KrylovSolver` (tolerances,
-    ``maxiter``, ``preconditioner``, ``fallback``, ...) and must be
-    empty for the direct backends.  A Krylov solver reports to the
-    installed trace recorder (:func:`~repro.obs.recorder.recording`).
+    All three subclass :class:`~repro.autodiff.linalg.FactorizedSolver`:
+    ``__call__`` on the tape with the transposed solve as its VJP,
+    ``solve_numpy``, ``solve_transposed`` and ``solve_block``.
+    ``options`` are forwarded to
+    :class:`~repro.autodiff.krylov.KrylovSolver` (``method``,
+    tolerances, ``maxiter``, ``preconditioner``, ``fallback``, ...) and
+    must be empty for the direct backends.  A Krylov solver reports to
+    the installed trace recorder (:func:`~repro.obs.recorder.recording`).
     """
-    if method not in ("direct", "iterative"):
+    if solver not in ("direct", "iterative"):
         raise ValueError(
-            f"method must be 'direct' or 'iterative', got {method!r}"
+            f"solver must be 'direct' or 'iterative', got {solver!r}"
         )
-    if method == "iterative":
+    if solver == "iterative":
         if not sp.issparse(A):
             raise TypeError(
                 "the iterative (Krylov) backend requires a scipy.sparse "
-                "operator; got a dense system — use method='direct' or "
+                "operator; got a dense system — use solver='direct' or "
                 "assemble with the local RBF-FD backend"
             )
         from repro.autodiff.krylov import KrylovSolver

@@ -78,7 +78,7 @@ class LaplaceDAL:
         # on the iterative backend) for both.
         self.solver = make_linear_solver(
             problem.system,
-            method=getattr(problem, "solver", "direct"),
+            solver=getattr(problem, "solver", "direct"),
             **(getattr(problem, "solver_opts", None) or {}),
         )
 

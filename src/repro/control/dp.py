@@ -73,7 +73,7 @@ class LaplaceDP:
         self.problem = problem
         self.solver = make_linear_solver(
             problem.system,
-            method=getattr(problem, "solver", "direct"),
+            solver=getattr(problem, "solver", "direct"),
             **(getattr(problem, "solver_opts", None) or {}),
         )
         self.smoothness_weight = float(smoothness_weight)

@@ -221,7 +221,7 @@ class ChannelFlowProblem:
         else:
             A_p = self.mask_int[:, None] * nd.lap + self.rows_p
         self.pressure_solver = make_linear_solver(
-            A_p, method=solver, **self.solver_opts
+            A_p, solver=solver, **self.solver_opts
         )
 
         # Fixed sparsity pattern of the momentum system (local backend):
@@ -389,7 +389,7 @@ class ChannelFlowProblem:
         n = self.cloud.n
         A = sp.csr_matrix((data, (self._mom_rows, self._mom_cols)), shape=(n, n))
         return make_linear_solver(
-            A, method=self.solver, **self.solver_opts
+            A, solver=self.solver, **self.solver_opts
         ).solve_numpy
 
     # ------------------------------------------------------------------

@@ -11,7 +11,7 @@ The system matrix has one row per node:
 and the right-hand side carries the source / boundary data.  For the
 optimal-control loops the matrix is *constant across iterations* (the
 control only enters the RHS for linear problems), so :class:`RBFSolver`
-caches LU factorisations by a caller-supplied key.
+and :class:`LocalRBFSolver` cache factorisations by a caller-supplied key.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from typing import Callable, Dict, Optional, Union
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from repro.autodiff.linalg import LUSolver
+from repro.autodiff.sparse import make_linear_solver
 from repro.cloud.base import BoundaryKind, Cloud
 from repro.obs.profile import span as _span
 from repro.obs.recorder import current_recorder
@@ -135,26 +136,167 @@ def assemble_problem_rhs(cloud: Cloud, problem: LinearPDEProblem) -> np.ndarray:
     return b
 
 
-class RBFSolver:
+class _CachedSolver:
+    """The factor cache shared by :class:`RBFSolver` and :class:`LocalRBFSolver`.
+
+    A subclass assembles the system (``assemble_system``) and names its
+    discretisation (``_cache_token``); this base factorises through
+    :func:`~repro.autodiff.sparse.make_linear_solver` with the
+    subclass's ``linear_solver``/``solver_opts`` (dense LU, ``splu`` or
+    Krylov, from the matrix storage), caches the solver by key and
+    emits the solver events.  ``n_factorizations``/``n_solves`` count
+    factorisations and (block) solves, so regression tests can assert
+    factorise-once/solve-many behaviour across loop iterations.
+
+    Telemetry: with a trace recorder installed
+    (:func:`~repro.obs.recorder.recording`) every factorisation emits a
+    ``factorize`` event and every solve a ``solve`` event with the
+    relative residual.  Dense factorisations carry a LAPACK ``gecon``
+    condition estimate; sparse ones carry ``nnz``.  Residuals need the
+    system matrix: a sparse one is always kept (it is nnz-bounded), a
+    dense one only for factorisations performed *while* a recorder is
+    installed, so cached dense factors from before report
+    ``residual=None``.  On the iterative path the
+    :class:`~repro.autodiff.krylov.KrylovSolver` reports instead.
+    """
+
+    solver_name: str
+    cloud: Cloud
+
+    def __init__(
+        self, linear_solver: str = "direct", solver_opts: Optional[dict] = None
+    ) -> None:
+        self.linear_solver = linear_solver
+        self.solver_opts = dict(solver_opts or {})
+        self._lu_cache: Dict[object, object] = {}
+        self.n_factorizations = 0
+        self.n_solves = 0
+
+    def assemble_rhs(self, problem: LinearPDEProblem) -> np.ndarray:
+        """Build the right-hand side for ``problem``."""
+        return assemble_problem_rhs(self.cloud, problem)
+
+    def _factors(
+        self, problem: LinearPDEProblem, cache_key: Optional[str], rec
+    ) -> tuple:
+        """Fetch-or-build the solver (and retained matrix) for ``problem``."""
+        key = None if cache_key is None else (cache_key, self._cache_token())
+        if key is not None and key in self._lu_cache:
+            return self._lu_cache[key]
+        t0 = time.perf_counter() if rec is not None else 0.0
+        with _span("rbf.assemble", "solver", {"n": self.cloud.n}):
+            A = self.assemble_system(problem)
+        with _span("rbf.factorize", "solver", {"n": self.cloud.n}):
+            fac = make_linear_solver(A, self.linear_solver, **self.solver_opts)
+        self.n_factorizations += 1
+        if rec is not None and self._reports:
+            rec.solver_event(
+                self.solver_name,
+                "factorize",
+                n=self.cloud.n,
+                seconds=time.perf_counter() - t0,
+                condition_estimate=(
+                    _dense_condition_estimate(A, fac._lu)
+                    if isinstance(fac, LUSolver) else None
+                ),
+                nnz=fac.nnz,
+            )
+        A_kept = A if rec is not None or sp.issparse(A) else None
+        if key is not None:
+            self._lu_cache[key] = (fac, A_kept)
+        return fac, A_kept
+
+    @property
+    def _reports(self) -> bool:
+        # A KrylovSolver emits its own events (with iteration counts).
+        return self.linear_solver != "iterative"
+
+    def _solve_event(self, rec, fac, A, x, b, t0: float) -> None:
+        if rec is None or not self._reports:
+            return
+        rec.solver_event(
+            self.solver_name,
+            "solve",
+            n=self.cloud.n,
+            seconds=time.perf_counter() - t0,
+            residual=None if A is None else _relative_residual(A, x, b),
+            nnz=fac.nnz,
+        )
+
+    def solve(
+        self, problem: LinearPDEProblem, cache_key: Optional[str] = None
+    ) -> np.ndarray:
+        """Solve ``problem`` for nodal values.
+
+        When ``cache_key`` is given, the factorisation of the system
+        matrix is cached under that key and reused on subsequent calls —
+        the caller asserts the matrix is unchanged (true for linear
+        problems whose control enters only through boundary *values*).
+        """
+        rec = current_recorder()
+        fac, A = self._factors(problem, cache_key, rec)
+        b = self.assemble_rhs(problem)
+        t0 = time.perf_counter() if rec is not None else 0.0
+        with _span("rbf.solve", "solver", {"n": self.cloud.n}):
+            x = fac.solve_numpy(b)
+        self.n_solves += 1
+        self._solve_event(rec, fac, A, x, b, t0)
+        return x
+
+    def solve_block(
+        self,
+        problem: LinearPDEProblem,
+        b_block: np.ndarray,
+        cache_key: Optional[str] = None,
+    ) -> np.ndarray:
+        """Solve against a ``(N_rhs, n)`` block of right-hand sides at once.
+
+        One factorisation (cached under ``cache_key`` exactly as in
+        :meth:`solve`) serves every row of ``b_block`` through one
+        ``solve_numpy`` on the ``(n, N_rhs)`` column block — the same
+        reuse the served coalesced evaluate gets.  Dense: one multi-RHS
+        ``getrs`` (equal to per-row solves to rounding); ``splu``: bitwise
+        equal to per-row solves for the narrow blocks the batched cost
+        sweeps produce (observed up to ~50 columns; very wide blocks may
+        take a blocked substitution that perturbs last bits); Krylov: one
+        iteration per row, bitwise.  Counts as one entry in ``n_solves``.
+        Returns the ``(N_rhs, n)`` block of solutions (``N_rhs = 0`` is
+        allowed and returns an empty block without factorising).
+        """
+        b_block = np.asarray(b_block, dtype=np.float64)
+        if b_block.ndim != 2 or b_block.shape[1] != self.cloud.n:
+            raise ValueError(
+                f"b_block must have shape (N_rhs, {self.cloud.n}), "
+                f"got {b_block.shape}"
+            )
+        if b_block.shape[0] == 0:
+            return b_block.copy()
+        rec = current_recorder()
+        fac, A = self._factors(problem, cache_key, rec)
+        t0 = time.perf_counter() if rec is not None else 0.0
+        with _span(
+            "rbf.solve_block", "solver",
+            {"n": self.cloud.n, "n_rhs": b_block.shape[0]},
+        ):
+            x = fac.solve_numpy(b_block.T)
+        self.n_solves += 1
+        self._solve_event(rec, fac, A, x, b_block.T, t0)
+        return x.T
+
+    def clear_cache(self) -> None:
+        """Drop all cached factorisations."""
+        self._lu_cache.clear()
+
+
+class RBFSolver(_CachedSolver):
     """Reusable solver bound to one cloud/kernel/degree discretisation.
 
     Builds the nodal differentiation matrices once and caches system-matrix
     LU factorisations by key, so control loops that re-solve the same PDE
     with different boundary data pay only a triangular-solve per iteration
-    (the optimisation the paper's timing table depends on).
-
-    ``n_factorizations``/``n_solves`` count numeric factorisations and
-    triangular solves so regression tests can assert
-    factorise-once/solve-many behaviour across loop iterations.
-
-    Telemetry: with a trace recorder installed
-    (:func:`~repro.obs.recorder.recording`) every factorisation emits a
-    ``factorize`` event (with a LAPACK ``gecon`` condition estimate) and
-    every solve a ``solve`` event with the relative residual.  Residuals
-    require the system matrix, which is only retained for factorisations
-    performed *while* a recorder is installed — cached factorisations
-    from before report ``residual=None``.  With no recorder the solve
-    path is unchanged (no matrix retention, no timestamps).
+    (the optimisation the paper's timing table depends on).  Caching,
+    counters and telemetry are those of the shared factor cache (a dense
+    :class:`~repro.autodiff.linalg.LUSolver` per key).
     """
 
     solver_name = "rbf-dense-lu"
@@ -165,15 +307,13 @@ class RBFSolver:
         kernel: Optional[Kernel] = None,
         degree: int = 1,
     ) -> None:
+        super().__init__()
         self.cloud = cloud
         self.kernel = kernel or polyharmonic(3)
         self.degree = degree
         self.nodal: NodalOperators = build_nodal_operators(
             cloud, self.kernel, degree
         )
-        self._lu_cache: Dict[object, object] = {}
-        self.n_factorizations = 0
-        self.n_solves = 0
 
     def _cache_token(self) -> tuple:
         """Discretisation fingerprint mixed into every cache key.
@@ -215,120 +355,8 @@ class RBFSolver:
                 A[idx, idx] += bc.beta
         return A
 
-    def assemble_rhs(self, problem: LinearPDEProblem) -> np.ndarray:
-        """Build the right-hand side for ``problem``."""
-        return assemble_problem_rhs(self.cloud, problem)
 
-    def _factors(
-        self, problem: LinearPDEProblem, cache_key: Optional[str], rec
-    ) -> tuple:
-        """Fetch-or-build the LU factors (and retained matrix) for ``problem``."""
-        key = None if cache_key is None else (cache_key, self._cache_token())
-        if key is not None and key in self._lu_cache:
-            return self._lu_cache[key]
-        t0 = time.perf_counter() if rec is not None else 0.0
-        with _span("rbf.assemble", "solver", {"n": self.cloud.n}):
-            A = self.assemble_system(problem)
-        with _span("rbf.factorize", "solver", {"n": self.cloud.n}):
-            lu = sla.lu_factor(A, check_finite=False)
-        self.n_factorizations += 1
-        if rec is not None:
-            rec.solver_event(
-                self.solver_name,
-                "factorize",
-                n=self.cloud.n,
-                seconds=time.perf_counter() - t0,
-                condition_estimate=_dense_condition_estimate(A, lu),
-            )
-        # The matrix is only retained for residual reporting; without
-        # a recorder the cache stays factors-only, as before.
-        A_kept = A if rec is not None else None
-        if key is not None:
-            self._lu_cache[key] = (lu, A_kept)
-        return lu, A_kept
-
-    def solve(
-        self, problem: LinearPDEProblem, cache_key: Optional[str] = None
-    ) -> np.ndarray:
-        """Solve ``problem`` for nodal values.
-
-        When ``cache_key`` is given, the LU factorisation of the system
-        matrix is cached under that key and reused on subsequent calls —
-        the caller asserts the matrix is unchanged (true for linear
-        problems whose control enters only through boundary *values*).
-        """
-        rec = current_recorder()
-        lu, A_kept = self._factors(problem, cache_key, rec)
-        b = self.assemble_rhs(problem)
-        t0 = time.perf_counter() if rec is not None else 0.0
-        with _span("rbf.solve", "solver", {"n": self.cloud.n}):
-            x = sla.lu_solve(lu, b, check_finite=False)
-        self.n_solves += 1
-        if rec is not None:
-            rec.solver_event(
-                self.solver_name,
-                "solve",
-                n=self.cloud.n,
-                seconds=time.perf_counter() - t0,
-                residual=(
-                    _relative_residual(A_kept, x, b) if A_kept is not None else None
-                ),
-            )
-        return x
-
-    def solve_block(
-        self,
-        problem: LinearPDEProblem,
-        b_block: np.ndarray,
-        cache_key: Optional[str] = None,
-    ) -> np.ndarray:
-        """Solve against a ``(N_rhs, n)`` block of right-hand sides at once.
-
-        One factorisation (cached under ``cache_key`` exactly as in
-        :meth:`solve`) serves every row of ``b_block`` through a single
-        multi-RHS ``getrs`` call — the same reuse the served coalesced
-        evaluate gets from one ``solve_numpy`` on an ``(n, k)`` block.
-        Counts as one entry in ``n_solves``.  Returns the ``(N_rhs, n)`` block
-        of solutions (``N_rhs = 0`` is allowed and returns an empty
-        block without touching LAPACK).
-        """
-        b_block = np.asarray(b_block, dtype=np.float64)
-        if b_block.ndim != 2 or b_block.shape[1] != self.cloud.n:
-            raise ValueError(
-                f"b_block must have shape (N_rhs, {self.cloud.n}), "
-                f"got {b_block.shape}"
-            )
-        rec = current_recorder()
-        lu, A_kept = self._factors(problem, cache_key, rec)
-        if b_block.shape[0] == 0:
-            return b_block.copy()
-        t0 = time.perf_counter() if rec is not None else 0.0
-        with _span(
-            "rbf.solve_block", "solver",
-            {"n": self.cloud.n, "n_rhs": b_block.shape[0]},
-        ):
-            x = sla.lu_solve(lu, b_block.T, check_finite=False).T
-        self.n_solves += 1
-        if rec is not None:
-            rec.solver_event(
-                self.solver_name,
-                "solve",
-                n=self.cloud.n,
-                seconds=time.perf_counter() - t0,
-                residual=(
-                    _relative_residual(A_kept, x.T, b_block.T)
-                    if A_kept is not None
-                    else None
-                ),
-            )
-        return x
-
-    def clear_cache(self) -> None:
-        """Drop all cached factorisations."""
-        self._lu_cache.clear()
-
-
-class LocalRBFSolver:
+class LocalRBFSolver(_CachedSolver):
     """Sparse RBF-FD counterpart of :class:`RBFSolver`.
 
     Assembles its system rows from :class:`~repro.rbf.local.LocalOperators`
@@ -340,13 +368,8 @@ class LocalRBFSolver:
     Supports the same boundary-condition kinds: Dirichlet (unit rows),
     Neumann (stencil-sparse normal rows) and Robin (``normal + β·I``).
 
-    Telemetry mirrors :class:`RBFSolver`: an installed trace recorder
-    gets per-factorisation/per-solve events.  The sparse matrix is
-    always kept next to its factors (it is nnz-bounded), so residuals
-    are reported even for factorisations cached before the recorder was
-    installed; condition estimates are not available for ``splu``
-    factors and are reported as ``None``.  On the iterative path the
-    :class:`~repro.autodiff.krylov.KrylovSolver` reports instead.
+    Caching, counters and telemetry are those of the shared factor
+    cache, as for :class:`RBFSolver`.
 
     ``linear_solver="iterative"`` swaps the exact ``splu`` factorisation
     for a matrix-free preconditioned Krylov iteration
@@ -374,18 +397,19 @@ class LocalRBFSolver:
                 "linear_solver must be 'direct' or 'iterative', "
                 f"got {linear_solver!r}"
             )
+        if linear_solver == "direct" and solver_opts:
+            raise TypeError(
+                "solver_opts are only meaningful with solver='iterative'; "
+                f"got {sorted(solver_opts)}"
+            )
+        super().__init__(linear_solver, solver_opts)
         self.cloud = cloud
         self.kernel = kernel or polyharmonic(3)
         self.degree = degree
-        self.linear_solver = linear_solver
-        self.solver_opts = dict(solver_opts or {})
         self.local: LocalOperators = build_local_operators(
             cloud, self.kernel, degree, stencil_size, chunk_size=chunk_size
         )
         self.stencil_size = self.local.stencil_size
-        self._lu_cache: Dict[object, object] = {}
-        self.n_factorizations = 0
-        self.n_solves = 0
         if linear_solver == "iterative":
             self.solver_name = "rbf-sparse-krylov"
 
@@ -445,127 +469,6 @@ class LocalRBFSolver:
             else:  # Robin
                 A = A + sel @ normal + bc.beta * sel
         return A.tocsr()
-
-    def assemble_rhs(self, problem: LinearPDEProblem) -> np.ndarray:
-        """Build the right-hand side for ``problem``."""
-        return assemble_problem_rhs(self.cloud, problem)
-
-    def _factors(
-        self, problem: LinearPDEProblem, cache_key: Optional[str], rec
-    ) -> tuple:
-        """Fetch-or-build the solver state and matrix for ``problem``.
-
-        Direct path: ``splu`` factors.  Iterative path: a
-        :class:`~repro.autodiff.krylov.KrylovSolver` (preconditioner
-        built once, cached under the same keys the LU factors would be).
-        """
-        key = None if cache_key is None else (cache_key, self._cache_token())
-        if key is not None and key in self._lu_cache:
-            return self._lu_cache[key]
-        t0 = time.perf_counter() if rec is not None else 0.0
-        with _span("rbf.assemble", "solver", {"n": self.cloud.n}):
-            A = self.assemble_system(problem)
-        if self.linear_solver == "iterative":
-            from repro.autodiff.krylov import KrylovSolver
-
-            # The KrylovSolver emits its own factorize/solve events
-            # (with iteration counts), so the generic events below are
-            # suppressed for this path.
-            fac = KrylovSolver(A, **self.solver_opts)
-            self.n_factorizations += 1
-            if key is not None:
-                self._lu_cache[key] = (fac, A)
-            return fac, A
-        with _span("rbf.factorize", "solver", {"n": self.cloud.n}):
-            lu = spla.splu(sp.csc_matrix(A))
-        self.n_factorizations += 1
-        if rec is not None:
-            rec.solver_event(
-                self.solver_name,
-                "factorize",
-                n=self.cloud.n,
-                seconds=time.perf_counter() - t0,
-                nnz=int(A.nnz),
-            )
-        if key is not None:
-            self._lu_cache[key] = (lu, A)
-        return lu, A
-
-    def _apply(self, fac, b: np.ndarray) -> np.ndarray:
-        """One (multi-)RHS application of the cached solver state."""
-        if self.linear_solver == "iterative":
-            return fac.solve_numpy(b)
-        return fac.solve(b)
-
-    def solve(
-        self, problem: LinearPDEProblem, cache_key: Optional[str] = None
-    ) -> np.ndarray:
-        """Sparse solve with per-key caching of the factorisation state."""
-        rec = current_recorder()
-        fac, A = self._factors(problem, cache_key, rec)
-        b = self.assemble_rhs(problem)
-        t0 = time.perf_counter() if rec is not None else 0.0
-        with _span("rbf.solve", "solver", {"n": self.cloud.n}):
-            x = self._apply(fac, b)
-        self.n_solves += 1
-        if rec is not None and self.linear_solver != "iterative":
-            rec.solver_event(
-                self.solver_name,
-                "solve",
-                n=self.cloud.n,
-                seconds=time.perf_counter() - t0,
-                residual=_relative_residual(A, x, b),
-                nnz=int(A.nnz),
-            )
-        return x
-
-    def solve_block(
-        self,
-        problem: LinearPDEProblem,
-        b_block: np.ndarray,
-        cache_key: Optional[str] = None,
-    ) -> np.ndarray:
-        """Solve against a ``(N_rhs, n)`` block of right-hand sides at once.
-
-        Sparse counterpart of :meth:`RBFSolver.solve_block`: one cached
-        ``splu`` factorisation serves the whole block via a single
-        multi-column triangular solve, counted as one entry in
-        ``n_solves``.  SuperLU's multi-RHS path is bitwise-identical to
-        per-column solves for the narrow blocks the batched cost sweeps
-        produce (observed up to ~50 columns); very wide
-        blocks may take a blocked substitution that perturbs last bits.
-        """
-        b_block = np.asarray(b_block, dtype=np.float64)
-        if b_block.ndim != 2 or b_block.shape[1] != self.cloud.n:
-            raise ValueError(
-                f"b_block must have shape (N_rhs, {self.cloud.n}), "
-                f"got {b_block.shape}"
-            )
-        rec = current_recorder()
-        fac, A = self._factors(problem, cache_key, rec)
-        if b_block.shape[0] == 0:
-            return b_block.copy()
-        t0 = time.perf_counter() if rec is not None else 0.0
-        with _span(
-            "rbf.solve_block", "solver",
-            {"n": self.cloud.n, "n_rhs": b_block.shape[0]},
-        ):
-            x = self._apply(fac, b_block.T).T
-        self.n_solves += 1
-        if rec is not None and self.linear_solver != "iterative":
-            rec.solver_event(
-                self.solver_name,
-                "solve",
-                n=self.cloud.n,
-                seconds=time.perf_counter() - t0,
-                residual=_relative_residual(A, x.T, b_block.T),
-                nnz=int(A.nnz),
-            )
-        return x
-
-    def clear_cache(self) -> None:
-        """Drop all cached factorisations."""
-        self._lu_cache.clear()
 
 
 def solve_pde(

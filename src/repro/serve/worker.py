@@ -76,7 +76,7 @@ class WorkerState:
             prob = self.problem(request)
             solver = make_linear_solver(
                 prob.system,
-                method=getattr(prob, "solver", "direct"),
+                solver=getattr(prob, "solver", "direct"),
                 **(getattr(prob, "solver_opts", None) or {}),
             )
             self.solvers[key] = solver

@@ -470,13 +470,13 @@ class TestMakeLinearSolverDispatch:
     )
     def test_sparse_iterative_is_krylov(self, convert):
         A, _ = _system()
-        s = make_linear_solver(convert(A), method="iterative")
+        s = make_linear_solver(convert(A), solver="iterative")
         assert isinstance(s, KrylovSolver)
 
     def test_iterative_options_are_forwarded(self):
         A, _ = _system()
         s = make_linear_solver(
-            A, method="iterative",
+            A, solver="iterative",
             preconditioner="jacobi", tol=1e-8, maxiter=77,
         )
         assert s.preconditioner == "jacobi"
@@ -486,7 +486,7 @@ class TestMakeLinearSolverDispatch:
     def test_dense_iterative_raises(self):
         A, _ = _system()
         with pytest.raises(TypeError, match="scipy.sparse"):
-            make_linear_solver(A.toarray(), method="iterative")
+            make_linear_solver(A.toarray(), solver="iterative")
 
     def test_direct_with_options_raises(self):
         A, _ = _system()
@@ -496,7 +496,7 @@ class TestMakeLinearSolverDispatch:
     def test_unknown_method_raises(self):
         A, _ = _system()
         with pytest.raises(ValueError, match="direct.*iterative"):
-            make_linear_solver(A, method="banana")
+            make_linear_solver(A, solver="banana")
 
     def test_duck_typed_dense_goes_dense(self):
         # Exposing ``toarray`` is not enough to count as sparse; dispatch
@@ -506,7 +506,50 @@ class TestMakeLinearSolverDispatch:
         assert not sp.issparse(duck)
         assert isinstance(make_linear_solver(duck), LUSolver)
         with pytest.raises(TypeError, match="scipy.sparse"):
-            make_linear_solver(duck, method="iterative")
+            make_linear_solver(duck, solver="iterative")
+
+
+class TestSolverOptsSelectTheKrylovMethod:
+    """``solver_opts={"method": ...}`` reaches the KrylovSolver.
+
+    ``make_linear_solver`` selects the backend with ``solver=``, so a
+    Krylov ``method`` in a problem's ``solver_opts`` no longer collides
+    with it in any oracle that builds its solver from the problem.
+    """
+
+    OPTS = {"method": "gmres"}
+
+    @pytest.mark.parametrize("oracle", ["dp", "dal"])
+    def test_laplace_gmres_gradient_matches_direct(self, oracle):
+        from repro.cloud.square import SquareCloud
+        from repro.control.dal import LaplaceDAL
+        from repro.control.dp import LaplaceDP
+        from repro.pde.laplace import LaplaceControlProblem
+
+        cls = {"dp": LaplaceDP, "dal": LaplaceDAL}[oracle]
+        cloud = SquareCloud(10)
+        direct = cls(LaplaceControlProblem(cloud, backend="local"))
+        gm = cls(LaplaceControlProblem(
+            cloud, backend="local", solver="iterative", solver_opts=self.OPTS,
+        ))
+        assert isinstance(gm.solver, KrylovSolver)
+        assert gm.solver.method == "gmres"
+        c = np.full(direct.problem.n_control, 0.1)
+        j_d, g_d = direct.value_and_grad(c)
+        j_g, g_g = gm.value_and_grad(c)
+        assert j_g == pytest.approx(j_d, rel=1e-6)
+        assert np.linalg.norm(g_g - g_d) <= 1e-6 * np.linalg.norm(g_d)
+
+    def test_channel_pressure_solver_is_gmres(self):
+        from repro.cloud.channel import ChannelCloud
+        from repro.pde.navier_stokes import ChannelFlowProblem
+
+        pr = ChannelFlowProblem(
+            cloud=ChannelCloud(13, 7), backend="local", solver="iterative",
+            solver_opts=self.OPTS,
+        )
+        assert isinstance(pr.pressure_solver, KrylovSolver)
+        assert pr.pressure_solver.method == "gmres"
 
 
 class TestKrylovSolverValidation:

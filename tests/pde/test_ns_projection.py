@@ -223,3 +223,38 @@ class TestDenseFactorisationCount:
         st = channel_problem.solve(channel_problem.default_control(), dal.config)
         assert dal.adjoint_refinements > 1
         assert self._count(lambda: dal.solve_adjoint(st.u, st.v)) == 1
+
+
+class TestSparseFactorisationCount:
+    """The local-backend twin: every momentum ``splu`` reaches the registry.
+
+    Per refinement one factorisation serves both velocity components (one
+    block solve) and the pressure solve reuses the constant factors.
+    """
+
+    K = 4
+
+    def _counts(self, fn):
+        with use_registry() as reg:
+            fn()
+            return (reg.counter("linalg.sparse.factorizations").value,
+                    reg.counter("linalg.sparse.solves").value)
+
+    def test_solve(self, local_direct):
+        cfg = NSConfig(refinements=self.K)
+        c = local_direct.default_control()
+        assert self._counts(lambda: local_direct.solve(c, cfg)) == (
+            self.K, 2 * self.K)
+
+    def test_solve_ad(self, local_direct):
+        cfg = NSConfig(refinements=self.K)
+        c = local_direct.default_control()
+        assert self._counts(lambda: local_direct.solve_ad(c, cfg)) == (
+            self.K, 2 * self.K)
+
+    def test_solve_adjoint(self, local_direct):
+        dal = NavierStokesDAL(local_direct, NSConfig(refinements=self.K))
+        st = local_direct.solve(local_direct.default_control(), dal.config)
+        assert dal.adjoint_refinements > 1
+        factorizations, _ = self._counts(lambda: dal.solve_adjoint(st.u, st.v))
+        assert factorizations == 1

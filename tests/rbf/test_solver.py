@@ -322,11 +322,9 @@ class TestSolveBlock:
         prob = _dirichlet_problem()
         B = self._block(solver)
         X = solver.solve_block(prob, B, cache_key="k")
-        lu, _ = solver._factors(prob, "k", None)
-        import scipy.linalg as sla
-
+        fac, _ = solver._factors(prob, "k", None)
         for i in range(self.N_RHS):
-            xi = sla.lu_solve(lu, B[i], check_finite=False)
+            xi = fac.solve_numpy(B[i])
             # Dense LAPACK multi-RHS reorders the substitutions, so
             # agreement is to rounding, not bitwise (unlike SuperLU).
             np.testing.assert_allclose(X[i], xi, rtol=0, atol=1e-12)
@@ -336,9 +334,9 @@ class TestSolveBlock:
         prob = _dirichlet_problem()
         B = self._block(solver)
         X = solver.solve_block(prob, B, cache_key="k")
-        lu, _ = solver._factors(prob, "k", None)
+        fac, _ = solver._factors(prob, "k", None)
         for i in range(self.N_RHS):
-            assert np.array_equal(X[i], lu.solve(B[i])), f"rhs {i}"
+            assert np.array_equal(X[i], fac.solve_numpy(B[i])), f"rhs {i}"
 
     @pytest.mark.parametrize("solver_cls", [RBFSolver, LocalRBFSolver])
     def test_empty_block(self, square_cloud_12, solver_cls):
@@ -347,6 +345,13 @@ class TestSolveBlock:
             _dirichlet_problem(), np.empty((0, square_cloud_12.n))
         )
         assert out.shape == (0, square_cloud_12.n)
+
+    @pytest.mark.parametrize("solver_cls", [RBFSolver, LocalRBFSolver])
+    def test_empty_block_does_not_factorise(self, square_cloud_12, solver_cls):
+        solver = solver_cls(square_cloud_12)
+        solver.solve_block(_dirichlet_problem(), np.empty((0, square_cloud_12.n)))
+        assert solver.n_factorizations == 0
+        assert solver.n_solves == 0
 
     @pytest.mark.parametrize("solver_cls", [RBFSolver, LocalRBFSolver])
     def test_bad_shape_raises(self, square_cloud_12, solver_cls):
@@ -385,6 +390,12 @@ class TestIterativeBackend:
     def test_invalid_backend_name_raises(self, square_cloud_12):
         with pytest.raises(ValueError, match="linear_solver"):
             LocalRBFSolver(square_cloud_12, linear_solver="multigrid")
+
+    def test_direct_rejects_solver_opts(self, square_cloud_12):
+        # The direct backend has no options: silently dropping them would
+        # hide a typo'd ``linear_solver``.
+        with pytest.raises(TypeError, match="solver_opts are only meaningful"):
+            LocalRBFSolver(square_cloud_12, solver_opts={"tol": 1e-8})
 
     def test_solver_name_reflects_backend(self, square_cloud_12):
         direct = LocalRBFSolver(square_cloud_12)
