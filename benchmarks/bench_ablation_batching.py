@@ -13,7 +13,17 @@ per-column for narrow blocks — the regime the bit-identity CI gates run
 in; the table's ``bitwise`` column records honestly where each backend
 leaves that regime (SuperLU switches to a blocked substitution around
 ~50 columns, dense getrs already reorders at 2).
+
+A second table times the end-to-end sweep: ``batched_cost_sweep`` over
+N ∈ {8, 64} candidates on a 12×12 Laplace DP oracle against a loop of
+``oracle.value`` calls, on both backends.  Both sides are warm (one
+factorisation cached) and timed with ``time.perf_counter`` medians —
+``measure_run``'s ``tracemalloc`` would dominate millisecond timings.
+Only the values are asserted (bitwise on the sparse backend, rel 1e-12
+on the dense one); the speed column is reported, not gated.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +31,9 @@ import pytest
 from repro.bench.metrics import measure_run
 from repro.bench.tables import render_table
 from repro.cloud.square import SquareCloud
+from repro.control.dp import LaplaceDP
+from repro.control.loop import batched_cost_sweep
+from repro.pde.laplace import LaplaceControlProblem
 from repro.rbf.assembly import LinearOperator2D
 from repro.rbf.solver import (
     BoundaryCondition,
@@ -31,6 +44,9 @@ from repro.rbf.solver import (
 
 N_RHS = (1, 8, 64, 256)
 NX = 14
+SWEEP_N = (8, 64)
+SWEEP_NX = 12
+SWEEP_REPEATS = 9
 
 
 def _problem():
@@ -86,7 +102,42 @@ def sweep():
     return out
 
 
-def test_factorisation_reuse_table(sweep, save_artifact, benchmark):
+@pytest.fixture(scope="module")
+def cost_sweep():
+    out = []
+    for backend in ("dense", "local"):
+        problem = LaplaceControlProblem(SquareCloud(SWEEP_NX), backend=backend)
+        oracle = LaplaceDP(problem)
+        for n in SWEEP_N:
+            controls = np.random.default_rng(n).standard_normal(
+                (n, problem.n_control)
+            )
+            oracle.value(controls[0])  # warm: the factorisation is cached
+            t_sweep, t_loop = [], []
+            for _ in range(SWEEP_REPEATS):  # interleave the two sides
+                t0 = time.perf_counter()
+                j_sweep = batched_cost_sweep(oracle, controls)
+                t1 = time.perf_counter()
+                j_loop = np.array([oracle.value(c) for c in controls])
+                t2 = time.perf_counter()
+                t_sweep.append(t1 - t0)
+                t_loop.append(t2 - t1)
+            if backend == "local":
+                assert np.array_equal(j_sweep, j_loop)
+            else:
+                np.testing.assert_allclose(j_sweep, j_loop, rtol=1e-12, atol=0)
+            out.append(
+                {
+                    "backend": backend,
+                    "n": n,
+                    "t_sweep": float(np.median(t_sweep)),
+                    "t_loop": float(np.median(t_loop)),
+                }
+            )
+    return out
+
+
+def test_factorisation_reuse_table(sweep, cost_sweep, save_artifact, benchmark):
     rows = [
         [
             r["backend"],
@@ -104,6 +155,23 @@ def test_factorisation_reuse_table(sweep, save_artifact, benchmark):
         rows,
         title=f"ABLATION: multi-RHS factorisation reuse "
         f"(Laplace, {SquareCloud(NX).n} nodes)",
+    )
+    sweep_rows = [
+        [
+            r["backend"],
+            str(r["n"]),
+            f"{r['t_loop'] * 1e3:.2f}",
+            f"{r['t_sweep'] * 1e3:.2f}",
+            f"{r['t_loop'] / r['t_sweep']:.1f}x",
+        ]
+        for r in cost_sweep
+    ]
+    text += "\n\n" + render_table(
+        ["backend", "N", "value loop ms", "batched_cost_sweep ms", "speedup"],
+        sweep_rows,
+        title=f"ABLATION: batched_cost_sweep vs oracle.value loop "
+        f"(Laplace DP, {SquareCloud(SWEEP_NX).n} nodes, median of "
+        f"{SWEEP_REPEATS})",
     )
     benchmark(lambda: None)
     save_artifact("ablation_batching.txt", text)

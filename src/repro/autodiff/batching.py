@@ -1,13 +1,14 @@
 """``vbatch`` — a vmap-style batch transform over the autodiff tape.
 
 DESIGN §13.  The ω line search, seed ensembles, and bench sweeps all
-evaluate the *same* tensor program at N inputs; running N separate tapes
-pays the Python dispatch cost N times and forgoes stacked BLAS calls.
-``vbatch(fn, in_axes, out_axes)`` re-executes ``fn`` once with a
-batch-dimension-carrying tracer (:class:`BatchTracer`) flowing through
-the existing primitives, lowering the N evaluations to a single stacked
-NumPy program whose tape is an ordinary tape — gradients, ``no_grad``
-and the compiled tier all work unchanged.
+evaluate the *same* tensor program at N inputs.  ``vbatch(fn, in_axes,
+out_axes)`` re-executes ``fn`` once with a batch-dimension-carrying
+tracer (:class:`BatchTracer`) flowing through the existing primitives.
+What pays for itself is the solve rule: the N right-hand sides of a
+linear solve become one ``(n, N)`` block against one factorisation.
+Elementwise ops and reductions broadcast over the batch axis; every
+other primitive runs once per item.  The result is an ordinary tape —
+gradients, ``no_grad`` and the compiled tier all work unchanged.
 
 Architecture
 ------------
@@ -19,19 +20,13 @@ attribute read; inside, any :class:`BatchTracer` argument routes the
 call to the primitive's *batching rule*.  Rules rewrite the call into
 stacked primitive calls on the tracer's underlying
 :class:`~repro.autodiff.tensor.Tensor` (batch axis always at position
-0), so the result is again on the tape with correct VJPs for free:
+0), so the result is again on the tape with correct VJPs for free.
+There are three rule classes:
 
 - **elementwise** ops broadcast after aligning item ranks (singleton
   axes inserted right after the batch axis);
 - **reductions** shift the reduced axes by one (``axis=None`` becomes
   "all item axes", keeping the batch axis);
-- **views** (reshape/transpose/getitem) prepend the batch axis to the
-  shape, permutation, or index;
-- **matmul** maps each batched/unbatched × item-rank combination to a
-  single stacked ``np.matmul`` whose per-slice GEMM shapes match the
-  per-item program exactly (1-D operands become row/column matrices,
-  extra leading axes are broadcast, never flattened), so the forward
-  *and* the reverse-pass GEMMs are bitwise identical per item;
 - **solve-family** primitives (``solve``/``row_scaled_solve``/
   ``lu_solve``/``lstsq``/
   ``sparse_solve``/``sparse_lu_solve``/``sparse_matvec``/
@@ -40,12 +35,14 @@ stacked primitive calls on the tracer's underlying
   an ``(n, N)`` column block and perform ONE factorisation + ONE
   multi-RHS triangular solve (``getrs``/``spsolve``) — forward and
   adjoint: the transposed solve in the implicit VJP receives the same
-  column block and batches identically;
-- anything a rule cannot express (a batched system matrix, exotic
-  ``matmul`` ranks) *punts* to the :func:`_fallback_loop` rule, which
-  loops ``getitem → primitive → stack`` — slower, still differentiable,
-  never an error.  Primitives may also opt out of rule coverage wholesale
-  with ``primitive(name, fallback=True)``.
+  column block and batches identically.
+
+Everything else — ``matmul``, the views (reshape/transpose/getitem)
+and ``concatenate``/``stack`` — is declared with
+``primitive(name, fallback=True)`` and takes the :func:`_fallback_loop`
+rule, which loops ``getitem → primitive → stack``: N primitive calls,
+still differentiable, never an error.  A rule that cannot express a
+call (a batched system matrix) *punts* to the same loop.
 
 The conformance contract (``tests/autodiff/test_batching.py``) pins for
 every registered primitive: batched == stacked-loop forward, batched ==
@@ -56,7 +53,8 @@ that fails when a primitive lands without a rule or a declared fallback.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+import operator
+from typing import Any, Callable, Dict, List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -262,16 +260,16 @@ class BatchTracer:
     # Comparisons yield a batch-tagged boolean mask so the ``where``
     # rule can tell a batched condition from an item-shaped constant.
     def __lt__(self, o):
-        return BatchedMask(self.t.data < _cmp_data(o, self))
+        return _mask(operator.lt, self, o)
 
     def __le__(self, o):
-        return BatchedMask(self.t.data <= _cmp_data(o, self))
+        return _mask(operator.le, self, o)
 
     def __gt__(self, o):
-        return BatchedMask(self.t.data > _cmp_data(o, self))
+        return _mask(operator.gt, self, o)
 
     def __ge__(self, o):
-        return BatchedMask(self.t.data >= _cmp_data(o, self))
+        return _mask(operator.ge, self, o)
 
 
 class BatchedMask:
@@ -293,18 +291,19 @@ class BatchedMask:
         return BatchedMask(~self.data)
 
     def __and__(self, o) -> "BatchedMask":
-        return BatchedMask(self.data & (o.data if isinstance(o, BatchedMask) else o))
+        return _mask(operator.and_, self, o)
 
     def __or__(self, o) -> "BatchedMask":
-        return BatchedMask(self.data | (o.data if isinstance(o, BatchedMask) else o))
+        return _mask(operator.or_, self, o)
 
 
-def _cmp_data(o: Any, tracer: BatchTracer) -> np.ndarray:
-    """Comparison operand aligned against a tracer's stacked data."""
-    if isinstance(o, BatchTracer):
-        a, b = _align_item_ranks([tracer, o])
-        return b if a is not None else o.t.data  # pragma: no cover
-    return asdata(o)
+def _mask(op: Callable, a: Any, b: Any) -> BatchedMask:
+    """``op(a, b)`` on stacked data, item ranks aligned first."""
+    x, y = (
+        v.data if isinstance(v, Tensor) else np.asarray(v)
+        for v in _align_item_ranks([a, b])
+    )
+    return BatchedMask(op(x, y))
 
 
 def _op(name: str) -> Callable:
@@ -491,196 +490,6 @@ def _reduction_rule(raw, a: BatchTracer, axis=None, keepdims: bool = False):
 
 for _n in ("sum", "mean", "amax"):
     _BATCH_RULES[_n] = _reduction_rule
-
-
-# ----------------------------------------------------------------------
-# Rules: views
-# ----------------------------------------------------------------------
-@register_rule("reshape")
-def _reshape_rule(raw, a: BatchTracer, shape):
-    t = a.t
-    shape = tuple(int(s) for s in shape)
-    if -1 in shape:
-        # Resolve -1 against the ITEM size before prepending the batch
-        # axis: NumPy cannot infer it once a zero-length batch axis
-        # makes the total size 0.
-        item_size = int(np.prod(t.shape[1:], dtype=np.int64))
-        known = int(-np.prod(shape, dtype=np.int64))
-        shape = tuple(item_size // known if s == -1 else s for s in shape)
-    return BatchTracer(raw(t, (t.shape[0],) + shape))
-
-
-@register_rule("transpose")
-def _transpose_rule(raw, a: BatchTracer, axes=None):
-    t = a.t
-    item_ndim = t.ndim - 1
-    if axes is None:
-        perm = (0,) + tuple(range(t.ndim - 1, 0, -1))
-    else:
-        perm = (0,) + tuple(int(ax) % item_ndim + 1 for ax in axes)
-    return BatchTracer(raw(t, perm))
-
-
-@register_rule("getitem")
-def _getitem_rule(raw, a: BatchTracer, index):
-    if _contains_tracer((index,)):
-        raise _Punt  # batched index arrays: loop
-    new_index = (slice(None),) + (index if isinstance(index, tuple) else (index,))
-    return BatchTracer(raw(a.t, new_index))
-
-
-# ----------------------------------------------------------------------
-# Rules: concatenate / stack
-# ----------------------------------------------------------------------
-def _stacked_parts(parts: Sequence[Any]) -> Tuple[List[Any], int]:
-    n = _STATE.size
-    inner = [p.t if isinstance(p, BatchTracer) else _tile(p, n) for p in parts]
-    item_ndim = inner[0].ndim - 1
-    return inner, item_ndim
-
-
-@register_rule("concatenate")
-def _concatenate_rule(raw, parts, axis: int = 0):
-    inner, item_ndim = _stacked_parts(parts)
-    return BatchTracer(raw(inner, axis=int(axis) % item_ndim + 1))
-
-
-@register_rule("stack")
-def _stack_rule(raw, parts, axis: int = 0):
-    inner, item_ndim = _stacked_parts(parts)
-    return BatchTracer(raw(inner, axis=int(axis) % (item_ndim + 1) + 1))
-
-
-# ----------------------------------------------------------------------
-# Rule: matmul
-# ----------------------------------------------------------------------
-@register_rule("matmul")
-def _matmul_rule(raw, a, b):
-    """Stacked matrix products, case by (batchedness, item rank).
-
-    Arrangements are chosen for bitwise parity with the per-item program
-    wherever NumPy/BLAS guarantees it (verified empirically, pinned by
-    the conformance suite): a 3-D stacked GEMM equals its 2-D slices, and
-    flattening constant stacked operands to 2-D (``(d·b, i)``) keeps one
-    GEMM whose reverse pass matches the serial ``tensordot`` GEMM.
-    """
-    R, n = _raw("reshape"), _STATE.size
-    ab, bb = isinstance(a, BatchTracer), isinstance(b, BatchTracer)
-
-    if ab and bb:
-        ta, tb = a.t, b.t
-        ia, ib = ta.ndim - 1, tb.ndim - 1
-        if ia == 0 or ib == 0:
-            raise _Punt
-        if ia == 1 and ib == 1:  # per-item inner product
-            k = ta.shape[1]
-            out = raw(R(ta, (n, 1, k)), R(tb, (n, k, 1)))
-            return BatchTracer(R(out, (n,)))
-        if ia == 1 and ib == 2:
-            out = raw(R(ta, (n, 1, ta.shape[1])), tb)
-            return BatchTracer(R(out, (n, tb.shape[2])))
-        if ia == 2 and ib == 1:
-            out = raw(ta, R(tb, (n, tb.shape[1], 1)))
-            return BatchTracer(R(out, (n, ta.shape[1])))
-        if ia == 2 and ib == 2:
-            return BatchTracer(raw(ta, tb))
-        if ia > 2 and ib == 2:
-            # (N, *lead, m, k) @ (N, 1…, k, p): broadcast B over the
-            # item's extra leading axes so every slice runs the same
-            # (m,k)@(k,p) GEMM the per-item program does — bitwise.
-            # (Flattening the lead axes into GEMM rows changes the row
-            # count and can switch BLAS kernels, e.g. when p == 1.)
-            tb2 = R(tb, (n,) + (1,) * (ia - 2) + (tb.shape[1], tb.shape[2]))
-            return BatchTracer(raw(ta, tb2))
-        if ia > 2 and ib == 1:
-            # (N, *lead, m, k) @ (N, 1…, k, 1): broadcasting the column
-            # over the lead axes keeps each slice the same (m,k)@(k,1)
-            # product as the serial broadcast GEMV — bitwise; flattening
-            # the lead axes into GEMM rows is not.
-            lead = ta.shape[1:-1]
-            tb2 = R(tb, (n,) + (1,) * (ia - 2) + (tb.shape[1], 1))
-            out = raw(ta, tb2)
-            return BatchTracer(R(out, (n,) + lead))
-        raise _Punt
-
-    if ab:  # batched A, constant B
-        ta = a.t
-        ia = ta.ndim - 1
-        cb = np.ndim(asdata(b))
-        if ia == 0:
-            raise _Punt
-        if ia == 1:
-            k = ta.shape[1]
-            if cb == 1:
-                # Per-item dot: (N,1,k) @ (N,k,1).  A flat (N,k)@(k,)
-                # GEMV reorders the accumulation and is NOT bitwise
-                # against the per-item dot (verified empirically); the
-                # row-matrix arrangement is.
-                b2 = R(_expand_const(b, n), (n, k, 1))
-                out = raw(R(ta, (n, 1, k)), b2)
-                return BatchTracer(R(out, (n,)))
-            if cb == 2:  # (N,1,k) @ (k,p): bitwise vs per-item vecmat
-                out = raw(R(ta, (n, 1, k)), b)
-                return BatchTracer(R(out, (n, np.shape(asdata(b))[1])))
-            raise _Punt
-        if cb in (1, 2):
-            # (N, *lead, m, k) @ (k[, p]) broadcasts directly; NumPy runs
-            # the same per-slice GEMM/GEMV the loop would.
-            return BatchTracer(raw(ta, b))
-        raise _Punt
-
-    # constant A, batched B
-    tb = b.t
-    ib = tb.ndim - 1
-    ca = np.ndim(asdata(a))
-    if ib == 0:
-        raise _Punt
-    if ib == 1:
-        k = tb.shape[1]
-        if ca == 1:  # per-item dot: row/column arrangement (see above)
-            a2 = R(_expand_const(a, n), (n, 1, k))
-            out = raw(a2, R(tb, (n, k, 1)))
-            return BatchTracer(R(out, (n,)))
-        if ca == 2:
-            lead = np.shape(asdata(a))[:-1]
-            out = raw(a, R(tb, (n, k, 1)))  # (N, m, 1)
-            return BatchTracer(R(out, (n,) + lead))
-        if ca > 2:
-            # (*lead, m, k) @ (N, 1…, k, 1): broadcast the column block
-            # over the constant's lead axes (bitwise; see batched case).
-            lead = np.shape(asdata(a))[:-1]
-            tb2 = R(tb, (n,) + (1,) * (ca - 2) + (k, 1))
-            out = raw(a, tb2)
-            return BatchTracer(R(out, (n,) + lead))
-        raise _Punt
-    if ib == 2:
-        if ca == 1:  # (k,) @ (N,k,p) -> (N,p)
-            return BatchTracer(raw(a, tb))
-        if ca == 2:  # (m,k) @ (N,k,p) -> (N,m,p)
-            return BatchTracer(raw(a, tb))
-        if ca > 2:
-            # Constant stacked seeds: (d, b, i) @ (N, 1, i, o).  As in
-            # the batched≥3-D case, broadcasting B over the constant's
-            # extra leading axes keeps every slice the exact per-item
-            # (b,i)@(i,o) GEMM — bitwise; flattening the lead axes into
-            # GEMM rows is not (kernel switch when o == 1).
-            tb2 = R(tb, (n,) + (1,) * (ca - 2) + (tb.shape[1], tb.shape[2]))
-            return BatchTracer(raw(a, tb2))
-        raise _Punt
-    raise _Punt
-
-
-def _expand_const(v: Any, n: int):
-    """Stack an unbatched operand to ``(n, *shape)`` for a stacked call.
-
-    Differentiable (via :func:`_tile`'s multiply-by-ones, whose forward is
-    bitwise the identity per slice) when the operand is on the tape; a
-    free stride-0 broadcast view otherwise.
-    """
-    if isinstance(v, Tensor) and v.needs_tape():
-        return _tile(v, n)
-    d = asdata(v)
-    return np.broadcast_to(d, (n,) + d.shape)
 
 
 # ----------------------------------------------------------------------
@@ -889,8 +698,10 @@ def vbatch(
     A function with the same signature whose batched arguments carry an
     extra leading (or ``in_axes``-specified) axis of common length N,
     returning outputs with the batch axis at ``out_axes``.  The result
-    is an ordinary tape Tensor: ``backward``/``grad`` see one stacked
-    program.  Keyword arguments pass through unbatched.
+    is an ordinary tape Tensor: ``backward``/``grad`` see one program in
+    which elementwise ops, reductions and solves are stacked and every
+    other primitive is looped per item.  Keyword arguments pass through
+    unbatched.
     """
 
     def batched(*args, **kwargs):

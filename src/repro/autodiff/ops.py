@@ -274,15 +274,15 @@ def amax(a: ArrayLike, axis: Axis = None, keepdims: bool = False) -> Tensor:
 # ----------------------------------------------------------------------
 # Linear algebra (dense) — the workhorses of DP through the RBF solver
 # ----------------------------------------------------------------------
-@primitive("matmul")
+@primitive("matmul", fallback=True)
 def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
     """Matrix product with the standard VJPs.
 
     Supports the 1-D/2-D combinations used by the solver (matrix@vector,
     matrix@matrix, vector@matrix, vector@vector) plus *stacked* operands
     on either side — e.g. ``(s, m, k) @ (k, n)`` from the batched PINN
-    derivative propagation, or the fully batched combinations emitted by
-    the :mod:`~repro.autodiff.batching` rules.  Cotangents into operands
+    derivative propagation.  Under ``vbatch`` it runs once per item
+    (declared fallback, no batching rule).  Cotangents into operands
     that broadcast over stacked axes are reduced with ``unbroadcast``
     (a no-op returning the same array when shapes already match, so the
     historical 1-D/2-D paths are bit-identical to before).
@@ -340,7 +340,7 @@ def dot(a: ArrayLike, b: ArrayLike) -> Tensor:
 # ----------------------------------------------------------------------
 # Shape manipulation
 # ----------------------------------------------------------------------
-@primitive("reshape")
+@primitive("reshape", fallback=True)
 def reshape(a: ArrayLike, shape: Tuple[int, ...]) -> Tensor:
     """Differentiable reshape."""
     ta = tensor(a)
@@ -360,7 +360,7 @@ def reshape(a: ArrayLike, shape: Tuple[int, ...]) -> Tensor:
     )
 
 
-@primitive("transpose")
+@primitive("transpose", fallback=True)
 def transpose(a: ArrayLike, axes: Optional[Tuple[int, ...]] = None) -> Tensor:
     """Differentiable transpose / axis permutation."""
     ta = tensor(a)
@@ -393,7 +393,7 @@ def _is_unique_index(index) -> bool:
     return False
 
 
-@primitive("getitem")
+@primitive("getitem", fallback=True)
 def getitem(a: ArrayLike, index) -> Tensor:
     """Differentiable indexing/slicing.
 
@@ -427,7 +427,7 @@ def getitem(a: ArrayLike, index) -> Tensor:
     )
 
 
-@primitive("concatenate")
+@primitive("concatenate", fallback=True)
 def concatenate(parts: Sequence[ArrayLike], axis: int = 0) -> Tensor:
     """Differentiable concatenation along ``axis``."""
     ts = [tensor(p) for p in parts]
@@ -458,7 +458,7 @@ def concatenate(parts: Sequence[ArrayLike], axis: int = 0) -> Tensor:
     return make_node(out, parents, "concatenate", fwd=fwd)
 
 
-@primitive("stack")
+@primitive("stack", fallback=True)
 def stack(parts: Sequence[ArrayLike], axis: int = 0) -> Tensor:
     """Differentiable stacking along a new axis."""
     ts = [tensor(p) for p in parts]

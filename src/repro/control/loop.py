@@ -147,10 +147,12 @@ def batched_cost_sweep(oracle, controls: np.ndarray) -> np.ndarray:
     Vectorises the oracle's tape-level cost (``_cost_tensor``) over the
     candidate axis with :func:`repro.autodiff.vbatch`: all N right-hand
     sides flow through ONE multi-RHS solve against the oracle's cached
-    factorisation instead of N separate solves.  For anywhere a
-    population of controls must be scored (each entry bitwise-identical
-    to ``oracle.value`` on the sparse backend for narrow populations —
-    SuperLU's multi-RHS solve is per-column bitwise up to ~50 columns).
+    factorisation instead of N separate solves, and elementwise ops and
+    reductions run stacked; matmuls and views loop per candidate.  For
+    anywhere a population of controls must be scored (each entry
+    bitwise-identical to ``oracle.value`` on the sparse backend for
+    narrow populations — SuperLU's multi-RHS solve is per-column bitwise
+    up to ~50 columns).
     Oracles without a tape-level cost fall back to a per-candidate loop
     of ``oracle.value``.
     """

@@ -389,3 +389,69 @@ class TestVbatchAPI:
         out = vbatch(lambda x: ops.sum_(ops.square(x)))(xt)
         out.backward(np.ones(5))
         assert np.array_equal(xt.grad, 2.0 * xs)
+
+
+# ----------------------------------------------------------------------
+# The rule set: broadcasting and multi-RHS solve rules only
+# ----------------------------------------------------------------------
+_SOLVE_RULES = {
+    "solve", "row_scaled_solve", "lstsq", "lu_solve", "sparse_solve",
+    "sparse_lu_solve", "sparse_matvec", "sparse_pattern_solve",
+    "krylov_solve", "krylov_pattern_solve",
+}
+_LOOPED = {"matmul", "reshape", "transpose", "getitem", "concatenate", "stack"}
+
+
+def test_rule_set_is_broadcasting_reductions_and_solves():
+    from repro.autodiff.elementwise import ELEMENTWISE
+
+    ruled = {n for n in registered_primitives() if has_batch_rule(n)}
+    assert ruled == set(ELEMENTWISE) | {"sum", "mean", "amax"} | _SOLVE_RULES
+    assert _LOOPED <= declared_fallbacks()
+
+
+# ----------------------------------------------------------------------
+# Comparisons and masks align item ranks like the elementwise rules
+# ----------------------------------------------------------------------
+class TestMaskItemRankAlignment:
+    """Items ``x`` of shape (3,) meet operands of item shape (2, 3)."""
+
+    @staticmethod
+    def _data(n):
+        rng = np.random.default_rng(11 + n)
+        return (
+            rng.standard_normal((n, 3)),
+            rng.standard_normal((n, 2, 3)),
+            rng.standard_normal((2, 3)),
+        )
+
+    @staticmethod
+    def _check(out, ref):
+        assert isinstance(out, np.ndarray) and out.dtype == bool
+        assert out.shape == ref.shape
+        assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tracer_vs_tracer(self, n):
+        xs, ys, _ = self._data(n)
+        out = vbatch(lambda x, y: x < y)(xs, ys)
+        self._check(out, np.stack([xs[i] < ys[i] for i in range(n)]))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tracer_vs_constant(self, n):
+        xs, _, c = self._data(n)
+        out = vbatch(lambda x: x < c)(xs)
+        self._check(out, np.stack([xs[i] < c for i in range(n)]))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_mask_and_mask(self, n):
+        xs, ys, _ = self._data(n)
+        out = vbatch(lambda x, y: (x > 0.0) & (y > 0.0))(xs, ys)
+        self._check(out, np.stack([(xs[i] > 0.0) & (ys[i] > 0.0) for i in range(n)]))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_mask_and_constant(self, n):
+        xs, _, c = self._data(n)
+        m = c > 0.0
+        out = vbatch(lambda x: (x > 0.0) | m)(xs)
+        self._check(out, np.stack([(xs[i] > 0.0) | m for i in range(n)]))

@@ -149,3 +149,25 @@ class TestBatchedCostSweep:
 
         with pytest.raises(ValueError, match="controls"):
             batched_cost_sweep(QuadraticOracle([0.0]), np.zeros(3))
+
+
+class TestBatchedCostSweepSolveReuse:
+    """The sweep's N candidates share one multi-RHS solve against the
+    oracle's cached factorisation: the reuse ``vbatch`` exists for."""
+
+    @pytest.mark.parametrize("backend,kind", [("dense", "dense"), ("local", "sparse")])
+    def test_one_block_solve_and_no_factorisation(self, backend, kind):
+        from repro.cloud.square import SquareCloud
+        from repro.control.dp import LaplaceDP
+        from repro.control.loop import batched_cost_sweep
+        from repro.obs.metrics import use_registry
+        from repro.pde.laplace import LaplaceControlProblem
+
+        problem = LaplaceControlProblem(SquareCloud(12), backend=backend)
+        oracle = LaplaceDP(problem)
+        controls = np.random.default_rng(5).standard_normal((5, problem.n_control))
+        oracle.value(controls[0])  # warm: factorise once
+        with use_registry() as reg:
+            batched_cost_sweep(oracle, controls)
+            assert reg.counter(f"linalg.{kind}.factorizations").value == 0
+            assert reg.counter(f"linalg.{kind}.solves").value == 1
