@@ -33,10 +33,12 @@ Options
 ``--jobs N``
     Fan the run matrix across ``N`` worker processes (default:
     ``$REPRO_JOBS``, else serial).  With more than one matrix entry the
-    runs themselves parallelise (one worker per method × problem) and any
-    requested artifacts are additionally merged into a ``bench_merged.*``
-    set; with a single entry the PINN ω line search parallelises instead.
-    Results are bitwise-identical to a serial run either way.
+    runs themselves parallelise (one worker per method × problem): each
+    worker writes its run's artifacts as a serial run would, and the
+    engine folds every run's telemetry into the parent, which writes it
+    as one more ``bench_merged.*`` set.  With a single entry the PINN ω
+    line search parallelises instead.  Results are bitwise-identical to
+    a serial run either way.
 
 Subcommands
 -----------
@@ -54,7 +56,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 
@@ -69,8 +70,12 @@ from repro.bench.tables import render_performance_table
 from repro.control.spec import build_problem
 from repro.obs.health import watching
 from repro.obs.metrics import use_registry
-from repro.obs.profile import metrics_payload, profiling
-from repro.obs.recorder import TraceRecorder, recording
+from repro.obs.profile import (
+    current_profiler,
+    profiling,
+    write_profile_artifacts,
+)
+from repro.obs.recorder import TraceRecorder, current_recorder, recording
 from repro.parallel import ParallelEngine, Task, resolve_jobs
 
 METHODS = ("dal", "dp", "pinn")
@@ -90,94 +95,74 @@ def _parse_methods(spec: str) -> "tuple[str, ...]":
     return tuple(m for m in METHODS if m in chosen)
 
 
-def _write_profile_artifacts(out_dir, profiler, result) -> None:
-    """Export one run's Chrome trace + metrics snapshot into ``out_dir``."""
-    stem = f"{result.problem}_{result.method.lower()}"
-    meta = {
-        "method": result.method,
-        "problem": result.problem,
-        "wall_time_s": result.wall_time_s,
-    }
-    trace_path = os.path.join(out_dir, f"{stem}.trace.json")
-    profiler.save_chrome_trace(trace_path, meta=meta)
-    metrics_path = os.path.join(out_dir, f"{stem}.metrics.json")
-    with open(metrics_path, "w", encoding="utf-8") as f:
-        json.dump(metrics_payload(profiler, meta=meta), f, indent=1)
-    print(f"    profile -> {trace_path}")
+@contextlib.contextmanager
+def _channels(trace_out, profile_out):
+    """Install the requested telemetry channels for a block.
 
-
-def _run(trace_out, profile_out, spec, scale_name, watch=False, **kwargs):
-    """Run ``spec`` with whichever observability layers are requested.
-
-    Tracing installs a recorder (tagged with the scale tier) and exports
-    convergence JSONL; profiling installs a span profiler plus a fresh
-    metrics registry (so per-run counters don't bleed across runs) and
-    exports Chrome-trace + metrics JSON; ``watch`` installs a health
-    watchdog.  All default off, leaving the hot loops on their no-op
-    paths.
+    Tracing installs a recorder; profiling installs a span profiler plus
+    a fresh metrics registry (so counters don't bleed across blocks).
+    Both default off, leaving the hot loops on their no-op paths.
     """
-    rec = TraceRecorder(scale=scale_name) if trace_out is not None else None
     with contextlib.ExitStack() as installed:
-        if rec is not None:
-            installed.enter_context(recording(rec))
+        if trace_out is not None:
+            installed.enter_context(recording(TraceRecorder()))
         if profile_out is not None:
             installed.enter_context(use_registry())
-            prof = installed.enter_context(profiling())
-        wd = installed.enter_context(watching()) if watch else None
-        result = run(spec, **kwargs)
-        if wd is not None and wd.counts:
-            tally = ", ".join(f"{k}×{v}" for k, v in sorted(wd.counts.items()))
-            print(f"    watchdog: {tally}", file=sys.stderr)
-        if profile_out is not None:
-            _write_profile_artifacts(profile_out, prof, result)
+            installed.enter_context(profiling())
+        yield
+
+
+def _run(spec, scale_name, trace_out, profile_out, watch=False, **kwargs):
+    """Run ``spec`` and write its ``<problem>_<method>.*`` artifacts.
+
+    The artifacts come from whichever channels are installed: the
+    caller's :func:`_channels` in a serial run, the fresh ones of
+    :func:`repro.obs.attempt.capture` in a matrix worker.  ``watch``
+    installs a health watchdog around the run.
+    """
+    rec = current_recorder()
     if rec is not None:
-        path = os.path.join(
-            trace_out, f"{result.problem}_{result.method.lower()}.jsonl"
+        rec.set_meta(scale=scale_name)
+    with watching() if watch else contextlib.nullcontext() as wd:
+        result = run(spec, **kwargs)
+    if wd is not None and wd.counts:
+        tally = ", ".join(f"{k}×{v}" for k, v in sorted(wd.counts.items()))
+        print(f"    watchdog: {tally}", file=sys.stderr)
+    stem = f"{result.problem}_{result.method.lower()}"
+    if profile_out is not None:
+        paths = write_profile_artifacts(
+            os.path.join(profile_out, stem), current_profiler(),
+            _run_meta(result),
         )
+        print(f"    profile -> {paths[0]}")
+    if trace_out is not None:
+        path = os.path.join(trace_out, f"{stem}.jsonl")
         rec.to_jsonl(path)
         print(f"    trace -> {path}")
     return result
 
 
-def _matrix_task(spec, scale_name, trace_out, profile_out, watch):
-    """One matrix entry, run inside a parallel worker.
-
-    The worker receives the pickled spec and builds the problem from it
-    rather than receiving the problem pickled, so fork and spawn start
-    methods behave identically.  Per-run artifacts land in the shared output
-    directories under the same stems a serial run uses; the
-    ``ControlResult`` pickles back for the parent's table.
-    """
-    return _run(trace_out, profile_out, spec, scale_name, watch=watch)
+def _run_meta(result):
+    return {"method": result.method, "problem": result.problem,
+            "wall_time_s": result.wall_time_s}
 
 
-def _merge_matrix_artifacts(trace_out, profile_out, results) -> None:
-    """Fold per-run artifact files into one ``bench_merged.*`` set."""
-    from repro.obs.merge import merge_profile_artifacts, merge_trace_jsonl
-
-    stems = sorted(f"{r.problem}_{r.method.lower()}" for r in results)
-    meta = {"merged": "bench matrix", "runs": stems}
+def _write_merged(trace_out, profile_out, results) -> None:
+    """Write the ``bench_merged.*`` set from the channels the matrix's
+    runs were folded into."""
+    meta = {"label": "bench matrix",
+            "merged_from": [_run_meta(r) for r in results]}
     if profile_out is not None:
-        traces = [os.path.join(profile_out, f"{s}.trace.json") for s in stems]
-        metrics = [os.path.join(profile_out, f"{s}.metrics.json") for s in stems]
-        written = merge_profile_artifacts(
-            [p for p in traces if os.path.exists(p)],
-            [p for p in metrics if os.path.exists(p)],
-            os.path.join(profile_out, "bench_merged"),
-            meta=meta,
-        )
-        for path in written:
+        for path in write_profile_artifacts(
+            os.path.join(profile_out, "bench_merged"), current_profiler(), meta
+        ):
             print(f"    merged -> {path}")
     if trace_out is not None:
-        shards = [
-            os.path.join(trace_out, f"{s}.jsonl")
-            for s in stems
-            if os.path.exists(os.path.join(trace_out, f"{s}.jsonl"))
-        ]
-        if shards:
-            path = os.path.join(trace_out, "bench_merged.jsonl")
-            merge_trace_jsonl(shards, path, meta=meta)
-            print(f"    merged -> {path}")
+        rec = current_recorder()
+        rec.meta = meta
+        path = os.path.join(trace_out, "bench_merged.jsonl")
+        rec.to_jsonl(path)
+        print(f"    merged -> {path}")
 
 
 def main(argv=None) -> int:
@@ -235,22 +220,24 @@ def main(argv=None) -> int:
     if fan_matrix:
         # One worker per matrix entry; inside a worker the nested-fan-out
         # guard resolves the PINN line search back to serial.  A failed
-        # entry loses only its own row of the table.
+        # entry loses only its own row of the table.  The engine folds
+        # each worker's telemetry into the channels installed here.
         engine = ParallelEngine(jobs=jobs, root_seed=0)
         tasks = [
-            Task(key=f"{spec.family}_{spec.method}", fn=_matrix_task,
+            Task(key=f"{spec.family}_{spec.method}", fn=_run,
                  args=(spec, scale.name, trace_out, profile_out, watch))
             for spec in matrix
         ]
-        for spec, res in zip(matrix, engine.run(tasks)):
-            if res.ok:
-                results.append(res.value)
-                print("  " + res.value.summary())
-            else:
-                detail = (res.error or {}).get("message", res.status)
-                print(f"  {spec.family}/{spec.method}: FAILED "
-                      f"({res.status}: {detail})", file=sys.stderr)
-        _merge_matrix_artifacts(trace_out, profile_out, results)
+        with _channels(trace_out, profile_out):
+            for spec, res in zip(matrix, engine.run(tasks)):
+                if res.ok:
+                    results.append(res.value)
+                    print("  " + res.value.summary())
+                else:
+                    detail = (res.error or {}).get("message", res.status)
+                    print(f"  {spec.family}/{spec.method}: FAILED "
+                          f"({res.status}: {detail})", file=sys.stderr)
+            _write_merged(trace_out, profile_out, results)
     else:
         # Every method of a family runs on one assembled problem.
         built = {}
@@ -264,8 +251,9 @@ def main(argv=None) -> int:
                 else:
                     print(f"\nNavier-Stokes channel: {prob.cloud.n} nodes, "
                           f"Re = {spec.reynolds:g}")
-            r = _run(trace_out, profile_out, spec, scale.name, problem=prob,
-                     jobs=jobs, watch=watch)
+            with _channels(trace_out, profile_out):
+                r = _run(spec, scale.name, trace_out, profile_out,
+                         watch=watch, problem=prob, jobs=jobs)
             results.append(r)
             note = (f"  (omega* = {r.extra['best_omega']:g})"
                     if spec.method == "pinn" else "")

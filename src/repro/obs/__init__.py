@@ -8,14 +8,17 @@ Public surface:
 - :class:`~repro.obs.profile.SpanProfiler` / :func:`span` /
   :func:`profiling` — hierarchical wall-time spans, Chrome-trace and
   HTML export; module-level :func:`span` is a shared no-op while no
-  profiler is installed.
+  profiler is installed.  :func:`write_profile_artifacts` writes a
+  profile's ``.trace.json`` + ``.metrics.json`` pair.
 - :class:`~repro.obs.metrics.MetricsRegistry` / :func:`get_registry` —
   process-wide counters, gauges and histograms (the cache counters of
   the autodiff layer live here).
 - The recorder, profiler, registry and watchdog install the same way
   (:mod:`repro.obs._install`: nesting scoped installs, lock-free
   reads); :mod:`repro.obs.attempt` carries all of them across the
-  worker pipe of :mod:`repro.parallel`.
+  worker pipe of :mod:`repro.parallel` and folds them into the parent's
+  (the one way any fan-out, the bench matrix included, combines
+  worker telemetry).
 - :class:`~repro.obs.compare.TolerancePolicy` / :func:`diff_traces` —
   golden-trace comparison with per-field tolerances.
 - :mod:`repro.obs.goldens` — tier-0 configs that produce the committed
@@ -39,13 +42,6 @@ from repro.obs.health import (
     current_watchdog,
     set_watchdog,
     watching,
-)
-from repro.obs.merge import (
-    merge_chrome_traces,
-    merge_metrics_payloads,
-    merge_profile_artifacts,
-    merge_snapshots,
-    merge_trace_jsonl,
 )
 from repro.obs.hooks import (
     record_compile_cache,
@@ -73,6 +69,7 @@ from repro.obs.profile import (
     profiling,
     set_profiler,
     span,
+    write_profile_artifacts,
 )
 from repro.obs.recorder import (
     NULL_RECORDER,
@@ -120,11 +117,6 @@ __all__ = [
     "environment_fingerprint",
     "format_diff",
     "get_registry",
-    "merge_chrome_traces",
-    "merge_metrics_payloads",
-    "merge_profile_artifacts",
-    "merge_snapshots",
-    "merge_trace_jsonl",
     "metrics_payload",
     "profiled",
     "profiling",
@@ -139,4 +131,5 @@ __all__ = [
     "span",
     "use_registry",
     "watching",
+    "write_profile_artifacts",
 ]

@@ -62,20 +62,17 @@ def _cmd_record(args) -> int:
                           f"available: {', '.join(sorted(TIER0))}")
     if args.profile_dir:
         from repro.obs.metrics import use_registry
-        from repro.obs.profile import SpanProfiler, metrics_payload, profiling
+        from repro.obs.profile import profiling, write_profile_artifacts
 
         os.makedirs(args.profile_dir, exist_ok=True)
-        prof = SpanProfiler()
         t0 = time.perf_counter()
-        with use_registry(), profiling(prof):
+        with use_registry(), profiling() as prof:
             trace = run_tier0(args.config)
             meta = {"label": args.config,
                     "wall_time_s": time.perf_counter() - t0}
-            stem = os.path.join(args.profile_dir, args.config)
-            prof.save_chrome_trace(f"{stem}.trace.json", meta=meta)
-            with open(f"{stem}.metrics.json", "w", encoding="utf-8") as f:
-                json.dump(metrics_payload(prof, meta=meta), f, indent=1)
-        print(f"profile -> {stem}.trace.json / {stem}.metrics.json")
+            paths = write_profile_artifacts(
+                os.path.join(args.profile_dir, args.config), prof, meta)
+        print(f"profile -> {' / '.join(paths)}")
     else:
         trace = run_tier0(args.config)
     out = args.out or f"{args.config}.jsonl"

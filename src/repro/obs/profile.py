@@ -72,6 +72,7 @@ __all__ = [
     "profiling",
     "set_profiler",
     "span",
+    "write_profile_artifacts",
 ]
 
 
@@ -161,6 +162,37 @@ class Span:
         )
 
 
+#: Slack (µs) when nesting absorbed events: ``to_chrome_trace`` rounds
+#: ``ts`` and ``dur`` to 1e-3 µs each, so two end stamps differ by up to
+#: 2e-3 µs from their true order.
+_NEST_SLACK_US = 2e-3
+
+
+def _self_seconds(events: List[Dict[str, Any]]) -> List[float]:
+    """Self seconds of each event of one Chrome-trace document.
+
+    ``to_chrome_trace`` emits each root span depth-first, so on one
+    ``(pid, tid)`` track an event is a child of the innermost earlier
+    event that still encloses its end; a child's duration comes off its
+    parent's self time.  Events other than ``"X"`` get 0.
+    """
+    out = [0.0] * len(events)
+    open_by_track: Dict[Tuple[Any, Any], List[Tuple[int, float]]] = {}
+    for i, ev in enumerate(events):
+        if ev.get("ph") != "X":
+            continue
+        dur = float(ev.get("dur", 0.0))
+        end = float(ev.get("ts", 0.0)) + dur
+        out[i] = dur / 1e6
+        stack = open_by_track.setdefault((ev.get("pid"), ev.get("tid")), [])
+        while stack and end > stack[-1][1] + _NEST_SLACK_US:
+            stack.pop()
+        if stack:
+            out[stack[-1][0]] -= dur / 1e6
+        stack.append((i, end))
+    return out
+
+
 class SpanProfiler:
     """Collects a span tree per thread; thread-safe; export to Chrome trace.
 
@@ -183,7 +215,9 @@ class SpanProfiler:
         self._threads: Dict[int, str] = {}
         # Chrome-trace events absorbed from worker processes; they
         # carry their own (real) pid/tid and are re-emitted verbatim.
+        # ``_external_self`` holds each one's self seconds.
         self._external: List[Dict[str, Any]] = []
+        self._external_self: List[float] = []
 
     def __bool__(self) -> bool:
         return True
@@ -293,12 +327,16 @@ class SpanProfiler:
         their real pid/tid, so each worker appears as its own process
         track next to the parent's spans in Perfetto.  Absorbed events
         also contribute to :meth:`phase_seconds` and :meth:`summary_rows`
-        (total seconds and call counts; they are flat, so they carry no
-        self time).
+        (calls, total and self seconds, RSS deltas).  Self time comes
+        from the nesting of the document's events per ``(pid, tid)``
+        (:func:`_self_seconds`), so it is derived once per document:
+        two attempts of one worker share a pid but not a clock.
         """
         events = [e for e in doc.get("traceEvents", []) if isinstance(e, dict)]
+        selfs = _self_seconds(events)
         with self._lock:
             self._external.extend(events)
+            self._external_self.extend(selfs)
 
     def external_events(self) -> List[Dict[str, Any]]:
         """Absorbed worker-shard events (verbatim Chrome-trace dicts)."""
@@ -336,26 +374,8 @@ class SpanProfiler:
     def summary_rows(self) -> List[Dict[str, Any]]:
         """Per-name aggregation: calls, total seconds, self seconds, RSS."""
         rows: Dict[Tuple[str, str], Dict[str, Any]] = {}
-        for sp in self.spans():
-            row = rows.get((sp.name, sp.category))
-            if row is None:
-                row = rows[(sp.name, sp.category)] = {
-                    "name": sp.name,
-                    "category": sp.category,
-                    "calls": 0,
-                    "seconds": 0.0,
-                    "self_seconds": 0.0,
-                    "rss_delta_kb": 0,
-                }
-            row["calls"] += 1
-            row["seconds"] += sp.seconds
-            row["self_seconds"] += sp.self_seconds
-            row["rss_delta_kb"] += sp.rss_delta_kb
-        for ev in self.external_events():
-            if ev.get("ph") != "X":
-                continue
-            name = str(ev.get("name", ""))
-            category = str(ev.get("cat", "") or "")
+
+        def add(name, category, seconds, self_seconds, rss_delta_kb):
             row = rows.get((name, category))
             if row is None:
                 row = rows[(name, category)] = {
@@ -363,12 +383,24 @@ class SpanProfiler:
                     "category": category,
                     "calls": 0,
                     "seconds": 0.0,
-                    # Absorbed events are flat (no tree): no self time.
                     "self_seconds": 0.0,
                     "rss_delta_kb": 0,
                 }
             row["calls"] += 1
-            row["seconds"] += float(ev.get("dur", 0.0)) / 1e6
+            row["seconds"] += seconds
+            row["self_seconds"] += self_seconds
+            row["rss_delta_kb"] += rss_delta_kb
+
+        for sp in self.spans():
+            add(sp.name, sp.category, sp.seconds, sp.self_seconds,
+                sp.rss_delta_kb)
+        with self._lock:
+            absorbed = list(zip(self._external, self._external_self))
+        for ev, self_seconds in absorbed:
+            if ev.get("ph") == "X":
+                add(str(ev.get("name", "")), str(ev.get("cat", "") or ""),
+                    float(ev.get("dur", 0.0)) / 1e6, self_seconds,
+                    int((ev.get("args") or {}).get("rss_delta_kb", 0)))
         return sorted(rows.values(), key=lambda r: r["seconds"], reverse=True)
 
     # -- export --------------------------------------------------------
@@ -544,8 +576,7 @@ def metrics_payload(
 ) -> Dict[str, Any]:
     """The ``repro.profile.metrics`` artifact document, fingerprinted.
 
-    One shared constructor for the metrics-snapshot payload the bench
-    CLI and ``repro.obs record`` write:
+    The payload :func:`write_profile_artifacts` writes:
     run metadata, the environment fingerprint, the profiler's per-phase
     seconds and span rows, and the active registry snapshot.  ``profiler``
     defaults to the installed one (no-op rows when none is active).
@@ -563,6 +594,22 @@ def metrics_payload(
         "spans": prof.summary_rows(),
         "metrics": get_registry().snapshot(),
     }
+
+
+def write_profile_artifacts(
+    stem: str, profiler: SpanProfiler, meta: Optional[Dict[str, Any]] = None
+) -> List[str]:
+    """Write ``<stem>.trace.json`` and ``<stem>.metrics.json``.
+
+    The one writer of the profile artifact pair: ``profiler``'s Chrome
+    trace and its :func:`metrics_payload` (with the active registry),
+    both carrying ``meta``.  Returns the two paths written.
+    """
+    paths = [f"{stem}.trace.json", f"{stem}.metrics.json"]
+    profiler.save_chrome_trace(paths[0], meta=meta)
+    with open(paths[1], "w", encoding="utf-8") as f:
+        json.dump(metrics_payload(profiler, meta=meta), f, indent=1)
+    return paths
 
 
 def profiled(name: Optional[str] = None, category: str = "function") -> Callable:

@@ -205,3 +205,70 @@ class TestJobsFanOut:
         assert ("omega*" in out_serial) and ("omega*" in out_pooled)
         assert out_serial.split("omega* = ")[1].split(")")[0] == \
             out_pooled.split("omega* = ")[1].split(")")[0]
+
+
+class TestJobsFoldParity:
+    """The fanned matrix's ``bench_merged.*`` set is the fold of its runs:
+    it equals the per-run artifacts summed (spans, phases, registry) and
+    concatenated in matrix order (records)."""
+
+    def test_merged_set_is_the_sum_of_the_runs(self, tmp_path, monkeypatch,
+                                               capsys):
+        monkeypatch.setattr("repro.bench.__main__.get_scale", lambda: TINY_SCALE)
+        trace_dir, prof_dir = tmp_path / "traces", tmp_path / "prof"
+        assert main([
+            "--methods", "dal,dp", "--problem", "laplace", "--jobs", "2",
+            "--trace-dir", str(trace_dir), "--profile-dir", str(prof_dir),
+        ]) == 0
+        capsys.readouterr()
+        stems = ("laplace_dal", "laplace_dp")
+
+        from repro.obs import MetricsRegistry
+
+        runs = [json.loads((prof_dir / f"{s}.metrics.json").read_text())
+                for s in stems]
+        merged = json.loads((prof_dir / "bench_merged.metrics.json").read_text())
+        assert [(m["method"], m["problem"]) for m in
+                merged["meta"]["merged_from"]] == [("DAL", "laplace"),
+                                                   ("DP", "laplace")]
+
+        rows = {}
+        for run in runs:
+            for r in run["spans"]:
+                row = rows.setdefault((r["name"], r["category"]),
+                                      {"calls": 0, "seconds": 0.0,
+                                       "self_seconds": 0.0})
+                row["calls"] += r["calls"]
+                row["seconds"] += r["seconds"]
+                row["self_seconds"] += r["self_seconds"]
+        got = {(r["name"], r["category"]): r for r in merged["spans"]}
+        assert set(got) == set(rows)
+        for key, want in rows.items():
+            assert got[key]["calls"] == want["calls"], key
+            for field in ("seconds", "self_seconds"):
+                assert got[key][field] == pytest.approx(want[field],
+                                                        abs=1e-6), key
+
+        phases = {}
+        for run in runs:
+            for name, sec in run["phase_seconds"].items():
+                phases[name] = phases.get(name, 0.0) + sec
+        assert set(merged["phase_seconds"]) == set(phases)
+        for name, sec in phases.items():
+            assert merged["phase_seconds"][name] == pytest.approx(sec, abs=1e-6)
+
+        summed = MetricsRegistry()
+        for run in runs:
+            summed.merge_snapshot(run["metrics"])
+        summed = summed.snapshot()
+        assert summed
+        for key, value in summed.items():
+            assert merged["metrics"][key] == value, key
+
+        def record_lines(path):
+            lines = path.read_text().splitlines()
+            return lines[1:]  # after the header
+
+        assert record_lines(trace_dir / "bench_merged.jsonl") == [
+            line for s in stems for line in record_lines(trace_dir / f"{s}.jsonl")
+        ]

@@ -90,6 +90,28 @@ def test_record_unknown_config_is_a_usage_error(capsys):
         run_tier0("no_such_tier0")
 
 
+def test_record_profile_dir_writes_trace_and_metrics(tmp_path, capsys):
+    import json
+
+    from repro.obs.__main__ import main
+
+    out = tmp_path / "laplace_dp_tier0.jsonl"
+    assert main(["record", "laplace_dp_tier0", "--out", str(out),
+                 "--profile-dir", str(tmp_path / "prof")]) == 0
+    assert sorted(p.name for p in (tmp_path / "prof").iterdir()) == [
+        "laplace_dp_tier0.metrics.json", "laplace_dp_tier0.trace.json",
+    ]
+    trace = json.loads((tmp_path / "prof/laplace_dp_tier0.trace.json").read_text())
+    metrics = json.loads(
+        (tmp_path / "prof/laplace_dp_tier0.metrics.json").read_text()
+    )
+    assert trace["metadata"]["label"] == "laplace_dp_tier0"
+    assert metrics["kind"] == "repro.profile.metrics"
+    assert metrics["meta"] == {k: trace["metadata"][k]
+                               for k in ("label", "wall_time_s")}
+    assert metrics["phase_seconds"] and metrics["spans"]
+
+
 def test_iterative_run_traces_krylov_solves():
     # The Krylov solver reports to the installed recorder, so a tier-0
     # run on the iterative backend carries its solves in the trace next

@@ -1,20 +1,8 @@
-"""Tests for merging per-worker observability shards."""
-
-import json
-import os
+"""Tests for absorbing worker Chrome traces into a profiler."""
 
 import pytest
 
-from repro.obs.merge import (
-    merge_chrome_traces,
-    merge_metrics_payloads,
-    merge_profile_artifacts,
-    merge_snapshots,
-    merge_trace_jsonl,
-)
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import SpanProfiler
-from repro.obs.recorder import TraceRecorder
 
 
 def _trace_doc(pid, name, dur=1000.0, cat="phase", meta=None):
@@ -26,105 +14,6 @@ def _trace_doc(pid, name, dur=1000.0, cat="phase", meta=None):
         "displayTimeUnit": "ms",
         "metadata": meta or {"pid": pid},
     }
-
-
-class TestChromeTraceMerge:
-    def test_events_concatenated_pids_kept(self):
-        merged = merge_chrome_traces(
-            [_trace_doc(100, "a"), _trace_doc(200, "b")], meta={"run": "x"}
-        )
-        events = merged["traceEvents"]
-        assert [e["pid"] for e in events] == [100, 200]
-        assert merged["metadata"]["run"] == "x"
-        assert [m["pid"] for m in merged["metadata"]["merged_from"]] == [100, 200]
-
-
-class TestMetricsPayloadMerge:
-    def _payload(self, pid, n, phase=1.0):
-        reg = MetricsRegistry()
-        reg.counter("events").inc(n)
-        return {
-            "kind": "repro.profile.metrics",
-            "meta": {"pid": pid},
-            "phase_seconds": {"train": phase},
-            "spans": [{"name": "s", "category": "phase", "calls": 1,
-                       "seconds": phase, "self_seconds": phase,
-                       "rss_delta_kb": 4}],
-            "metrics": reg.snapshot(),
-        }
-
-    def test_sums_phases_spans_metrics(self):
-        merged = merge_metrics_payloads(
-            [self._payload(1, 3, 1.0), self._payload(2, 4, 2.5)],
-            meta={"run": "x"},
-        )
-        assert merged["kind"] == "repro.profile.metrics"
-        assert merged["phase_seconds"]["train"] == pytest.approx(3.5)
-        (row,) = merged["spans"]
-        assert row["calls"] == 2
-        assert row["seconds"] == pytest.approx(3.5)
-        assert merged["metrics"]["events"]["value"] == 7
-        assert [m["pid"] for m in merged["meta"]["merged_from"]] == [1, 2]
-
-    def test_merge_snapshots_helper(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("n").inc(1)
-        b.counter("n").inc(2)
-        assert merge_snapshots([a.snapshot(), b.snapshot()])["n"]["value"] == 3
-
-
-class TestProfileArtifactFiles:
-    def test_merge_profile_artifacts_roundtrip(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.counter("n").inc(1)
-        for i in (1, 2):
-            with open(tmp_path / f"s{i}.trace.json", "w") as f:
-                json.dump(_trace_doc(i, f"t{i}"), f)
-            with open(tmp_path / f"s{i}.metrics.json", "w") as f:
-                json.dump({"kind": "repro.profile.metrics", "meta": {},
-                           "phase_seconds": {}, "spans": [],
-                           "metrics": reg.snapshot()}, f)
-        out = merge_profile_artifacts(
-            [str(tmp_path / "s1.trace.json"), str(tmp_path / "s2.trace.json")],
-            [str(tmp_path / "s1.metrics.json"), str(tmp_path / "s2.metrics.json")],
-            str(tmp_path / "merged"),
-        )
-        assert sorted(os.path.basename(p) for p in out) == [
-            "merged.metrics.json", "merged.trace.json",
-        ]
-        with open(tmp_path / "merged.trace.json") as f:
-            assert len(json.load(f)["traceEvents"]) == 2
-        with open(tmp_path / "merged.metrics.json") as f:
-            assert json.load(f)["metrics"]["n"]["value"] == 2
-
-    def test_empty_inputs_write_nothing(self, tmp_path):
-        assert merge_profile_artifacts([], [], str(tmp_path / "m")) == []
-
-
-class TestTraceJsonlMerge:
-    def test_records_concatenated_header_carries_shard_meta(self, tmp_path):
-        paths = []
-        for i in (1, 2):
-            rec = TraceRecorder(task=f"t{i}")
-            rec.iteration(0, float(i), 0.1, 0.01)
-            p = str(tmp_path / f"t{i}.jsonl")
-            rec.to_jsonl(p)
-            paths.append(p)
-        out = str(tmp_path / "merged.jsonl")
-        merge_trace_jsonl(paths, out, meta={"run": "x"})
-
-        merged = TraceRecorder.from_jsonl(out)
-        assert merged.meta["run"] == "x"
-        shard_meta = merged.meta["merged_from"]
-        assert [m["task"] for m in shard_meta] == ["t1", "t2"]
-        assert [m["shard_file"] for m in shard_meta] == ["t1.jsonl", "t2.jsonl"]
-        assert [r.cost for r in merged.iterations] == [1.0, 2.0]
-
-    def test_empty_shard_rejected(self, tmp_path):
-        p = tmp_path / "empty.jsonl"
-        p.write_text("")
-        with pytest.raises(ValueError, match="empty"):
-            merge_trace_jsonl([str(p)], str(tmp_path / "out.jsonl"))
 
 
 class TestProfilerAbsorb:
@@ -152,3 +41,56 @@ class TestProfilerAbsorb:
 
         NULL_PROFILER.absorb_chrome_trace(_trace_doc(1, "x"))
         assert NULL_PROFILER.external_events() == []
+
+
+def _nested_doc(pid, t0):
+    """``outer`` [t0, t0+100] µs holding ``inner`` [t0+10, t0+40] µs, then
+    a second root ``after`` [t0+200, t0+250] µs, all on one track."""
+    def ev(name, ts, dur, **args):
+        return {"ph": "X", "pid": pid, "tid": 0, "name": name, "cat": "c",
+                "ts": ts, "dur": dur, "args": args}
+    return {"traceEvents": [
+        {"ph": "M", "pid": pid, "tid": 0, "name": "process_name",
+         "args": {"name": "repro"}},
+        ev("outer", t0, 100.0),
+        ev("inner", t0 + 10.0, 30.0, rss_delta_kb=8),
+        ev("after", t0 + 200.0, 50.0),
+    ]}
+
+
+class TestAbsorbedSelfTime:
+    def test_nesting_gives_self_time_and_rss(self):
+        prof = SpanProfiler()
+        prof.absorb_chrome_trace(_nested_doc(7, 0.0))
+        rows = {r["name"]: r for r in prof.summary_rows()}
+        assert rows["outer"]["self_seconds"] == pytest.approx(70e-6)
+        assert rows["inner"]["self_seconds"] == pytest.approx(30e-6)
+        assert rows["after"]["self_seconds"] == pytest.approx(50e-6)
+        assert rows["inner"]["rss_delta_kb"] == 8
+
+    def test_nesting_is_per_document(self):
+        # Two attempts on one worker share a pid but each trace has its
+        # own clock: the second document's spans nest only among
+        # themselves, even where their stamps fall inside the first's.
+        prof = SpanProfiler()
+        prof.absorb_chrome_trace(_nested_doc(7, 0.0))
+        prof.absorb_chrome_trace(_nested_doc(7, 5.0))
+        rows = {r["name"]: r for r in prof.summary_rows()}
+        assert rows["outer"]["calls"] == 2
+        assert rows["outer"]["self_seconds"] == pytest.approx(140e-6)
+        assert rows["inner"]["self_seconds"] == pytest.approx(60e-6)
+        assert rows["after"]["self_seconds"] == pytest.approx(100e-6)
+
+    def test_rounded_stamps_still_nest(self):
+        # to_chrome_trace rounds ts and dur to 1e-3 µs: a child can
+        # appear to end a hair after its parent.
+        doc = {"traceEvents": [
+            {"ph": "X", "pid": 1, "tid": 0, "name": "p", "cat": "c",
+             "ts": 0.0, "dur": 10.0},
+            {"ph": "X", "pid": 1, "tid": 0, "name": "k", "cat": "c",
+             "ts": 4.0, "dur": 6.001},
+        ]}
+        prof = SpanProfiler()
+        prof.absorb_chrome_trace(doc)
+        rows = {r["name"]: r for r in prof.summary_rows()}
+        assert rows["p"]["self_seconds"] == pytest.approx(3.999e-6)

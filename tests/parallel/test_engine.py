@@ -100,6 +100,15 @@ def _counted_work(marker_path=None):
     return os.getpid()
 
 
+def _outer_inner_spans():
+    """An ``outer`` span whose time is split around an ``inner`` one."""
+    with span("outer"):
+        time.sleep(0.01)
+        with span("inner"):
+            time.sleep(0.01)
+    return os.getpid()
+
+
 def _report_worker_env():
     return {"flag": os.environ.get(WORKER_ENV), "jobs": resolve_jobs(None)}
 
@@ -401,6 +410,22 @@ class TestMetrics:
             snap = reg.snapshot()
         assert snap["parallel.retries"]["value"] == 1
         assert snap["parallel.attempts"]["value"] == 2
+
+    def test_absorbed_spans_keep_self_time(self):
+        with profiling(SpanProfiler()) as prof:
+            results = run_tasks(
+                [Task(key=f"t{i}", fn=_outer_inner_spans) for i in range(2)],
+                jobs=2, timeout=60,
+            )
+        assert all(r.ok for r in results)
+        rows = {r["name"]: r for r in prof.summary_rows()}
+        outer, inner = rows["outer"], rows["inner"]
+        assert outer["calls"] == inner["calls"] == 2
+        assert inner["self_seconds"] == pytest.approx(inner["seconds"],
+                                                      abs=1e-6)
+        assert outer["self_seconds"] == pytest.approx(
+            outer["seconds"] - inner["seconds"], abs=1e-6)
+        assert outer["self_seconds"] >= 0.015  # two 10 ms sleeps, at least
 
     def test_worker_obs_merged_once(self, tmp_path):
         marker = str(tmp_path / "marker")
