@@ -11,7 +11,10 @@ of work per optimiser iteration) in both tiers on the DP hot loops
 (Laplace at several N, Navier–Stokes with k = 10 refinements) and on the
 PINN loss loop at two network sizes, verifies bit-exact gradient parity,
 and checks that both tiers drive the DP optimiser to the same final
-cost.
+cost.  The PINN rows also time the calls of the alternating step-1
+epochs, restricted to one network (``wrt="u"`` / ``wrt="c"``): the
+compiled tier then runs only the backward that reaches that network,
+and its gradients must be the full program's, bit for bit.
 
 The Laplace sweep targets the overhead-bound regime the paper's
 benchmark tiers run in: beyond N ≈ 400 the O(n²) cached-LU
@@ -112,13 +115,22 @@ def pinn_sweep():
         )
         params = pinn.init_params(seed=0)
         loss = lambda p: pinn.loss(p, omega=1.0)  # noqa: E731
-        times, grads = {}, {}
-        for tier, vg in (("eager", value_and_grad_tree(loss)),
-                         ("compiled", compiled_value_and_grad_tree(loss))):
-            _, grads[tier] = vg(params)
-            times[tier] = _best(lambda: vg(params), rounds=5, reps=30)
-        rows.append({"name": f"PINN loss hid={hidden} ni={n_interior}",
-                     "times": times, "grads": grads})
+        tiers = (("eager", value_and_grad_tree(loss)),
+                 ("compiled", compiled_value_and_grad_tree(loss)))
+        name = f"PINN loss hid={hidden} ni={n_interior}"
+        full = None
+        for wrt in (None, "u", "c"):
+            times, grads = {}, {}
+            for tier, vg in tiers:
+                call = lambda: vg(params, wrt=wrt)  # noqa: E731
+                _, grads[tier] = call()
+                times[tier] = _best(call, rounds=5, reps=30)
+            row = {"name": name, "times": times, "grads": grads}
+            if wrt is None:
+                full = grads["compiled"]
+            else:
+                row.update(name=f"{name} wrt={wrt}", wrt=wrt, full=full)
+            rows.append(row)
     return rows
 
 
@@ -204,6 +216,16 @@ def test_gradient_parity_bitexact(dp_sweep, pinn_sweep, benchmark):
     for r in dp_sweep + pinn_sweep:
         d = _grad_diff(r["grads"]["eager"], r["grads"]["compiled"])
         assert d == 0.0, f"{r['name']}: compiled grad diff {d:.3e}"
+    for r in pinn_sweep:
+        if "wrt" not in r:
+            continue
+        g = r["grads"]["compiled"]
+        d = _grad_diff(r["full"][r["wrt"]], g[r["wrt"]])
+        assert d == 0.0, f"{r['name']}: restricted vs full grad diff {d:.3e}"
+        for k in set(g) - {r["wrt"]}:
+            assert not any(np.any(x) for x in tree_flatten(g[k])[0]), (
+                f"{r['name']}: frozen network {k!r} has a nonzero gradient"
+            )
 
 
 def test_final_cost_identical(dp_sweep, benchmark):

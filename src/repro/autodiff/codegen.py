@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +60,7 @@ from repro.autodiff.lowering import (
     IRNode,
     LoweredProgram,
     LoweringError,
+    leaf_dependence,
     lower,
     unbroadcast_plan,
 )
@@ -92,9 +93,11 @@ class _Emitter:
         self.nodes = lowered.nodes
         self.planner = ArenaPlanner()
         self.params: Dict[str, Any] = {"np": np, "_perf": time.perf_counter}
-        self.body: List[Tuple[int, str]] = []
+        # (segment, backward step or -1 for forward/seed, source line)
+        self.body: List[Tuple[int, int, str]] = []
         self.segments: List[_Segment] = []
         self._seg = -1
+        self._bwd = -1
         self.step = 0
         self._const_names: Dict[int, str] = {}
         self.valname: Dict[int, str] = {}
@@ -157,7 +160,7 @@ class _Emitter:
         self._seg = len(self.segments) - 1
 
     def line(self, code: str) -> None:
-        self.body.append((self._seg, code))
+        self.body.append((self._seg, self._bwd, code))
 
     def const(self, obj: Any) -> str:
         name = self._const_names.get(id(obj))
@@ -269,9 +272,10 @@ class _Emitter:
         self.seg("seed", "bwd")
         self.line("g0[...] = 1.0")
         last_key: Any = object()
-        for st in lw.bwd_steps:
+        for k, st in enumerate(lw.bwd_steps):
             src = nodes[st.src]
             self.step = st.step
+            self._bwd = k
             key = src.group if src.group >= 0 else f"view:{src.op}"
             if key != last_key:
                 name = (
@@ -523,27 +527,40 @@ class _Emitter:
 
     # -- rendering -----------------------------------------------------
     def render(self, profiled: bool) -> str:
-        sig = ", ".join(f"{n}={n}" for n in self.params)
-        out: List[str] = []
-        if profiled:
-            out.append(f"def _kernel_profiled(_acc, {sig}):")
-            out.append("    _t = _perf()")
-            cur = self.body[0][0] if self.body else -1
-            for seg_id, code in self.body:
-                if seg_id != cur:
-                    out.append(
-                        f"    _n = _perf(); _acc[{cur}] += _n - _t; _t = _n"
-                    )
-                    cur = seg_id
-                out.append(f"    {code}")
-            if self.body:
-                out.append(f"    _acc[{cur}] += _perf() - _t")
-        else:
-            out.append(f"def _kernel({sig}):")
-            for _, code in self.body:
-                out.append(f"    {code}")
-        out.append("")
-        return "\n".join(out)
+        return _render(self.body, self.params, profiled)
+
+
+def _render(
+    body: Sequence[Tuple[int, int, str]], params: Dict[str, Any], profiled: bool
+) -> str:
+    """The kernel source for ``body`` lines over the defaults ``params``."""
+    sig = ", ".join(f"{n}={n}" for n in params)
+    out: List[str] = []
+    if profiled:
+        out.append(f"def _kernel_profiled(_acc, {sig}):")
+        out.append("    _t = _perf()")
+        cur = body[0][0] if body else -1
+        for seg_id, _, code in body:
+            if seg_id != cur:
+                out.append(
+                    f"    _n = _perf(); _acc[{cur}] += _n - _t; _t = _n"
+                )
+                cur = seg_id
+            out.append(f"    {code}")
+        if body:
+            out.append(f"    _acc[{cur}] += _perf() - _t")
+    else:
+        out.append(f"def _kernel({sig}):")
+        for _, _, code in body:
+            out.append(f"    {code}")
+    out.append("")
+    return "\n".join(out)
+
+
+def _leaf_mask(wrt: FrozenSet[int]) -> int:
+    """Leaf positions as a bitmask (see
+    :func:`~repro.autodiff.lowering.leaf_dependence`)."""
+    return sum(1 << j for j in wrt)
 
 
 def _bind(source: str, name: str, params: Dict[str, Any]):
@@ -567,6 +584,16 @@ class CodegenProgram:
     copies of the leaf gradients; ``aux_values()`` then reads the aux
     outputs the same run computed.  The profiled kernel variant is built
     only when ``profiled`` is set.
+
+    ``replay(..., wrt=leaves)`` runs the kernel *restricted* to a set of
+    leaf positions, bound once by :meth:`restrict`: the same forward
+    lines plus only the backward steps whose destination depends on one
+    of those leaves (:func:`~repro.autodiff.lowering.leaf_dependence`).
+    Each kept step keeps its accumulation order and arena slot, so the
+    restricted kernel is a line subset of the full one over the same
+    buffers: it allocates nothing, and its value, aux outputs and kept
+    gradients are the full kernel's bit for bit.  The other leaves'
+    gradients come back as zero arrays.
     """
 
     def __init__(self, lowered: LoweredProgram, profiled: bool = False) -> None:
@@ -579,12 +606,13 @@ class CodegenProgram:
         stats.arena_slots = len(em.planner.slots)
         self.stats = stats
 
-        self._fn = _bind(em.render(profiled=False), "_kernel", em.params)
-        self._pfn = (
-            _bind(em.render(profiled=True), "_kernel_profiled", em.params)
-            if profiled
-            else None
-        )
+        self._body = em.body
+        self._params = em.params
+        self._profiled = profiled
+        deps = leaf_dependence(lowered)
+        self._step_deps = [deps[st.dst] for st in lowered.bwd_steps]
+        self._kernels: Dict[FrozenSet[int], Tuple[Any, Any]] = {}
+        self._fn, self._pfn = self._bind_kernels(em.body)
         self._segments = em.segments
 
         self._leaf_bufs = [l.data for l in lowered.leaves]
@@ -597,8 +625,51 @@ class CodegenProgram:
             v.nbytes for k, v in em.params.items() if k[0] in "bg"
         )
 
+    def _bind_kernels(self, body):
+        """The plain and (when profiled) profiled kernels of ``body``."""
+        fn = _bind(_render(body, self._params, False), "_kernel", self._params)
+        pfn = (
+            _bind(
+                _render(body, self._params, True), "_kernel_profiled", self._params
+            )
+            if self._profiled
+            else None
+        )
+        return fn, pfn
+
+    def n_bwd_steps(self, wrt: Optional[FrozenSet[int]] = None) -> int:
+        """Backward steps the kernel restricted to ``wrt`` runs (all of
+        them for ``None``)."""
+        if wrt is None:
+            return len(self._step_deps)
+        mask = _leaf_mask(wrt)
+        return sum(1 for d in self._step_deps if d & mask)
+
+    def restricted(self, wrt: FrozenSet[int]) -> bool:
+        """True once :meth:`restrict` has bound a kernel for ``wrt``."""
+        return wrt in self._kernels
+
+    def restrict(self, wrt: FrozenSet[int], full: bool = False) -> None:
+        """Render and bind the kernel restricted to the leaves ``wrt``.
+
+        With ``full`` — the fallback for a restricted kernel that failed
+        validation — or when every backward step reaches ``wrt``, the
+        restriction runs the full kernel (its gradients outside ``wrt``
+        are still returned as zeros).
+        """
+        if not full:
+            mask, deps = _leaf_mask(wrt), self._step_deps
+            body = [l for l in self._body if l[1] < 0 or deps[l[1]] & mask]
+            full = len(body) == len(self._body)
+        self._kernels[wrt] = (
+            (self._fn, self._pfn) if full else self._bind_kernels(body)
+        )
+
     def replay(
-        self, inputs: Sequence[np.ndarray], profile=None
+        self,
+        inputs: Sequence[np.ndarray],
+        profile=None,
+        wrt: Optional[FrozenSet[int]] = None,
     ) -> Tuple[float, List[np.ndarray]]:
         for buf, arr in zip(self._leaf_bufs, inputs):
             if buf.shape != arr.shape:
@@ -609,13 +680,16 @@ class CodegenProgram:
                     f"{buf.shape}; re-trace required"
                 )
             np.copyto(buf, arr)
+        fn, pfn = (self._fn, self._pfn) if wrt is None else self._kernels[wrt]
         if profile is None:
-            self._fn()
+            fn()
         else:
-            self._run_profiled(profile)
+            self._run_profiled(profile, pfn)
         grads = [
-            np.zeros(buf.shape) if g is None else g.copy()
-            for buf, g in zip(self._leaf_bufs, self._leaf_grads)
+            np.zeros(buf.shape)
+            if g is None or (wrt is not None and j not in wrt)
+            else g.copy()
+            for j, (buf, g) in enumerate(zip(self._leaf_bufs, self._leaf_grads))
         ]
         return float(self._root_data), grads
 
@@ -623,11 +697,11 @@ class CodegenProgram:
         """The aux outputs' values as of the last :meth:`replay`."""
         return tuple(float(a) for a in self._aux_data)
 
-    def _run_profiled(self, profile) -> None:
+    def _run_profiled(self, profile, pfn) -> None:
         perf = time.perf_counter
         t0 = perf()
         acc = [0.0] * len(self._segments)
-        self._pfn(acc)
+        pfn(acc)
         for seg, dt in zip(self._segments, acc):
             k = profile.kernel(seg.name)
             if seg.phase == "fwd":

@@ -39,7 +39,9 @@ from __future__ import annotations
 import hashlib
 import time
 import warnings
-from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -211,9 +213,14 @@ def _validate(
     value: float,
     aux: Sequence[float],
     grads: Sequence[np.ndarray],
+    wrt: Optional[FrozenSet[int]] = None,
 ) -> bool:
-    """Cross-check one compiled call against the eager trace results."""
-    v2, g2 = program.replay(inputs)
+    """Cross-check one compiled call (restricted to the leaves ``wrt``)
+    against the eager trace results."""
+    from repro.nn.pytree import zero_outside
+
+    grads = zero_outside(grads, wrt)
+    v2, g2 = program.replay(inputs, wrt=wrt)
     for a, b in zip((value, *aux, *grads), (v2, *program.aux_values(), *g2)):
         if not np.allclose(a, b, rtol=1e-12, atol=1e-300, equal_nan=True):
             return False
@@ -223,6 +230,43 @@ def _validate(
 def _is_program(entry: Any) -> bool:
     """True for a cached executable program (``None`` marks eager)."""
     return entry is not None and entry is not _MISSING
+
+
+class _Reference(NamedTuple):
+    """A trace's inputs and eager results, kept (without its tape) to
+    validate the program's restricted kernels as they are first asked for."""
+
+    inputs: List[np.ndarray]
+    value: float
+    aux_values: Tuple[float, ...]
+    grads: List[np.ndarray]
+
+
+def _restrict(
+    program: Any, wrt: FrozenSet[int], ref: _Reference, counters: Dict[str, int]
+) -> None:
+    """Bind ``program``'s kernel restricted to the leaves ``wrt``.
+
+    Validated once against the eager trace, like the full kernel; a
+    restricted kernel that fails to build or validate is replaced by the
+    full kernel for ``wrt`` (its gradients outside ``wrt`` still zero),
+    counted in ``codegen_fallbacks``.
+    """
+    try:
+        program.restrict(wrt)
+        if not _validate(
+            program, ref.inputs, ref.value, ref.aux_values, ref.grads, wrt
+        ):
+            raise CompileError("restricted kernel failed validation against eager")
+    except Exception as exc:
+        _bump(counters, "codegen_fallbacks")
+        warnings.warn(
+            f"restricted kernel failed ({exc}); running the full kernel "
+            "for this restriction",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        program.restrict(wrt, full=True)
 
 
 class _Trace(NamedTuple):
@@ -412,10 +456,22 @@ def compiled_value_and_grad_tree(
     buffers, so each call reads them from the same kernel run that
     computed the loss.  An aux the kernel would not recompute (not on the
     loss's tape) makes the signature fall back to the eager tape.
+
+    The keyword-only ``wrt`` (one top-level key of a dict ``params``, as
+    for the eager transform) restricts a call: the gradients under every
+    other key come back as zero arrays, and a compiled call runs only the
+    backward steps that reach ``wrt``'s leaves
+    (:meth:`~repro.autodiff.codegen.CodegenProgram.restrict`).  The
+    restriction is served from the signature's one cache entry — no new
+    trace or program — and its kernel is bound and validated against the
+    trace on first use.
     """
-    from repro.nn.pytree import tree_flatten, tree_unflatten
+    from repro.nn.pytree import (
+        tree_flatten, tree_key_leaves, tree_unflatten, zero_outside,
+    )
 
     cache: Dict[Any, Optional[Any]] = {}
+    refs: Dict[Any, _Reference] = {}
     prof = ReplayProfile() if profile else None
     counters = {"traces": 0, "replays": 0, "eager": 0, "codegen_fallbacks": 0}
 
@@ -435,8 +491,11 @@ def compiled_value_and_grad_tree(
         aux_values = tuple(float(asdata(a)) for a in aux)
         return _Trace(float(out_t.data), aux_values, grads, out_t, aux, leaf_tensors)
 
-    def wrapped(params: Any, *args: Any, **kwargs: Any) -> Tuple[Any, Any]:
+    def wrapped(
+        params: Any, *args: Any, wrt: Any = None, **kwargs: Any
+    ) -> Tuple[Any, Any]:
         leaves, treedef = tree_flatten(params)
+        active = None if wrt is None else tree_key_leaves(treedef, wrt)
         key = (
             treedef,
             tuple(_diff_key(l) for l in leaves),
@@ -446,7 +505,9 @@ def compiled_value_and_grad_tree(
 
         program = cache.get(key, _MISSING)
         if _is_program(program):
-            value, grads = program.replay([asdata(l) for l in leaves], prof)
+            if active is not None and not program.restricted(active):
+                _restrict(program, active, refs[key], counters)
+            value, grads = program.replay([asdata(l) for l in leaves], prof, active)
             _bump(counters, "replays")
             if has_aux:
                 value = (value, program.aux_values())
@@ -455,8 +516,15 @@ def compiled_value_and_grad_tree(
         trace = _uncompiled_call(
             cache, key, program, lambda: _eager(params, args, kwargs), prof, counters
         )
+        if program is _MISSING and _is_program(cache[key]):
+            refs[key] = _Reference(
+                [l.data.copy() for l in trace.leaves],
+                trace.value,
+                trace.aux_values,
+                [g.copy() for g in trace.grads],
+            )
         value = (trace.value, trace.aux_values) if has_aux else trace.value
-        return value, tree_unflatten(treedef, trace.grads)
+        return value, tree_unflatten(treedef, zero_outside(trace.grads, active))
 
     wrapped.profile = prof
     wrapped.cache_info = _cache_info(cache, counters)

@@ -160,8 +160,12 @@ class RowScaledSystem:
         self.M1 = _const_matrix(M1, "M1", self.n)
         self.M2 = _const_matrix(M2, "M2", self.n)
         self._m_blocks = (self._split(self.M1), self._split(self.M2))
-        # Bind LAPACK ``getrs`` once, as :class:`LUSolver` does.
-        (self._getrs,) = sla.get_lapack_funcs(("getrs",), (self._c_blocks[0],))
+        # Bind LAPACK ``getrf``/``getrs`` once (:class:`LUSolver` binds
+        # ``getrs`` the same way): ``scipy.linalg.lu_factor`` re-validates
+        # its input and looks the routine up on every call.
+        self._getrf, self._getrs = sla.get_lapack_funcs(
+            ("getrf", "getrs"), (self._c_blocks[0],)
+        )
 
     def _set_constant(self, C: ArrayLike, n: Optional[int] = None) -> None:
         C = _const_matrix(C, "C", n)
@@ -200,7 +204,10 @@ class RowScaledSystem:
         return other
 
     def factor(self, s1: np.ndarray, s2: np.ndarray) -> "RowScaledLU":
-        """Assemble ``A_FF`` for the scales ``s1``, ``s2`` and LU-factorise it."""
+        """Assemble ``A_FF`` for the scales ``s1``, ``s2`` and LU-factorise it.
+
+        An exactly singular ``A_FF`` raises ``np.linalg.LinAlgError``.
+        """
         D = self.fixed
         if np.any(s1[D]) or np.any(s2[D]):
             raise ValueError(
@@ -212,7 +219,15 @@ class RowScaledSystem:
         A = np.multiply(s1F[:, None], M1FF, order="F")
         A += np.multiply(s2F[:, None], M2FF, order="F")
         A += self._c_blocks[0]
-        lu, piv = sla.lu_factor(A, overwrite_a=True, check_finite=False)
+        if A.size:
+            lu, piv, info = self._getrf(A, overwrite_a=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(
+                    f"getrf failed with info={info}"
+                    + (" (A_FF is exactly singular)" if info > 0 else "")
+                )
+        else:  # every row is a unit row: nothing to factorise
+            lu, piv = A, np.arange(0, dtype=np.int32)
         get_registry().counter("linalg.dense.factorizations").inc()
         return RowScaledLU(self, s1F, s2F, lu, piv)
 

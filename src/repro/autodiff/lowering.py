@@ -57,6 +57,7 @@ __all__ = [
     "LoweredProgram",
     "LoweringError",
     "REDUCTION_OPS",
+    "leaf_dependence",
     "lower",
     "unbroadcast_plan",
 ]
@@ -641,3 +642,22 @@ def lower(
         last_read=last_read,
         cse_tanh=cse_tanh,
     )
+
+
+def leaf_dependence(lw: LoweredProgram) -> List[int]:
+    """Per node, the bitmask of the differentiated leaves it depends on.
+
+    Bit ``j`` of entry ``i`` is set when node ``i`` reads leaf ``j`` of
+    ``lw.leaves``, directly or through its operands.  A backward step
+    whose destination's mask misses every requested leaf cannot reach
+    their gradients; since every consumer of a node inherits its mask,
+    the steps that remain write each kept cotangent exactly as before.
+    """
+    deps = [0] * len(lw.nodes)
+    for j, p in enumerate(lw.leaf_pos):
+        if p >= 0:
+            deps[p] |= 1 << j
+    for ir in reversed(lw.nodes):  # operands before their consumers
+        for p in ir.parents:
+            deps[ir.idx] |= deps[p]
+    return deps

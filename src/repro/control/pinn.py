@@ -38,12 +38,7 @@ from repro.cloud.halton import halton_sequence
 from repro.nn.derivatives import mlp_with_derivatives
 from repro.nn.mlp import MLP
 from repro.nn.optimizers import Adam
-from repro.nn.pytree import (
-    ravel_leaves,
-    tree_leaves,
-    tree_ravel,
-    value_and_grad_tree,
-)
+from repro.nn.pytree import ravel_leaves, tree_ravel, value_and_grad_tree
 from repro.nn.schedules import paper_schedule
 from repro.obs.health import current_watchdog
 from repro.obs.hooks import record_compile_cache
@@ -82,7 +77,6 @@ class PINNTrainConfig:
     n_interior: int = 400
     n_boundary: int = 40
     alternating: bool = True
-    log_every: int = 0
     compile: bool = False
 
 
@@ -129,9 +123,11 @@ def _train(
 ) -> Tuple[Dict[str, Any], List[float], List[Tuple[float, ...]]]:
     """Generic Adam training loop over a dict-of-pytrees parameter set.
 
-    When ``alternating_keys`` is given, epoch ``t`` only applies the
-    update to key ``alternating_keys[t % len]`` (the Mowlavi & Nabi
-    alternating scheme); gradients for the frozen parts are discarded.
+    When ``alternating_keys`` is given, epoch ``t`` only updates key
+    ``alternating_keys[t % len]`` (the Mowlavi & Nabi alternating
+    scheme): the epoch asks for the gradient ``wrt`` that key, so the
+    frozen networks' gradients are zero arrays and, compiled, their
+    backward is never run.
 
     With ``has_aux`` the loss returns ``(loss, aux)`` (see
     :func:`~repro.nn.pytree.value_and_grad_tree`) and the third return
@@ -141,13 +137,12 @@ def _train(
 
     Between epochs the parameters live in one flat vector
     (:func:`~repro.nn.pytree.tree_ravel`): Adam updates it in a fixed
-    number of vector ops, and the frozen networks' gradients are zeroed
-    as slices of the flat gradient.
+    number of vector ops.
 
     ``recorder`` (:meth:`~_PINNPair.train_pair` passes the installed
     one; step 2 passes none, so its epochs stay out of the trace)
     receives one iteration record per epoch — loss as the cost, the
-    global norm of the *applied* gradient (after alternating masking),
+    global norm of the *applied* gradient (zero on frozen networks),
     the scheduled step size, and grad/update phase seconds.  ``None``
     costs one ``is not None`` test per epoch.
     """
@@ -158,7 +153,6 @@ def _train(
     else:
         vg = value_and_grad_tree(loss_fn, has_aux=has_aux)
     flat, unravel = tree_ravel(params)
-    frozen = _frozen_slices(params, alternating_keys)
     opt = Adam(lr=config.lr)
     state = opt.init(flat)
     schedule = paper_schedule(config.lr)
@@ -169,8 +163,13 @@ def _train(
         for epoch in range(config.epochs):
             if recorder is not None:
                 timer.mark()
+            wrt = (
+                alternating_keys[epoch % len(alternating_keys)]
+                if alternating_keys
+                else None
+            )
             with _span("grad", "phase"):
-                val, grads = vg(unravel(flat))
+                val, grads = vg(unravel(flat), wrt=wrt)
             if recorder is not None:
                 t_grad = timer.lap("grad")
             if has_aux:
@@ -180,10 +179,6 @@ def _train(
             lr = schedule(epoch, config.epochs)
             with _span("update", "phase"):
                 g = ravel_leaves(grads)
-                if frozen:
-                    active = alternating_keys[epoch % len(alternating_keys)]
-                    for sl in frozen[active]:
-                        g[sl] = 0.0
                 flat, state = opt.step(flat, g, state, lr=lr)
             if wd is not None or recorder is not None:
                 gnorm = float(np.sqrt(g @ g))  # of the applied gradient
@@ -199,25 +194,6 @@ def _train(
         if config.compile:
             record_compile_cache(vg)
     return unravel(flat), history, aux_history
-
-
-def _frozen_slices(
-    params: Dict[str, Any], alternating_keys: Optional[Sequence[str]]
-) -> Dict[str, List[slice]]:
-    """For each alternating key, the slices of the flat parameter vector
-    (sorted-key ``tree_flatten`` order) that its epochs freeze: those of
-    every other key.  Empty without alternation."""
-    if not alternating_keys:
-        return {}
-    spans, lo = {}, 0
-    for k in sorted(params):
-        hi = lo + sum(np.size(x) for x in tree_leaves(params[k]))
-        spans[k] = slice(lo, hi)
-        lo = hi
-    return {
-        active: [sl for k, sl in spans.items() if k != active]
-        for active in alternating_keys
-    }
 
 
 # ======================================================================

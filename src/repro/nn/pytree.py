@@ -9,7 +9,7 @@ arguments via :func:`value_and_grad_tree`.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -121,6 +121,38 @@ def tree_ravel(tree: Any) -> Tuple[np.ndarray, Callable[[np.ndarray], Any]]:
     return _concat(leaves), unravel
 
 
+def _n_leaves(treedef: Any) -> int:
+    kind, _, children = treedef
+    return 1 if kind == "leaf" else sum(_n_leaves(c) for c in children)
+
+
+def tree_key_leaves(treedef: Any, key: Any) -> FrozenSet[int]:
+    """Positions, in ``tree_flatten`` order, of the leaves under the
+    top-level dict key ``key`` of a tree with this ``treedef``.
+
+    Raises ``ValueError`` when the tree is not a dict or lacks ``key``.
+    """
+    kind, keys, children = treedef
+    if kind != "dict" or key not in keys:
+        known = list(keys) if kind == "dict" else "none: not a dict"
+        raise ValueError(
+            f"wrt={key!r} is not a top-level key of the parameters (keys: {known})"
+        )
+    i = keys.index(key)
+    lo = sum(_n_leaves(c) for c in children[:i])
+    return frozenset(range(lo, lo + _n_leaves(children[i])))
+
+
+def zero_outside(
+    grads: Sequence[np.ndarray], active: Optional[FrozenSet[int]]
+) -> List[np.ndarray]:
+    """``grads`` with every leaf outside ``active`` replaced by zeros
+    (all kept for ``None``)."""
+    if active is None:
+        return list(grads)
+    return [g if j in active else np.zeros_like(g) for j, g in enumerate(grads)]
+
+
 def value_and_grad_tree(
     f: Callable[..., Any],
     has_aux: bool = False,
@@ -136,10 +168,18 @@ def value_and_grad_tree(
     where ``aux`` is a tuple of scalar tensors computed alongside the
     loss; the transform returns ``((value, aux_values), grads)`` with
     ``aux_values`` a tuple of floats.
+
+    The keyword-only ``wrt`` names one top-level key of a dict
+    ``params``: the gradients under every other key come back as zero
+    arrays (the alternating PINN updates train one network per step).
+    It is not passed on to ``f``; an unknown key raises ``ValueError``.
     """
 
-    def wrapped(params: Any, *args: Any, **kwargs: Any) -> Tuple[Any, Any]:
+    def wrapped(
+        params: Any, *args: Any, wrt: Any = None, **kwargs: Any
+    ) -> Tuple[Any, Any]:
         leaves, treedef = tree_flatten(params)
+        active = None if wrt is None else tree_key_leaves(treedef, wrt)
         leaf_tensors = [Tensor(asdata(x), requires_grad=True) for x in leaves]
         wrapped_params = tree_unflatten(treedef, leaf_tensors)
         out = f(wrapped_params, *args, **kwargs)
@@ -151,10 +191,13 @@ def value_and_grad_tree(
         out_t.backward()
         grads = tree_unflatten(
             treedef,
-            [
-                t.grad if t.grad is not None else np.zeros_like(t.data)
-                for t in leaf_tensors
-            ],
+            zero_outside(
+                [
+                    t.grad if t.grad is not None else np.zeros_like(t.data)
+                    for t in leaf_tensors
+                ],
+                active,
+            ),
         )
         value = float(out_t.data)
         if has_aux:

@@ -447,3 +447,103 @@ def test_codegen_profile_reports_kernels():
     report = p.report()
     assert "generated kernels" in report
     assert "fusion groups" in report
+
+
+# ----------------------------------------------------------------------
+# Restricted kernels: only the backward that reaches the leaves asked for
+# ----------------------------------------------------------------------
+_X_PAIR = np.linspace(-1.0, 1.0, 24).reshape(12, 2)
+
+
+def _pair_loss(p):
+    """Two small networks meeting in one loss, like the PINN pair: the
+    ``u`` branch alone also feeds an aux term."""
+    h = ops.tanh(ops.matmul(_X_PAIR, p["u"]["W"]) + p["u"]["b"])
+    c = ops.tanh(ops.matmul(_X_PAIR[:, :1], p["c"]["W"]) + p["c"]["b"])
+    fit = ops.mean(ops.square(h - c))
+    reg = 0.1 * ops.sum_(ops.square(h))
+    return fit + reg, (fit, reg)
+
+
+def _pair_params(seed=0):
+    rng = np.random.default_rng(seed)
+    return {
+        "u": {"W": rng.standard_normal((2, 5)), "b": rng.uniform(0.1, 1.0, 5)},
+        "c": {"W": rng.standard_normal((1, 5)), "b": rng.uniform(0.1, 1.0, 5)},
+    }
+
+
+def _perturbed_pair(params, seed):
+    rng = np.random.default_rng(seed)
+    return {
+        k: {n: v * rng.uniform(0.95, 1.05, v.shape) for n, v in sub.items()}
+        for k, sub in params.items()
+    }
+
+
+def _leaf_subset(params, key):
+    from repro.nn.pytree import tree_flatten, tree_key_leaves
+
+    return tree_key_leaves(tree_flatten(params)[1], key)
+
+
+@pytest.mark.parametrize("wrt", ["u", "c"])
+def test_restricted_replay_matches_full_replay_bitwise(wrt):
+    """Value, aux and the active network's gradients of a restricted
+    replay equal the full replay's bit for bit; the frozen network's are
+    zero arrays even right after a full replay left its buffers set."""
+    frozen = "c" if wrt == "u" else "u"
+    p0 = _pair_params()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cvg = compiled_value_and_grad_tree(_pair_loss, has_aux=True)
+        cvg(p0)  # trace
+        for seed in (1, 2):
+            p = _perturbed_pair(p0, seed)
+            (v, aux), g = cvg(p)  # full replay: every g buffer written
+            (rv, raux), rg = cvg(p, wrt=wrt)
+            assert rv == v and raux == aux, seed
+            for name in ("W", "b"):
+                assert np.array_equal(rg[wrt][name], g[wrt][name]), (seed, name)
+                z = rg[frozen][name]
+                assert z.shape == g[frozen][name].shape and not np.any(z)
+                assert np.any(g[frozen][name]), "the full replay set it"
+    assert cvg.cache_info()["codegen_fallbacks"] == 0
+
+
+def test_restricted_kernel_runs_fewer_backward_steps():
+    """The restricted kernel keeps only the steps whose destination
+    depends on a requested leaf: each network's kernel drops the other's
+    backward, and no step is in neither."""
+    p0 = _pair_params()
+    cvg = compiled_value_and_grad_tree(_pair_loss, has_aux=True)
+    cvg(p0)
+    (prog,) = cvg._cache.values()
+    full = prog.n_bwd_steps()
+    u, c = (prog.n_bwd_steps(_leaf_subset(p0, k)) for k in ("u", "c"))
+    assert 0 < c < u < full
+    assert u + c >= full  # steps into the shared trunk count for both
+    assert prog.n_bwd_steps(frozenset()) == 0
+
+
+def test_profiled_restricted_replay():
+    """A profiled wrapper runs the profiled variant of each restricted
+    kernel: same results as the unprofiled tier, every call counted."""
+    p0 = _pair_params()
+    plain = compiled_value_and_grad_tree(_pair_loss, has_aux=True)
+    prof = compiled_value_and_grad_tree(_pair_loss, has_aux=True, profile=True)
+    plain(p0)
+    prof(p0)
+    for i, seed in enumerate((1, 2, 3, 4)):
+        p = _perturbed_pair(p0, seed)
+        wrt = "uc"[i % 2]
+        (v, aux), g = plain(p, wrt=wrt)
+        (pv, paux), pg = prof(p, wrt=wrt)
+        assert (pv, paux) == (v, aux)
+        for k in ("u", "c"):
+            for name in ("W", "b"):
+                assert np.array_equal(pg[k][name], g[k][name]), (seed, k, name)
+    p = prof.profile
+    assert p.n_traces == 1 and p.n_replays == 4
+    assert sum(k.bwd_seconds for k in p.kernels.values()) > 0.0
+    assert prof.cache_info()["codegen_fallbacks"] == 0

@@ -9,6 +9,7 @@ wrapper.
 """
 
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -200,6 +201,106 @@ def test_replay_rejects_mismatched_shape():
     (prog,) = vg._cache.values()
     with pytest.raises(CompileError):
         prog.replay([np.ones(7)])
+
+
+# ----------------------------------------------------------------------
+# Restricted calls: ``wrt=`` one top-level parameter key
+# ----------------------------------------------------------------------
+_MLP_U, _MLP_C = MLP(2, [6], 1), MLP(1, [4], 1)
+_X_WRT = np.random.default_rng(7).uniform(size=(10, 2))
+
+
+def _wrt_loss(p):
+    u = _MLP_U.apply(p["u"], _X_WRT)
+    c = _MLP_C.apply(p["c"], _X_WRT[:, :1])
+    return ops.mean(ops.square(u - c)) + 0.1 * ops.mean(ops.square(u))
+
+
+def _wrt_params(seed):
+    return {"u": _MLP_U.init_params(seed), "c": _MLP_C.init_params(seed + 1)}
+
+
+def _assert_grads_equal(a, b):
+    la, ta = tree_flatten(a)
+    lb, tb = tree_flatten(b)
+    assert ta == tb
+    for x, y in zip(la, lb):
+        assert np.array_equal(x, y)
+
+
+def test_alternating_wrt_keeps_one_trace_and_one_program():
+    """Alternating ``wrt`` calls are served from the signature's one
+    cache entry, each bitwise equal to eager with the same ``wrt``."""
+    eager = value_and_grad_tree(_wrt_loss)
+    comp = compiled_value_and_grad_tree(_wrt_loss)
+    for i in range(6):
+        p, wrt = _wrt_params(i), ("u", "c")[i % 2]
+        ve, ge = eager(p, wrt=wrt)
+        vc, gc = comp(p, wrt=wrt)
+        assert vc == ve
+        _assert_grads_equal(gc, ge)
+    info = comp.cache_info()
+    assert info["traces"] == 1 and info["programs"] == 1
+    assert info["replays"] == 5 and info["codegen_fallbacks"] == 0
+
+
+def test_eager_wrt_zeroes_the_other_keys():
+    """Eager ``wrt`` keeps the named key's gradients and zeroes the rest."""
+    vg = value_and_grad_tree(_wrt_loss)
+    p = _wrt_params(3)
+    v, g = vg(p)
+    for wrt, frozen in (("u", "c"), ("c", "u")):
+        vw, gw = vg(p, wrt=wrt)
+        assert vw == v
+        _assert_grads_equal(gw[wrt], g[wrt])
+        for z in tree_flatten(gw[frozen])[0]:
+            assert z.dtype == np.float64 and not np.any(z)
+
+
+@pytest.mark.parametrize("tier", ["eager", "compiled"])
+def test_unknown_wrt_raises(tier):
+    make = value_and_grad_tree if tier == "eager" else compiled_value_and_grad_tree
+    vg = make(_wrt_loss)
+    with pytest.raises(ValueError, match="not a top-level key"):
+        vg(_wrt_params(0), wrt="v")
+    vg(_wrt_params(0))
+    with pytest.raises(ValueError, match="not a top-level key"):
+        vg(_wrt_params(0), wrt="v")  # also once a program is cached
+    list_vg = make(lambda p: ops.sum_(ops.square(p[0])))
+    with pytest.raises(ValueError, match="not a dict"):
+        list_vg([np.ones(3)], wrt=0)
+
+
+def test_failed_restricted_kernel_runs_the_full_kernel(monkeypatch):
+    """A restricted kernel that cannot be bound is replaced by the full
+    kernel for that restriction — one warning, one fallback count, the
+    same results (frozen gradients still zero)."""
+    from repro.autodiff.codegen import CodegenProgram
+
+    eager = value_and_grad_tree(_wrt_loss)
+    comp = compiled_value_and_grad_tree(_wrt_loss)
+    comp(_wrt_params(0))
+    real = CodegenProgram._bind_kernels
+
+    def broken(self, body):
+        if len(body) < len(self._body):
+            raise RuntimeError("synthetic bind failure")
+        return real(self, body)
+
+    monkeypatch.setattr(CodegenProgram, "_bind_kernels", broken)
+    with pytest.warns(RuntimeWarning, match="full kernel"):
+        vc, gc = comp(_wrt_params(1), wrt="c")
+    ve, ge = eager(_wrt_params(1), wrt="c")
+    assert vc == ve
+    _assert_grads_equal(gc, ge)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no second build, no second warning
+        vc, gc = comp(_wrt_params(2), wrt="c")
+    ve, ge = eager(_wrt_params(2), wrt="c")
+    assert vc == ve
+    _assert_grads_equal(gc, ge)
+    info = comp.cache_info()
+    assert info["codegen_fallbacks"] == 1 and info["programs"] == 1
 
 
 # ----------------------------------------------------------------------

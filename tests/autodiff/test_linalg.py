@@ -290,6 +290,20 @@ class TestRowScaledSolve:
         with pytest.raises(ValueError, match="unit row"):
             system.factor(*scales)
 
+    def test_singular_ff_block_raises(self):
+        # A zero row among the free rows of C makes A_FF exactly singular
+        # when both scales vanish: getrf reports it, the factorisation
+        # raises instead of solving to inf/NaN.
+        C = _with_unit_rows(A, self.UNIT)
+        C[0] = 0.0
+        system = RowScaledSystem(self.M1, self.M2, C)
+        assert 0 in system.free
+        zeros = np.zeros(N)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            system.factor(zeros, zeros)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            row_scaled_solve(zeros, zeros, system, B)
+
     def test_with_constant_matches_a_fresh_system(self):
         case = self.case("condensed")
         for C in (_with_unit_rows(2.0 * A, self.UNIT), A):  # same / no unit rows
