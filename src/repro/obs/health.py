@@ -32,6 +32,12 @@ It is installed like the profiler, registry and recorder
 disabled.  The design budget for the total enabled-path observability
 overhead is 2 %.
 
+The ``nan`` and ``stall`` state is per loop: iteration 0 resets it, so
+a verdict does not depend on which process ran the loop.  Under
+``--jobs`` a worker attempt observes on a fresh watchdog with the
+parent's config, and the parent absorbs its events and counts in task
+order (:mod:`repro.obs.attempt`).  Krylov histories stay per watchdog.
+
 Heartbeats — the parallel half of run health — live in
 :mod:`repro.parallel`: workers send beat frames over their pipe while a
 task runs, and the engine flags tasks whose beats stop before the hard
@@ -127,12 +133,30 @@ class Watchdog:
             rec.health_event(check, ev.severity, ev.iteration, ev.value, message)
         return [ev]
 
+    def absorb(self, events: List[HealthRecord], counts: Dict[str, int]) -> None:
+        """Take over another watchdog's events and counts (a worker's).
+
+        Nothing is re-emitted: the events already reached the trace and
+        the registry that the worker folds into the parent's.
+        """
+        room = self.config.max_events - len(self.events)
+        self.events.extend(events[:max(room, 0)])
+        for check, n in counts.items():
+            self.counts[check] = self.counts.get(check, 0) + n
+
     # -- checks --------------------------------------------------------
     def observe_iteration(
         self, iteration: int, cost: float, grad_norm: float
     ) -> List[HealthRecord]:
-        """Feed one optimiser step; returns any events it raised."""
+        """Feed one optimiser step; returns any events it raised.
+
+        Iteration 0 starts a new loop: its stall and ``nan`` state is
+        its own.
+        """
         out: List[HealthRecord] = []
+        if iteration == 0:
+            self._best, self._last_improve = math.inf, 0
+            self._stalled = self._nan_seen = False
         if not (math.isfinite(cost) and math.isfinite(grad_norm)):
             if not self._nan_seen:  # report the *first* occurrence only
                 self._nan_seen = True

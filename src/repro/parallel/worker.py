@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Callable, Dict, Sequence, Tuple
+from typing import Any, Callable, Dict, Sequence
 
-from repro.obs.attempt import capture
+from repro.obs.attempt import Channels, capture
 from repro.parallel.pool import BEAT, SHUTDOWN, WORKER_ENV
 from repro.parallel.seeding import seed_everything
 from repro.parallel.task import Task, exception_payload
@@ -46,7 +46,7 @@ def _beat(send: Callable[[Any], None], interval: float,
             return  # the parent is gone; the reply will fail the same way
 
 
-def _attempt(task: Task, seed: int, channels: Tuple[bool, bool],
+def _attempt(task: Task, seed: int, channels: Channels,
              heartbeat: float, send: Callable[[Any], None]) -> Dict[str, Any]:
     """Run one attempt; the reply carries its value or error and obs."""
     seed_everything(seed)
@@ -74,7 +74,7 @@ def _attempt(task: Task, seed: int, channels: Tuple[bool, bool],
 
 
 def task_worker_main(conn, tasks: Sequence[Task], seeds: Sequence[int],
-                     channels: Tuple[bool, bool], heartbeat: float) -> None:
+                     channels: Channels, heartbeat: float) -> None:
     """Worker loop: one ``(index, attempt)`` job in, one reply out.
 
     The reply is always a plain dict of picklable values.  If the task's

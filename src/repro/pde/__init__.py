@@ -1,8 +1,9 @@
 """Concrete PDE problems built on the RBF substrate.
 
-- :mod:`repro.pde.discrete` — nodal system assembly helpers shared by the
-  plain-NumPy and autodiff solver paths (interior-row masks, boundary
-  rows, differentiable scatter via selection matrices).
+- :mod:`repro.pde.discrete` — the nodal system builder of
+  :mod:`repro.rbf.system` (interior rows, boundary rows) plus
+  differentiable scatter via selection matrices, shared by the
+  plain-NumPy and autodiff solver paths.
 - :mod:`repro.pde.laplace` — the Laplace control problem of §3.1 with its
   analytic optimal control/state pair.
 - :mod:`repro.pde.poisson` — manufactured-solution Poisson problems for

@@ -1,67 +1,29 @@
 """Nodal-space assembly helpers shared by the NumPy and autodiff paths.
 
-A field's discrete system is assembled from three ingredients:
-
-- the *interior operator matrix* (rows of ``a·Δ + b·∂x + c·∂y + d·I`` from
-  the nodal differentiation matrices), masked to interior rows;
-- *boundary rows* — unit rows for Dirichlet nodes, outward-normal
-  derivative rows for Neumann nodes, ``normal + β·I`` for Robin nodes;
-- a right-hand side with the source on interior rows and boundary data on
-  boundary rows.
-
-Unlike :class:`repro.rbf.solver.RBFSolver`, these helpers do **not**
-require the cloud's ordering kinds to match the imposed conditions: the
-Navier–Stokes problem applies *different* BC kinds per field (u, v, p) on
-the same cloud, so rows are taken per group index directly.
-
-Everything here is written so Tensors flow through unchanged: masks,
-boundary rows and selection matrices are constant arrays; multiplying or
-adding them to tape tensors records the proper VJPs.  The *same* assembly
-code therefore serves the DAL (NumPy) and DP (autodiff) solvers.
+A field's discrete system — interior operator rows, boundary rows (unit
+for Dirichlet, outward-normal for Neumann, ``normal + β·I`` for Robin)
+and its storage — is built by :mod:`repro.rbf.system`, re-exported here.
+This module adds the right-hand-side pieces: constant selection matrices
+that scatter per-group boundary values (NumPy arrays or tape tensors)
+into a field, so the *same* assembly code serves the DAL (NumPy) and DP
+(autodiff) solvers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple, Union
+from typing import Dict, Union
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.cloud.base import BoundaryKind, Cloud
-from repro.rbf.operators import NodalOperators
-
-
-@dataclass(frozen=True)
-class FieldBCs:
-    """Per-group boundary-kind assignment for one scalar field.
-
-    ``kinds`` maps group name → ``"dirichlet" | "neumann" | "robin"``;
-    every non-internal group of the cloud must appear.  ``robin_beta``
-    holds β per Robin group (scalar or per-node array in group order).
-    """
-
-    kinds: Mapping[str, str]
-    robin_beta: Mapping[str, Union[float, np.ndarray]] = field(default_factory=dict)
-
-    def validate(self, cloud: Cloud) -> None:
-        """Check every boundary group is covered with a known kind."""
-        for g, k in cloud.kinds.items():
-            if k is BoundaryKind.INTERNAL:
-                continue
-            got = self.kinds.get(g)
-            if got not in ("dirichlet", "neumann", "robin"):
-                raise ValueError(
-                    f"group {g!r} needs a BC kind in "
-                    f"('dirichlet','neumann','robin'), got {got!r}"
-                )
-
-
-def interior_mask(cloud: Cloud) -> np.ndarray:
-    """0/1 float vector selecting interior nodes."""
-    m = np.zeros(cloud.n)
-    m[cloud.internal] = 1.0
-    return m
+from repro.cloud.base import Cloud
+from repro.rbf.system import (  # re-exported: the PDE layer's assembly names
+    FieldBCs,
+    assemble_field_system,
+    boundary_rows,
+    boundary_rows_sparse,
+    interior_mask,
+    row_selector,
+)
 
 
 def selection_matrix(n: int, idx: np.ndarray) -> np.ndarray:
@@ -74,97 +36,6 @@ def selection_matrix(n: int, idx: np.ndarray) -> np.ndarray:
     S = np.zeros((n, idx.size))
     S[idx, np.arange(idx.size)] = 1.0
     return S
-
-
-def boundary_rows(cloud: Cloud, nodal: NodalOperators, bcs: FieldBCs) -> np.ndarray:
-    """``(N, N)`` matrix holding only the boundary-condition rows."""
-    bcs.validate(cloud)
-    n = cloud.n
-    rows = np.zeros((n, n))
-    for g, idx in cloud.groups.items():
-        if cloud.kinds[g] is BoundaryKind.INTERNAL:
-            continue
-        kind = bcs.kinds[g]
-        if kind == "dirichlet":
-            rows[idx, idx] = 1.0
-        elif kind == "neumann":
-            rows[idx] = nodal.normal[idx]
-        else:  # robin
-            rows[idx] = nodal.normal[idx]
-            beta = np.broadcast_to(
-                np.asarray(bcs.robin_beta.get(g, 0.0), dtype=np.float64),
-                idx.shape,
-            )
-            rows[idx, idx] += beta
-    return rows
-
-
-def row_selector(n: int, idx: np.ndarray) -> sp.csr_matrix:
-    """Sparse ``(n, n)`` diagonal selector: 1 at ``(i, i)`` for ``i ∈ idx``.
-
-    ``row_selector(n, idx) @ M`` keeps only the ``idx`` rows of ``M`` —
-    the sparse replacement for the dense ``rows[idx] = M[idx]`` pattern.
-    """
-    idx = np.asarray(idx, dtype=np.int64)
-    return sp.csr_matrix(
-        (np.ones(idx.size), (idx, idx)), shape=(n, n)
-    )
-
-
-def boundary_rows_sparse(cloud: Cloud, operators, bcs: FieldBCs) -> sp.csr_matrix:
-    """Sparse ``(N, N)`` matrix holding only the boundary-condition rows.
-
-    The RBF-FD counterpart of :func:`boundary_rows`: ``operators`` is any
-    bundle exposing a ``normal`` matrix (``LocalOperators`` or
-    ``NodalOperators``); the result has unit rows on Dirichlet nodes,
-    stencil-sparse normal rows on Neumann nodes and ``normal + β·I`` rows
-    on Robin nodes.
-    """
-    bcs.validate(cloud)
-    n = cloud.n
-    normal = sp.csr_matrix(operators.normal)
-    rows = sp.csr_matrix((n, n))
-    for g, idx in cloud.groups.items():
-        if cloud.kinds[g] is BoundaryKind.INTERNAL:
-            continue
-        kind = bcs.kinds[g]
-        if kind == "dirichlet":
-            rows = rows + row_selector(n, idx)
-        elif kind == "neumann":
-            rows = rows + row_selector(n, idx) @ normal
-        else:  # robin
-            beta = np.broadcast_to(
-                np.asarray(bcs.robin_beta.get(g, 0.0), dtype=np.float64),
-                idx.shape,
-            )
-            rows = (
-                rows
-                + row_selector(n, idx) @ normal
-                + sp.csr_matrix((beta, (idx, idx)), shape=(n, n))
-            )
-    return rows.tocsr()
-
-
-def assemble_field_system(
-    cloud: Cloud,
-    nodal,
-    interior_operator,  # (N, N) array, sparse matrix, or Tensor
-    bcs: FieldBCs,
-):
-    """Full system matrix: interior operator rows + boundary rows.
-
-    ``interior_operator`` may be a tape tensor (NS momentum operator,
-    which depends on the frozen advection velocity); the mask/boundary
-    parts are constants.  A ``scipy.sparse`` interior operator (the
-    RBF-FD backend) yields a sparse system assembled without densifying.
-    """
-    if sp.issparse(interior_operator):
-        return (
-            sp.diags(interior_mask(cloud)) @ interior_operator
-            + boundary_rows_sparse(cloud, nodal, bcs)
-        ).tocsr()
-    mask = interior_mask(cloud)[:, None]
-    return mask * interior_operator + boundary_rows(cloud, nodal, bcs)
 
 
 def scatter_boundary_values(

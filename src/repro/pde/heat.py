@@ -33,7 +33,7 @@ from repro.autodiff.linalg import LUSolver
 from repro.autodiff.functional import value_and_grad
 from repro.autodiff.tensor import Tensor, tensor
 from repro.cloud.base import Cloud
-from repro.pde.discrete import boundary_rows, FieldBCs, interior_mask
+from repro.pde.discrete import FieldBCs, assemble_field_system, interior_mask
 from repro.rbf.kernels import Kernel, polyharmonic
 from repro.rbf.operators import build_nodal_operators
 
@@ -83,22 +83,14 @@ class HeatEquationProblem:
         self.nodal = build_nodal_operators(cloud, self.kernel, degree)
         cfg = self.config
 
-        mask = interior_mask(cloud)[:, None]
-        bcs = FieldBCs(
-            kinds={
-                g: "dirichlet"
-                for g in cloud.groups
-                if g != "internal"
-            }
-        )
-        brows = boundary_rows(cloud, self.nodal, bcs)
+        bcs = FieldBCs(kinds={g: "dirichlet" for g in cloud.groups if g != "internal"})
         eye = np.eye(cloud.n)
-        lhs = mask * (eye - cfg.theta * cfg.kappa * cfg.dt * self.nodal.lap) + brows
-        self.rhs_matrix = mask[:, 0][:, None] * (
+        lhs = eye - cfg.theta * cfg.kappa * cfg.dt * self.nodal.lap
+        self.stepper = LUSolver(assemble_field_system(cloud, self.nodal, lhs, bcs))
+        self.mask_int = interior_mask(cloud)
+        self.rhs_matrix = self.mask_int[:, None] * (
             eye + (1 - cfg.theta) * cfg.kappa * cfg.dt * self.nodal.lap
         )
-        self.stepper = LUSolver(lhs)
-        self.mask_int = interior_mask(cloud)
         b_bc = np.zeros(cloud.n)
         b_bc[cloud.boundary] = boundary_value
         self.b_bc = b_bc

@@ -47,12 +47,10 @@ import scipy.sparse as sp
 from repro.cloud.base import Cloud
 from repro.cloud.square import SquareCloud
 from repro.rbf.kernels import Kernel, polyharmonic
-from repro.rbf.local import build_local_operators
-from repro.rbf.operators import NodalOperators, build_nodal_operators
+from repro.rbf.solver import build_operators, check_solver_choice
 from repro.pde.discrete import (
     FieldBCs,
     assemble_field_system,
-    interior_mask,
     selection_matrix,
 )
 from repro.utils.quadrature import trapezoid_weights
@@ -124,7 +122,8 @@ class LaplaceControlProblem:
     cloud:
         The unit-square cloud (all-Dirichlet boundary).
     nodal:
-        The operator bundle: dense :class:`NodalOperators` for
+        The operator bundle: dense
+        :class:`~repro.rbf.operators.NodalOperators` for
         ``backend="dense"`` (the paper's global collocation), sparse
         :class:`~repro.rbf.local.LocalOperators` for ``backend="local"``
         (RBF-FD stencils).  Both expose ``dx``/``dy``/``lap``/``normal``.
@@ -158,33 +157,11 @@ class LaplaceControlProblem:
     solver_opts: Optional[dict] = None
 
     def __post_init__(self) -> None:
-        if self.backend not in ("dense", "local"):
-            raise ValueError(
-                f"backend must be 'dense' or 'local', got {self.backend!r}"
-            )
-        if self.solver not in ("direct", "iterative"):
-            raise ValueError(
-                f"solver must be 'direct' or 'iterative', got {self.solver!r}"
-            )
-        if self.solver == "iterative" and self.backend != "local":
-            raise ValueError(
-                "solver='iterative' requires backend='local' (the Krylov "
-                "backend operates on the sparse RBF-FD system)"
-            )
-        if self.solver == "direct" and self.solver_opts:
-            raise TypeError(
-                "solver_opts are only meaningful with solver='iterative'; "
-                f"got {sorted(self.solver_opts)}"
-            )
+        check_solver_choice(self.backend, self.solver, self.solver_opts)
         self.kernel = self.kernel or polyharmonic(3)
-        if self.backend == "dense":
-            self.nodal = build_nodal_operators(
-                self.cloud, self.kernel, self.degree
-            )
-        else:
-            self.nodal = build_local_operators(
-                self.cloud, self.kernel, self.degree, self.stencil_size
-            )
+        self.nodal = build_operators(
+            self.cloud, self.kernel, self.degree, self.backend, self.stencil_size
+        )
         cloud = self.cloud
         self.top = cloud.groups["top"]
         self.bottom = cloud.groups["bottom"]

@@ -67,14 +67,13 @@ from repro.cloud.channel import ChannelCloud, ChannelGeometry
 from repro.obs.profile import span as _span
 from repro.pde.discrete import (
     FieldBCs,
+    assemble_field_system,
     boundary_rows,
-    boundary_rows_sparse,
     interior_mask,
     selection_matrix,
 )
 from repro.rbf.kernels import Kernel, polyharmonic
-from repro.rbf.local import build_local_operators
-from repro.rbf.operators import NodalOperators, build_nodal_operators
+from repro.rbf.solver import build_operators, check_solver_choice
 from repro.utils.quadrature import trapezoid_weights
 from repro.utils.validation import check_finite
 
@@ -136,24 +135,7 @@ class ChannelFlowProblem:
         solver: str = "direct",
         solver_opts: Optional[dict] = None,
     ) -> None:
-        if backend not in ("dense", "local"):
-            raise ValueError(
-                f"backend must be 'dense' or 'local', got {backend!r}"
-            )
-        if solver not in ("direct", "iterative"):
-            raise ValueError(
-                f"solver must be 'direct' or 'iterative', got {solver!r}"
-            )
-        if solver == "iterative" and backend != "local":
-            raise ValueError(
-                "solver='iterative' requires backend='local' (the Krylov "
-                "backend operates on the sparse RBF-FD system)"
-            )
-        if solver == "direct" and solver_opts:
-            raise TypeError(
-                "solver_opts are only meaningful with solver='iterative'; "
-                f"got {sorted(solver_opts)}"
-            )
+        check_solver_choice(backend, solver, solver_opts)
         self.solver = solver
         self.solver_opts = dict(solver_opts or {})
         self.geometry = geometry or ChannelGeometry()
@@ -162,12 +144,9 @@ class ChannelFlowProblem:
         self.kernel = kernel or polyharmonic(3)
         self.degree = degree
         self.backend = backend
-        if backend == "dense":
-            self.nodal = build_nodal_operators(self.cloud, self.kernel, degree)
-        else:
-            self.nodal = build_local_operators(
-                self.cloud, self.kernel, degree, stencil_size
-            )
+        self.nodal = build_operators(
+            self.cloud, self.kernel, degree, backend, stencil_size
+        )
         cloud_ = self.cloud
         geo = self.geometry
 
@@ -199,12 +178,8 @@ class ChannelFlowProblem:
 
         nd = self.nodal
         self.mask_int = interior_mask(cloud_)
-        if backend == "local":
-            self.rows_u = boundary_rows_sparse(cloud_, nd, self.bcs_u)
-            self.rows_p = boundary_rows_sparse(cloud_, nd, self.bcs_p)
-        else:
-            self.rows_u = boundary_rows(cloud_, nd, self.bcs_u)
-            self.rows_p = boundary_rows(cloud_, nd, self.bcs_p)
+        self.rows_u = boundary_rows(cloud_, nd, self.bcs_u)
+        self.rows_p = boundary_rows(cloud_, nd, self.bcs_p)
 
         # "Free" masks: nodes where the projection correction applies
         # (everywhere except the field's Dirichlet nodes).
@@ -216,12 +191,9 @@ class ChannelFlowProblem:
 
         # Constant pressure system, set up once (dense LU, sparse splu,
         # or the preconditioned Krylov backend, per ``solver``).
-        if backend == "local":
-            A_p = sp.diags(self.mask_int) @ nd.lap + self.rows_p
-        else:
-            A_p = self.mask_int[:, None] * nd.lap + self.rows_p
         self.pressure_solver = make_linear_solver(
-            A_p, solver=solver, **self.solver_opts
+            assemble_field_system(cloud_, nd, nd.lap, self.bcs_p),
+            solver=solver, **self.solver_opts,
         )
 
         # Fixed sparsity pattern of the momentum system (local backend):

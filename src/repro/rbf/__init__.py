@@ -12,16 +12,20 @@ cubic spline :math:`r^3`, shape-parameter free) and :math:`P_m` appended
 monomials up to degree ``n`` (paper: ``n = 1``, i.e. 3 polynomials in 2-D)
 subject to the usual moment constraints.
 
-Two equivalent solver paths are provided and cross-validated in the test
-suite:
+Two equivalent discretisations are provided and cross-validated in the
+test suite (``tests/rbf/test_assembly.py``):
 
-- **coefficient space** (:mod:`repro.rbf.assembly` + :func:`solver.solve_pde`)
+- **coefficient space** (:func:`assembly.assemble_collocation_system`)
   — collocate the PDE/BC rows directly on the (λ, γ) unknowns;
-- **nodal space** (:mod:`repro.rbf.operators`) — precompute dense nodal
-  differentiation matrices ``D_x, D_y, Δ`` so a PDE solve becomes plain
-  matrix algebra on nodal values.  This is the path DAL and DP use: the
-  matrices are constant w.r.t. the control, which makes solve caching and
-  autodiff (matmul/solve VJPs) efficient.
+- **nodal space** (:mod:`repro.rbf.operators`, :mod:`repro.rbf.local`)
+  — precompute nodal differentiation matrices ``D_x, D_y, Δ`` (dense
+  global or sparse RBF-FD) so a PDE solve becomes plain matrix algebra
+  on nodal values.  :mod:`repro.rbf.system` assembles every nodal
+  system from them, and :func:`solver.solve_pde`, both solvers of
+  :mod:`repro.rbf.solver`, :func:`local.solve_pde_local` and the
+  control problems solve it.  This is the path DAL and DP use: the
+  matrices are constant w.r.t. the control, which makes solve caching
+  and autodiff (matmul/solve VJPs) efficient.
 """
 
 from repro.rbf.kernels import (

@@ -29,12 +29,13 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from repro.cloud.base import BoundaryKind, Cloud
+from repro.autodiff.sparse import make_linear_solver
+from repro.cloud.base import Cloud
 from repro.cloud.neighbors import nearest_neighbors
 from repro.obs.metrics import get_registry
 from repro.obs.profile import profiled
+from repro.rbf.assembly import LinearOperator2D
 from repro.rbf.kernels import Kernel, polyharmonic
 from repro.rbf.polynomials import (
     n_poly_terms,
@@ -42,6 +43,12 @@ from repro.rbf.polynomials import (
     poly_dy_matrix,
     poly_lap_matrix,
     poly_matrix,
+)
+from repro.rbf.system import (
+    BoundaryCondition,
+    LinearPDEProblem,
+    assemble_problem_rhs,
+    assemble_problem_system,
 )
 
 
@@ -70,6 +77,21 @@ class LocalOperators:
     def nnz(self) -> int:
         """Total stored nonzeros of ``∂x``, ``∂y`` and ``Δ``."""
         return int(self.dx.nnz + self.dy.nnz + self.lap.nnz)
+
+    def operator_matrix(self, op: LinearOperator2D) -> sp.csr_matrix:
+        """Sparse nodal matrix of ``a·Δ + b·∂x + c·∂y + d·I``."""
+        n = self.cloud.n
+        out = sp.csr_matrix((n, n))
+        for coeff, mat in (
+            (op.lap, self.lap), (op.dx, self.dx), (op.dy, self.dy),
+            (op.identity, None),
+        ):
+            if np.any(np.asarray(coeff) != 0):
+                diag = sp.diags(
+                    np.broadcast_to(np.asarray(coeff, dtype=np.float64), (n,))
+                )
+                out = out + (diag if mat is None else diag @ mat)
+        return out.tocsr()
 
 
 def default_stencil_size(degree: int) -> int:
@@ -243,52 +265,30 @@ def solve_pde_local(
 ) -> np.ndarray:
     """Sparse linear PDE solve with RBF-FD operators.
 
+    A thin wrapper over the shared nodal assembly
+    (:func:`~repro.rbf.system.assemble_problem_system`) and one ``splu``
+    solve.
+
     Parameters
     ----------
     operator_coeffs:
         Mapping with optional keys ``"lap"``, ``"dx"``, ``"dy"``,
-        ``"identity"`` — scalar coefficients of the interior operator.
+        ``"identity"`` — coefficients of the interior operator.
     source:
         Scalar, per-interior-node array, or callable of interior points.
     bc_values:
-        Mapping group name → boundary values (array or callable); groups
-        tagged Dirichlet get unit rows, Neumann groups get normal rows.
+        Mapping group name → boundary values (array or callable), one
+        entry per boundary group.  Each group takes the condition its
+        cloud kind names: unit rows for Dirichlet, normal rows for
+        Neumann, normal rows for Robin (β = 0).
     """
-    n = cloud.n
-    interior = cloud.internal
-    A = sp.lil_matrix((n, n))
-    op = sp.csr_matrix((n, n))
-    if operator_coeffs.get("lap"):
-        op = op + operator_coeffs["lap"] * local_ops.lap
-    if operator_coeffs.get("dx"):
-        op = op + operator_coeffs["dx"] * local_ops.dx
-    if operator_coeffs.get("dy"):
-        op = op + operator_coeffs["dy"] * local_ops.dy
-    if operator_coeffs.get("identity"):
-        op = op + operator_coeffs["identity"] * sp.eye(n)
-    A[interior] = op[interior]
-
-    b = np.zeros(n)
-    pts_int = cloud.points[interior]
-    if callable(source):
-        b[interior] = source(pts_int)
-    else:
-        b[interior] = np.broadcast_to(
-            np.asarray(source, dtype=np.float64), interior.shape
-        )
-
-    for g, values in bc_values.items():
-        gi = cloud.groups[g]
-        kind = cloud.kinds[g]
-        if kind is BoundaryKind.DIRICHLET:
-            A[gi, gi] = 1.0
-        elif kind is BoundaryKind.NEUMANN:
-            A[gi] = local_ops.normal[gi]
-        else:
-            raise ValueError(f"unsupported kind {kind} for local solve")
-        pts = cloud.points[gi]
-        b[gi] = values(pts) if callable(values) else np.broadcast_to(
-            np.asarray(values, dtype=np.float64), gi.shape
-        )
-
-    return spla.spsolve(A.tocsr(), b)
+    problem = LinearPDEProblem(
+        operator=LinearOperator2D(**operator_coeffs),
+        source=source,
+        bcs={
+            g: BoundaryCondition(cloud.kinds[g].name.lower(), values)
+            for g, values in bc_values.items()
+        },
+    )
+    A = assemble_problem_system(cloud, local_ops, problem)
+    return make_linear_solver(A).solve_numpy(assemble_problem_rhs(cloud, problem))

@@ -1,14 +1,9 @@
 """Linear PDE solves on a cloud, in nodal space.
 
-The system matrix has one row per node:
-
-- internal nodes → the PDE operator row (from the nodal differentiation
-  matrices),
-- Dirichlet nodes → an exact unit row (the BC is imposed strongly),
-- Neumann nodes → the boundary-normal derivative row,
-- Robin nodes → normal row + β · unit row,
-
-and the right-hand side carries the source / boundary data.  For the
+The system matrix has one row per node — operator rows on internal
+nodes, unit / normal / ``normal + β·I`` rows on Dirichlet / Neumann /
+Robin nodes — and is assembled by :mod:`repro.rbf.system`, the one
+builder every solver and control problem shares.  For the
 optimal-control loops the matrix is *constant across iterations* (the
 control only enters the RHS for linear problems), so :class:`RBFSolver`
 and :class:`LocalRBFSolver` cache factorisations by a caller-supplied key.
@@ -17,8 +12,7 @@ and :class:`LocalRBFSolver` cache factorisations by a caller-supplied key.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 import scipy.linalg as sla
@@ -26,51 +20,59 @@ import scipy.sparse as sp
 
 from repro.autodiff.linalg import LUSolver
 from repro.autodiff.sparse import make_linear_solver
-from repro.cloud.base import BoundaryKind, Cloud
+from repro.cloud.base import Cloud
 from repro.obs.profile import span as _span
 from repro.obs.recorder import current_recorder
-from repro.rbf.assembly import LinearOperator2D
 from repro.rbf.kernels import Kernel, polyharmonic
 from repro.rbf.local import LocalOperators, build_local_operators
 from repro.rbf.operators import NodalOperators, build_nodal_operators
+from repro.rbf.system import (  # the problem types are re-exported here
+    BoundaryCondition,
+    LinearPDEProblem,
+    assemble_problem_rhs,
+    assemble_problem_system,
+)
 
-BCValue = Union[float, np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
+def check_solver_choice(
+    backend: str, solver: str, solver_opts: Optional[dict], arg: str = "solver"
+) -> None:
+    """Reject an unknown backend or solver and a mismatched pair.
 
-@dataclass(frozen=True)
-class BoundaryCondition:
-    """Boundary data for one cloud group.
-
-    ``kind`` must match the group's :class:`BoundaryKind` in the cloud
-    ordering.  ``value`` may be a constant, a per-node array (group
-    ordering), or a callable of the group's ``(n, 2)`` coordinates.
-    ``beta`` is the Robin coefficient (ignored otherwise).
+    ``"iterative"`` (the matrix-free Krylov backend) needs
+    ``backend="local"``, since the point is never materialising a dense
+    system; ``solver_opts`` are Krylov options, so the direct solver
+    takes none.  ``arg`` names the solver argument in the messages.
     """
-
-    kind: str
-    value: BCValue = 0.0
-    beta: float = 0.0
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Concrete boundary values at the group's nodes."""
-        if callable(self.value):
-            out = np.asarray(self.value(points), dtype=np.float64)
-        else:
-            out = np.broadcast_to(
-                np.asarray(self.value, dtype=np.float64), (points.shape[0],)
-            ).copy()
-        if out.shape != (points.shape[0],):
-            raise ValueError(
-                f"boundary values have shape {out.shape}, expected ({points.shape[0]},)"
-            )
-        return out
+    if backend not in ("dense", "local"):
+        raise ValueError(f"backend must be 'dense' or 'local', got {backend!r}")
+    if solver not in ("direct", "iterative"):
+        raise ValueError(
+            f"{arg} must be 'direct' or 'iterative', got {solver!r}"
+        )
+    if solver == "iterative" and backend != "local":
+        raise ValueError(
+            f"{arg}='iterative' requires backend='local' (the Krylov "
+            "backend operates on the sparse RBF-FD system)"
+        )
+    if solver == "direct" and solver_opts:
+        raise TypeError(
+            f"solver_opts are only meaningful with {arg}='iterative'; "
+            f"got {sorted(solver_opts)}"
+        )
 
 
-_KIND_NAME = {
-    "dirichlet": BoundaryKind.DIRICHLET,
-    "neumann": BoundaryKind.NEUMANN,
-    "robin": BoundaryKind.ROBIN,
-}
+def build_operators(
+    cloud: Cloud,
+    kernel: Kernel,
+    degree: int,
+    backend: str,
+    stencil_size: Optional[int] = None,
+) -> Union[NodalOperators, LocalOperators]:
+    """The operator bundle of ``backend``: dense global or sparse RBF-FD."""
+    if backend == "dense":
+        return build_nodal_operators(cloud, kernel, degree)
+    return build_local_operators(cloud, kernel, degree, stencil_size)
 
 
 def _dense_condition_estimate(A: np.ndarray, lu) -> Optional[float]:
@@ -99,48 +101,15 @@ def _relative_residual(A, x: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(r))) / scale
 
 
-@dataclass
-class LinearPDEProblem:
-    """A linear PDE ``D u = q`` with per-group boundary conditions."""
-
-    operator: LinearOperator2D
-    source: Union[float, np.ndarray, Callable[[np.ndarray], np.ndarray]] = 0.0
-    bcs: Dict[str, BoundaryCondition] = field(default_factory=dict)
-
-    def source_values(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate the source term at internal points."""
-        if callable(self.source):
-            return np.asarray(self.source(points), dtype=np.float64)
-        return np.broadcast_to(
-            np.asarray(self.source, dtype=np.float64), (points.shape[0],)
-        ).copy()
-
-
-def assemble_problem_rhs(cloud: Cloud, problem: LinearPDEProblem) -> np.ndarray:
-    """Right-hand side shared by the dense and sparse solvers.
-
-    Source values on interior rows, boundary data on boundary rows — the
-    RHS depends only on the cloud and problem data, never on how the
-    operator matrix is stored.
-    """
-    b = np.zeros(cloud.n)
-    interior = cloud.indices_of_kind(BoundaryKind.INTERNAL)
-    b[interior] = problem.source_values(cloud.points[interior])
-    for group, idx in cloud.groups.items():
-        if cloud.kinds[group] is BoundaryKind.INTERNAL:
-            continue
-        bc = problem.bcs.get(group)
-        if bc is None:
-            raise ValueError(f"missing boundary condition for group {group!r}")
-        b[idx] = bc.evaluate(cloud.points[idx])
-    return b
-
-
 class _CachedSolver:
     """The factor cache shared by :class:`RBFSolver` and :class:`LocalRBFSolver`.
 
-    A subclass assembles the system (``assemble_system``) and names its
-    discretisation (``_cache_token``); this base factorises through
+    A subclass builds its operator bundle (``operators``: dense
+    :class:`~repro.rbf.operators.NodalOperators` or sparse
+    :class:`~repro.rbf.local.LocalOperators`) and names its
+    discretisation (``_cache_token``).  This base assembles the system
+    from the bundle (:func:`~repro.rbf.system.assemble_problem_system`,
+    in the bundle's storage), factorises it through
     :func:`~repro.autodiff.sparse.make_linear_solver` with the
     subclass's ``linear_solver``/``solver_opts`` (dense LU, ``splu`` or
     Krylov, from the matrix storage), caches the solver by key and
@@ -161,16 +130,28 @@ class _CachedSolver:
     """
 
     solver_name: str
-    cloud: Cloud
+    operators: Union[NodalOperators, LocalOperators]
 
     def __init__(
-        self, linear_solver: str = "direct", solver_opts: Optional[dict] = None
+        self,
+        cloud: Cloud,
+        kernel: Optional[Kernel],
+        degree: int,
+        linear_solver: str = "direct",
+        solver_opts: Optional[dict] = None,
     ) -> None:
+        self.cloud = cloud
+        self.kernel = kernel or polyharmonic(3)
+        self.degree = degree
         self.linear_solver = linear_solver
         self.solver_opts = dict(solver_opts or {})
         self._lu_cache: Dict[object, object] = {}
         self.n_factorizations = 0
         self.n_solves = 0
+
+    def assemble_system(self, problem: LinearPDEProblem):
+        """Build the ``N×N`` nodal system matrix for ``problem``."""
+        return assemble_problem_system(self.cloud, self.operators, problem)
 
     def assemble_rhs(self, problem: LinearPDEProblem) -> np.ndarray:
         """Build the right-hand side for ``problem``."""
@@ -307,13 +288,8 @@ class RBFSolver(_CachedSolver):
         kernel: Optional[Kernel] = None,
         degree: int = 1,
     ) -> None:
-        super().__init__()
-        self.cloud = cloud
-        self.kernel = kernel or polyharmonic(3)
-        self.degree = degree
-        self.nodal: NodalOperators = build_nodal_operators(
-            cloud, self.kernel, degree
-        )
+        super().__init__(cloud, kernel, degree)
+        self.operators = build_nodal_operators(cloud, self.kernel, degree)
 
     def _cache_token(self) -> tuple:
         """Discretisation fingerprint mixed into every cache key.
@@ -324,37 +300,6 @@ class RBFSolver(_CachedSolver):
         """
         return (id(self.cloud), self.kernel.name, self.degree)
 
-    # ------------------------------------------------------------------
-    def assemble_system(self, problem: LinearPDEProblem) -> np.ndarray:
-        """Build the ``N×N`` nodal system matrix for ``problem``."""
-        cloud = self.cloud
-        n = cloud.n
-        A = np.zeros((n, n))
-        interior = cloud.indices_of_kind(BoundaryKind.INTERNAL)
-        op_mat = self.nodal.operator_matrix(problem.operator)
-        A[interior] = op_mat[interior]
-
-        for group, idx in cloud.groups.items():
-            kind = cloud.kinds[group]
-            if kind is BoundaryKind.INTERNAL:
-                continue
-            bc = problem.bcs.get(group)
-            if bc is None:
-                raise ValueError(f"missing boundary condition for group {group!r}")
-            if _KIND_NAME[bc.kind] is not kind:
-                raise ValueError(
-                    f"group {group!r} is ordered as {kind.name} but got a "
-                    f"{bc.kind!r} condition; rebuild the cloud with matching kinds"
-                )
-            if kind is BoundaryKind.DIRICHLET:
-                A[idx, idx] = 1.0
-            elif kind is BoundaryKind.NEUMANN:
-                A[idx] = self.nodal.normal[idx]
-            else:  # Robin
-                A[idx] = self.nodal.normal[idx]
-                A[idx, idx] += bc.beta
-        return A
-
 
 class LocalRBFSolver(_CachedSolver):
     """Sparse RBF-FD counterpart of :class:`RBFSolver`.
@@ -363,11 +308,8 @@ class LocalRBFSolver(_CachedSolver):
     (``k`` nonzeros per row) and caches ``scipy.sparse.linalg.splu``
     factorisations by key.  Interface-compatible with :class:`RBFSolver`
     (``assemble_system``/``assemble_rhs``/``solve``/``clear_cache``), so
-    callers switch backend without touching problem definitions.
-
-    Supports the same boundary-condition kinds: Dirichlet (unit rows),
-    Neumann (stencil-sparse normal rows) and Robin (``normal + β·I``).
-
+    callers switch backend without touching problem definitions: the
+    same boundary-condition kinds assemble through the same builder.
     Caching, counters and telemetry are those of the shared factor
     cache, as for :class:`RBFSolver`.
 
@@ -392,83 +334,18 @@ class LocalRBFSolver(_CachedSolver):
         solver_opts: Optional[dict] = None,
         chunk_size: Optional[int] = None,
     ) -> None:
-        if linear_solver not in ("direct", "iterative"):
-            raise ValueError(
-                "linear_solver must be 'direct' or 'iterative', "
-                f"got {linear_solver!r}"
-            )
-        if linear_solver == "direct" and solver_opts:
-            raise TypeError(
-                "solver_opts are only meaningful with solver='iterative'; "
-                f"got {sorted(solver_opts)}"
-            )
-        super().__init__(linear_solver, solver_opts)
-        self.cloud = cloud
-        self.kernel = kernel or polyharmonic(3)
-        self.degree = degree
-        self.local: LocalOperators = build_local_operators(
+        check_solver_choice("local", linear_solver, solver_opts, "linear_solver")
+        super().__init__(cloud, kernel, degree, linear_solver, solver_opts)
+        self.operators = build_local_operators(
             cloud, self.kernel, degree, stencil_size, chunk_size=chunk_size
         )
-        self.stencil_size = self.local.stencil_size
+        self.stencil_size = self.operators.stencil_size
         if linear_solver == "iterative":
             self.solver_name = "rbf-sparse-krylov"
 
     def _cache_token(self) -> tuple:
         """Discretisation fingerprint mixed into every cache key."""
         return (id(self.cloud), self.kernel.name, self.degree, self.stencil_size)
-
-    # ------------------------------------------------------------------
-    def operator_matrix(self, op: LinearOperator2D) -> sp.csr_matrix:
-        """Sparse nodal matrix of ``a·Δ + b·∂x + c·∂y + d·I``."""
-        n = self.cloud.n
-
-        def diag(c) -> sp.dia_matrix:
-            return sp.diags(
-                np.broadcast_to(np.asarray(c, dtype=np.float64), (n,))
-            )
-
-        out = sp.csr_matrix((n, n))
-        if np.any(np.asarray(op.lap) != 0):
-            out = out + diag(op.lap) @ self.local.lap
-        if np.any(np.asarray(op.dx) != 0):
-            out = out + diag(op.dx) @ self.local.dx
-        if np.any(np.asarray(op.dy) != 0):
-            out = out + diag(op.dy) @ self.local.dy
-        if np.any(np.asarray(op.identity) != 0):
-            out = out + diag(op.identity)
-        return out.tocsr()
-
-    def assemble_system(self, problem: LinearPDEProblem) -> sp.csr_matrix:
-        """Build the sparse ``N×N`` nodal system matrix for ``problem``."""
-        cloud = self.cloud
-        n = cloud.n
-        interior = np.zeros(n)
-        interior[cloud.indices_of_kind(BoundaryKind.INTERNAL)] = 1.0
-        A = sp.diags(interior) @ self.operator_matrix(problem.operator)
-
-        normal = self.local.normal
-        for group, idx in cloud.groups.items():
-            kind = cloud.kinds[group]
-            if kind is BoundaryKind.INTERNAL:
-                continue
-            bc = problem.bcs.get(group)
-            if bc is None:
-                raise ValueError(f"missing boundary condition for group {group!r}")
-            if _KIND_NAME[bc.kind] is not kind:
-                raise ValueError(
-                    f"group {group!r} is ordered as {kind.name} but got a "
-                    f"{bc.kind!r} condition; rebuild the cloud with matching kinds"
-                )
-            sel = sp.csr_matrix(
-                (np.ones(idx.size), (idx, idx)), shape=(n, n)
-            )
-            if kind is BoundaryKind.DIRICHLET:
-                A = A + sel
-            elif kind is BoundaryKind.NEUMANN:
-                A = A + sel @ normal
-            else:  # Robin
-                A = A + sel @ normal + bc.beta * sel
-        return A.tocsr()
 
 
 def solve_pde(

@@ -223,3 +223,63 @@ class TestLoopIntegration:
         # The loop's own divergence handling (stop at non-finite cost)
         # is unchanged when no watchdog is installed.
         assert math.isnan(hist.costs[-1])
+
+
+class TestPerLoopState:
+    def test_stall_state_restarts_with_the_loop(self):
+        cfg = WatchdogConfig(stall_window=3, stall_rtol=0.5)
+        wd = Watchdog(cfg)
+        for loop in range(2):
+            for i in range(5):
+                wd.observe_iteration(i, 1.0, 0.1)  # flat cost
+        assert [(ev.check, ev.iteration) for ev in wd.events] == [
+            ("stall", 3), ("stall", 3)
+        ]
+
+    def test_nan_flag_restarts_with_the_loop(self):
+        wd = Watchdog()
+        for loop in range(2):
+            wd.observe_iteration(0, 1.0, 0.1)
+            wd.observe_iteration(1, math.nan, 0.1)
+            wd.observe_iteration(2, math.nan, 0.1)
+        assert [ev.iteration for ev in wd.events] == [1, 1]
+        assert wd.counts["nan"] == 4
+
+    def test_absorb_keeps_the_event_cap_and_adds_counts(self):
+        src = Watchdog(WatchdogConfig(max_events=3))
+        with use_registry() as reg:
+            for i in range(3):
+                src.observe_iteration(0, math.nan, 0.1)
+            dst = Watchdog(WatchdogConfig(max_events=2))
+            dst.absorb(src.events, src.counts)
+            assert reg.counter("health.nan").value == 3  # not re-emitted
+        assert len(dst.events) == 2
+        assert dst.counts == {"nan": 3}
+
+
+def _line_search_health(jobs):
+    """A stalling Laplace PINN ω search under a watchdog and a recorder."""
+    from repro.cloud.square import SquareCloud
+    from repro.control import pinn
+    from repro.obs.recorder import recording
+    from repro.pde.laplace import LaplaceControlProblem
+
+    lap = LaplaceControlProblem(SquareCloud(10))
+    cfg = pinn.PINNTrainConfig(epochs=30, seed=0)
+    net = pinn.LaplacePINN(lap, state_hidden=(8, 8), control_hidden=(8, 8),
+                           config=cfg)
+    wd = Watchdog(WatchdogConfig(stall_window=5, stall_rtol=0.5))
+    with use_registry() as reg, recording() as rec, watching(wd):
+        pinn.omega_line_search(net, (0.1, 1.0), cfg, cfg, jobs=jobs)
+    return (
+        dict(wd.counts),
+        [(ev.check, ev.iteration, ev.value) for ev in wd.events],
+        [(r.check, r.iteration, r.value) for r in rec.healths],
+        reg.counter("health.stall").value,
+    )
+
+
+def test_serial_and_fanned_line_search_give_one_verdict():
+    serial = _line_search_health(jobs=1)
+    assert serial[0] == {"stall": 4}  # one episode per training loop
+    assert _line_search_health(jobs=2) == serial

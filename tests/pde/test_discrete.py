@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.autodiff import ops
 from repro.autodiff.functional import grad
@@ -10,11 +11,13 @@ from repro.pde.discrete import (
     FieldBCs,
     assemble_field_system,
     boundary_rows,
+    boundary_rows_sparse,
     interior_mask,
     scatter_boundary_values,
     selection_matrix,
 )
 from repro.rbf.kernels import polyharmonic
+from repro.rbf.local import build_local_operators
 from repro.rbf.operators import build_nodal_operators
 
 
@@ -185,3 +188,81 @@ class TestScatter:
         v0 = np.arange(top.size, dtype=float)
         g = grad(f)(v0)
         np.testing.assert_allclose(g, 2 * v0)
+
+
+STORAGES = ("dense", "sparse")
+
+
+def _rows(storage, cloud, nodal, bcs):
+    """Boundary rows in ``storage``, read back as a dense array."""
+    if storage == "dense":
+        rows = boundary_rows(cloud, nodal, bcs)
+        assert isinstance(rows, np.ndarray)
+        return rows
+    rows = boundary_rows_sparse(cloud, nodal, bcs)
+    assert sp.issparse(rows)
+    return rows.toarray()
+
+
+def _top_kind(kind, **beta):
+    kinds = {"top": kind, "bottom": "dirichlet", "left": "dirichlet",
+             "right": "dirichlet"}
+    return FieldBCs(kinds=kinds, robin_beta=beta)
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+class TestBoundaryRowStorage:
+    """One builder writes both storages: each kind's rows, exactly."""
+
+    def test_dirichlet(self, setup, storage):
+        cloud, nodal = setup
+        rows = _rows(storage, cloud, nodal, _top_kind("dirichlet"))
+        np.testing.assert_array_equal(rows[cloud.boundary][:, cloud.boundary],
+                                      np.eye(cloud.boundary.size))
+        np.testing.assert_array_equal(rows[cloud.internal], 0.0)
+        assert np.count_nonzero(rows) == cloud.boundary.size
+
+    def test_neumann(self, setup, storage):
+        cloud, nodal = setup
+        top = cloud.groups["top"]
+        rows = _rows(storage, cloud, nodal, _top_kind("neumann"))
+        np.testing.assert_array_equal(rows[top], nodal.normal[top])
+
+    def test_robin_scalar_beta(self, setup, storage):
+        cloud, nodal = setup
+        top = cloud.groups["top"]
+        rows = _rows(storage, cloud, nodal, _top_kind("robin", top=2.0))
+        expected = nodal.normal[top].copy()
+        expected[np.arange(top.size), top] += 2.0
+        np.testing.assert_array_equal(rows[top], expected)
+
+    def test_robin_array_beta(self, setup, storage):
+        cloud, nodal = setup
+        top = cloud.groups["top"]
+        beta = np.linspace(1.0, 2.0, top.size)
+        rows = _rows(storage, cloud, nodal, _top_kind("robin", top=beta))
+        expected = nodal.normal[top].copy()
+        expected[np.arange(top.size), top] += beta
+        np.testing.assert_array_equal(rows[top], expected)
+
+    def test_missing_group_raises(self, setup, storage):
+        cloud, nodal = setup
+        with pytest.raises(ValueError, match="needs a BC kind"):
+            _rows(storage, cloud, nodal, FieldBCs(kinds={"top": "dirichlet"}))
+
+
+def test_storage_follows_the_bundle():
+    cloud = SquareCloud(10)
+    lops = build_local_operators(cloud)
+    bcs = _top_kind("robin", top=0.5)
+    rows = boundary_rows(cloud, lops, bcs)
+    assert sp.issparse(rows)
+    np.testing.assert_array_equal(
+        rows.toarray(), boundary_rows_sparse(cloud, lops, bcs).toarray()
+    )
+    A = assemble_field_system(cloud, lops, lops.lap, bcs)
+    assert sp.issparse(A)
+    np.testing.assert_array_equal(
+        A.toarray(),
+        np.diag(interior_mask(cloud)) @ lops.lap.toarray() + rows.toarray(),
+    )

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.cloud.base import BoundaryKind
 from repro.cloud.square import SquareCloud
+from repro.rbf.assembly import LinearOperator2D
 from repro.rbf.local import (
     build_local_operators,
     default_stencil_size,
@@ -12,6 +14,7 @@ from repro.rbf.local import (
 )
 from repro.rbf.operators import build_nodal_operators
 from repro.rbf.kernels import polyharmonic
+from repro.rbf.solver import BoundaryCondition, LinearPDEProblem, LocalRBFSolver
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +109,52 @@ class TestSparseSolve:
         )
         # Degree-1 augmentation: quadratics are approximated, not exact.
         assert np.max(np.abs(u - exact(cloud.points))) < 0.1
+
+    def test_missing_group_raises(self):
+        cloud = SquareCloud(12)
+        lops = build_local_operators(cloud)
+        with pytest.raises(
+            ValueError, match="missing boundary condition for group 'right'"
+        ):
+            solve_pde_local(
+                cloud, lops, {"lap": 1.0}, 0.0,
+                {g: 0.0 for g in ("top", "bottom", "left")},
+            )
+
+    def test_robin_group(self):
+        # u = y: ∂u/∂n = 1 on a top wall tagged Robin (β = 0).
+        kinds = {
+            "internal": BoundaryKind.INTERNAL,
+            "bottom": BoundaryKind.DIRICHLET,
+            "left": BoundaryKind.DIRICHLET,
+            "right": BoundaryKind.DIRICHLET,
+            "top": BoundaryKind.ROBIN,
+        }
+        cloud = SquareCloud(12, kinds=kinds)
+        lops = build_local_operators(cloud)
+
+        def exact(p):
+            return p[:, 1]
+
+        bc_values = {g: exact for g in ("bottom", "left", "right")}
+        u = solve_pde_local(
+            cloud, lops, {"lap": 1.0}, 0.0, dict(bc_values, top=1.0)
+        )
+        np.testing.assert_allclose(u, exact(cloud.points), atol=1e-8)
+
+    def test_matches_local_solver(self, cloud, lops):
+        def exact(p):
+            return p[:, 0] ** 2 - p[:, 1] ** 2
+
+        u = solve_pde_local(
+            cloud, lops, {"lap": 1.0, "dx": 0.5}, lambda p: p[:, 0],
+            {g: exact for g in ("top", "bottom", "left", "right")},
+        )
+        problem = LinearPDEProblem(
+            operator=LinearOperator2D(lap=1.0, dx=0.5),
+            source=lambda p: p[:, 0],
+            bcs={g: BoundaryCondition("dirichlet", value=exact)
+                 for g in ("top", "bottom", "left", "right")},
+        )
+        ref = LocalRBFSolver(cloud, stencil_size=15).solve(problem)
+        np.testing.assert_array_equal(u, ref)
