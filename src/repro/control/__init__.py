@@ -3,9 +3,10 @@
 Every method exposes the same *oracle* interface
 (:class:`~repro.control.problem.CostOracle`): given a discrete control
 vector it returns the cost and (for the gradient-based methods) its
-gradient.  A shared Adam-driven loop (:mod:`repro.control.loop`) with the
-paper's piecewise-constant learning-rate schedule optimises any oracle,
-so the DAL/DP/FD comparisons differ *only* in how the gradient is
+gradient.  One Adam loop (:mod:`repro.control.loop`, the only one in
+the package) with the paper's piecewise-constant learning-rate schedule
+optimises any oracle, and also trains the PINN's networks, so the
+DAL/DP/FD/PINN comparisons differ *only* in how the gradient is
 computed:
 
 - :mod:`repro.control.dal` — **direct-adjoint looping**: solve the direct

@@ -55,7 +55,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.autodiff.sparse import make_linear_solver
 from repro.obs.hooks import record_solver_cache
 from repro.obs.profile import span as _span
 from repro.obs.recorder import current_recorder
@@ -76,11 +75,7 @@ class LaplaceDAL:
         # Direct and adjoint share the system matrix (Laplace operator,
         # all-Dirichlet rows): one factorisation (or preconditioner,
         # on the iterative backend) for both.
-        self.solver = make_linear_solver(
-            problem.system,
-            solver=getattr(problem, "solver", "direct"),
-            **(getattr(problem, "solver_opts", None) or {}),
-        )
+        self.solver = problem.factorize()
 
     def value(self, c: np.ndarray) -> float:
         """Direct solve + cost quadrature."""

@@ -20,7 +20,6 @@ import numpy as np
 from repro.autodiff import ops
 from repro.autodiff.compile import compiled_value_and_grad
 from repro.autodiff.functional import value_and_grad
-from repro.autodiff.sparse import make_linear_solver
 from repro.obs.hooks import record_compile_cache, record_solver_cache
 from repro.pde.laplace import LaplaceControlProblem
 from repro.pde.navier_stokes import ChannelFlowProblem, NSConfig
@@ -71,11 +70,7 @@ class LaplaceDP:
         compile: bool = False,
     ) -> None:
         self.problem = problem
-        self.solver = make_linear_solver(
-            problem.system,
-            solver=getattr(problem, "solver", "direct"),
-            **(getattr(problem, "solver_opts", None) or {}),
-        )
+        self.solver = problem.factorize()
         self.smoothness_weight = float(smoothness_weight)
         self.compile = bool(compile)
         self._vg = (

@@ -1,9 +1,11 @@
 """The shared gradient-descent loop (Adam + the paper's LR schedule).
 
-The paper runs DAL, DP (and the PINN's network updates) through Adam with
+The paper runs DAL, DP and the PINN's network updates through Adam with
 an initial learning rate divided by 10 at 50 % completion and again at
-75 %.  This module implements that loop once so the methods differ only
-in their gradient oracles.
+75 %.  :func:`_adam_loop` is that loop, the only one in the package:
+:func:`optimize` runs it over a control vector for DP, DAL and FD, and
+the PINN runs it over the flat weight vector of its networks, so the
+methods differ only in their gradient oracles.
 """
 
 from __future__ import annotations
@@ -70,23 +72,47 @@ def optimize(
         The control achieving the lowest observed cost and the full
         per-iteration record.
 
-    Telemetry: with a trace recorder installed
-    (:func:`~repro.obs.recorder.recording`) each iteration emits one
-    record with the cost, gradient norm, step size and grad/update
-    phase seconds.  With none installed the loop takes no timestamps
-    and allocates nothing beyond the history it always kept.
+    Telemetry goes to the installed trace recorder, if any (see
+    :func:`_adam_loop`).
     """
     if n_iterations < 1:
         raise ValueError("n_iterations must be >= 1")
     c = np.array(oracle.initial_control() if c0 is None else c0, dtype=np.float64)
+    best_c, _, history = _adam_loop(
+        oracle.value_and_grad, c, n_iterations, initial_lr, current_recorder(),
+        callback=callback, grad_clip=grad_clip,
+    )
+    return best_c, history
+
+
+def _adam_loop(
+    value_and_grad: Callable[[np.ndarray], tuple],
+    x: np.ndarray,
+    n_iterations: int,
+    initial_lr: float,
+    trace,
+    callback: Optional[Callable[[int, np.ndarray, float], None]] = None,
+    grad_clip: Optional[float] = None,
+) -> tuple[np.ndarray, np.ndarray, OptimizationHistory]:
+    """The only Adam loop: DP, DAL, FD and both PINN steps run through it.
+
+    ``value_and_grad(x)`` returns ``(value, gradient)`` at the vector
+    ``x``.  Returns ``(best, last, history)``: the finite iterate with
+    the lowest value (:func:`optimize` keeps it), the iterate the loop
+    ended on (the PINN keeps it) and the per-iteration record.  A
+    non-finite gradient ends the loop after its record.
+
+    ``trace`` (a recorder or ``None``) gets one record per iteration —
+    cost, gradient norm, step size, grad/update phase seconds — and the
+    ``iterations_run``, ``wall_time_s`` and ``phase_seconds`` meta;
+    ``None`` takes no timestamps.  The installed watchdog sees every
+    iteration either way.
+    """
     schedule = paper_schedule(initial_lr)
     opt = Adam(lr=initial_lr)
-    state = opt.init(c)
+    state = opt.init(x)
     history = OptimizationHistory()
-    best_c, best_j = c.copy(), np.inf
-    # Hoisted reads; a disabled channel costs one ``is not None`` test
-    # per iteration.
-    trace = current_recorder()
+    best_x, best_j = x.copy(), np.inf
     wd = current_watchdog()
 
     with Timer() as timer:
@@ -94,7 +120,7 @@ def optimize(
             if trace is not None:
                 timer.mark()
             with _span("grad", "phase"):
-                j, g = oracle.value_and_grad(c)
+                j, g = value_and_grad(x)
             if trace is not None:
                 t_grad = timer.lap("grad")
             with _span("eval", "phase"):
@@ -107,9 +133,9 @@ def optimize(
                 history.grad_norms.append(float(np.linalg.norm(g)))
                 history.learning_rates.append(lr)
                 if np.isfinite(j) and j < best_j:
-                    best_j, best_c = float(j), c.copy()
+                    best_j, best_x = float(j), x.copy()
                 if callback is not None:
-                    callback(it, c, float(j))
+                    callback(it, x, float(j))
                 grad_finite = bool(np.all(np.isfinite(g)))
                 if wd is not None:
                     wd.observe_iteration(
@@ -125,7 +151,7 @@ def optimize(
                     )
                 break
             with _span("update", "phase"):
-                c, state = opt.step(c, g, state, lr=lr)
+                x, state = opt.step(x, g, state, lr=lr)
             if trace is not None:
                 trace.iteration(
                     it, history.costs[-1], history.grad_norms[-1], lr,
@@ -138,7 +164,7 @@ def optimize(
             wall_time_s=timer.elapsed,
             phase_seconds=timer.laps(),
         )
-    return best_c, history
+    return best_x, x, history
 
 
 def batched_cost_sweep(oracle, controls: np.ndarray) -> np.ndarray:

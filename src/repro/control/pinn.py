@@ -28,23 +28,21 @@ so one reverse pass per step yields exact weight gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import cycle, repeat
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.autodiff import ops
 from repro.cloud.halton import halton_sequence
+from repro.control.loop import _adam_loop
 from repro.nn.derivatives import mlp_with_derivatives
 from repro.nn.mlp import MLP
-from repro.nn.optimizers import Adam
 from repro.nn.pytree import ravel_leaves, tree_ravel, value_and_grad_tree
-from repro.nn.schedules import paper_schedule
-from repro.obs.health import current_watchdog
 from repro.obs.hooks import record_compile_cache
 from repro.obs.profile import span as _span
 from repro.obs.recorder import current_recorder
-from repro.utils.timers import Timer
 from repro.pde.laplace import (
     LaplaceControlProblem,
     laplace_bottom_data,
@@ -113,87 +111,38 @@ class LineSearchResult:
     failures: List[Any] = field(default_factory=list)
 
 
-def _train(
-    loss_fn,
-    params: Dict[str, Any],
-    config: PINNTrainConfig,
-    alternating_keys: Optional[Sequence[str]] = None,
-    has_aux: bool = False,
-    recorder=None,
-) -> Tuple[Dict[str, Any], List[float], List[Tuple[float, ...]]]:
-    """Generic Adam training loop over a dict-of-pytrees parameter set.
+def _fit(loss_fn, params, config, alternating_keys=None, has_aux=False, trace=None):
+    """Train ``params`` through the shared Adam loop, as one flat vector;
+    returns the last iterate, the loss history and each epoch's aux row.
 
-    When ``alternating_keys`` is given, epoch ``t`` only updates key
-    ``alternating_keys[t % len]`` (the Mowlavi & Nabi alternating
-    scheme): the epoch asks for the gradient ``wrt`` that key, so the
-    frozen networks' gradients are zero arrays and, compiled, their
-    backward is never run.
-
-    With ``has_aux`` the loss returns ``(loss, aux)`` (see
-    :func:`~repro.nn.pytree.value_and_grad_tree`) and the third return
-    value lists each epoch's aux values — read from the same evaluation
-    (under ``config.compile``, the same kernel run) that produced the
-    loss; without it that list is empty.
-
-    Between epochs the parameters live in one flat vector
-    (:func:`~repro.nn.pytree.tree_ravel`): Adam updates it in a fixed
-    number of vector ops.
-
-    ``recorder`` (:meth:`~_PINNPair.train_pair` passes the installed
-    one; step 2 passes none, so its epochs stay out of the trace)
-    receives one iteration record per epoch — loss as the cost, the
-    global norm of the *applied* gradient (zero on frozen networks),
-    the scheduled step size, and grad/update phase seconds.  ``None``
-    costs one ``is not None`` test per epoch.
+    With ``alternating_keys``, epoch ``t`` takes its gradient ``wrt`` key
+    ``t % len`` only (the Mowlavi & Nabi alternating scheme): the frozen
+    networks' gradients are zero and, compiled, their backward never
+    runs.  With ``has_aux`` the loss returns ``(loss, aux)``, both from
+    one evaluation (compiled: one kernel run).
     """
     if config.compile:
+        # Looked up per call: a benchmark may wrap the factory.
         from repro.autodiff.compile import compiled_value_and_grad_tree
 
         vg = compiled_value_and_grad_tree(loss_fn, has_aux=has_aux)
     else:
         vg = value_and_grad_tree(loss_fn, has_aux=has_aux)
     flat, unravel = tree_ravel(params)
-    opt = Adam(lr=config.lr)
-    state = opt.init(flat)
-    schedule = paper_schedule(config.lr)
-    history: List[float] = []
-    aux_history: List[Tuple[float, ...]] = []
-    wd = current_watchdog()
-    with Timer() as timer:
-        for epoch in range(config.epochs):
-            if recorder is not None:
-                timer.mark()
-            wrt = (
-                alternating_keys[epoch % len(alternating_keys)]
-                if alternating_keys
-                else None
-            )
-            with _span("grad", "phase"):
-                val, grads = vg(unravel(flat), wrt=wrt)
-            if recorder is not None:
-                t_grad = timer.lap("grad")
-            if has_aux:
-                val, aux = val
-                aux_history.append(aux)
-            history.append(val)
-            lr = schedule(epoch, config.epochs)
-            with _span("update", "phase"):
-                g = ravel_leaves(grads)
-                flat, state = opt.step(flat, g, state, lr=lr)
-            if wd is not None or recorder is not None:
-                gnorm = float(np.sqrt(g @ g))  # of the applied gradient
-            if wd is not None:
-                wd.observe_iteration(epoch, float(val), gnorm)
-            if recorder is not None:
-                recorder.iteration(
-                    epoch, float(val), gnorm, lr,
-                    phases={"grad": t_grad, "update": timer.lap("update")},
-                )
-    if recorder is not None:
-        recorder.set_meta(epochs_run=config.epochs, train_wall_time_s=timer.elapsed)
-        if config.compile:
-            record_compile_cache(vg)
-    return unravel(flat), history, aux_history
+    wrt = cycle(alternating_keys) if alternating_keys else repeat(None)
+    aux_rows: List[Tuple[float, ...]] = []
+
+    def value_and_grad(x):
+        val, grads = vg(unravel(x), wrt=next(wrt))
+        if has_aux:
+            val, aux = val
+            aux_rows.append(aux)
+        return val, ravel_leaves(grads)
+
+    _, last, history = _adam_loop(value_and_grad, flat, config.epochs, config.lr, trace)
+    if trace is not None and config.compile:
+        record_compile_cache(vg)
+    return unravel(last), history.costs, aux_rows
 
 
 # ======================================================================
@@ -240,25 +189,29 @@ class _PINNPair:
         config: Optional[PINNTrainConfig] = None,
         seed=None,
     ) -> PINNRunResult:
-        """Line-search step 1: alternating training of ``(u_θ, c_θ)``.
+        """Line-search step 1: alternating training of ``(u_θ, c_θ)``
+        through the shared Adam loop; returns its last iterate.
 
         The per-epoch cost and residual histories are the aux terms of
         :meth:`loss_terms`, taken from the evaluation that also produced
         the epoch's loss and gradient.  Without ``seed`` the networks
         start from ``config.seed``, as :meth:`retrain_state` does.  The
-        epochs are recorded to the installed trace recorder, if any.
+        installed trace recorder, if any, gets the ``omega`` meta, one
+        iteration record per epoch (loss as the cost, the norm of the
+        applied gradient) and the loop's run meta.  A non-finite
+        gradient ends training at that epoch.
         """
         cfg = config or self.config
         trace = current_recorder()
         if trace is not None:
             trace.set_meta(omega=omega)
-        params, hist, aux = _train(
+        params, hist, aux = _fit(
             lambda p: self.loss_terms(p, omega),
             self.init_params(cfg.seed if seed is None else seed),
             cfg,
             alternating_keys=("u", "c") if cfg.alternating else None,
             has_aux=True,
-            recorder=trace,
+            trace=trace,
         )
         return PINNRunResult(
             omega=omega,
@@ -275,8 +228,14 @@ class _PINNPair:
         config: Optional[PINNTrainConfig] = None,
         seed=None,
     ):
-        """Line-search step 2: fresh state net, frozen control, no ωJ
-        (its epochs are not recorded)."""
+        """Line-search step 2: fresh state net, frozen control, no ωJ,
+        through the shared Adam loop; returns ``(params_u, loss_history)``
+        of its last iterate.
+
+        Its epochs are not recorded (the trace holds step 1 only); the
+        installed watchdog still sees them.  A non-finite gradient ends
+        training at that epoch.
+        """
         cfg = config or self.config
         # ``seed=0`` must mean seed 0, not "fall back to the config seed"
         # — the parallel line search derives per-task seeds that can
@@ -287,7 +246,7 @@ class _PINNPair:
         def forward_loss(p):
             return self.residual_loss(p["u"]) + self.boundary_loss(p["u"], params_c)
 
-        params, hist, _ = _train(forward_loss, params, cfg)
+        params, hist, _ = _fit(forward_loss, params, cfg)
         return params["u"], hist
 
 
@@ -572,7 +531,8 @@ def omega_line_search(
     from the search and recorded in ``LineSearchResult.failures``.
     Serial and parallel runs, and a one-ω run against the same ω inside
     a longer list, produce bitwise-identical results.  For speed, train
-    on the compiled tier (``PINNTrainConfig(compile=True)``).
+    on the compiled tier (``PINNTrainConfig(compile=True)``).  A
+    non-finite step-2 cost never beats a finite one.
 
     The installed trace recorder receives the step-1 training epochs of
     every ω in sequence (epoch indices restart per ω; the ``omega``
@@ -632,7 +592,8 @@ def omega_line_search(
         step1.append(run)
         step2_costs.append(cost)
         omegas_run.append(float(omega))
-        if best is None or cost < best[1]:
+        # A non-finite cost never beats a finite one (NaN compares false).
+        if best is None or (np.isfinite(cost) and not cost >= best[1]):
             best = (omega, cost, pu_re, run.params_c)
 
     trace = current_recorder()

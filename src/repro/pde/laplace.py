@@ -44,6 +44,8 @@ from typing import Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
+from repro.autodiff.linalg import FactorizedSolver
+from repro.autodiff.sparse import make_linear_solver
 from repro.cloud.base import Cloud
 from repro.cloud.square import SquareCloud
 from repro.rbf.kernels import Kernel, polyharmonic
@@ -129,10 +131,9 @@ class LaplaceControlProblem:
         (RBF-FD stencils).  Both expose ``dx``/``dy``/``lap``/``normal``.
     system:
         The collocation matrix in the backend's storage format — dense
-        ``ndarray`` or ``scipy.sparse`` CSR.  The DP/DAL oracles pick the
-        matching solver from it via
-        :func:`~repro.autodiff.sparse.make_linear_solver` using the
-        problem's ``solver``/``solver_opts`` fields.
+        ``ndarray`` or ``scipy.sparse`` CSR.  :meth:`factorize` builds
+        the matching solver for it (the DP/DAL oracles and the serving
+        worker all take theirs from there).
     solver:
         ``"direct"`` (cached LU, the default) or ``"iterative"`` (the
         matrix-free Krylov backend — requires ``backend="local"``, since
@@ -207,6 +208,16 @@ class LaplaceControlProblem:
         self.target = laplace_target_flux(self.control_x)
 
     # ------------------------------------------------------------------
+    def factorize(self) -> FactorizedSolver:
+        """A fresh factorisation of ``system``, per ``solver``/``solver_opts``.
+
+        Each call factorises anew (nothing is cached here), so every
+        caller's factorisation and solve counts are its own.
+        """
+        return make_linear_solver(
+            self.system, solver=self.solver, **(self.solver_opts or {})
+        )
+
     def rhs(self, c: np.ndarray) -> np.ndarray:
         """Right-hand side for control values ``c`` (NumPy path).
 

@@ -68,18 +68,10 @@ class WorkerState:
 
     def solver(self, request):
         """The shared factorisation for one assembled system (laplace)."""
-        from repro.autodiff.sparse import make_linear_solver
-
         key = (request.family, request.nx, request.ny)
         solver = self.solvers.get(key)
         if solver is None:
-            prob = self.problem(request)
-            solver = make_linear_solver(
-                prob.system,
-                solver=getattr(prob, "solver", "direct"),
-                **(getattr(prob, "solver_opts", None) or {}),
-            )
-            self.solvers[key] = solver
+            solver = self.solvers[key] = self.problem(request).factorize()
         return solver
 
     def oracle(self, request, target_digest: str):

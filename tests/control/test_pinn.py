@@ -18,6 +18,7 @@ from repro.control.pinn import (
     PINNTrainConfig,
     omega_line_search,
 )
+from repro.nn.pytree import tree_flatten, tree_map
 from repro.pde.navier_stokes import NSConfig
 
 FAST = PINNTrainConfig(epochs=150, lr=2e-3, n_interior=80, n_boundary=12, seed=0)
@@ -146,6 +147,24 @@ class _FailingPINN(LaplacePINN):
 class _AllFailPINN(LaplacePINN):
     def train_pair(self, omega, config=None, seed=None):
         raise RuntimeError(f"poisoned omega {omega}")
+
+
+class _NaNCostPINN(LaplacePINN):
+    """Step 2 of the ω in ``nan_omegas`` evaluates to a NaN cost."""
+
+    nan_omegas = (1e-2,)
+
+    def train_pair(self, omega, config=None, seed=None):
+        self._omega = omega
+        return super().train_pair(omega, config, seed=seed)
+
+    def evaluate_cost(self, params_u):
+        cost = super().evaluate_cost(params_u)
+        return float("nan") if self._omega in self.nan_omegas else cost
+
+
+class _AllNaNCostPINN(_NaNCostPINN):
+    nan_omegas = (1e-2, 1e-1, 1.0)
 
 
 class TestLineSearchParallel:
@@ -298,6 +317,118 @@ class TestLineSearchParallel:
         pinn = self._pinn(laplace_problem, _AllFailPINN)
         with pytest.raises(TaskError, match="omega"):
             omega_line_search(pinn, [1e-2, 1.0], jobs=2)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_nonfinite_first_cost_does_not_win(self, laplace_problem, jobs):
+        """Regression: ``cost < best`` is false against a NaN best, so a
+        NaN step-2 cost for the first ω used to win the search."""
+        ls = omega_line_search(
+            self._pinn(laplace_problem, _NaNCostPINN), self.OMEGAS, jobs=jobs
+        )
+        assert np.isnan(ls.step2_costs[0])
+        i = 1 + int(np.argmin(ls.step2_costs[1:]))
+        assert ls.best_omega == self.OMEGAS[i]
+        assert ls.best_cost == ls.step2_costs[i]
+        assert np.array_equal(
+            self._flat(ls.params_c), self._flat(ls.step1[i].params_c)
+        )
+
+    def test_all_costs_nonfinite_keep_the_first(self, laplace_problem):
+        ls = omega_line_search(
+            self._pinn(laplace_problem, _AllNaNCostPINN), self.OMEGAS, jobs=1
+        )
+        assert ls.best_omega == self.OMEGAS[0]
+        assert np.isnan(ls.best_cost)
+        assert np.array_equal(
+            self._flat(ls.params_c), self._flat(ls.step1[0].params_c)
+        )
+
+
+POISONED_EPOCH = 3
+
+
+def _poisoned(factory, seen):
+    """``factory`` whose value-and-grad functions keep the parameters of
+    every call in ``seen`` and return a NaN gradient from call
+    ``POISONED_EPOCH`` (0-based) on."""
+
+    def make(fn, **kwargs):
+        vg = factory(fn, **kwargs)
+
+        def poisoned(params, wrt=None):
+            seen.append(tree_map(np.copy, params))
+            val, grads = vg(params, wrt=wrt)
+            if len(seen) > POISONED_EPOCH:
+                grads = tree_map(lambda g: np.full_like(g, np.nan), grads)
+            return val, grads
+
+        return poisoned
+
+    return make
+
+
+@pytest.mark.parametrize("compile", [False, True], ids=["eager", "compiled"])
+class TestNonFiniteGradientStops:
+    """A non-finite gradient ends PINN training at that epoch, as it ends
+    ``optimize``: the history stops there and the parameters are the
+    iterate the gradient was taken at, the last finite one."""
+
+    def _pinn(self, laplace_problem, compile):
+        cfg = PINNTrainConfig(
+            epochs=8, lr=2e-3, n_interior=20, n_boundary=6, seed=0,
+            compile=compile,
+        )
+        return LaplacePINN(
+            laplace_problem, state_hidden=(6,), control_hidden=(4,), config=cfg
+        )
+
+    @staticmethod
+    def _poison(monkeypatch, compile, seen):
+        if compile:
+            import repro.autodiff.compile as owner
+
+            name = "compiled_value_and_grad_tree"
+        else:
+            import repro.control.pinn as owner
+
+            name = "value_and_grad_tree"
+        monkeypatch.setattr(owner, name, _poisoned(getattr(owner, name), seen))
+
+    @staticmethod
+    def _assert_trees_equal(a, b):
+        la, ta = tree_flatten(a)
+        lb, tb = tree_flatten(b)
+        assert ta == tb
+        for x, y in zip(la, lb):
+            assert np.all(np.isfinite(x))
+            assert np.array_equal(x, y)
+
+    def test_train_pair(self, laplace_problem, monkeypatch, compile):
+        pinn = self._pinn(laplace_problem, compile)
+        clean = pinn.train_pair(0.5)
+        seen = []
+        self._poison(monkeypatch, compile, seen)
+        run = pinn.train_pair(0.5)
+        n = POISONED_EPOCH + 1
+        assert len(seen) == n
+        assert run.loss_history == clean.loss_history[:n]
+        assert run.cost_history == clean.cost_history[:n]
+        assert run.residual_history == clean.residual_history[:n]
+        self._assert_trees_equal(
+            {"u": run.params_u, "c": run.params_c}, seen[-1]
+        )
+
+    def test_retrain_state(self, laplace_problem, monkeypatch, compile):
+        pinn = self._pinn(laplace_problem, compile)
+        params_c = pinn.init_params(3)["c"]
+        _, clean = pinn.retrain_state(params_c)
+        seen = []
+        self._poison(monkeypatch, compile, seen)
+        pu, hist = pinn.retrain_state(params_c)
+        n = POISONED_EPOCH + 1
+        assert len(seen) == n
+        assert hist == clean[:n]
+        self._assert_trees_equal(pu, seen[-1]["u"])
 
 
 
