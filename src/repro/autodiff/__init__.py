@@ -15,12 +15,17 @@ provides:
   PDE solver).
 - Function transforms in :mod:`repro.autodiff.functional` —
   :func:`grad`, :func:`value_and_grad`, :func:`jacobian` — mirroring the JAX
-  API used by the paper.
+  API used by the paper.  Like JAX's one ``value_and_grad`` over pytree
+  arguments, every value-and-grad transform, flat or over a parameter
+  tree (:func:`repro.nn.pytree.value_and_grad_tree`), eager or compiled,
+  runs one traced call (``repro.nn.pytree._trace``); the flat ones pass
+  it the tuple of their differentiated arguments.
 - Trace-once compilation in :mod:`repro.autodiff.compile` —
-  :func:`compiled_value_and_grad` records the tape on the first call,
-  lowers it (:mod:`repro.autodiff.lowering`: SSA-style IR, fused
+  :func:`compiled_value_and_grad` and
+  :func:`compiled_value_and_grad_tree` record the tape on the first call,
+  lower it (:mod:`repro.autodiff.lowering`: SSA-style IR, fused
   elementwise chains, dead buffers dropped, an arena of reusable scratch
-  slots) and emits one straight-line NumPy kernel per program
+  slots) and emit one straight-line NumPy kernel per program
   (:mod:`repro.autodiff.codegen`) that later calls run over reused
   buffers — the NumPy analogue of ``jax.jit`` around a loss (used by the
   DP and PINN hot loops via their ``compile=True`` options).  Programs

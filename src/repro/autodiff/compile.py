@@ -17,12 +17,18 @@ same execution model to the NumPy tape:
    into the program's leaf buffers and call the kernel: no ``Tensor`` or
    closure construction at all.
 
-Programs are keyed on the shapes/dtypes of the differentiated inputs (and
-a content digest of any baked-in constant arguments), so a shape or dtype
-change triggers a fresh trace rather than stale-buffer reuse.  Each new
-program is validated against the eager result before it is cached; a
-program that cannot be lowered, or fails validation, falls back to the
-eager tape permanently for that key (counted in ``codegen_fallbacks``).
+Both transforms run one wrapper body, ``_compiled``, over a parameter
+pytree: :func:`compiled_value_and_grad_tree` directly, and the flat
+:func:`compiled_value_and_grad` over the tuple of its differentiated
+arguments.  Its trace is :func:`repro.nn.pytree._trace`, the same call
+the eager transforms make.  Programs are keyed on the tree structure and
+the shapes/dtypes of the differentiated leaves, plus a content digest of
+every array among the baked-in constant arguments (nested in lists,
+tuples and dicts too), so a shape, dtype or constant change triggers a
+fresh trace rather than stale-buffer reuse.  Each new program is
+validated against the eager result before it is cached; a program that
+cannot be lowered, or fails validation, falls back to the eager tape
+permanently for that key (counted in ``codegen_fallbacks``).
 
 The generated kernel runs the same NumPy operations in the same order as
 the eager backward, so compiled results match the eager tape bit-for-bit
@@ -40,14 +46,20 @@ import hashlib
 import time
 import warnings
 from typing import (
-    Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional,
+    Sequence, Tuple,
 )
 
 import numpy as np
 
-from repro.autodiff.functional import Argnums, _normalize_argnums
+from repro.autodiff.functional import (
+    Argnums, _normalize_argnums, _over_diff_args, _split_args,
+)
 from repro.obs.metrics import get_registry
-from repro.autodiff.tensor import Tensor, asdata, tensor
+from repro.autodiff.tensor import Tensor, asdata
+
+if TYPE_CHECKING:
+    from repro.nn.pytree import _Trace
 
 __all__ = [
     "CompileError",
@@ -162,11 +174,15 @@ class ReplayProfile:
 # ----------------------------------------------------------------------
 # Cache keys
 # ----------------------------------------------------------------------
+_MISSING = object()
+
+
 def _const_key(x: Any) -> Any:
     """A hashable key component for a *baked* (non-differentiated) arg.
 
-    Arrays are digested by content: a compiled program freezes constant
-    operands at trace time, so changing them must trigger a re-trace.
+    Arrays are digested by content, also inside lists, tuples and dicts:
+    a compiled program freezes constant operands at trace time, so
+    changing them must trigger a re-trace.
     """
     if isinstance(x, Tensor):
         x = x.data
@@ -174,39 +190,16 @@ def _const_key(x: Any) -> Any:
         return ("arr", x.shape, str(x.dtype), hashlib.sha1(np.ascontiguousarray(x).tobytes()).hexdigest())
     if isinstance(x, (int, float, bool, str, bytes, type(None))):
         return ("lit", x)
+    if isinstance(x, (list, tuple)):
+        return (type(x).__name__, tuple(map(_const_key, x)))
+    if isinstance(x, dict):
+        return ("dict", tuple((k, _const_key(v)) for k, v in x.items()))
     return ("obj", type(x).__qualname__, repr(x))
-
-
-def _diff_key(x: Any) -> Tuple:
-    arr = asdata(x)
-    return (arr.shape, arr.dtype)  # dtype objects hash fast; str() does not
-
-
-def _owned_leaf(x: Any) -> Tensor:
-    """A gradient leaf holding its *own copy* of ``x``.
-
-    A compiled program keeps its traced leaves' arrays as input buffers
-    that later calls overwrite, so a leaf must never alias the caller's
-    array.
-    """
-    return Tensor(np.array(asdata(x), dtype=np.float64), requires_grad=True)
 
 
 # ----------------------------------------------------------------------
 # Function transforms
 # ----------------------------------------------------------------------
-def _split_output(out: Any, has_aux: bool, name: str) -> Tuple[Tensor, Tuple[Any, ...]]:
-    """``(root, aux)`` of one traced call; ``aux`` is ``()`` without ``has_aux``."""
-    aux: Tuple[Any, ...] = ()
-    if has_aux:
-        out, aux = out
-        aux = tuple(aux)
-    out_t = tensor(out)
-    if out_t.size != 1:
-        raise ValueError(f"{name} requires a scalar output, got shape {out_t.shape}")
-    return out_t, aux
-
-
 def _validate(
     program: Any,
     inputs: Sequence[np.ndarray],
@@ -225,11 +218,6 @@ def _validate(
         if not np.allclose(a, b, rtol=1e-12, atol=1e-300, equal_nan=True):
             return False
     return True
-
-
-def _is_program(entry: Any) -> bool:
-    """True for a cached executable program (``None`` marks eager)."""
-    return entry is not None and entry is not _MISSING
 
 
 class _Reference(NamedTuple):
@@ -267,17 +255,6 @@ def _restrict(
             stacklevel=3,
         )
         program.restrict(wrt, full=True)
-
-
-class _Trace(NamedTuple):
-    """One eager call's results and the tape that produced them."""
-
-    value: float
-    aux_values: Tuple[float, ...]
-    grads: Sequence[np.ndarray]
-    root: Tensor
-    aux: Tuple[Any, ...]
-    leaves: Sequence[Tensor]
 
 
 def _build_entry(
@@ -323,45 +300,85 @@ def _build_entry(
     return prog
 
 
-def _uncompiled_call(
-    cache: Dict[Any, Any],
-    key: Any,
-    program: Any,
-    run_eager: Callable[[], _Trace],
-    prof: Optional[ReplayProfile],
-    counters: Dict[str, int],
-) -> _Trace:
-    """Run one call eagerly; the first call of a signature also compiles it.
+def _compiled(
+    f: Callable[..., Any], profile: bool, has_aux: bool, name: str
+) -> Callable[..., Tuple[Any, Any]]:
+    """The one compiled wrapper body: ``call(params, args, kwargs, wrt)``.
 
-    ``program`` is the cache lookup for ``key``: ``_MISSING`` on first
-    sighting (trace and build), ``None`` for a signature that fell back
-    to the eager tape.
+    Keys the call by the tree structure and leaf signatures of
+    ``params``, the content of ``args`` and ``kwargs``, and replays the
+    signature's program; otherwise traces (the shared
+    :func:`repro.nn.pytree._trace`, its errors naming ``name``), builds
+    and caches one.  Both public transforms are thin adapters over it.
     """
-    t0 = time.perf_counter()
-    trace = run_eager()
-    if program is _MISSING:
-        _bump(counters, "traces")
-        cache[key] = _build_entry(trace, prof, counters)
-        if prof is not None:
-            prof.n_traces += 1
-            prof.trace_seconds += time.perf_counter() - t0
-    else:
-        _bump(counters, "eager")
-        if prof is not None:
-            prof.n_eager_calls += 1
-    return trace
+    from repro.nn.pytree import (
+        _trace, tree_flatten, tree_key_leaves, tree_unflatten, zero_outside,
+    )
 
+    cache: Dict[Any, Optional[Any]] = {}
+    refs: Dict[Any, _Reference] = {}
+    prof = ReplayProfile() if profile else None
+    counters = {"traces": 0, "replays": 0, "eager": 0, "codegen_fallbacks": 0}
 
-def _cache_info(cache: Dict[Any, Any], counters: Dict[str, int]) -> Callable[[], Dict[str, Any]]:
-    def info() -> Dict[str, Any]:
+    def call(
+        params: Any, args: Tuple[Any, ...], kwargs: Dict[str, Any], wrt: Any
+    ) -> Tuple[Any, Any]:
+        leaves, treedef = tree_flatten(params)
+        active = None if wrt is None else tree_key_leaves(treedef, wrt)
+        inputs = [asdata(l) for l in leaves]
+        key = (
+            treedef,
+            tuple([(x.shape, x.dtype) for x in inputs]),  # dtype objects hash fast; str() does not
+            tuple(map(_const_key, args)),
+            tuple((k, _const_key(v)) for k, v in sorted(kwargs.items())) if kwargs else (),
+        )
+
+        program = cache.get(key, _MISSING)
+        if program is not None and program is not _MISSING:
+            if active is not None and not program.restricted(active):
+                _restrict(program, active, refs[key], counters)
+            value, grads = program.replay(inputs, prof, active)
+            _bump(counters, "replays")
+            if has_aux:
+                value = (value, program.aux_values())
+            return value, tree_unflatten(treedef, grads)
+
+        # Eager: the first call of a signature, which also builds its
+        # program, or any call of a signature that fell back (``None``).
+        t0 = time.perf_counter()
+        trace = _trace(f, params, args, kwargs, has_aux, name)
+        if program is None:
+            _bump(counters, "eager")
+            if prof is not None:
+                prof.n_eager_calls += 1
+        else:
+            _bump(counters, "traces")
+            cache[key] = program = _build_entry(trace, prof, counters)
+            if prof is not None:
+                prof.n_traces += 1
+                prof.trace_seconds += time.perf_counter() - t0
+            if program is not None:
+                refs[key] = _Reference(
+                    [l.data.copy() for l in trace.leaves],
+                    trace.value,
+                    trace.aux_values,
+                    [g.copy() for g in trace.grads],
+                )
+        value = (trace.value, trace.aux_values) if has_aux else trace.value
+        return value, tree_unflatten(treedef, zero_outside(trace.grads, active))
+
+    def cache_info() -> Dict[str, Any]:
+        calls = counters["replays"] + counters["traces"] + counters["eager"]
         return {
             **counters,
             "programs": sum(1 for v in cache.values() if v is not None),
-            "hit_rate": counters["replays"]
-            / max(counters["replays"] + counters["traces"] + counters["eager"], 1),
+            "hit_rate": counters["replays"] / max(calls, 1),
         }
 
-    return info
+    call.profile = prof
+    call.cache_info = cache_info
+    call._cache = cache
+    return call
 
 
 def compiled_value_and_grad(
@@ -378,66 +395,21 @@ def compiled_value_and_grad(
     post-trace validation, run eagerly with a warning (correctness first).
     The caller's arrays are never written: the program copies them in.
 
-    The returned callable exposes ``.profile`` (a :class:`ReplayProfile`
-    when ``profile=True``, else ``None``) and ``.cache_info()``.
+    This is :func:`compiled_value_and_grad_tree` over the tuple of the
+    differentiated arguments; the others, and any keyword arguments, are
+    baked in as constants.  The returned callable exposes ``.profile``
+    (a :class:`ReplayProfile` when ``profile=True``, else ``None``) and
+    ``.cache_info()``.
     """
     nums = _normalize_argnums(argnums)
-    cache: Dict[Any, Optional[Any]] = {}
-    prof = ReplayProfile() if profile else None
-    counters = {"traces": 0, "replays": 0, "eager": 0, "codegen_fallbacks": 0}
-
-    def _eager(args, kwargs) -> _Trace:
-        call_args = list(args)
-        leaves = []
-        for i in nums:
-            call_args[i] = leaf = _owned_leaf(args[i])
-            leaves.append(leaf)
-        out_t, _ = _split_output(
-            f(*call_args, **kwargs), False, "compiled_value_and_grad"
-        )
-        out_t.backward()
-        grads = tuple(
-            leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-            for leaf in leaves
-        )
-        return _Trace(float(out_t.data), (), grads, out_t, (), leaves)
-
-    # The DP hot loop calls ``wrapped(control)`` — one positional diff arg,
-    # no kwargs.  Precompute the dispatch shape so the per-call key is two
-    # attribute reads and a dict hit.
-    single_diff = isinstance(argnums, int) and nums == (argnums,)
+    call = _compiled(_over_diff_args(f, nums), profile, False, "compiled_value_and_grad")
 
     def wrapped(*args: Any, **kwargs: Any) -> Tuple[float, Any]:
-        if single_diff and len(args) == 1 and not kwargs:
-            arr = asdata(args[0])
-            key = ((arr.shape, arr.dtype),)
-            program = cache.get(key, _MISSING)
-            if _is_program(program):
-                _bump(counters, "replays")
-                value, grad_list = program.replay((arr,), prof)
-                return value, grad_list[0]
-        else:
-            key = tuple(
-                _diff_key(a) if i in nums else _const_key(a)
-                for i, a in enumerate(args)
-            ) + tuple((k, _const_key(v)) for k, v in sorted(kwargs.items()))
-            program = cache.get(key, _MISSING)
-        if _is_program(program):
-            inputs = [asdata(args[i]) for i in nums]
-            value, grad_list = program.replay(inputs, prof)
-            _bump(counters, "replays")
-            grads = tuple(grad_list)
-            return (value, grads[0]) if isinstance(argnums, int) else (value, grads)
+        diff, rest = _split_args(args, nums)
+        value, grads = call(diff, rest, kwargs, None)
+        return value, (grads[0] if isinstance(argnums, int) else grads)
 
-        trace = _uncompiled_call(
-            cache, key, program, lambda: _eager(args, kwargs), prof, counters
-        )
-        value, grads = trace.value, trace.grads
-        return (value, grads[0]) if isinstance(argnums, int) else (value, grads)
-
-    wrapped.profile = prof
-    wrapped.cache_info = _cache_info(cache, counters)
-    wrapped._cache = cache
+    vars(wrapped).update(vars(call))  # .profile, .cache_info(), ._cache
     return wrapped
 
 
@@ -466,70 +438,13 @@ def compiled_value_and_grad_tree(
     trace or program — and its kernel is bound and validated against the
     trace on first use.
     """
-    from repro.nn.pytree import (
-        tree_flatten, tree_key_leaves, tree_unflatten, zero_outside,
-    )
-
-    cache: Dict[Any, Optional[Any]] = {}
-    refs: Dict[Any, _Reference] = {}
-    prof = ReplayProfile() if profile else None
-    counters = {"traces": 0, "replays": 0, "eager": 0, "codegen_fallbacks": 0}
-
-    def _eager(params, args, kwargs) -> _Trace:
-        leaves, treedef = tree_flatten(params)
-        leaf_tensors = [_owned_leaf(x) for x in leaves]
-        out_t, aux = _split_output(
-            f(tree_unflatten(treedef, leaf_tensors), *args, **kwargs),
-            has_aux,
-            "compiled_value_and_grad_tree",
-        )
-        out_t.backward()
-        grads = [
-            t.grad if t.grad is not None else np.zeros_like(t.data)
-            for t in leaf_tensors
-        ]
-        aux_values = tuple(float(asdata(a)) for a in aux)
-        return _Trace(float(out_t.data), aux_values, grads, out_t, aux, leaf_tensors)
+    call = _compiled(f, profile, has_aux, "compiled_value_and_grad_tree")
 
     def wrapped(
         params: Any, *args: Any, wrt: Any = None, **kwargs: Any
     ) -> Tuple[Any, Any]:
-        leaves, treedef = tree_flatten(params)
-        active = None if wrt is None else tree_key_leaves(treedef, wrt)
-        key = (
-            treedef,
-            tuple(_diff_key(l) for l in leaves),
-            tuple(_const_key(a) for a in args),
-            tuple((k, _const_key(v)) for k, v in sorted(kwargs.items())),
-        )
+        return call(params, args, kwargs, wrt)
 
-        program = cache.get(key, _MISSING)
-        if _is_program(program):
-            if active is not None and not program.restricted(active):
-                _restrict(program, active, refs[key], counters)
-            value, grads = program.replay([asdata(l) for l in leaves], prof, active)
-            _bump(counters, "replays")
-            if has_aux:
-                value = (value, program.aux_values())
-            return value, tree_unflatten(treedef, grads)
-
-        trace = _uncompiled_call(
-            cache, key, program, lambda: _eager(params, args, kwargs), prof, counters
-        )
-        if program is _MISSING and _is_program(cache[key]):
-            refs[key] = _Reference(
-                [l.data.copy() for l in trace.leaves],
-                trace.value,
-                trace.aux_values,
-                [g.copy() for g in trace.grads],
-            )
-        value = (trace.value, trace.aux_values) if has_aux else trace.value
-        return value, tree_unflatten(treedef, zero_outside(trace.grads, active))
-
-    wrapped.profile = prof
-    wrapped.cache_info = _cache_info(cache, counters)
-    wrapped._cache = cache
+    vars(wrapped).update(vars(call))  # .profile, .cache_info(), ._cache
     return wrapped
 
-
-_MISSING = object()

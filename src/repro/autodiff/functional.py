@@ -3,7 +3,11 @@
 These mirror the JAX API surface the paper's framework uses.  A function
 ``f`` written against :mod:`repro.autodiff` primitives (or against plain
 operator syntax on tensors) is transformed into one returning exact
-gradients of its scalar output.
+gradients of its scalar output.  :func:`value_and_grad` (and so
+:func:`grad`) is an adapter: it runs the tree transforms' traced call,
+:func:`repro.nn.pytree._trace`, over the tuple of the differentiated
+arguments, as :func:`repro.autodiff.compile.compiled_value_and_grad`
+runs the compiled tree transform's body.
 """
 
 from __future__ import annotations
@@ -21,15 +25,28 @@ def _normalize_argnums(argnums: Argnums) -> Tuple[int, ...]:
     return (argnums,) if isinstance(argnums, int) else tuple(argnums)
 
 
-def _wrap_args(args: Sequence[Any], argnums: Tuple[int, ...]) -> Tuple[list, list]:
-    """Promote differentiated positional args to gradient leaves."""
-    wrapped = list(args)
-    leaves = []
-    for i in argnums:
-        leaf = Tensor(asdata(args[i]), requires_grad=True)
-        wrapped[i] = leaf
-        leaves.append(leaf)
-    return wrapped, leaves
+def _split_args(
+    args: Sequence[Any], nums: Tuple[int, ...]
+) -> Tuple[Tuple[np.ndarray, ...], Tuple[Any, ...]]:
+    """``(diff, rest)``: the differentiated args as a tuple of arrays (so a
+    list-valued argument stays one leaf), and ``args`` with ``None`` in
+    their slots (so a compiled call never keys a program on their values)."""
+    diff = tuple([asdata(args[i]) for i in nums])
+    rest = tuple([None if i in nums else a for i, a in enumerate(args)])
+    return diff, rest
+
+
+def _over_diff_args(f: Callable[..., Any], nums: Tuple[int, ...]) -> Callable[..., Any]:
+    """``f`` as a tree function ``g(diff, *rest, **kwargs)`` of the tuple
+    of its differentiated args, which go back into the slots ``nums``."""
+
+    def g(diff: Sequence[Any], *rest: Any, **kwargs: Any) -> Any:
+        full = list(rest)
+        for i, x in zip(nums, diff):
+            full[i] = x
+        return f(*full, **kwargs)
+
+    return g
 
 
 def value_and_grad(
@@ -41,25 +58,16 @@ def value_and_grad(
     returned as raw ``numpy`` arrays matching the argument shapes; a single
     array when ``argnums`` is an int, a tuple otherwise.
     """
+    from repro.nn.pytree import _trace
+
     nums = _normalize_argnums(argnums)
+    g = _over_diff_args(f, nums)
 
     def wrapped(*args: Any, **kwargs: Any) -> Tuple[float, Any]:
-        call_args, leaves = _wrap_args(args, nums)
-        out = f(*call_args, **kwargs)
-        out_t = tensor(out)
-        if out_t.size != 1:
-            raise ValueError(
-                f"value_and_grad requires a scalar output, got shape {out_t.shape}"
-            )
-        out_t.backward()
-        grads = tuple(
-            leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-            for leaf in leaves
-        )
-        value = float(out_t.data)
-        if isinstance(argnums, int):
-            return value, grads[0]
-        return value, grads
+        diff, rest = _split_args(args, nums)
+        tr = _trace(g, diff, rest, kwargs, False, "value_and_grad")
+        grads = tuple(tr.grads)
+        return tr.value, (grads[0] if isinstance(argnums, int) else grads)
 
     return wrapped
 

@@ -440,6 +440,10 @@ class FactorizedSolver:
 
         __call__.__qualname__ = f"{cls.__qualname__}.__call__"
         cls.__call__ = primitive(op)(__call__)
+        # An own attribute of every solver class, so a per-class wrapper
+        # (``perf/tracer.py`` times ``LUSolver.solve_numpy``) is removed
+        # by putting back the class's own function.
+        cls.solve_numpy = cls.solve_numpy
 
     def _solve(self, b: np.ndarray, transposed: bool) -> np.ndarray:
         raise NotImplementedError

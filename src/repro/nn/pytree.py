@@ -2,18 +2,25 @@
 
 Model parameters are stored as nested containers of ``numpy`` arrays.  The
 helpers here flatten/unflatten those containers, map functions over leaves,
-and — crucially — lift :func:`repro.autodiff.value_and_grad` to pytree
-arguments via :func:`value_and_grad_tree`.
+and differentiate with respect to them: :func:`value_and_grad_tree` is
+JAX's ``value_and_grad`` over a pytree argument.  Its traced call,
+``_trace`` (gradient leaves, the function, one backward pass, zero-filled
+gradients), is the only one in the package: the flat
+:func:`repro.autodiff.value_and_grad` runs it over the tuple of its
+differentiated arguments, and both compiled transforms in
+:mod:`repro.autodiff.compile` run it to trace a program.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
-from repro.autodiff.tensor import Tensor, asdata
+from repro.autodiff.tensor import Tensor, asdata, tensor
 
 
 def _is_leaf(x: Any) -> bool:
@@ -21,6 +28,7 @@ def _is_leaf(x: Any) -> bool:
 
 
 _LEAF = ("leaf", None, None)
+_END = object()
 
 
 def tree_flatten(tree: Any) -> Tuple[List[Any], Any]:
@@ -35,10 +43,11 @@ def tree_flatten(tree: Any) -> Tuple[List[Any], Any]:
     def build(node: Any) -> Any:
         if isinstance(node, dict):
             keys = tuple(sorted(node.keys()))
-            return ("dict", keys, tuple(build(node[k]) for k in keys))
-        if isinstance(node, (list, tuple)):
-            kind = "list" if isinstance(node, list) else "tuple"
-            return (kind, None, tuple(build(c) for c in node))
+            return ("dict", keys, tuple([build(node[k]) for k in keys]))
+        if isinstance(node, list):
+            return ("list", None, tuple([build(c) for c in node]))
+        if isinstance(node, tuple):
+            return ("tuple", None, tuple([build(c) for c in node]))
         leaves.append(node)
         return _LEAF
 
@@ -60,12 +69,9 @@ def tree_unflatten(treedef: Any, leaves: Sequence[Any]) -> Any:
         return seq if kind == "list" else tuple(seq)
 
     out = build(treedef)
-    # Ensure all leaves were consumed.
-    try:
-        next(it)
-    except StopIteration:
-        return out
-    raise ValueError("too many leaves for treedef")
+    if next(it, _END) is not _END:  # every leaf must be consumed
+        raise ValueError("too many leaves for treedef")
+    return out
 
 
 def tree_leaves(tree: Any) -> List[Any]:
@@ -153,6 +159,49 @@ def zero_outside(
     return [g if j in active else np.zeros_like(g) for j, g in enumerate(grads)]
 
 
+class _Trace(NamedTuple):
+    """One eager call on gradient leaves, after its backward pass."""
+
+    value: float
+    aux_values: Tuple[float, ...]
+    grads: List[np.ndarray]
+    root: Tensor
+    aux: Tuple[Any, ...]
+    leaves: List[Tensor]
+    treedef: Any
+
+
+def _trace(
+    f: Callable[..., Any], params: Any, args: Sequence[Any],
+    kwargs: Dict[str, Any], has_aux: bool, name: str,
+) -> _Trace:
+    """Run ``f(params, *args, **kwargs)`` on gradient leaves of ``params``,
+    then its backward pass: the one traced call of every value-and-grad
+    transform.  Each leaf owns a float64 copy of its input (a compiled
+    program takes the leaves' arrays over as input buffers); a non-scalar
+    output raises ``ValueError`` naming the transform ``name``.
+    """
+    leaves, treedef = tree_flatten(params)
+    leaf_tensors = [
+        Tensor(np.array(asdata(x), dtype=np.float64), requires_grad=True)
+        for x in leaves
+    ]
+    out = f(tree_unflatten(treedef, leaf_tensors), *args, **kwargs)
+    aux: Tuple[Any, ...] = ()
+    if has_aux:
+        out, aux = out
+        aux = tuple(aux)
+    root = tensor(out)
+    if root.size != 1:
+        raise ValueError(f"{name} requires a scalar output, got shape {root.shape}")
+    root.backward()
+    grads = [
+        t.grad if t.grad is not None else np.zeros_like(t.data) for t in leaf_tensors
+    ]
+    aux_values = tuple([float(asdata(a)) for a in aux])
+    return _Trace(float(root.data), aux_values, grads, root, aux, leaf_tensors, treedef)
+
+
 def value_and_grad_tree(
     f: Callable[..., Any],
     has_aux: bool = False,
@@ -178,31 +227,10 @@ def value_and_grad_tree(
     def wrapped(
         params: Any, *args: Any, wrt: Any = None, **kwargs: Any
     ) -> Tuple[Any, Any]:
-        leaves, treedef = tree_flatten(params)
-        active = None if wrt is None else tree_key_leaves(treedef, wrt)
-        leaf_tensors = [Tensor(asdata(x), requires_grad=True) for x in leaves]
-        wrapped_params = tree_unflatten(treedef, leaf_tensors)
-        out = f(wrapped_params, *args, **kwargs)
-        if has_aux:
-            out, aux = out
-        out_t = out if isinstance(out, Tensor) else Tensor(out)
-        if out_t.size != 1:
-            raise ValueError("value_and_grad_tree requires a scalar output")
-        out_t.backward()
-        grads = tree_unflatten(
-            treedef,
-            zero_outside(
-                [
-                    t.grad if t.grad is not None else np.zeros_like(t.data)
-                    for t in leaf_tensors
-                ],
-                active,
-            ),
-        )
-        value = float(out_t.data)
-        if has_aux:
-            return (value, tuple(float(asdata(a)) for a in aux)), grads
-        return value, grads
+        tr = _trace(f, params, args, kwargs, has_aux, "value_and_grad_tree")
+        active = None if wrt is None else tree_key_leaves(tr.treedef, wrt)
+        grads = tree_unflatten(tr.treedef, zero_outside(tr.grads, active))
+        return ((tr.value, tr.aux_values) if has_aux else tr.value), grads
 
     return wrapped
 

@@ -203,6 +203,82 @@ def test_replay_rejects_mismatched_shape():
         prog.replay([np.ones(7)])
 
 
+# Constants nested in containers: NumPy's repr elides the middle of an
+# array this long, so only a content digest tells the two apart.
+_A = np.zeros(2000)
+_A2 = _A.copy()
+_A2[1000] = 5.0
+
+
+def _shifted_sq(x, a):
+    return ops.sum_(ops.square(ops.add(x, a)))
+
+
+def _assert_same_calls(comp, eager, calls):
+    for call in calls:
+        vc, gc = call(comp)
+        ve, ge = call(eager)
+        assert vc == ve
+        _assert_grads_equal(gc, ge)
+    assert comp.cache_info()["traces"] == len(calls)
+
+
+def test_constant_array_in_a_list_is_keyed_by_content():
+    assert repr([_A]) == repr([_A2])
+    f = lambda x, consts: _shifted_sq(x, consts[0])
+    x = np.zeros(2000)
+    _assert_same_calls(
+        compiled_value_and_grad(f),
+        value_and_grad(f),
+        [lambda vg, a=a: vg(x, [a]) for a in (_A, _A2)],
+    )
+
+
+def test_constant_array_in_a_dict_is_keyed_by_content():
+    f = lambda p, consts: _shifted_sq(p["x"], consts["A"])
+    p = {"x": np.ones(2000)}
+    _assert_same_calls(
+        compiled_value_and_grad_tree(f),
+        value_and_grad_tree(f),
+        [lambda vg, a=a: vg(p, {"A": a}) for a in (_A, _A2)],
+    )
+
+
+def test_constant_array_in_a_kwarg_tuple_is_keyed_by_content():
+    f = lambda x, scale=(): _shifted_sq(x, scale[0])
+    x = np.zeros(2000)
+    _assert_same_calls(
+        compiled_value_and_grad(f),
+        value_and_grad(f),
+        [lambda vg, a=a: vg(x, scale=(a,)) for a in (_A, _A2)],
+    )
+
+
+# ----------------------------------------------------------------------
+# What the flat and tree transforms share, and where they differ
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "make",
+    [value_and_grad, compiled_value_and_grad, value_and_grad_tree,
+     compiled_value_and_grad_tree],
+    ids=lambda m: m.__name__,
+)
+def test_non_scalar_output_error_names_the_transform(make):
+    with pytest.raises(ValueError, match=rf"^{make.__name__} requires a scalar"):
+        make(lambda x: ops.mul(x, 2.0))(np.ones(3))
+
+
+@pytest.mark.parametrize("make", [value_and_grad, compiled_value_and_grad],
+                         ids=lambda m: m.__name__)
+def test_list_argument_is_one_array_leaf(make):
+    vg = make(lambda x: ops.sum_(ops.square(x)))
+    for _ in range(2):  # compiled: the trace, then a replay
+        v, g = vg([1.0, 2.0])
+        assert v == 5.0
+        assert isinstance(g, np.ndarray)
+        np.testing.assert_array_equal(g, [2.0, 4.0])
+
+
 # ----------------------------------------------------------------------
 # Restricted calls: ``wrt=`` one top-level parameter key
 # ----------------------------------------------------------------------
