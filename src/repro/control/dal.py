@@ -38,7 +38,9 @@ and the Robin outflow condition
     \\tfrac{1}{Re}\\partial_n \\lambda + (\\mathbf u \\cdot \\mathbf n)
     \\lambda + \\sigma \\mathbf n + (u - u_t,\\; v) = 0 ,
 
-solved with the same projection scheme as the direct problem.  The
+solved with the same projection scheme as the direct problem: one
+momentum solve for ``[λx*, λy*]`` per refinement, then the direct
+solve's own projection step, ``ChannelFlowProblem._project``.  The
 gradient on the inflow is ``∇J(y) = −(1/Re) ∂λ_x/∂x(0,y) − σ(0,y)``.
 
 The reaction term ``(∇u)ᵀλ`` requires RBF derivatives of the direct
@@ -49,8 +51,10 @@ reduced ``Re = 10`` "led to better solutions with DAL".
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional, Tuple
 
 import numpy as np
@@ -82,18 +86,21 @@ class LaplaceDAL:
         u = self.solver.solve_numpy(self.problem.rhs(np.asarray(c, dtype=np.float64)))
         return self.problem.cost_from_state(u)
 
+    def _adjoint_rhs(self, c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Direct solve, then the top-wall flux mismatch and adjoint RHS."""
+        p = self.problem
+        with _span("dal.direct", "method"):
+            u = self.solver.solve_numpy(p.rhs(np.asarray(c, dtype=np.float64)))
+        mismatch = p.flux_rows @ u - p.target
+        b_adj = np.zeros(p.cloud.n)
+        b_adj[p.top] = 2.0 * mismatch
+        return mismatch, b_adj
+
     def value_and_grad(self, c: np.ndarray) -> Tuple[float, np.ndarray]:
         """One direct + one adjoint solve, then the OTD gradient formula."""
         p = self.problem
-        c = np.asarray(c, dtype=np.float64)
-        with _span("dal.direct", "method"):
-            u = self.solver.solve_numpy(p.rhs(c))
-        mismatch = p.flux_rows @ u - p.target
+        mismatch, b_adj = self._adjoint_rhs(c)
         cost = float(p.quad_w @ (mismatch * mismatch))
-
-        # Adjoint: zero data everywhere except the top wall.
-        b_adj = np.zeros(p.cloud.n)
-        b_adj[p.top] = 2.0 * mismatch
         with _span("dal.adjoint", "method"):
             lam = self.solver.solve_numpy(b_adj)
 
@@ -112,12 +119,7 @@ class LaplaceDAL:
 
     def solve_adjoint(self, c: np.ndarray) -> np.ndarray:
         """Expose the adjoint field (for tests/figures)."""
-        p = self.problem
-        u = self.solver.solve_numpy(p.rhs(np.asarray(c, dtype=np.float64)))
-        mismatch = p.flux_rows @ u - p.target
-        b_adj = np.zeros(p.cloud.n)
-        b_adj[p.top] = 2.0 * mismatch
-        return self.solver.solve_numpy(b_adj)
+        return self.solver.solve_numpy(self._adjoint_rhs(c)[1])
 
     def report_telemetry(self) -> None:
         """End-of-run cumulative telemetry: shared direct/adjoint LU stats."""
@@ -141,7 +143,8 @@ class NavierStokesDAL:
     momentum system is the direct one with the advection reversed and a
     Robin diagonal on the outflow rows; it is factorised once per adjoint
     solve through :meth:`ChannelFlowProblem.momentum_solver`, on the
-    problem's backend and ``solver``.
+    problem's backend and ``solver``.  ``adjoint_refinements`` below 1
+    raises ``ValueError`` (it would return a zero gradient).
 
     Telemetry: with a trace recorder installed
     (:func:`~repro.obs.recorder.recording`) every adjoint solve emits an
@@ -159,11 +162,13 @@ class NavierStokesDAL:
     ) -> None:
         self.problem = problem
         self.config = config or NSConfig(refinements=3)
-        self.adjoint_refinements = (
-            adjoint_refinements
-            if adjoint_refinements is not None
-            else max(3 * self.config.refinements, 15)
-        )
+        k = (adjoint_refinements if adjoint_refinements is not None
+             else max(3 * self.config.refinements, 15))
+        if not isinstance(k, Integral) or k < 1:
+            raise ValueError(
+                f"NavierStokesDAL.adjoint_refinements must be an int >= 1, got {k!r}"
+            )
+        self.adjoint_refinements = k
 
     # ------------------------------------------------------------------
     def value(self, c: np.ndarray) -> float:
@@ -191,6 +196,7 @@ class NavierStokesDAL:
         # Re (u·n) with n = (1, 0).  One factorisation for every refinement.
         out = pr.outflow
         solve_sys = pr.momentum_solver(-u, -v, Re, robin=Re * u[out])
+        solve_pressure = pr.pressure_solver.solve_numpy
 
         lx = np.zeros(n)
         ly = np.zeros(n)
@@ -206,13 +212,10 @@ class NavierStokesDAL:
             # Outflow Robin data (σ lagged):  n = (1, 0).
             bx[out] = -Re * (sigma[out] + mismatch_u)
             by[out] = -Re * mismatch_v
-            lx_star = solve_sys(bx)
-            ly_star = solve_sys(by)
-
-            div = nd.dx @ lx_star + nd.dy @ ly_star
-            phi = pr.pressure_solver.solve_numpy(mask * div / dt)
-            lx_new = lx_star - dt * pr.free_uv * (nd.dx @ phi)
-            ly_new = ly_star - dt * pr.free_uv * (nd.dy @ phi)
+            # [λx*, λy*] in one solve; column-major, so the projection's
+            # mat-vecs read contiguous columns.
+            X = solve_sys(np.array([bx, by]).T)
+            lx_new, ly_new, phi = pr._project(X, dt, operator.matmul, solve_pressure)
             sigma = sigma - phi  # +∇σ convention: opposite sign to p
 
             hist.append(

@@ -38,15 +38,18 @@ One loop runs the scheme, on the autodiff tape's primitives.
 gradients flow through *all* ``k`` refinements, which is why DP's memory
 grows with ``k`` as the paper's Table 3 reports), and
 :meth:`ChannelFlowProblem.solve` with an ndarray control, so nothing is
-taped (DAL's direct solve and forward evaluation).  The DAL adjoint's
-reversed-advection momentum system is built from the same operands and
-factorised through :meth:`ChannelFlowProblem.momentum_solver`.
+taped (DAL's direct solve and forward evaluation).  Steps 2–3 are one
+method, ``ChannelFlowProblem._project``, which the DAL adjoint runs in
+NumPy; its reversed-advection momentum system is built from the same
+operands and factorised through :meth:`ChannelFlowProblem.momentum_solver`.
+The constructor picks the backend's mat-vec and momentum solves once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from numbers import Integral
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -95,12 +98,22 @@ class NSConfig:
     """Solver configuration.
 
     ``refinements`` is the paper's ``k`` (DAL used 3, DP used 10);
-    ``pseudo_dt`` the projection pseudo-timestep.
+    ``pseudo_dt`` the projection pseudo-timestep.  ``ValueError`` unless
+    ``k`` is an int ≥ 1 and ``Re``, ``dt`` are finite and > 0.
     """
 
     reynolds: float = 100.0
     refinements: int = 10
     pseudo_dt: float = 0.5
+
+    def __post_init__(self) -> None:
+        k = self.refinements
+        if not isinstance(k, Integral) or k < 1:
+            raise ValueError(f"NSConfig.refinements must be an int >= 1, got {k!r}")
+        for name in ("reynolds", "pseudo_dt"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"NSConfig.{name} must be finite, > 0, got {value!r}")
 
 
 @dataclass
@@ -112,6 +125,43 @@ class NSState:
     p: np.ndarray
     div_history: List[float] = field(default_factory=list)
     update_history: List[float] = field(default_factory=list)
+
+
+# A backend's taped mat-vec, taped ``[u*, v*]`` solve and NumPy momentum
+# factorisation, picked once in ``ChannelFlowProblem.__init__``.  They look up
+# ``ad_solve`` and the problem's methods per call, so later wrappers still apply.
+class _DenseKernels:
+    """Dense backend: ``@`` on the tape and the row-scaled momentum solves."""
+
+    matvec = staticmethod(ops.matmul)
+
+    @staticmethod
+    def solve_ad(pr: "ChannelFlowProblem", u, v, reynolds: float, B):
+        return ad_solve(*pr.momentum_matrix_ad(u, v, reynolds), B)
+
+    @staticmethod
+    def factor(pr: "ChannelFlowProblem", a, b, reynolds: float, robin):
+        system = pr.momentum_system(reynolds, robin)
+        return system.factor(pr.mask_int * a, pr.mask_int * b).solve
+
+
+class _LocalKernels:
+    """Local backend: the sparse mat-vec primitive (VJP: the transposed
+    product) and the solves on the momentum pattern."""
+
+    matvec = staticmethod(sparse_matvec)
+
+    @staticmethod
+    def solve_ad(pr: "ChannelFlowProblem", u, v, reynolds: float, B):
+        return pr._pattern_solve(pr.momentum_data(u, v, reynolds), B)
+
+    @staticmethod
+    def factor(pr: "ChannelFlowProblem", a, b, reynolds: float, robin):
+        data = pr.momentum_data(a, b, reynolds)
+        data[pr._mom_robin] += robin
+        n = pr.cloud.n
+        A = sp.csr_matrix((data, (pr._mom_rows, pr._mom_cols)), shape=(n, n))
+        return make_linear_solver(A, solver=pr.solver, **pr.solver_opts).solve_numpy
 
 
 class ChannelFlowProblem:
@@ -235,12 +285,18 @@ class ChannelFlowProblem:
             self._mom_dy = mask_row * _on_pattern(nd.dy)
             self._mom_lap = mask_row * _on_pattern(nd.lap)
             self._mom_bc = _on_pattern(self.rows_u)
+            self._pattern_solve = partial(
+                krylov_pattern_solve if solver == "iterative" else sparse_pattern_solve,
+                self._mom_rows, self._mom_cols, (cloud_.n, cloud_.n),
+                **self.solver_opts,
+            )
+            self._kernels = _LocalKernels
         else:
-            # The dense momentum system's constant operands: its unit rows
-            # (the u-Dirichlet nodes) are those of ``rows_u``, so the
-            # ``∂x``/``∂y`` blocks built here serve every Reynolds number
-            # (:meth:`momentum_system` swaps in the matching ``C``).
-            self._momentum = RowScaledSystem(nd.dx, nd.dy, self.rows_u)
+            # ``(Re, C, system)``: every momentum ``C`` has the unit rows of
+            # ``rows_u``, so these ``∂x``/``∂y`` blocks serve any Re.
+            base = RowScaledSystem(nd.dx, nd.dy, self.rows_u)
+            self._momentum_cache = (None, None, base)
+            self._kernels = _DenseKernels
 
         # Boundary data: blowing/suction bumps, fixed v-BC vector.
         bx = cloud_.points[self.blowing, 0]
@@ -277,27 +333,15 @@ class ChannelFlowProblem:
         geo = self.geometry
         return 8.0 * (geo.lx - self.cloud.x) / (reynolds * geo.ly**2)
 
-    def momentum_data_numpy(
-        self, u: np.ndarray, v: np.ndarray, reynolds: float
-    ) -> np.ndarray:
-        """Momentum-system values on the fixed sparsity pattern (local)."""
-        r = self._mom_rows
-        return (
-            u[r] * self._mom_dx
-            + v[r] * self._mom_dy
-            - self._mom_lap / reynolds
-            + self._mom_bc
-        )
+    def momentum_data(self, u, v, reynolds: float):
+        """Momentum-system values on the fixed sparsity pattern (local).
 
-    def momentum_data_ad(self, u, v, reynolds: float):
-        """Momentum-system values on the pattern, on the tape (local).
-
-        The gather ``u[rows]`` records a scatter-add VJP, so gradients
-        flow from the matrix values back into the frozen velocity — the
-        sparse equivalent of differentiating through dense assembly.
+        ``u``, ``v`` are ndarrays or Tensors.  On the tape the gather
+        ``u[rows]`` records a scatter-add VJP, so gradients flow from the
+        matrix values back into the frozen velocity — the sparse
+        equivalent of differentiating through dense assembly.
         """
-        ur = ops.getitem(u, self._mom_rows)
-        vr = ops.getitem(v, self._mom_rows)
+        ur, vr = u[self._mom_rows], v[self._mom_rows]
         return (
             ur * self._mom_dx
             + vr * self._mom_dy
@@ -310,63 +354,75 @@ class ChannelFlowProblem:
         """The constant operands of the dense momentum system.
 
         ``A = diag(mask·u)·∂x + diag(mask·v)·∂y + C`` with
-        ``C = rows_u − mask·lap/Re``, the only velocity-independent part;
-        build it once per solve.  ``robin`` adds a diagonal on the outflow
-        rows (whose ``rows_u`` rows are the normal derivative): the DAL
-        adjoint's Robin condition.
+        ``C = rows_u − mask·lap/Re``, the only velocity-independent part,
+        assembled by :func:`~repro.pde.discrete.assemble_field_system`
+        once per Reynolds number (a one-slot cache).  ``robin`` adds a
+        diagonal on the outflow rows (whose ``rows_u`` rows are the normal
+        derivative) to a copy of that ``C``: the DAL adjoint's Robin
+        condition.
         """
-        C = self.nodal.lap * (-1.0 / reynolds)  # rows_u − mask·lap/Re, in place
-        C *= self.mask_int[:, None]
-        C += self.rows_u
-        if robin is not None:
-            C[self.outflow, self.outflow] += robin
-        return self._momentum.with_constant(C)
+        cached_re, C, system = self._momentum_cache
+        if cached_re != reynolds:
+            nd = self.nodal
+            C = assemble_field_system(
+                self.cloud, nd, nd.lap * (-1.0 / reynolds), self.bcs_u
+            )
+            system = system.with_constant(C)
+            self._momentum_cache = (reynolds, C, system)
+        if robin is None:
+            return system
+        C = C.copy()
+        C[self.outflow, self.outflow] += robin
+        return system.with_constant(C)
 
-    def momentum_matrix_ad(self, u, v, reynolds: float, system=None):
+    def momentum_matrix_ad(self, u, v, reynolds: float):
         """Frozen-advection momentum system in row-scaled form (dense).
 
         Returns ``(s1, s2, system)``, the operands of
         :func:`~repro.autodiff.linalg.row_scaled_solve`: only the row
         scales ``s1 = mask·u`` and ``s2 = mask·v`` depend on the velocity
-        (and are on the tape when it is).  Pass the previous call's
-        ``system`` to build :meth:`momentum_system` once per solve.
+        (and are on the tape when it is); ``system`` is
+        :meth:`momentum_system`.
         """
-        if system is None:
-            system = self.momentum_system(reynolds)
         mask = self.mask_int
-        return mask * u, mask * v, system
+        return mask * u, mask * v, self.momentum_system(reynolds)
 
     def momentum_solver(
-        self, a: np.ndarray, b: np.ndarray, reynolds: float,
-        robin: Optional[np.ndarray] = None,
+        self, a: np.ndarray, b: np.ndarray, reynolds: float, robin: np.ndarray
     ) -> Callable[[np.ndarray], np.ndarray]:
         """One factorisation of a momentum-type system, as a NumPy solve.
 
         The system is ``diag(mask·a)·∂x + diag(mask·b)·∂y + C`` with the
-        ``C`` of :meth:`momentum_system`; ``robin`` adds a diagonal on the
-        outflow rows.  The DAL adjoint's reversed-advection system is
-        ``a = −u``, ``b = −v``, ``robin = Re·u[out]``.  Dense: the
+        ``C`` and ``robin`` of :meth:`momentum_system`.  The DAL adjoint's
+        reversed-advection system is ``a = −u``, ``b = −v``,
+        ``robin = Re·u[out]``.  Dense: the
         :class:`~repro.autodiff.linalg.RowScaledSystem` kernel; local: the
         fixed momentum pattern through
         :func:`~repro.autodiff.sparse.make_linear_solver` (``splu`` or
         Krylov, per ``solver``).
         """
-        if self.backend == "dense":
-            mask = self.mask_int
-            system = self.momentum_system(reynolds, robin)
-            return system.factor(mask * a, mask * b).solve
-        data = self.momentum_data_numpy(a, b, reynolds)
-        if robin is not None:
-            data[self._mom_robin] += robin
-        n = self.cloud.n
-        A = sp.csr_matrix((data, (self._mom_rows, self._mom_cols)), shape=(n, n))
-        return make_linear_solver(
-            A, solver=self.solver, **self.solver_opts
-        ).solve_numpy
+        return self._kernels.factor(self, a, b, reynolds, robin)
 
     # ------------------------------------------------------------------
     # The projection loop
     # ------------------------------------------------------------------
+    def _project(self, X, dt: float, matvec, pressure_solve):
+        """Pressure correction and projection of ``X = [u*, v*]``: ``(u, v, φ)``.
+
+        ``matvec(M, x)`` applies ``∂x``/``∂y``, ``pressure_solve`` solves the
+        pressure system: tape primitives in :meth:`_refine`, NumPy in DAL.
+        """
+        nd = self.nodal
+        u_star, v_star = X[:, 0], X[:, 1]
+        with _span("ns.pressure", "pde"):
+            div = matvec(nd.dx, u_star) + matvec(nd.dy, v_star)
+            phi = pressure_solve(self.mask_int * div * (1.0 / dt))
+
+        with _span("ns.projection", "pde"):
+            u = u_star - dt * (self.free_uv * matvec(nd.dx, phi))
+            v = v_star - dt * (self.free_uv * matvec(nd.dy, phi))
+        return u, v, phi
+
     def _refine(
         self, control, config: NSConfig
     ) -> Iterator[Tuple[Tensor, Tensor, Tensor]]:
@@ -378,7 +434,8 @@ class ChannelFlowProblem:
         velocity iterate puts assembly *and* solve of every refinement on
         the tape; with an ndarray control every node is a detached leaf.
         """
-        nd, mask, dt = self.nodal, self.mask_int, config.pseudo_dt
+        nd, mask, kernels = self.nodal, self.mask_int, self._kernels
+        matvec = kernels.matvec
         c = tensor(control)
         u = tensor(self.u_init)
         v = tensor(self.v_init)
@@ -386,57 +443,15 @@ class ChannelFlowProblem:
         b_u_bc = ops.matmul(self.S_in, c)
         yield u, v, p
 
-        n = self.cloud.n
-        local = self.backend == "local"
-        system = None  # constant operands of the dense momentum system
-        if local:
-            # Constant sparse operators enter the tape through the
-            # dedicated sparse mat-vec primitive (VJP: transposed product).
-            def dxm(t):
-                return sparse_matvec(nd.dx, t)
-
-            def dym(t):
-                return sparse_matvec(nd.dy, t)
-
-            if self.solver == "iterative":
-                pattern_solve = partial(krylov_pattern_solve, **self.solver_opts)
-            else:
-                pattern_solve = sparse_pattern_solve
-
-        else:
-            def dxm(t):
-                return ops.matmul(nd.dx, t)
-
-            def dym(t):
-                return ops.matmul(nd.dy, t)
-
         for _ in range(config.refinements):
             with _span("ns.momentum", "pde"):
-                bu = mask * (-dxm(p)) + b_u_bc
-                bv = mask * (-dym(p)) + self.b_v_fixed
+                bu = mask * (-matvec(nd.dx, p)) + b_u_bc
+                bv = mask * (-matvec(nd.dy, p)) + self.b_v_fixed
                 # One factorisation serves both velocity components.
                 B = ops.stack([bu, bv], axis=1)
-                if local:
-                    data = self.momentum_data_ad(u, v, config.reynolds)
-                    X = pattern_solve(
-                        self._mom_rows, self._mom_cols, (n, n), data, B
-                    )
-                else:
-                    s1, s2, system = self.momentum_matrix_ad(
-                        u, v, config.reynolds, system
-                    )
-                    X = ad_solve(s1, s2, system, B)
-                u_star = X[:, 0]
-                v_star = X[:, 1]
-
-            with _span("ns.pressure", "pde"):
-                div = dxm(u_star) + dym(v_star)
-                phi = self.pressure_solver(mask * div * (1.0 / dt))
-
-            with _span("ns.projection", "pde"):
-                u = u_star - dt * (self.free_uv * dxm(phi))
-                v = v_star - dt * (self.free_uv * dym(phi))
-                p = p + phi
+                X = kernels.solve_ad(self, u, v, config.reynolds, B)
+            u, v, phi = self._project(X, config.pseudo_dt, matvec, self.pressure_solver)
+            p = p + phi
             yield u, v, p
 
     def solve(self, control: np.ndarray, config: NSConfig) -> NSState:

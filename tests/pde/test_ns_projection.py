@@ -44,7 +44,7 @@ def reference_solve(pr: ChannelFlowProblem, control: np.ndarray, cfg: NSConfig):
         bv = mask * (-(nd.dy @ p)) + pr.b_v_fixed
         if local:
             A = sp.csr_matrix(
-                (pr.momentum_data_numpy(u, v, cfg.reynolds),
+                (pr.momentum_data(u, v, cfg.reynolds),
                  (pr._mom_rows, pr._mom_cols)),
                 shape=(n, n),
             )
@@ -258,3 +258,18 @@ class TestSparseFactorisationCount:
         assert dal.adjoint_refinements > 1
         factorizations, _ = self._counts(lambda: dal.solve_adjoint(st.u, st.v))
         assert factorizations == 1
+
+
+@pytest.mark.parametrize("backend", ["dense", "local-direct"])
+def test_dal_gradient_matches_reference_at_low_reynolds(
+    backend, channel_problem, local_direct
+):
+    """The same parity away from the defaults: Re = 10, k = 10, dt = 0.3."""
+    pr = channel_problem if backend == "dense" else local_direct
+    cfg = NSConfig(reynolds=10.0, refinements=10, pseudo_dt=0.3)
+    dal = NavierStokesDAL(pr, cfg)
+    c = _perturbed_control(pr)
+    j_ref, g_ref = reference_dal(pr, c, cfg, dal.adjoint_refinements)
+    j, g = dal.value_and_grad(c)
+    assert j == j_ref
+    assert _rel(g, g_ref) <= 1e-11
