@@ -32,13 +32,21 @@ Options
     ``--trace-dir`` is active).  Defaults on when ``REPRO_WATCHDOG=1``.
 ``--jobs N``
     Fan the run matrix across ``N`` worker processes (default:
-    ``$REPRO_JOBS``, else serial).  With more than one matrix entry the
-    runs themselves parallelise (one worker per method × problem): each
-    worker writes its run's artifacts as a serial run would, and the
-    engine folds every run's telemetry into the parent, which writes it
-    as one more ``bench_merged.*`` set.  With a single entry the PINN ω
-    line search parallelises instead.  Results are bitwise-identical to
-    a serial run either way.
+    ``$REPRO_JOBS``, else 1).  Each matrix entry is one task of a
+    :class:`~repro.parallel.ParallelEngine`; with ``N = 1`` the tasks
+    run one after another in this process.  With more than one entry
+    the runs themselves parallelise (one worker per method × problem);
+    with a single entry the PINN ω line search parallelises instead.
+    Either way each run writes its artifacts and prints its row when it
+    finishes, and the engine folds every run's telemetry into this
+    process, which writes it as one more ``bench_merged.*`` set.
+    Results are bitwise-identical for every ``N``.
+
+Exit status
+-----------
+0 when every matrix entry ran; 1 when any entry failed.  A failed
+entry is reported as ``FAILED`` on stderr and loses only its own row:
+the other rows, the table and the merged artifacts are still written.
 
 Subcommands
 -----------
@@ -113,12 +121,13 @@ def _channels(trace_out, profile_out):
 
 
 def _run(spec, scale_name, trace_out, profile_out, watch=False, **kwargs):
-    """Run ``spec`` and write its ``<problem>_<method>.*`` artifacts.
+    """Run ``spec``, write its ``<problem>_<method>.*`` artifacts and
+    print its row when it finishes.
 
-    The artifacts come from whichever channels are installed: the
-    caller's :func:`_channels` in a serial run, the fresh ones of
-    :func:`repro.obs.attempt.capture` in a matrix worker.  ``watch``
-    installs a health watchdog around the run.
+    The artifacts come from the fresh channels that
+    :func:`repro.obs.attempt.capture` installs around the run's task
+    attempt, in this process or in a matrix worker.  ``watch`` installs
+    a health watchdog around the run.
     """
     rec = current_recorder()
     if rec is not None:
@@ -139,6 +148,9 @@ def _run(spec, scale_name, trace_out, profile_out, watch=False, **kwargs):
         path = os.path.join(trace_out, f"{stem}.jsonl")
         rec.to_jsonl(path)
         print(f"    trace -> {path}")
+    note = (f"  (omega* = {result.extra['best_omega']:g})"
+            if spec.method == "pinn" else "")
+    print("  " + result.summary() + note, flush=True)
     return result
 
 
@@ -214,50 +226,42 @@ def main(argv=None) -> int:
         p for p in ("laplace", "ns") if args.problem in (p, "all")
     )
     matrix = [spec_for(scale, p, m) for p in families for m in methods]
-    fan_matrix = jobs > 1 and len(matrix) > 1
+    # Every entry of a family runs on one problem, assembled here once;
+    # matrix workers inherit it through fork.
+    problems = {}
+    for spec in matrix:
+        if spec.family not in problems:
+            prob = problems[spec.family] = build_problem(spec)
+            if spec.family == "laplace":
+                print(f"Laplace problem: {prob.cloud.n} nodes, "
+                      f"{prob.n_control}-dimensional control")
+            else:
+                print(f"Navier-Stokes channel: {prob.cloud.n} nodes, "
+                      f"Re = {spec.reynolds:g}")
 
-    results = []
-    if fan_matrix:
-        # One worker per matrix entry; inside a worker the nested-fan-out
-        # guard resolves the PINN line search back to serial.  A failed
-        # entry loses only its own row of the table.  The engine folds
-        # each worker's telemetry into the channels installed here.
-        engine = ParallelEngine(jobs=jobs, root_seed=0)
-        tasks = [
-            Task(key=f"{spec.family}_{spec.method}", fn=_run,
-                 args=(spec, scale.name, trace_out, profile_out, watch))
-            for spec in matrix
-        ]
-        with _channels(trace_out, profile_out):
-            for spec, res in zip(matrix, engine.run(tasks)):
-                if res.ok:
-                    results.append(res.value)
-                    print("  " + res.value.summary())
-                else:
-                    detail = (res.error or {}).get("message", res.status)
-                    print(f"  {spec.family}/{spec.method}: FAILED "
-                          f"({res.status}: {detail})", file=sys.stderr)
-            _write_merged(trace_out, profile_out, results)
-    else:
-        # Every method of a family runs on one assembled problem.
-        built = {}
-        for spec in matrix:
-            prob = built.get(spec.family)
-            if prob is None:
-                prob = built[spec.family] = build_problem(spec)
-                if spec.family == "laplace":
-                    print(f"Laplace problem: {prob.cloud.n} nodes, "
-                          f"{prob.n_control}-dimensional control")
-                else:
-                    print(f"\nNavier-Stokes channel: {prob.cloud.n} nodes, "
-                          f"Re = {spec.reynolds:g}")
-            with _channels(trace_out, profile_out):
-                r = _run(spec, scale.name, trace_out, profile_out,
-                         watch=watch, problem=prob, jobs=jobs)
-            results.append(r)
-            note = (f"  (omega* = {r.extra['best_omega']:g})"
-                    if spec.method == "pinn" else "")
-            print("  " + r.summary() + note)
+    # One task per matrix entry.  With more than one entry the entries
+    # fan out and each PINN line search runs serially; a single entry
+    # runs in this process and its PINN line search fans out instead.
+    # A failed entry loses only its own row of the table.  The engine
+    # folds each entry's telemetry into the channels installed here.
+    fan = len(matrix) > 1
+    engine = ParallelEngine(jobs=jobs if fan else 1, root_seed=0)
+    tasks = [
+        Task(key=f"{spec.family}_{spec.method}", fn=_run,
+             args=(spec, scale.name, trace_out, profile_out, watch),
+             kwargs={"problem": problems[spec.family],
+                     "jobs": 1 if fan else jobs})
+        for spec in matrix
+    ]
+    with _channels(trace_out, profile_out):
+        outcomes = engine.run(tasks)
+        results = [res.value for res in outcomes if res.ok]
+        for spec, res in zip(matrix, outcomes):
+            if not res.ok:
+                detail = (res.error or {}).get("message", res.status)
+                print(f"  {spec.family}/{spec.method}: FAILED "
+                      f"({res.status}: {detail})", file=sys.stderr)
+        _write_merged(trace_out, profile_out, results)
 
     print()
     print(render_performance_table(
@@ -268,7 +272,7 @@ def main(argv=None) -> int:
         "\n                    NS      J = 8.2e-2 / 1.0e-3 / 2.6e-4"
         "  (DAL / PINN / DP)"
     )
-    return 0
+    return 0 if len(results) == len(matrix) else 1
 
 
 if __name__ == "__main__":

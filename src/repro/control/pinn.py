@@ -514,7 +514,6 @@ def omega_line_search(
     config_step1: Optional[PINNTrainConfig] = None,
     config_step2: Optional[PINNTrainConfig] = None,
     jobs: Optional[int] = None,
-    engine=None,
 ) -> LineSearchResult:
     """Run the Mowlavi & Nabi two-step strategy over an ω range.
 
@@ -524,14 +523,16 @@ def omega_line_search(
 
     Every ω trains from a seed derived from ``(cfg1.seed, ω)`` — never
     from shared RNG state — so the search is embarrassingly parallel and
-    its outcome is independent of execution order.  Each candidate runs
-    :func:`_omega_task`: in this process, or with ``jobs > 1`` (or
-    ``$REPRO_JOBS``) fanned out across worker processes via
-    :mod:`repro.parallel`.  A crashed or failed parallel ω is dropped
-    from the search and recorded in ``LineSearchResult.failures``.
-    Serial and parallel runs, and a one-ω run against the same ω inside
-    a longer list, produce bitwise-identical results.  For speed, train
-    on the compiled tier (``PINNTrainConfig(compile=True)``).  A
+    its outcome is independent of execution order.  Each candidate is
+    one :func:`_omega_task` run by :class:`repro.parallel.ParallelEngine`
+    with ``jobs`` workers (default: ``$REPRO_JOBS``, else 1, which runs
+    the candidates one after another in this process); a single ω always
+    runs with ``jobs=1``.  A failed ω is dropped from the search and
+    recorded in ``LineSearchResult.failures``, whatever ``jobs`` is;
+    :class:`~repro.parallel.TaskError` is raised only when every ω
+    fails.  Serial and parallel runs, and a one-ω run against the same ω
+    inside a longer list, produce bitwise-identical results.  For speed,
+    train on the compiled tier (``PINNTrainConfig(compile=True)``).  A
     non-finite step-2 cost never beats a finite one.
 
     The installed trace recorder receives the step-1 training epochs of
@@ -539,49 +540,32 @@ def omega_line_search(
     metadata key reflects the last candidate) plus the line-search
     verdict.
     """
-    from repro.parallel import ParallelEngine, TaskError, resolve_jobs
+    from repro.parallel import ParallelEngine, Task, TaskError
     from repro.parallel.seeding import derive_seed
 
     if len(omegas) == 0:
         raise ValueError("need at least one omega")
     cfg1 = config_step1 or pinn.config
     cfg2 = config_step2 or cfg1
-    seeds = [derive_seed(cfg1.seed, _omega_task_key(o)) for o in omegas]
-    n_jobs = engine.jobs if engine is not None else resolve_jobs(jobs)
-
-    failures: List[Any] = []
-    if n_jobs > 1 and len(omegas) > 1:
-        from repro.parallel.task import Task
-
-        eng = engine or ParallelEngine(jobs=n_jobs, root_seed=cfg1.seed)
-        tasks = [
-            Task(
-                key=_omega_task_key(o),
-                fn=_omega_task,
-                args=(pinn, o, cfg1, cfg2, s),
-            )
-            for o, s in zip(omegas, seeds)
-        ]
-        with _span("pinn.line_search", "method", {"jobs": eng.jobs}):
-            task_results = eng.run(tasks)
-        outcomes = []
-        for omega, res in zip(omegas, task_results):
-            if res.ok:
-                outcomes.append((omega, res.value))
-            else:
-                failures.append(res)
-        if not outcomes:
-            first = failures[0]
-            raise TaskError(
-                f"all {len(omegas)} omega tasks failed; first: "
-                f"{first.key} -> {first.status} "
-                f"({(first.error or {}).get('message', 'no detail')})"
-            )
-    else:
-        outcomes = [
-            (omega, _omega_task(pinn, omega, cfg1, cfg2, seed))
-            for omega, seed in zip(omegas, seeds)
-        ]
+    engine = ParallelEngine(jobs=jobs if len(omegas) > 1 else 1,
+                            root_seed=cfg1.seed)
+    tasks = [
+        Task(key=_omega_task_key(o), fn=_omega_task,
+             args=(pinn, o, cfg1, cfg2,
+                   derive_seed(cfg1.seed, _omega_task_key(o))))
+        for o in omegas
+    ]
+    with _span("pinn.line_search", "method", {"jobs": engine.jobs}):
+        task_results = engine.run(tasks)
+    outcomes = [(o, res.value) for o, res in zip(omegas, task_results) if res.ok]
+    failures: List[Any] = [res for res in task_results if not res.ok]
+    if not outcomes:
+        first = failures[0]
+        raise TaskError(
+            f"all {len(omegas)} omega tasks failed; first: "
+            f"{first.key} -> {first.status} "
+            f"({(first.error or {}).get('message', 'no detail')})"
+        )
 
     step1: List[PINNRunResult] = []
     step2_costs: List[float] = []

@@ -15,8 +15,9 @@ Public surface:
   the autodiff layer live here).
 - The recorder, profiler, registry and watchdog install the same way
   (:mod:`repro.obs._install`: nesting scoped installs, lock-free
-  reads); :mod:`repro.obs.attempt` carries all of them across the
-  worker pipe of :mod:`repro.parallel` and folds them into the parent's
+  reads); :mod:`repro.obs.attempt` scopes fresh ones around each task
+  attempt of :mod:`repro.parallel`, carries them across the worker
+  pipe, and folds them into the parent's
   (the one way any fan-out, the bench matrix included, combines
   worker telemetry).
 - :class:`~repro.obs.compare.TolerancePolicy` / :func:`diff_traces` —

@@ -1,6 +1,6 @@
-"""Telemetry of one task attempt across the worker pipe.
+"""Telemetry of one task attempt, across the worker pipe or inline.
 
-A worker attempt records into fresh instruments (:func:`capture`): a
+A task attempt records into fresh instruments (:func:`capture`): a
 metrics registry, plus a span profiler, a trace recorder and a
 watchdog (with the parent's config) when the parent had one installed
 (:func:`installed_channels`).  The parent passes each final attempt's
@@ -13,7 +13,8 @@ over their events and counts (:meth:`~repro.obs.health.Watchdog.absorb`).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.obs.health import Watchdog, WatchdogConfig, current_watchdog, set_watchdog
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
@@ -35,27 +36,33 @@ def installed_channels() -> Channels:
     )
 
 
+@contextmanager
 def capture(
     spans: bool, records: bool, watchdog: Optional[WatchdogConfig] = None
-) -> Callable[[], Dict[str, Any]]:
-    """Install fresh instruments for one attempt; return their exporter,
-    which snapshots them into a picklable dict.  Fresh, because the
-    parent drops a retried attempt's export: nothing may carry over to
-    the next attempt in the same worker."""
+) -> Iterator[Callable[[], Dict[str, Any]]]:
+    """Install fresh instruments for one attempt's block; yield their
+    exporter, which snapshots them into a picklable dict.  Fresh,
+    because the parent drops a retried attempt's export: nothing may
+    carry over to the next attempt.  The caller's instruments are
+    reinstalled when the block exits, however it exits."""
     registry = MetricsRegistry()
     profiler = SpanProfiler() if spans else None
     trace = TraceRecorder() if records else None
     wd = Watchdog(watchdog) if watchdog is not None else None
-    set_registry(registry)
-    set_profiler(profiler)
-    set_recorder(trace)
-    set_watchdog(wd)
-    return lambda: {
-        "metrics": registry.snapshot(),
-        "spans": profiler.to_chrome_trace() if profiler is not None else None,
-        "records": trace,
-        "health": (wd.events, wd.counts) if wd is not None else None,
-    }
+    saved = (set_registry(registry), set_profiler(profiler),
+             set_recorder(trace), set_watchdog(wd))
+    try:
+        yield lambda: {
+            "metrics": registry.snapshot(),
+            "spans": profiler.to_chrome_trace() if profiler is not None else None,
+            "records": trace,
+            "health": (wd.events, wd.counts) if wd is not None else None,
+        }
+    finally:
+        set_registry(saved[0])
+        set_profiler(saved[1])
+        set_recorder(saved[2])
+        set_watchdog(saved[3])
 
 
 def fold(exported: Optional[Dict[str, Any]]) -> None:

@@ -33,9 +33,9 @@ disabled.  The design budget for the total enabled-path observability
 overhead is 2 %.
 
 The ``nan`` and ``stall`` state is per loop: iteration 0 resets it, so
-a verdict does not depend on which process ran the loop.  Under
-``--jobs`` a worker attempt observes on a fresh watchdog with the
-parent's config, and the parent absorbs its events and counts in task
+a verdict does not depend on which process ran the loop.  A task
+attempt of :mod:`repro.parallel`, in a worker or inline, observes on a
+fresh watchdog with the parent's config, and the parent absorbs its events and counts in task
 order (:mod:`repro.obs.attempt`).  Krylov histories stay per watchdog.
 
 Heartbeats — the parallel half of run health — live in

@@ -10,7 +10,11 @@ kills its worker and replaces it, so a fault still fails nothing but
 its own attempt.  The engine enforces per-task deadlines, retries
 failures with exponential backoff, flags stalled heartbeats, and
 returns structured :class:`~repro.parallel.task.TaskResult` records in
-submission order.
+submission order.  With ``jobs=1`` the engine runs the same attempt
+body (:func:`repro.parallel.worker._attempt`) in this process, one task
+after another, with the same retries and the same result records; it
+lacks only what a process boundary gives: isolation, deadlines and
+heartbeats.
 
 Determinism: every attempt of task ``key`` is seeded with
 ``derive_seed(root_seed, key)`` — results never depend on scheduling
@@ -19,11 +23,11 @@ finally succeeded.
 
 Observability: each attempt runs with fresh telemetry — a metrics
 registry, plus a span profiler and a trace recorder when the parent has
-one installed — and ships it back in its reply.  Once every task is
+one installed — and returns it in its reply.  Once every task is
 done, the engine folds each final attempt's telemetry into the parent's
 in task input order (:func:`repro.obs.attempt.fold`) and drops a
-retried attempt's: spans keep the worker's real pid, registry
-snapshots are summed, records are appended.
+retried attempt's, in both modes: spans keep the worker's real pid,
+registry snapshots are summed, records are appended.
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.attempt import fold, installed_channels
+from repro.obs.attempt import Channels, fold, installed_channels
 from repro.parallel.pool import WORKER_ENV, WarmPool, Worker
-from repro.parallel.seeding import derive_seed, seed_everything
+from repro.parallel.seeding import derive_seed
 from repro.parallel.task import (
     STATUS_CRASHED,
     STATUS_ERROR,
@@ -45,10 +49,9 @@ from repro.parallel.task import (
     STATUS_TIMEOUT,
     Task,
     TaskResult,
-    exception_payload,
     record_task_metrics,
 )
-from repro.parallel.worker import task_worker_main
+from repro.parallel.worker import _attempt, task_worker_main
 
 __all__ = ["ParallelEngine", "resolve_jobs", "run_tasks"]
 
@@ -95,9 +98,12 @@ class ParallelEngine:
     ----------
     jobs:
         Maximum concurrent workers.  ``None`` resolves via
-        :func:`resolve_jobs`; ``jobs <= 1`` executes inline (same
-        seeding, same result records, no subprocesses — timeouts are not
-        enforced inline).
+        :func:`resolve_jobs`; ``jobs <= 1`` runs each attempt inline,
+        through the workers' attempt body: same seeding, telemetry fold
+        and result records, but no subprocess, so no isolation, no
+        enforced ``timeout`` and no heartbeat.  Inline,
+        ``KeyboardInterrupt`` and ``SystemExit`` propagate; a worker
+        reports them as the task's error.
     timeout:
         Default per-attempt deadline in seconds (``None`` = unbounded).
         A task past its deadline is killed and reported ``timeout``.
@@ -149,62 +155,67 @@ class ParallelEngine:
         if len(set(keys)) != len(keys):
             dupes = sorted({k for k in keys if keys.count(k) > 1})
             raise ValueError(f"task keys must be unique; duplicated: {dupes}")
-        seeds = [derive_seed(self.root_seed, t.key) for t in tasks]
         if not tasks:
             return []
+        seeds = [derive_seed(self.root_seed, t.key) for t in tasks]
+        channels = installed_channels()
         if self.jobs <= 1:
-            return [self._run_inline(t, s) for t, s in zip(tasks, seeds)]
-        return self._run_pool(tasks, seeds)
-
-    def _max_attempts(self, task: Task) -> int:
-        return 1 + (self.retries if task.retries is None else task.retries)
-
-    # -- serial fallback ----------------------------------------------
-    def _run_inline(self, task: Task, seed: int) -> TaskResult:
-        """Run one task in-process (identical seeding, no isolation)."""
-        max_attempts = self._max_attempts(task)
-        attempt = 0
-        while True:
-            attempt += 1
-            seed_everything(seed)
-            t0 = time.perf_counter()
-            try:
-                value = task.fn(*task.args, **task.kwargs)
-                result = TaskResult(
-                    key=task.key,
-                    status=STATUS_OK,
-                    value=value,
-                    attempts=attempt,
-                    duration_s=time.perf_counter() - t0,
-                    worker_pid=os.getpid(),
-                    seed=seed,
-                )
-            except Exception as exc:
-                result = TaskResult(
-                    key=task.key,
-                    status=STATUS_ERROR,
-                    error=exception_payload(exc),
-                    attempts=attempt,
-                    duration_s=time.perf_counter() - t0,
-                    worker_pid=os.getpid(),
-                    seed=seed,
-                )
-            if result.ok or attempt >= max_attempts:
-                record_task_metrics(result)
-                return result
-            time.sleep(self.backoff * (2 ** (attempt - 1)))
-
-    # -- pool ----------------------------------------------------------
-    def _run_pool(self, tasks: List[Task], seeds: List[int]) -> List[TaskResult]:
-        pool = WarmPool(min(self.jobs, len(tasks)), task_worker_main,
-                        (tasks, seeds, installed_channels(), self.heartbeat))
-        try:
-            done = asyncio.run(self._schedule(pool, tasks, seeds))
-        finally:
-            pool.shutdown()
+            done = [self._run_inline(t, s, channels) for t, s in zip(tasks, seeds)]
+        else:
+            done = self._run_pool(tasks, seeds, channels)
         for _, exported in done:  # input order, not completion order
             fold(exported)
         return [result for result, _ in done]
+
+    def _final(self, task: Task, status: str, attempt: int) -> bool:
+        """Whether an attempt is its task's last: it succeeded, or it
+        used up the task's retries."""
+        retries = self.retries if task.retries is None else task.retries
+        return status == STATUS_OK or attempt > retries
+
+    @staticmethod
+    def _done(task: Task, seed: int, attempt: int, status: str,
+              reply: Dict[str, Any], duration: float, stalled: bool = False) -> _Done:
+        """A task's final attempt: its result record and its telemetry."""
+        result = TaskResult(
+            key=task.key,
+            status=status,
+            value=reply.get("value"),
+            error=reply.get("error"),
+            attempts=attempt,
+            duration_s=duration,
+            worker_pid=reply["pid"],
+            seed=seed,
+            stalled=stalled,
+        )
+        record_task_metrics(result)
+        return result, reply.get("obs")
+
+    # -- inline (jobs=1) -----------------------------------------------
+    def _run_inline(self, task: Task, seed: int, channels: Channels) -> _Done:
+        """Run one task's attempts in this process, synchronously: the
+        worker's attempt body, without isolation, deadline or heartbeat.
+        ``KeyboardInterrupt`` and ``SystemExit`` propagate."""
+        attempt = 0
+        while True:
+            attempt += 1
+            t0 = time.perf_counter()
+            reply = _attempt(task, seed, channels, catch=Exception)
+            duration = time.perf_counter() - t0
+            status = STATUS_OK if reply["ok"] else STATUS_ERROR
+            if self._final(task, status, attempt):
+                return self._done(task, seed, attempt, status, reply, duration)
+            time.sleep(self.backoff * (2 ** (attempt - 1)))
+
+    # -- pool ----------------------------------------------------------
+    def _run_pool(self, tasks: List[Task], seeds: List[int],
+                  channels: Channels) -> List[_Done]:
+        pool = WarmPool(min(self.jobs, len(tasks)), task_worker_main,
+                        (tasks, seeds, channels, self.heartbeat))
+        try:
+            return asyncio.run(self._schedule(pool, tasks, seeds))
+        finally:
+            pool.shutdown()
 
     async def _schedule(self, pool: WarmPool, tasks: List[Task],
                         seeds: List[int]) -> List[_Done]:
@@ -223,7 +234,6 @@ class ParallelEngine:
         """Run one task's attempts until it succeeds or runs out."""
         loop = asyncio.get_running_loop()
         timeout = self.timeout if task.timeout is None else task.timeout
-        max_attempts = self._max_attempts(task)
         attempt = 0
         while True:
             attempt += 1
@@ -267,23 +277,12 @@ class ParallelEngine:
                         ),
                         "traceback": "",
                     }
-            if status != STATUS_OK and attempt < max_attempts:
-                # A retried attempt's obs are dropped, never merged.
-                await asyncio.sleep(self.backoff * (2 ** (attempt - 1)))
-                continue
-            result = TaskResult(
-                key=task.key,
-                status=status,
-                value=reply.get("value"),
-                error=error,
-                attempts=attempt,
-                duration_s=duration,
-                worker_pid=reply.get("pid", pid),
-                seed=seed,
-                stalled=beat.stalled,
-            )
-            record_task_metrics(result)
-            return result, reply.get("obs")
+                reply = {"pid": pid, "error": error}
+            if self._final(task, status, attempt):
+                return self._done(task, seed, attempt, status, reply, duration,
+                                  beat.stalled)
+            # A retried attempt's obs are dropped, never merged.
+            await asyncio.sleep(self.backoff * (2 ** (attempt - 1)))
 
     async def _watch(self, beat: _Beat, key: str, pid: int) -> None:
         """Flag (once) an attempt whose beats stopped — an early warning

@@ -2,9 +2,11 @@
 
 Each worker inherits the engine's task list and derived seeds through
 ``fork``, so a job is just ``(index, attempt)`` and nothing about a task
-is pickled.  An attempt seeds the process, installs fresh telemetry
-(:func:`repro.obs.attempt.capture`), calls the function, and ships a
-picklable reply back through the pipe.  Everything defensive lives
+is pickled.  An attempt (:func:`_attempt`) seeds the process, installs
+fresh telemetry (:func:`repro.obs.attempt.capture`), calls the function,
+and returns a picklable reply, which the worker ships back through the
+pipe.  The engine's inline path (``jobs=1``) runs the same attempt in
+its own process.  Everything defensive lives
 here — a task may raise anything, return anything, or die outright,
 and the parent must still get (at worst) an EOF it can classify.
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Callable, Dict, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence, Type
 
 from repro.obs.attempt import Channels, capture
 from repro.parallel.pool import BEAT, SHUTDOWN, WORKER_ENV
@@ -46,30 +48,36 @@ def _beat(send: Callable[[Any], None], interval: float,
             return  # the parent is gone; the reply will fail the same way
 
 
-def _attempt(task: Task, seed: int, channels: Channels,
-             heartbeat: float, send: Callable[[Any], None]) -> Dict[str, Any]:
-    """Run one attempt; the reply carries its value or error and obs."""
-    seed_everything(seed)
-    export = capture(*channels)
+def _attempt(task: Task, seed: int, channels: Channels, heartbeat: float = 0.0,
+             send: Optional[Callable[[Any], None]] = None,
+             catch: Type[BaseException] = BaseException) -> Dict[str, Any]:
+    """Run one attempt; the reply carries its value or error and obs.
 
-    stop = threading.Event()
-    beats = None
-    if heartbeat:
-        beats = threading.Thread(target=_beat, args=(send, heartbeat, stop),
-                                 name="repro-heartbeat", daemon=True)
-        beats.start()
-    out: Dict[str, Any] = {"pid": os.getpid()}
-    try:
-        out["value"] = task.fn(*task.args, **task.kwargs)
-        out["ok"] = True
-    except BaseException as exc:  # report *everything*; isolation is the point
-        out["ok"] = False
-        out["error"] = exception_payload(exc)
-    finally:
-        if beats is not None:
-            stop.set()
-            beats.join()
-    out["obs"] = export()
+    ``catch`` is what the reply reports as the task's error: everything
+    in a worker, where isolation is the point; ``Exception`` inline, so
+    that Ctrl-C and ``SystemExit`` still stop the caller.
+    """
+    seed_everything(seed)
+    with capture(*channels) as export:
+        stop = threading.Event()
+        beats = None
+        if heartbeat:
+            beats = threading.Thread(target=_beat,
+                                     args=(send, heartbeat, stop),
+                                     name="repro-heartbeat", daemon=True)
+            beats.start()
+        out: Dict[str, Any] = {"pid": os.getpid()}
+        try:
+            out["value"] = task.fn(*task.args, **task.kwargs)
+            out["ok"] = True
+        except catch as exc:
+            out["ok"] = False
+            out["error"] = exception_payload(exc)
+        finally:
+            if beats is not None:
+                stop.set()
+                beats.join()
+        out["obs"] = export()
     return out
 
 

@@ -272,3 +272,30 @@ class TestJobsFoldParity:
         assert record_lines(trace_dir / "bench_merged.jsonl") == [
             line for s in stems for line in record_lines(trace_dir / f"{s}.jsonl")
         ]
+
+
+class TestFailedEntry:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_entry_exits_nonzero(self, monkeypatch, capfd, jobs):
+        """A failed entry loses its own row: the other rows and the table
+        still print, and the exit status is 1, serial and fanned alike."""
+        from repro.bench import __main__ as cli
+
+        monkeypatch.setattr(cli, "get_scale", lambda: TINY_SCALE)
+        real_run = cli.run
+
+        def run(spec, **kwargs):
+            if spec.method == "dal":
+                raise RuntimeError("injected DAL failure")
+            return real_run(spec, **kwargs)
+
+        monkeypatch.setattr(cli, "run", run)
+        rc = main(["--methods", "dal,dp", "--problem", "laplace",
+                   "--jobs", jobs])
+        out, err = capfd.readouterr()
+        assert rc == 1
+        assert "|   DP | J=" in out
+        assert "|  DAL | J=" not in out
+        assert "TABLE 3" in out
+        assert "laplace/dal: FAILED" in err
+        assert "injected DAL failure" in err

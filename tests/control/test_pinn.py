@@ -318,6 +318,24 @@ class TestLineSearchParallel:
         with pytest.raises(TaskError, match="omega"):
             omega_line_search(pinn, [1e-2, 1.0], jobs=2)
 
+    def test_failed_candidate_dropped_not_fatal_serial(self, laplace_problem):
+        """A failing ω is dropped under ``jobs=1`` too, not raised."""
+        ls = omega_line_search(self._pinn(laplace_problem, _FailingPINN),
+                               self.OMEGAS, jobs=1)
+        assert ls.omegas == [1e-2, 1e-1]
+        assert len(ls.step1) == len(ls.step2_costs) == 2
+        (failure,) = ls.failures
+        assert failure.key == "omega=1"
+        assert failure.error["type"] == "RuntimeError"
+        assert ls.best_omega in ls.omegas
+
+    def test_all_candidates_failing_raises_serial(self, laplace_problem):
+        from repro.parallel import TaskError
+
+        pinn = self._pinn(laplace_problem, _AllFailPINN)
+        with pytest.raises(TaskError, match="omega"):
+            omega_line_search(pinn, [1e-2, 1.0], jobs=1)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_nonfinite_first_cost_does_not_win(self, laplace_problem, jobs):
         """Regression: ``cost < best`` is false against a NaN best, so a

@@ -15,6 +15,7 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry, get_registry, use_registry
 from repro.obs.profile import SpanProfiler, profiling, span
+from repro.obs.recorder import TraceRecorder, current_recorder, recording
 from repro.parallel import (
     STATUS_CRASHED,
     STATUS_ERROR,
@@ -98,6 +99,22 @@ def _counted_work(marker_path=None):
                 f.write("1")
             raise RuntimeError("first attempt fails")
     return os.getpid()
+
+
+def _traced_work(marker_path):
+    """Bump ``task.work`` and record one iteration, then fail the first
+    attempt (the marker does not exist yet) and succeed the next."""
+    get_registry().counter("task.work").inc()
+    current_recorder().iteration(0, 1.0, 0.0, 0.0)
+    if not os.path.exists(marker_path):
+        with open(marker_path, "w", encoding="utf-8") as f:
+            f.write("1")
+        raise RuntimeError("first attempt fails")
+    return os.getpid()
+
+
+def _interrupt():
+    raise KeyboardInterrupt
 
 
 def _outer_inner_spans():
@@ -309,6 +326,16 @@ class TestFaultIsolation:
         assert r.status == STATUS_ERROR
         assert r.attempts == 3
 
+    def test_inline_keyboard_interrupt_propagates(self):
+        """Ctrl-C stops a ``jobs=1`` run; a worker reports it as the
+        task's error instead."""
+        with pytest.raises(KeyboardInterrupt):
+            run_tasks([Task(key="ctrl-c", fn=_interrupt)], jobs=1)
+        (r,) = run_tasks([Task(key="ctrl-c", fn=_interrupt)], jobs=2,
+                         timeout=60)
+        assert r.status == STATUS_ERROR
+        assert r.error["type"] == "KeyboardInterrupt"
+
     def test_inline_retry_then_succeed(self, tmp_path):
         marker = str(tmp_path / "marker")
         (r,) = run_tasks(
@@ -449,3 +476,20 @@ class TestMetrics:
             if e.get("name") == "task.body"
         )
         assert body_pids == sorted(r.worker_pid for r in results)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_retried_attempt_obs_dropped(self, tmp_path, jobs):
+        """Both modes keep only the final attempt's counter bumps and
+        trace records: two tasks that each retry once leave two of each."""
+        tasks = [Task(key=f"t{i}", fn=_traced_work,
+                      args=(str(tmp_path / f"marker{i}"),))
+                 for i in range(2)]
+        with use_registry(MetricsRegistry()) as reg, \
+                recording(TraceRecorder()) as rec:
+            results = run_tasks(tasks, jobs=jobs, timeout=60, retries=1,
+                                backoff=0.01)
+            work = reg.counter("task.work").value
+        assert [r.attempts for r in results] == [2, 2]
+        assert all(r.ok for r in results)
+        assert work == 2
+        assert len(rec.iterations) == 2
