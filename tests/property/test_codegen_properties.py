@@ -152,6 +152,8 @@ def test_random_elementwise_program_parity(steps, seed):
     vg = compiled_value_and_grad(f, argnums=(0, 1))
     vg(x0, y0)  # trace
     cv, cg = vg(x0, y0)  # generated-source replay
-    assert cv == ev
+    # assert_array_equal is exact but counts NaN == NaN: a chain such as
+    # four exps followed by a sin overflows to NaN on both tiers: parity.
+    np.testing.assert_array_equal(np.asarray(cv), np.asarray(ev))
     for a, b in zip(cg, eg):
         np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
