@@ -23,6 +23,7 @@ from repro.autodiff.functional import value_and_grad
 from repro.obs.hooks import record_compile_cache, record_solver_cache
 from repro.pde.laplace import LaplaceControlProblem
 from repro.pde.navier_stokes import ChannelFlowProblem, NSConfig
+from repro.utils.validation import check_finite
 
 
 def _smoothness_penalty(c, coords: np.ndarray):
@@ -157,8 +158,9 @@ class NavierStokesDP:
         return j
 
     def value_and_grad(self, c: np.ndarray) -> Tuple[float, np.ndarray]:
-        """Exact discrete gradient through the whole projection loop."""
-        return self._vg(np.asarray(c, dtype=np.float64))
+        """Exact discrete gradient through the whole projection loop.  ``c`` is
+        checked finite here: a compiled replay never re-runs the traced cost."""
+        return self._vg(check_finite(np.asarray(c, dtype=np.float64), "control"))
 
     def initial_control(self) -> np.ndarray:
         """Parabolic inflow (the paper's NS initialisation)."""

@@ -33,24 +33,25 @@ to iteratively bring the fields to steady states" with ``k`` refinements:
 3. **projection**: ``uⁿ⁺¹ = u* − dt ∇φ`` away from Dirichlet nodes,
    ``pⁿ⁺¹ = pⁿ + φ``.
 
-One loop runs the scheme, on the autodiff tape's primitives.
-:meth:`ChannelFlowProblem.solve_ad` runs it with a taped control (DP —
-gradients flow through *all* ``k`` refinements, which is why DP's memory
-grows with ``k`` as the paper's Table 3 reports), and
-:meth:`ChannelFlowProblem.solve` with an ndarray control, so nothing is
-taped (DAL's direct solve and forward evaluation).  Steps 2–3 are one
-method, ``ChannelFlowProblem._project``, which the DAL adjoint runs in
-NumPy; its reversed-advection momentum system is built from the same
-operands and factorised through :meth:`ChannelFlowProblem.momentum_solver`.
+One method, ``ChannelFlowProblem._step``, runs a refinement on a kernel
+set.  :meth:`ChannelFlowProblem.solve_ad` loops over it with tape kernels
+(DP — gradients flow through *all* ``k`` refinements, which is why DP's
+memory grows with ``k`` as the paper's Table 3 reports), and
+:meth:`ChannelFlowProblem.solve` with NumPy kernels, so nothing is taped
+(DAL's direct solve and forward evaluation).  Steps 2–3 are one method,
+``ChannelFlowProblem._project``, which the DAL adjoint also runs in NumPy;
+its reversed-advection momentum system is built from the same operands and
+factorised through :meth:`ChannelFlowProblem.momentum_solver`.
 The constructor picks the backend's mat-vec and momentum solves once.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 from numbers import Integral
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -140,7 +141,7 @@ class _DenseKernels:
         return ad_solve(*pr.momentum_matrix_ad(u, v, reynolds), B)
 
     @staticmethod
-    def factor(pr: "ChannelFlowProblem", a, b, reynolds: float, robin):
+    def factor(pr: "ChannelFlowProblem", a, b, reynolds: float, robin=None):
         system = pr.momentum_system(reynolds, robin)
         return system.factor(pr.mask_int * a, pr.mask_int * b).solve
 
@@ -156,9 +157,10 @@ class _LocalKernels:
         return pr._pattern_solve(pr.momentum_data(u, v, reynolds), B)
 
     @staticmethod
-    def factor(pr: "ChannelFlowProblem", a, b, reynolds: float, robin):
+    def factor(pr: "ChannelFlowProblem", a, b, reynolds: float, robin=None):
         data = pr.momentum_data(a, b, reynolds)
-        data[pr._mom_robin] += robin
+        if robin is not None:
+            data[pr._mom_robin] += robin
         n = pr.cloud.n
         A = sp.csr_matrix((data, (pr._mom_rows, pr._mom_cols)), shape=(n, n))
         return make_linear_solver(A, solver=pr.solver, **pr.solver_opts).solve_numpy
@@ -388,13 +390,14 @@ class ChannelFlowProblem:
         return mask * u, mask * v, self.momentum_system(reynolds)
 
     def momentum_solver(
-        self, a: np.ndarray, b: np.ndarray, reynolds: float, robin: np.ndarray
+        self, a: np.ndarray, b: np.ndarray, reynolds: float, robin=None
     ) -> Callable[[np.ndarray], np.ndarray]:
         """One factorisation of a momentum-type system, as a NumPy solve.
 
         The system is ``diag(mask·a)·∂x + diag(mask·b)·∂y + C`` with the
-        ``C`` and ``robin`` of :meth:`momentum_system`.  The DAL adjoint's
-        reversed-advection system is ``a = −u``, ``b = −v``,
+        ``C`` and ``robin`` of :meth:`momentum_system`.  The forward system
+        (:meth:`solve`) is ``a = u``, ``b = v`` with no ``robin``; the DAL
+        adjoint's reversed-advection system is ``a = −u``, ``b = −v``,
         ``robin = Re·u[out]``.  Dense: the
         :class:`~repro.autodiff.linalg.RowScaledSystem` kernel; local: the
         fixed momentum pattern through
@@ -410,7 +413,7 @@ class ChannelFlowProblem:
         """Pressure correction and projection of ``X = [u*, v*]``: ``(u, v, φ)``.
 
         ``matvec(M, x)`` applies ``∂x``/``∂y``, ``pressure_solve`` solves the
-        pressure system: tape primitives in :meth:`_refine`, NumPy in DAL.
+        pressure system: tape primitives in :meth:`solve_ad`, NumPy elsewhere.
         """
         nd = self.nodal
         u_star, v_star = X[:, 0], X[:, 1]
@@ -423,77 +426,69 @@ class ChannelFlowProblem:
             v = v_star - dt * (self.free_uv * matvec(nd.dy, phi))
         return u, v, phi
 
-    def _refine(
-        self, control, config: NSConfig
-    ) -> Iterator[Tuple[Tensor, Tensor, Tensor]]:
-        """Run the projection scheme, yielding ``(u, v, p)`` per iterate.
+    def _step(self, u, v, p, b_u_bc, dt: float, kernels):
+        """One refinement of the scheme: ``(u, v, p) → (u', v', p')``.
 
-        The first yield is the initial guess, then one per refinement.
-        Every operation goes through the tape primitives: with a taped
-        control (DP) the momentum matrix's dependence on the previous
-        velocity iterate puts assembly *and* solve of every refinement on
-        the tape; with an ndarray control every node is a detached leaf.
+        ``kernels = (matvec, momentum_solve, pressure_solve)``; one
+        factorisation in ``momentum_solve(u, v, bu, bv)`` gives ``[u*, v*]``.
         """
-        nd, mask, kernels = self.nodal, self.mask_int, self._kernels
-        matvec = kernels.matvec
-        c = tensor(control)
-        u = tensor(self.u_init)
-        v = tensor(self.v_init)
-        p = tensor(self.initial_pressure(config.reynolds))
-        b_u_bc = ops.matmul(self.S_in, c)
-        yield u, v, p
-
-        for _ in range(config.refinements):
-            with _span("ns.momentum", "pde"):
-                bu = mask * (-matvec(nd.dx, p)) + b_u_bc
-                bv = mask * (-matvec(nd.dy, p)) + self.b_v_fixed
-                # One factorisation serves both velocity components.
-                B = ops.stack([bu, bv], axis=1)
-                X = kernels.solve_ad(self, u, v, config.reynolds, B)
-            u, v, phi = self._project(X, config.pseudo_dt, matvec, self.pressure_solver)
-            p = p + phi
-            yield u, v, p
+        matvec, momentum_solve, pressure_solve = kernels
+        nd, mask = self.nodal, self.mask_int
+        with _span("ns.momentum", "pde"):
+            bu = mask * (-matvec(nd.dx, p)) + b_u_bc
+            bv = mask * (-matvec(nd.dy, p)) + self.b_v_fixed
+            X = momentum_solve(u, v, bu, bv)
+        u, v, phi = self._project(X, dt, matvec, pressure_solve)
+        return u, v, p + phi
 
     def solve(self, control: np.ndarray, config: NSConfig) -> NSState:
         """Iterate the projection scheme in NumPy, with its histories.
 
-        Runs :meth:`_refine` on an ndarray control, so nothing is taped
-        (DAL's direct solve, forward evaluation).
+        Loops over :meth:`_step` on NumPy kernels (DAL's direct solve,
+        forward evaluation).  A non-finite control raises ``FloatingPointError``.
         """
         control = np.asarray(control, dtype=np.float64)
         if control.shape != (self.n_control,):
             raise ValueError(
                 f"control must have shape ({self.n_control},), got {control.shape}"
             )
-        nd = self.nodal
-        iterates = self._refine(control, config)
-        u, v, p = (t.data for t in next(iterates))
-        state = NSState(u=u, v=v, p=p)
-        for tu, tv, tp in iterates:
-            u_new, v_new, p = tu.data, tv.data, tp.data
-            state.update_history.append(
+        check_finite(control, "control")
+        nd, Re = self.nodal, config.reynolds
+        # ``[bu, bv]`` column-major, so the projection reads contiguous columns.
+        kernels = (operator.matmul, lambda u, v, bu, bv: self.momentum_solver(
+            u, v, Re)(np.array([bu, bv]).T), self.pressure_solver.solve_numpy)
+        u, v, p = self.u_init, self.v_init, self.initial_pressure(Re)
+        b_u_bc = self.S_in @ control
+        div_hist, upd_hist = [], []
+        for _ in range(config.refinements):
+            u_new, v_new, p = self._step(u, v, p, b_u_bc, config.pseudo_dt, kernels)
+            upd_hist.append(
                 float(max(np.max(np.abs(u_new - u)), np.max(np.abs(v_new - v))))
             )
             u, v = u_new, v_new
-            state.div_history.append(
+            div_hist.append(
                 float(np.max(np.abs((nd.dx @ u + nd.dy @ v)[self.cloud.internal])))
             )
             check_finite(u, "u")
             check_finite(v, "v")
-
-        state.u, state.v, state.p = u, v, p
-        return state
+        return NSState(u, v, p, div_hist, upd_hist)
 
     def solve_ad(
         self, control, config: NSConfig
     ) -> Tuple[Tensor, Tensor, Tensor]:
         """Projection iterations on the tape; differentiable w.r.t. control.
 
-        Gradients propagate through assembly *and* solve of every
-        refinement — the full discretise-then-optimise gradient.
+        Loops over :meth:`_step` on the backend's tape kernels, so gradients
+        propagate through assembly *and* solve of every refinement.
         """
-        for u, v, p in self._refine(control, config):
-            pass
+        Re, kern = config.reynolds, self._kernels
+        kernels = (kern.matvec, lambda u, v, bu, bv: kern.solve_ad(
+            self, u, v, Re, ops.stack([bu, bv], axis=1)), self.pressure_solver)
+        u, v = tensor(self.u_init), tensor(self.v_init)
+        p = tensor(self.initial_pressure(Re))
+        b_u_bc = ops.matmul(self.S_in, tensor(control))
+        for _ in range(config.refinements):
+            u, v, p = self._step(u, v, p, b_u_bc, config.pseudo_dt, kernels)
         return u, v, p
 
     # ------------------------------------------------------------------

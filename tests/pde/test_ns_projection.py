@@ -1,6 +1,6 @@
 """Reference oracles for the Navier–Stokes projection loop and DAL adjoint.
 
-``ChannelFlowProblem.solve`` and ``solve_ad`` drive one projection loop,
+``ChannelFlowProblem.solve`` and ``solve_ad`` loop over one refinement step,
 and ``NavierStokesDAL.solve_adjoint`` factorises its reversed-advection
 system through ``ChannelFlowProblem.momentum_solver``.  The functions
 below are independent plain-NumPy versions of both, with one branch per
@@ -9,6 +9,8 @@ momentum system itself, and the adjoint assembles its matrix row by row
 (Dirichlet unit rows, outflow Robin rows).  ``solve`` must reproduce the
 forward reference bit for bit; the DAL gradient may differ only by
 rounding, because the production adjoint factorises a condensed block.
+``solve_ad`` runs the step on tape kernels and must match the forward
+reference bit for bit too.
 """
 
 from __future__ import annotations
@@ -175,6 +177,9 @@ def test_solve_matches_reference_bitwise(problem, k):
     np.testing.assert_array_equal(st.p, p)
     assert st.update_history == upd
     assert st.div_history == div
+    # The tape kernels of ``solve_ad`` give the same iterates.
+    for t, ref in zip(problem.solve_ad(c, cfg), (u, v, p)):
+        np.testing.assert_array_equal(t.data, ref)
 
 
 @pytest.mark.parametrize("backend", ["dense", "local-direct"])
