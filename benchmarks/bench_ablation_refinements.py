@@ -4,7 +4,8 @@
 and optimisation of a computational graph ... the computational
 complexity scales super-linearly with the number of refinement steps k."
 This ablation sweeps k and measures one DP gradient's wall time (best of
-three) and peak (tape) memory.
+three) and peak (tape) memory on the eager tape, the graph the paper
+discusses (``compile=False``; the compiled default keeps no tape).
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ def sweep(scale):
         cfg = NSConfig(
             reynolds=scale.ns.reynolds, refinements=k, pseudo_dt=scale.ns.pseudo_dt
         )
-        dp = NavierStokesDP(prob, cfg)
+        dp = NavierStokesDP(prob, cfg, compile=False)
         # Best of three: one gradient takes ~10 ms, so a single timing
         # carries host noise and, for the first k, the process's one-off
         # first-call costs (~0.3 s).  Peak memory repeats exactly.

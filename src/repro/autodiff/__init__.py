@@ -28,7 +28,7 @@ provides:
   slots) and emit one straight-line NumPy kernel per program
   (:mod:`repro.autodiff.codegen`) that later calls run over reused
   buffers — the NumPy analogue of ``jax.jit`` around a loss (used by the
-  DP and PINN hot loops via their ``compile=True`` options).  Programs
+  DP and PINN hot loops by default, ``compile=True``).  Programs
   that cannot be lowered run on the eager tape.
 - Numerical gradient checking in :mod:`repro.autodiff.check`.
 

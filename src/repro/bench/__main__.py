@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import os
 import sys
 
@@ -101,6 +102,22 @@ def _parse_methods(spec: str) -> "tuple[str, ...]":
         raise argparse.ArgumentTypeError("--methods needs at least one method")
     # Preserve canonical order, drop duplicates.
     return tuple(m for m in METHODS if m in chosen)
+
+
+def _entry_problem(problem):
+    """``problem`` as one matrix entry sees it: a shallow copy whose
+    solvers (whatever counts ``n_solves``) are shallow copies too.
+
+    The factorisations stay shared, but each entry's solve counters
+    start where the assembled problem's stood, so its cache telemetry
+    counts its own solves only: run serially, one entry no longer adds
+    the solves of the entries before it, as a forked worker never did.
+    """
+    view = copy.copy(problem)
+    for name, value in vars(problem).items():
+        if hasattr(value, "n_solves"):
+            setattr(view, name, copy.copy(value))
+    return view
 
 
 @contextlib.contextmanager
@@ -226,8 +243,9 @@ def main(argv=None) -> int:
         p for p in ("laplace", "ns") if args.problem in (p, "all")
     )
     matrix = [spec_for(scale, p, m) for p in families for m in methods]
-    # Every entry of a family runs on one problem, assembled here once;
-    # matrix workers inherit it through fork.
+    # Every entry of a family runs on one problem, assembled here once
+    # (matrix workers inherit it through fork); each entry gets its own
+    # solver counters (``_entry_problem``).
     problems = {}
     for spec in matrix:
         if spec.family not in problems:
@@ -249,7 +267,7 @@ def main(argv=None) -> int:
     tasks = [
         Task(key=f"{spec.family}_{spec.method}", fn=_run,
              args=(spec, scale.name, trace_out, profile_out, watch),
-             kwargs={"problem": problems[spec.family],
+             kwargs={"problem": _entry_problem(problems[spec.family]),
                      "jobs": 1 if fan else jobs})
         for spec in matrix
     ]

@@ -42,10 +42,12 @@ def is_full_scale() -> bool:
 
 
 def is_compile_enabled() -> bool:
-    """True when ``REPRO_COMPILE`` opts the benchmarks into the compiled
-    execution tier (:mod:`repro.autodiff.compile`).
+    """The ``REPRO_COMPILE`` switch, parsed by
+    :func:`repro.utils.env.env_flag` like every other switch.
 
-    Parsed by :func:`repro.utils.env.env_flag` like every other switch.
+    Nothing in the package reads it: the compiled execution tier
+    (:mod:`repro.autodiff.compile`) is every DP oracle's and PINN's
+    default, so the benchmarks run it without a switch.
     """
     return env_flag("REPRO_COMPILE", default=False)
 
@@ -113,7 +115,6 @@ class LaplaceScale:
     backend: str = "dense"       # "dense" (paper) or "local" (RBF-FD)
     solver: str = "direct"       # "direct" (LU) or "iterative" (Krylov,
     # requires the local backend; see repro.autodiff.krylov)
-    compile: bool = False
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,6 @@ class NavierStokesScale:
     perturbation: float = 0.3
     backend: str = "dense"       # "dense" (paper) or "local" (RBF-FD)
     solver: str = "direct"       # "direct" (LU) or "iterative" (Krylov)
-    compile: bool = False
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,6 @@ class PinnScale:
     # paper: 9 values 1e-3..1e5, ω* = 1
     n_interior: int = 300
     n_boundary: int = 30
-    compile: bool = False
 
 
 @dataclass(frozen=True)
@@ -189,18 +188,7 @@ FULL_SCALE = ExperimentScale(
 def get_scale() -> ExperimentScale:
     """Return the active tier (``REPRO_FULL=1`` selects the full tier).
 
-    ``REPRO_COMPILE=1`` additionally switches every strategy onto the
-    compiled tier — results are bit-identical (the conformance tests
-    assert it), only the per-iteration wall time changes.
+    Both tiers run DP and the PINNs on the compiled execution tier, the
+    library default; it is bitwise equal to the eager tape.
     """
-    from dataclasses import replace
-
-    scale = FULL_SCALE if is_full_scale() else DEFAULT_SCALE
-    if is_compile_enabled():
-        scale = ExperimentScale(
-            name=scale.name + "+compile",
-            laplace=replace(scale.laplace, compile=True),
-            ns=replace(scale.ns, compile=True),
-            pinn=replace(scale.pinn, compile=True),
-        )
-    return scale
+    return FULL_SCALE if is_full_scale() else DEFAULT_SCALE

@@ -35,15 +35,15 @@ def spec_for(scale: ExperimentScale, family: str, method: str) -> RunSpec:
 
     ``method`` is ``dal``, ``dp``, ``fd`` or ``pinn``.  FD costs ``2n``
     solves per gradient, so its iteration budget is cut to a fifth (at
-    least 10).  Only DP runs a compiled oracle (``$REPRO_COMPILE``); a
-    PINN trains on the compiled tier under the scale's ``pinn.compile``.
+    least 10).  DP and the PINN run the compiled tier, the
+    :class:`~repro.control.spec.RunSpec` default; FD prices through an
+    eager DP oracle.
     """
     p = scale.pinn
     if family == "laplace":
         s = scale.laplace
         spec = RunSpec(
-            family=family, method=method, nx=s.nx, backend=s.backend,
-            solver=s.solver, compile=s.compile and method == "dp",
+            family=family, method=method, nx=s.nx, backend=s.backend, solver=s.solver,
             iterations=s.iterations, lr=s.lr_dal if method == "dal" else s.lr_dp,
         )
         if method == "fd":
@@ -55,8 +55,7 @@ def spec_for(scale: ExperimentScale, family: str, method: str) -> RunSpec:
         s = scale.ns
         spec = RunSpec(
             family=family, method=method, nx=s.nx, ny=s.ny, backend=s.backend,
-            solver=s.solver, compile=s.compile and method == "dp",
-            iterations=s.iterations, lr=s.lr, reynolds=s.reynolds,
+            solver=s.solver, iterations=s.iterations, lr=s.lr, reynolds=s.reynolds,
             refinements=s.refinements_dal if method == "dal" else s.refinements_dp,
             pseudo_dt=s.pseudo_dt, adjoint_refinements=s.adjoint_refinements,
             perturbation=s.perturbation,
@@ -67,8 +66,7 @@ def spec_for(scale: ExperimentScale, family: str, method: str) -> RunSpec:
     else:
         raise ValueError(f"unknown family {family!r}")
     if method == "pinn":
-        spec = replace(spec, compile=p.compile, n_interior=p.n_interior,
-                       n_boundary=p.n_boundary)
+        spec = replace(spec, n_interior=p.n_interior, n_boundary=p.n_boundary)
     return spec
 
 

@@ -97,7 +97,10 @@ def run_row(
     assemble_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    oracle = LaplaceDP(problem)
+    # One gradient per row, on the eager tape: a compiled oracle's first
+    # call would time its trace and build, and replay each solve to
+    # validate the program.
+    oracle = LaplaceDP(problem, compile=False)
     setup_s = time.perf_counter() - t0
 
     c = problem.optimal_control() * 0.5
@@ -124,7 +127,7 @@ def run_row(
         row["n_fallbacks"] = int(ks.n_fallbacks)
     if gradcheck:
         direct = LaplaceDP(
-            LaplaceControlProblem(cloud, backend="local")
+            LaplaceControlProblem(cloud, backend="local"), compile=False
         )
         cost_d, grad_d = direct.value_and_grad(c)
         scale = max(float(np.max(np.abs(grad_d))), 1e-300)

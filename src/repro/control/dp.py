@@ -6,9 +6,11 @@ quadrature — runs on the autodiff tape, and one backward pass returns the
 *exact* gradient of the discrete cost.  This is the method the paper
 finds "extremely effective ... producing the most accurate gradients".
 
-Memory behaviour matches the paper's discussion: the tape retains every
-intermediate of the ``k`` Navier–Stokes refinements, so peak memory grows
-with ``k`` (Table 3's DP rows; the ablation benchmark sweeps this).
+Memory behaviour matches the paper's discussion: the eager tape
+(``compile=False``) retains every intermediate of the ``k`` Navier–Stokes
+refinements, so peak memory grows with ``k`` (the refinements ablation
+sweeps this); the compiled default replays the same graph over reused
+buffers.
 """
 
 from __future__ import annotations
@@ -56,39 +58,44 @@ class LaplaceDP:
     ``smoothness_weight`` adds the §4 control-variation penalty to the
     objective (off by default, as in the paper).
 
-    ``compile=True`` routes ``value_and_grad`` through trace-once
+    By default (``compile=True``) ``value_and_grad`` runs trace-once
     compilation (:mod:`repro.autodiff.compile`): the cost graph is
     recorded on the first call and compiled to one fused NumPy kernel
     that subsequent iterations run over reused buffers, skipping all
     Tensor/closure construction — the NumPy analogue of wrapping the JAX
-    loss in ``jit``.
+    loss in ``jit``.  ``compile=False`` runs the eager tape on every
+    call: the reference tier, bitwise equal to the compiled one.
     """
 
     def __init__(
         self,
         problem: LaplaceControlProblem,
         smoothness_weight: float = 0.0,
-        compile: bool = False,
+        compile: bool = True,
     ) -> None:
         self.problem = problem
         self.solver = problem.factorize()
         self.smoothness_weight = float(smoothness_weight)
         self.compile = bool(compile)
-        self._vg = (
-            compiled_value_and_grad(self._cost_tensor)
-            if self.compile
-            else value_and_grad(self._cost_tensor)
+        self._vg = (compiled_value_and_grad if self.compile else value_and_grad)(
+            self._cost
         )
 
-    def _cost_tensor(self, c):
+    def _cost(self, c, smoothness_weight: float):
+        """The traced cost.  The weight is an argument, not an attribute
+        read at trace time, so a compiled program keys on its value."""
         p = self.problem
         rhs = ops.matmul(p.S_top, c) + p.b_fixed
         u = self.solver(rhs)
         mismatch = ops.matmul(p.flux_rows, u) - p.target
         j = ops.sum_(p.quad_w * ops.square(mismatch))
-        if self.smoothness_weight > 0.0:
-            j = j + self.smoothness_weight * _smoothness_penalty(c, p.control_x)
+        if smoothness_weight > 0.0:
+            j = j + smoothness_weight * _smoothness_penalty(c, p.control_x)
         return j
+
+    def _cost_tensor(self, c):
+        """The tape-level cost J(c) at the current settings."""
+        return self._cost(c, self.smoothness_weight)
 
     def value(self, c: np.ndarray) -> float:
         """Evaluate J(c) (forward only; tape pruned automatically)."""
@@ -96,7 +103,7 @@ class LaplaceDP:
 
     def value_and_grad(self, c: np.ndarray) -> Tuple[float, np.ndarray]:
         """Exact discrete gradient via one reverse pass."""
-        return self._vg(np.asarray(c, dtype=np.float64))
+        return self._vg(np.asarray(c, dtype=np.float64), self.smoothness_weight)
 
     def initial_control(self) -> np.ndarray:
         """Zero control (the paper's Laplace initialisation)."""
@@ -118,6 +125,8 @@ class NavierStokesDP:
 
     Differentiates through all ``k`` projection refinements, including the
     dependence of the momentum matrix on the previous velocity iterate.
+    Compiled by default, like :class:`LaplaceDP`; ``compile=False`` runs
+    the eager tape.
     """
 
     def __init__(
@@ -125,26 +134,28 @@ class NavierStokesDP:
         problem: ChannelFlowProblem,
         config: Optional[NSConfig] = None,
         smoothness_weight: float = 0.0,
-        compile: bool = False,
+        compile: bool = True,
     ) -> None:
         self.problem = problem
         self.config = config or NSConfig(refinements=10)
         self.smoothness_weight = float(smoothness_weight)
         self.compile = bool(compile)
-        self._vg = (
-            compiled_value_and_grad(self._cost_tensor)
-            if self.compile
-            else value_and_grad(self._cost_tensor)
+        self._vg = (compiled_value_and_grad if self.compile else value_and_grad)(
+            self._cost
         )
 
-    def _cost_tensor(self, c):
-        u, v, _ = self.problem.solve_ad(c, self.config)
+    def _cost(self, c, config: NSConfig, smoothness_weight: float):
+        """The traced cost.  ``config`` and the weight are arguments, not
+        attributes read at trace time, so a compiled program keys on them."""
+        u, v, _ = self.problem.solve_ad(c, config)
         j = self.problem.cost_ad(u, v)
-        if self.smoothness_weight > 0.0:
-            j = j + self.smoothness_weight * _smoothness_penalty(
-                c, self.problem.inflow_y
-            )
+        if smoothness_weight > 0.0:
+            j = j + smoothness_weight * _smoothness_penalty(c, self.problem.inflow_y)
         return j
+
+    def _cost_tensor(self, c):
+        """The tape-level cost J(c) at the current settings."""
+        return self._cost(c, self.config, self.smoothness_weight)
 
     def value(self, c: np.ndarray) -> float:
         """Evaluate J(c) with the NumPy solver (cheaper, identical value)."""
@@ -160,7 +171,8 @@ class NavierStokesDP:
     def value_and_grad(self, c: np.ndarray) -> Tuple[float, np.ndarray]:
         """Exact discrete gradient through the whole projection loop.  ``c`` is
         checked finite here: a compiled replay never re-runs the traced cost."""
-        return self._vg(check_finite(np.asarray(c, dtype=np.float64), "control"))
+        return self._vg(check_finite(np.asarray(c, dtype=np.float64), "control"),
+                        self.config, self.smoothness_weight)
 
     def initial_control(self) -> np.ndarray:
         """Parabolic inflow (the paper's NS initialisation)."""

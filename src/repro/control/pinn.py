@@ -59,14 +59,15 @@ class PINNTrainConfig:
 
     ``epochs`` follows the paper's piecewise-constant LR schedule; the
     alternating flag switches between joint and alternating updates of the
-    two networks.  ``compile`` routes the loss through trace-once
-    compilation (:mod:`repro.autodiff.compile`): the loss graph is
-    recorded at the first epoch and compiled to one fused NumPy kernel
-    that each subsequent epoch runs over reused buffers.  A compiled
-    epoch builds no Tensor or closure: the kernel also yields the
-    epoch's cost and residual (pinned aux outputs of the loss), and the
-    Adam update is a fixed handful of vector ufuncs over the flat
-    parameter vector.  Results are bitwise those of ``compile=False``.
+    two networks.  ``compile`` (the default) routes the loss through
+    trace-once compilation (:mod:`repro.autodiff.compile`): the loss
+    graph is recorded at the first epoch and compiled to one fused NumPy
+    kernel that each subsequent epoch runs over reused buffers.  A
+    compiled epoch builds no Tensor or closure: the kernel also yields
+    the epoch's cost and residual (pinned aux outputs of the loss), and
+    the Adam update is a fixed handful of vector ufuncs over the flat
+    parameter vector.  Results are bitwise those of ``compile=False``,
+    the eager reference tier.
     """
 
     epochs: int = 2000
@@ -75,7 +76,7 @@ class PINNTrainConfig:
     n_interior: int = 400
     n_boundary: int = 40
     alternating: bool = True
-    compile: bool = False
+    compile: bool = True
 
 
 @dataclass
@@ -531,8 +532,7 @@ def omega_line_search(
     recorded in ``LineSearchResult.failures``, whatever ``jobs`` is;
     :class:`~repro.parallel.TaskError` is raised only when every ω
     fails.  Serial and parallel runs, and a one-ω run against the same ω
-    inside a longer list, produce bitwise-identical results.  For speed,
-    train on the compiled tier (``PINNTrainConfig(compile=True)``).  A
+    inside a longer list, produce bitwise-identical results.  A
     non-finite step-2 cost never beats a finite one.
 
     The installed trace recorder receives the step-1 training epochs of

@@ -45,7 +45,7 @@ class RunSpec:
     ny: int = 0                  # ns only
     backend: str = "dense"       # "dense" (global collocation) | "local"
     solver: str = "direct"       # "direct" (LU) | "iterative" (Krylov)
-    compile: bool = False        # DP oracle / PINN training tier
+    compile: bool = True         # DP oracle / PINN training tier
     iterations: int              # optimiser iterations, or PINN epochs
     lr: float
     # Navier–Stokes

@@ -24,16 +24,19 @@ from repro.obs.hooks import record_oracle_telemetry
 from repro.obs.recorder import TraceRecorder, recording
 
 #: One golden run per name: problem, method, and every relevant knob.
+#: The DP runs record the eager tape, the reference tier; the compiled
+#: tier's trace adds only a ``compiled-replay`` cache record.
 TIER0: Dict[str, RunSpec] = {
     "laplace_dp_tier0": RunSpec(
-        family="laplace", method="dp", nx=10, iterations=25, lr=1e-2
+        family="laplace", method="dp", nx=10, iterations=25, lr=1e-2,
+        compile=False,
     ),
     "laplace_dal_tier0": RunSpec(
         family="laplace", method="dal", nx=10, iterations=25, lr=1e-2
     ),
     "ns_dp_tier0": RunSpec(
         family="ns", method="dp", nx=13, ny=7, iterations=8, lr=1e-1,
-        refinements=3,
+        refinements=3, compile=False,
     ),
 }
 

@@ -138,10 +138,11 @@ def request_spec(request):
     Every served setting that the request does not carry is fixed here.
     Where these differ from the bench's ``spec_for`` (DESIGN §16):
 
-    - Laplace DP runs with ``compile=True`` (trace-once compilation):
-      the first request traces and compiles, every subsequent
-      same-shape request runs the compiled program — the cross-request
-      program-cache contract;
+    - only Laplace DP runs with ``compile=True`` (trace-once
+      compilation): the first request traces and compiles, every
+      subsequent same-shape request runs the compiled program — the
+      cross-request program-cache contract.  NS DP runs eager; the
+      bench runs every DP oracle compiled;
     - every Navier–Stokes method uses the DP paper value of 10
       pseudo-time refinements (the bench's DAL uses 3), bounded so one
       request cannot run unbounded;

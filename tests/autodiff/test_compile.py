@@ -115,7 +115,7 @@ def test_mlp_forward_matches_eager():
 @pytest.mark.parametrize("backend", ["dense", "local"])
 def test_laplace_dp_cost_matches_eager(backend):
     prob = LaplaceControlProblem(SquareCloud(8), backend=backend)
-    eager = LaplaceDP(prob)
+    eager = LaplaceDP(prob, compile=False)
     comp = LaplaceDP(prob, compile=True)
     rng = np.random.default_rng(6)
     for _ in range(5):

@@ -8,6 +8,7 @@ from repro.bench.__main__ import main
 from repro.bench.configs import (
     ExperimentScale,
     LaplaceScale,
+    NavierStokesScale,
     PinnScale,
 )
 
@@ -152,6 +153,26 @@ class TestJobsFanOut:
             a = TraceRecorder.from_jsonl(str(serial_dir / f"{stem}.jsonl"))
             b = TraceRecorder.from_jsonl(str(par_dir / f"{stem}.jsonl"))
             assert diff_traces(a, b, TolerancePolicy()) == []
+
+    def test_ns_matrix_serial_matches_fanned(self, tmp_path, monkeypatch, capsys):
+        # DAL and DP share one problem, so one pressure LU.  Each entry
+        # counts only its own solves in either mode: serially, DP's
+        # pressure-lu-cache record must not include DAL's solves.
+        tiny_ns = ExperimentScale(
+            name="tiny-ns", ns=NavierStokesScale(nx=13, ny=7, iterations=4))
+        monkeypatch.setattr("repro.bench.__main__.get_scale", lambda: tiny_ns)
+        dirs = {jobs: tmp_path / f"jobs{jobs}" for jobs in ("1", "2")}
+        for jobs, out in dirs.items():
+            assert main(["--methods", "dal,dp", "--problem", "ns", "--jobs", jobs,
+                         "--trace-dir", str(out)]) == 0
+        capsys.readouterr()
+
+        from repro.obs import TraceRecorder, diff_traces
+
+        for stem in ("navier-stokes_dal", "navier-stokes_dp", "bench_merged"):
+            a, b = (TraceRecorder.from_jsonl(str(d / f"{stem}.jsonl"))
+                    for d in dirs.values())
+            assert diff_traces(a, b) == [], stem
 
     def test_jobs_merges_artifacts(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("repro.bench.__main__.get_scale", lambda: TINY_SCALE)

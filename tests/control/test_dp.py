@@ -170,7 +170,7 @@ class TestNavierStokesDPDenseMomentum:
 
     def test_one_momentum_factorisation_per_refinement(self, channel_problem):
         k = 7
-        dp = NavierStokesDP(channel_problem, self.config(k))
+        dp = NavierStokesDP(channel_problem, self.config(k), compile=False)
         with use_registry() as reg:
             dp.value_and_grad(channel_problem.default_control())
             assert reg.counter("linalg.dense.factorizations").value == k
@@ -180,7 +180,7 @@ class TestNavierStokesDPDenseMomentum:
         # vectors per refinement (~4 MB); assembling the matrix on the
         # tape peaked at ~37 MB here.
         problem = ChannelFlowProblem(cloud=ChannelCloud(21, 11), perturbation=0.3)
-        dp = NavierStokesDP(problem, self.config(10))
+        dp = NavierStokesDP(problem, self.config(10), compile=False)
         c = problem.default_control()
         dp.value_and_grad(c)  # warm-up: lazy imports and caches
         with PeakMemory() as pm:
@@ -190,7 +190,7 @@ class TestNavierStokesDPDenseMomentum:
     def test_execution_tiers_agree_bitwise(self, channel_problem):
         c0 = channel_problem.default_control()
         controls = [c0, c0 * 1.1, c0 * 0.9]
-        eager = NavierStokesDP(channel_problem, self.config(4))
+        eager = NavierStokesDP(channel_problem, self.config(4), compile=False)
         expected = [eager.value_and_grad(c) for c in controls]
         dp = NavierStokesDP(channel_problem, self.config(4), compile=True)
         with warnings.catch_warnings():
@@ -201,6 +201,85 @@ class TestNavierStokesDPDenseMomentum:
         assert info["codegen_fallbacks"] == 0
         for (j, g), (j_ref, g_ref) in zip(got, expected):
             assert j == j_ref
+            assert np.array_equal(g, g_ref)
+
+
+def _problem(family, backend, solver):
+    if family == "laplace":
+        return LaplaceControlProblem(SquareCloud(10), backend=backend, solver=solver)
+    return ChannelFlowProblem(cloud=ChannelCloud(13, 7), perturbation=0.3,
+                              backend=backend, solver=solver)
+
+
+def _oracle(family, problem, **kwargs):
+    if family == "laplace":
+        return LaplaceDP(problem, **kwargs)
+    return NavierStokesDP(problem, NSConfig(refinements=4), **kwargs)
+
+
+class TestCompiledDefault:
+    """DP and PINN training run the compiled tier unless ``compile=False``."""
+
+    def test_every_default_is_compiled(self, laplace_problem, channel_problem):
+        from repro.control.pinn import PINNTrainConfig
+        from repro.control.spec import RunSpec
+
+        assert LaplaceDP(laplace_problem).compile is True
+        assert NavierStokesDP(channel_problem).compile is True
+        assert PINNTrainConfig().compile is True
+        spec = RunSpec(family="laplace", method="dp", nx=4, iterations=1, lr=0.1)
+        assert spec.compile is True
+
+    @pytest.mark.parametrize("backend,solver", [
+        ("dense", "direct"), ("local", "direct"), ("local", "iterative"),
+    ], ids=["dense", "local-direct", "local-iterative"])
+    @pytest.mark.parametrize("family", ["laplace", "ns"])
+    def test_default_oracle_matches_eager_bitwise(self, family, backend, solver):
+        problem = _problem(family, backend, solver)
+        eager = _oracle(family, problem, compile=False)
+        c0 = eager.initial_control() + 0.1
+        controls = [c0, c0 * 1.1, c0 * 0.9]
+        expected = [eager.value_and_grad(c) for c in controls]
+        dp = _oracle(family, problem)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a codegen fallback warns
+            got = [dp.value_and_grad(c) for c in controls]
+        info = dp._vg.cache_info()
+        assert (info["traces"], info["eager"], info["codegen_fallbacks"]) == (1, 0, 0)
+        for (j, g), (j_ref, g_ref) in zip(got, expected):
+            assert j == j_ref
+            assert np.array_equal(g, g_ref)
+
+    def test_replay_folds_the_first_momentum_factorisation(self, channel_problem):
+        # The first refinement's momentum matrix is built from the
+        # initial fields, not from c: the program computes its LU once.
+        k = 7
+        dp = NavierStokesDP(channel_problem, NSConfig(refinements=k))
+        c = channel_problem.default_control()
+        dp.value_and_grad(c)  # trace, build and validate
+        with use_registry() as reg:
+            dp.value_and_grad(c * 1.1)
+            assert reg.counter("linalg.dense.factorizations").value == k - 1
+
+    @pytest.mark.parametrize("family", ["laplace", "ns"])
+    def test_settings_changed_after_construction_take_effect(
+        self, family, laplace_problem, channel_problem
+    ):
+        # A compiled program bakes in the settings it was traced with; a
+        # changed setting must trace anew, never replay the old program.
+        problem = laplace_problem if family == "laplace" else channel_problem
+        oracles = [_oracle(family, problem, compile=flag) for flag in (True, False)]
+        c0 = oracles[0].initial_control()
+        c = c0 + 0.1 * np.sin(np.arange(c0.size))  # not constant: penalised
+        mutations = [lambda o: setattr(o, "smoothness_weight", 1.0)]
+        if family == "ns":
+            mutations.insert(0, lambda o: setattr(o.config, "refinements", 3))
+        oracles[0].value_and_grad(c)
+        for mutate in mutations:
+            for o in oracles:
+                mutate(o)
+            (j, g), (j_ref, g_ref) = (o.value_and_grad(c) for o in oracles)
+            assert j == oracles[0].value(c) == j_ref
             assert np.array_equal(g, g_ref)
 
 

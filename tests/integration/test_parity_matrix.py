@@ -84,6 +84,11 @@ def _laplace():
     return LaplaceControlProblem(SquareCloud(NX))
 
 
+def _eager(problem):
+    """The reference DP oracle: the eager tape (the default is compiled)."""
+    return LaplaceDP(problem, compile=False)
+
+
 # ----------------------------------------------------------------------
 # Cells
 # ----------------------------------------------------------------------
@@ -94,7 +99,7 @@ def compiled():
     info = oracle._vg.cache_info()
     fractions = [p.stats.fused_fraction
                  for p in oracle._vg._cache.values() if p is not None]
-    return Comparison(candidate, _run(LaplaceDP(problem)), invariants={
+    return Comparison(candidate, _run(_eager(problem)), invariants={
         f"codegen_fallbacks == 0 (got {info['codegen_fallbacks']})":
             info["codegen_fallbacks"] == 0,
         f"one compiled program at least (got {info['programs']})":
@@ -113,7 +118,7 @@ def _krylov_problems():
     return direct, iterative
 
 
-def krylov(oracle_cls):
+def krylov(oracle_cls, reference_cls=None):
     def cell():
         direct, iterative = _krylov_problems()
         control = direct.optimal_control() * 0.5
@@ -122,7 +127,7 @@ def krylov(oracle_cls):
         ks = oracle.solver
         iterations = int(ks.last_iterations or 0)
         return Comparison(
-            candidate, _gradient(oracle_cls(direct), control),
+            candidate, _gradient((reference_cls or oracle_cls)(direct), control),
             rtol=KRYLOV_RTOL, invariants={
                 f"iterations <= {KRYLOV_MAX_ITERATIONS} (got {iterations})":
                     iterations <= KRYLOV_MAX_ITERATIONS,
@@ -137,7 +142,7 @@ def traced():
     with recording() as recorder:
         candidate = _run(LaplaceDP(problem))
     n_records = len(recorder.iterations)
-    return Comparison(candidate, _run(LaplaceDP(problem)), invariants={
+    return Comparison(candidate, _run(_eager(problem)), invariants={
         f"one record per iteration (got {n_records})": n_records == ITERS,
     })
 
@@ -148,7 +153,7 @@ def profiled():
     with profiling(profiler):
         candidate = _run(LaplaceDP(problem))
     n_phase = sum(1 for sp in profiler.spans() if sp.category == "phase")
-    return Comparison(candidate, _run(LaplaceDP(problem)), invariants={
+    return Comparison(candidate, _run(_eager(problem)), invariants={
         f"3 phase spans per iteration (got {n_phase})": n_phase == 3 * ITERS,
     })
 
@@ -158,11 +163,12 @@ def profiled():
 SERVED = {
     "laplace": ({"nx": 10, "iterations": 5},
                 lambda: LaplaceControlProblem(SquareCloud(10)),
-                {"dp": LaplaceDP, "dal": LaplaceDAL}),
+                {"dp": _eager, "dal": LaplaceDAL}),
     "ns": ({"nx": 13, "ny": 7, "iterations": 3},
            lambda: ChannelFlowProblem(cloud=ChannelCloud(13, 7),
                                       perturbation=0.3),
-           {"dp": lambda p: NavierStokesDP(p, NSConfig(refinements=10)),
+           {"dp": lambda p: NavierStokesDP(p, NSConfig(refinements=10),
+                                           compile=False),
             "dal": lambda p: NavierStokesDAL(p, NSConfig(refinements=10))}),
 }
 
@@ -199,7 +205,7 @@ def served_pinn():
     result = _served_solve(request)
     problem = LaplaceControlProblem(SquareCloud(10))
     pinn = LaplacePINN(problem, config=PINNTrainConfig(
-        epochs=20, lr=request.lr, n_interior=200, n_boundary=24))
+        epochs=20, lr=request.lr, n_interior=200, n_boundary=24, compile=False))
     run = pinn.train_pair(
         0.1, seed=derive_seed(request.seed, request_digest(request)))
     control = pinn.control_values(run.params_c)
@@ -228,7 +234,7 @@ def served_ns_evaluate():
 
 CELLS = [
     pytest.param(compiled, id="compiled-laplace-dp"),
-    pytest.param(krylov(LaplaceDP), id="krylov-laplace-dp"),
+    pytest.param(krylov(LaplaceDP, _eager), id="krylov-laplace-dp"),
     pytest.param(krylov(LaplaceDAL), id="krylov-laplace-dal"),
     pytest.param(traced, id="traced-laplace-dp"),
     pytest.param(profiled, id="profiled-laplace-dp"),

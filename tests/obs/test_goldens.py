@@ -44,6 +44,28 @@ def test_trace_matches_golden(name, regen_goldens):
     assert devs == [], format_diff(devs)
 
 
+@pytest.mark.parametrize("name", GOLDEN_CONFIGS)
+def test_compiled_trace_differs_from_golden_only_in_caches(name, regen_goldens):
+    # The goldens record the eager tape.  The compiled tier (the DP
+    # default) runs the same iterations bit for bit: its trace differs
+    # from the golden only in cache records (a compiled-replay record,
+    # and the solves the program's validation call adds).
+    if regen_goldens:
+        pytest.skip("baselines are being reblessed")
+    compiled = run_tier0(name, compile=True)
+    baseline = TraceRecorder.from_jsonl(_golden_path(name))
+    devs = diff_traces(baseline, compiled)
+    assert {d.kind for d in devs} == {"cache"}, format_diff(devs)
+    assert "compiled-replay" in {d.field for d in devs}
+    eager = run_tier0(name)
+
+    def steps(trace):
+        return [(r.iteration, r.cost, r.grad_norm, r.step_size)
+                for r in trace.iterations]
+
+    assert steps(compiled) == steps(eager)
+
+
 def test_same_config_reruns_agree():
     # The determinism premise of the golden layer, checked directly:
     # two fresh runs of one config may differ only in excluded timings.
