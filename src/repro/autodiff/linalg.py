@@ -152,7 +152,9 @@ class RowScaledSystem:
     ``FD`` blocks serve the ``A_FD`` products.  ``C`` itself is kept only
     as these blocks (:attr:`C` rebuilds it); ``M1`` and ``M2`` are kept
     whole, as given, for the scale VJPs.  With no unit rows ``F`` is every
-    row and this is the plain full solve.
+    row and this is the plain full solve.  :meth:`factor` can add a
+    diagonal shift on the ``F`` rows (the DAL adjoint's outflow Robin
+    term), so one system serves every diagonal.
     """
 
     def __init__(self, M1: ArrayLike, M2: ArrayLike, C: ArrayLike) -> None:
@@ -203,15 +205,23 @@ class RowScaledSystem:
             other._m_blocks = (other._split(self.M1), other._split(self.M2))
         return other
 
-    def factor(self, s1: np.ndarray, s2: np.ndarray) -> "RowScaledLU":
+    def factor(self, s1: np.ndarray, s2: np.ndarray,
+               shift: Optional[np.ndarray] = None) -> "RowScaledLU":
         """Assemble ``A_FF`` for the scales ``s1``, ``s2`` and LU-factorise it.
 
-        An exactly singular ``A_FF`` raises ``np.linalg.LinAlgError``.
+        ``shift`` (``(n,)``, optional) is added to the diagonal after
+        assembly: the factorised matrix is ``… + C + diag(shift)``.  Like
+        the scales it must vanish on the unit rows (``ValueError``).  An
+        exactly singular ``A_FF`` raises ``np.linalg.LinAlgError``.
         """
         D = self.fixed
         if np.any(s1[D]) or np.any(s2[D]):
             raise ValueError(
                 "RowScaledSystem: a row scale is nonzero on a unit row of C"
+            )
+        if shift is not None and np.any(shift[D]):
+            raise ValueError(
+                "RowScaledSystem: a diagonal shift is nonzero on a unit row of C"
             )
         F = self.free
         s1F, s2F = s1[F], s2[F]
@@ -219,6 +229,9 @@ class RowScaledSystem:
         A = np.multiply(s1F[:, None], M1FF, order="F")
         A += np.multiply(s2F[:, None], M2FF, order="F")
         A += self._c_blocks[0]
+        if shift is not None:
+            diag = np.arange(F.size)
+            A[diag, diag] += shift[F]
         if A.size:
             lu, piv, info = self._getrf(A, overwrite_a=1)
             if info != 0:
@@ -255,15 +268,17 @@ class RowScaledLU:
         sys_ = self.system
         F, D = sys_.free, sys_.fixed
         rhs = b[F]
-        if D.size:
-            bD = b[D]
+        bD = b[D]
+        # A zero ``b_D`` (every unit row of the DAL adjoint's RHS) needs
+        # none of the ``A_FD`` products: they would subtract zeros.
+        if np.any(bD):
             (_, M1FD), (_, M2FD) = sys_._m_blocks
             rhs -= (
                 self.s1F * (M1FD @ bD)
                 + self.s2F * (M2FD @ bD)
                 + sys_._c_blocks[1] @ bD
             )
-            out[D] = bD
+        out[D] = bD
         out[F] = self._getrs(rhs, 0)
 
     def solve(self, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

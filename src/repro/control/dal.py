@@ -41,7 +41,14 @@ and the Robin outflow condition
 solved with the same projection scheme as the direct problem: one
 momentum solve for ``[λx*, λy*]`` per refinement, then the direct
 solve's own projection step, ``ChannelFlowProblem._project``.  The
-gradient on the inflow is ``∇J(y) = −(1/Re) ∂λ_x/∂x(0,y) − σ(0,y)``.
+projection returns ``∇φ`` with ``φ``, so ``∇σ`` is carried along with
+``σ ← σ − φ`` (``∇σ ← ∇σ − ∇φ`` from ``∇σ₀ = 0``) instead of being
+differentiated again: a refinement costs four ``n×n`` mat-vecs (the
+divergence and the projection).  The momentum right-hand side vanishes
+on every velocity-Dirichlet node, so the condensed dense solve skips
+its Dirichlet-block products, and the outflow Robin term is a diagonal
+shift added when the one momentum LU is factorised.  The gradient on
+the inflow is ``∇J(y) = −(1/Re) ∂λ_x/∂x(0,y) − σ(0,y)``.
 
 The reaction term ``(∇u)ᵀλ`` requires RBF derivatives of the direct
 velocity — this is precisely where the paper reports DAL breaking down at
@@ -143,8 +150,10 @@ class NavierStokesDAL:
     momentum system is the direct one with the advection reversed and a
     Robin diagonal on the outflow rows; it is factorised once per adjoint
     solve through :meth:`ChannelFlowProblem.momentum_solver`, on the
-    problem's backend and ``solver``.  ``adjoint_refinements`` below 1
-    raises ``ValueError`` (it would return a zero gradient).
+    problem's backend and ``solver`` (dense: the direct system's cached
+    constant, with the Robin diagonal added at factor time).
+    ``adjoint_refinements`` below 1 raises ``ValueError`` (it would return
+    a zero gradient).
 
     Telemetry: with a trace recorder installed
     (:func:`~repro.obs.recorder.recording`) every adjoint solve emits an
@@ -201,12 +210,13 @@ class NavierStokesDAL:
         lx = np.zeros(n)
         ly = np.zeros(n)
         sigma = np.zeros(n)
+        sx = np.zeros(n)  # ∂x σ and ∂y σ, carried with σ
+        sy = np.zeros(n)
         mismatch_u = u[out] - pr.u_target
         mismatch_v = v[out]
         hist = []
 
         for _ in range(self.adjoint_refinements):
-            sx, sy = nd.dx @ sigma, nd.dy @ sigma
             bx = mask * (-(lx * ux + ly * vx) + sx)
             by = mask * (-(lx * uy + ly * vy) + sy)
             # Outflow Robin data (σ lagged):  n = (1, 0).
@@ -215,8 +225,12 @@ class NavierStokesDAL:
             # [λx*, λy*] in one solve; column-major, so the projection's
             # mat-vecs read contiguous columns.
             X = solve_sys(np.array([bx, by]).T)
-            lx_new, ly_new, phi = pr._project(X, dt, operator.matmul, solve_pressure)
+            lx_new, ly_new, phi, phi_x, phi_y = pr._project(
+                X, dt, operator.matmul, solve_pressure
+            )
             sigma = sigma - phi  # +∇σ convention: opposite sign to p
+            sx = sx - phi_x
+            sy = sy - phi_y
 
             hist.append(
                 float(

@@ -142,8 +142,12 @@ class _DenseKernels:
 
     @staticmethod
     def factor(pr: "ChannelFlowProblem", a, b, reynolds: float, robin=None):
-        system = pr.momentum_system(reynolds, robin)
-        return system.factor(pr.mask_int * a, pr.mask_int * b).solve
+        shift = None
+        if robin is not None:
+            shift = np.zeros(pr.cloud.n)
+            shift[pr.outflow] = robin
+        system = pr.momentum_system(reynolds)
+        return system.factor(pr.mask_int * a, pr.mask_int * b, shift).solve
 
 
 class _LocalKernels:
@@ -294,10 +298,10 @@ class ChannelFlowProblem:
             )
             self._kernels = _LocalKernels
         else:
-            # ``(Re, C, system)``: every momentum ``C`` has the unit rows of
+            # ``(Re, system)``: every momentum ``C`` has the unit rows of
             # ``rows_u``, so these ``∂x``/``∂y`` blocks serve any Re.
             base = RowScaledSystem(nd.dx, nd.dy, self.rows_u)
-            self._momentum_cache = (None, None, base)
+            self._momentum_cache = (None, base)
             self._kernels = _DenseKernels
 
         # Boundary data: blowing/suction bumps, fixed v-BC vector.
@@ -350,32 +354,25 @@ class ChannelFlowProblem:
             + (self._mom_bc - self._mom_lap / reynolds)
         )
 
-    def momentum_system(
-        self, reynolds: float, robin: Optional[np.ndarray] = None
-    ) -> RowScaledSystem:
+    def momentum_system(self, reynolds: float) -> RowScaledSystem:
         """The constant operands of the dense momentum system.
 
         ``A = diag(mask·u)·∂x + diag(mask·v)·∂y + C`` with
         ``C = rows_u − mask·lap/Re``, the only velocity-independent part,
         assembled by :func:`~repro.pde.discrete.assemble_field_system`
-        once per Reynolds number (a one-slot cache).  ``robin`` adds a
-        diagonal on the outflow rows (whose ``rows_u`` rows are the normal
-        derivative) to a copy of that ``C``: the DAL adjoint's Robin
-        condition.
+        once per Reynolds number (a one-slot cache).  The DAL adjoint's
+        Robin diagonal is not part of ``C``: :meth:`momentum_solver` adds
+        it at factor time.
         """
-        cached_re, C, system = self._momentum_cache
+        cached_re, system = self._momentum_cache
         if cached_re != reynolds:
             nd = self.nodal
             C = assemble_field_system(
                 self.cloud, nd, nd.lap * (-1.0 / reynolds), self.bcs_u
             )
             system = system.with_constant(C)
-            self._momentum_cache = (reynolds, C, system)
-        if robin is None:
-            return system
-        C = C.copy()
-        C[self.outflow, self.outflow] += robin
-        return system.with_constant(C)
+            self._momentum_cache = (reynolds, system)
+        return system
 
     def momentum_matrix_ad(self, u, v, reynolds: float):
         """Frozen-advection momentum system in row-scaled form (dense).
@@ -395,12 +392,15 @@ class ChannelFlowProblem:
         """One factorisation of a momentum-type system, as a NumPy solve.
 
         The system is ``diag(mask·a)·∂x + diag(mask·b)·∂y + C`` with the
-        ``C`` and ``robin`` of :meth:`momentum_system`.  The forward system
-        (:meth:`solve`) is ``a = u``, ``b = v`` with no ``robin``; the DAL
-        adjoint's reversed-advection system is ``a = −u``, ``b = −v``,
+        ``C`` of :meth:`momentum_system`, plus ``robin`` (optional, one value
+        per outflow node) on the outflow diagonal, whose rows are the
+        normal derivative.  The forward system (:meth:`solve`) is
+        ``a = u``, ``b = v`` with no ``robin``; the DAL adjoint's
+        reversed-advection system is ``a = −u``, ``b = −v``,
         ``robin = Re·u[out]``.  Dense: the
-        :class:`~repro.autodiff.linalg.RowScaledSystem` kernel; local: the
-        fixed momentum pattern through
+        :class:`~repro.autodiff.linalg.RowScaledSystem` kernel, the Robin
+        term a diagonal shift at factor time; local: the fixed momentum
+        pattern, whose outflow diagonal takes the Robin term, through
         :func:`~repro.autodiff.sparse.make_linear_solver` (``splu`` or
         Krylov, per ``solver``).
         """
@@ -410,10 +410,12 @@ class ChannelFlowProblem:
     # The projection loop
     # ------------------------------------------------------------------
     def _project(self, X, dt: float, matvec, pressure_solve):
-        """Pressure correction and projection of ``X = [u*, v*]``: ``(u, v, φ)``.
+        """Pressure correction and projection of ``X = [u*, v*]``.
 
-        ``matvec(M, x)`` applies ``∂x``/``∂y``, ``pressure_solve`` solves the
-        pressure system: tape primitives in :meth:`solve_ad`, NumPy elsewhere.
+        Returns ``(u, v, φ, ∂x φ, ∂y φ)``; the DAL adjoint carries ``∇σ``
+        with the gradient of ``φ``.  ``matvec(M, x)`` applies ``∂x``/``∂y``,
+        ``pressure_solve`` solves the pressure system: tape primitives in
+        :meth:`solve_ad`, NumPy elsewhere.
         """
         nd = self.nodal
         u_star, v_star = X[:, 0], X[:, 1]
@@ -422,9 +424,11 @@ class ChannelFlowProblem:
             phi = pressure_solve(self.mask_int * div * (1.0 / dt))
 
         with _span("ns.projection", "pde"):
-            u = u_star - dt * (self.free_uv * matvec(nd.dx, phi))
-            v = v_star - dt * (self.free_uv * matvec(nd.dy, phi))
-        return u, v, phi
+            phi_x = matvec(nd.dx, phi)
+            u = u_star - dt * (self.free_uv * phi_x)
+            phi_y = matvec(nd.dy, phi)
+            v = v_star - dt * (self.free_uv * phi_y)
+        return u, v, phi, phi_x, phi_y
 
     def _step(self, u, v, p, b_u_bc, dt: float, kernels):
         """One refinement of the scheme: ``(u, v, p) → (u', v', p')``.
@@ -438,7 +442,7 @@ class ChannelFlowProblem:
             bu = mask * (-matvec(nd.dx, p)) + b_u_bc
             bv = mask * (-matvec(nd.dy, p)) + self.b_v_fixed
             X = momentum_solve(u, v, bu, bv)
-        u, v, phi = self._project(X, dt, matvec, pressure_solve)
+        u, v, phi, _, _ = self._project(X, dt, matvec, pressure_solve)
         return u, v, p + phi
 
     def solve(self, control: np.ndarray, config: NSConfig) -> NSState:

@@ -290,6 +290,44 @@ class TestRowScaledSolve:
         with pytest.raises(ValueError, match="unit row"):
             system.factor(*scales)
 
+    @CASES
+    def test_factor_shift_matches_explicit_diagonal(self, kind, rhs):
+        # The shift is added to the assembled diagonal (the DAL adjoint's
+        # Robin term); on the free rows only, so condensation still holds.
+        case = self.case(kind)
+        shift = self._rng.uniform(1.0, 3.0, N)
+        shift[case.unit] = 0.0
+        x = case.system.factor(case.s1, case.s2, shift).solve(rhs)
+        lu = sla.lu_factor(case.dense + np.diag(shift), check_finite=False)
+        ref = sla.lu_solve(lu, rhs, check_finite=False)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_rejects_shift_on_unit_row(self):
+        case = self.case("condensed")
+        shift = np.zeros(N)
+        shift[self.UNIT[0]] = 1e-3
+        with pytest.raises(ValueError, match="shift is nonzero on a unit row"):
+            case.system.factor(case.s1, case.s2, shift)
+
+    def test_zero_dirichlet_data_skips_the_fd_block_exactly(self):
+        # With b_D = 0 (either sign) the A_FD products are skipped; the
+        # solve equals the one that subtracts them explicitly.
+        case = self.case("condensed")
+        lu = case.system.factor(case.s1, case.s2)
+        b = self._rng.standard_normal(N)
+        b[self.UNIT] = [0.0, -0.0]
+        F, D = case.system.free, case.system.fixed
+        (_, M1FD), (_, M2FD) = case.system._m_blocks
+        rhs = b[F] - (
+            lu.s1F * (M1FD @ b[D])
+            + lu.s2F * (M2FD @ b[D])
+            + case.system._c_blocks[1] @ b[D]
+        )
+        ref = np.empty(N)
+        ref[D] = b[D]
+        ref[F] = lu._getrs(rhs, 0)
+        np.testing.assert_array_equal(lu.solve(b), ref)
+
     def test_singular_ff_block_raises(self):
         # A zero row among the free rows of C makes A_FF exactly singular
         # when both scales vanish: getrf reports it, the factorisation

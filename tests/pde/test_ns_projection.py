@@ -230,6 +230,65 @@ class TestDenseFactorisationCount:
         assert self._count(lambda: dal.solve_adjoint(st.u, st.v)) == 1
 
 
+class _CountingMatrix(np.ndarray):
+    """An ``n×n`` operator that counts the products taken with it."""
+
+    matmuls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountingMatrix.matmuls += 1
+        inputs = [np.asarray(x) for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_adjoint_matvec_count(channel_problem, monkeypatch, k):
+    """Four ``n×n`` mat-vecs per refinement (divergence and projection; ``∇σ``
+    is carried, not recomputed) plus the four velocity derivatives, and one
+    momentum factorisation."""
+    pr = channel_problem
+    dal = NavierStokesDAL(pr, NSConfig(refinements=3), adjoint_refinements=k)
+    st = pr.solve(pr.default_control(), dal.config)
+    for name in ("dx", "dy"):
+        monkeypatch.setattr(
+            pr.nodal, name, getattr(pr.nodal, name).view(_CountingMatrix)
+        )
+    monkeypatch.setattr(_CountingMatrix, "matmuls", 0)
+    with use_registry() as reg:
+        dal.solve_adjoint(st.u, st.v)
+        assert reg.counter("linalg.dense.factorizations").value == 1
+    assert _CountingMatrix.matmuls == 4 * k + 4
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+@pytest.mark.parametrize("backend", ["dense", "local-direct"])
+def test_adjoint_structural_zeros(backend, k, channel_problem, local_direct):
+    """``λ`` is 0 on every velocity-Dirichlet node (the momentum RHS vanishes
+    there, so the dense solve skips its Dirichlet block) and ``σ`` is 0 on
+    the outflow, where the pressure is Dirichlet.
+
+    Dense: exactly, the condensed solve copies the zero data through.
+    ``splu`` permutes rows and columns, so on local-direct the unit rows'
+    data comes back with rounding error (below 1e-12 of the field's
+    maximum, as before the short path existed).
+    """
+    pr = channel_problem if backend == "dense" else local_direct
+    dal = NavierStokesDAL(pr, NSConfig(refinements=3), adjoint_refinements=k)
+    st = pr.solve(_perturbed_control(pr), dal.config)
+    adj = dal.solve_adjoint(st.u, st.v)
+    dirichlet = np.concatenate([pr.cloud.groups[g] for g in DIRICHLET_GROUPS])
+    for field, nodes in ((adj.lx, dirichlet), (adj.ly, dirichlet),
+                         (adj.sigma, pr.outflow)):
+        assert np.any(field)
+        if backend == "dense":
+            np.testing.assert_array_equal(field[nodes], 0.0)
+        else:
+            np.testing.assert_allclose(
+                field[nodes], 0.0, atol=1e-11 * np.max(np.abs(field))
+            )
+
+
 class TestSparseFactorisationCount:
     """The local-backend twin: every momentum ``splu`` reaches the registry.
 
