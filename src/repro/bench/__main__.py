@@ -48,16 +48,11 @@ Exit status
 entry is reported as ``FAILED`` on stderr and loses only its own row:
 the other rows, the table and the merged artifacts are still written.
 
-Subcommands
------------
-``python -m repro.bench serve``
-    Load-test the control service (:mod:`repro.serve`): boots a warm
-    worker pool, drives ≥8 concurrent clients, checks parity against
-    direct ``control.*`` calls, and reports throughput + p50/p95/p99
-    latency.  See :mod:`repro.bench.serve_bench` for options.
-
 Timing regressions are measured by the repo benchmark (``perf/run.py``
-and ``perf/compare.py``); this CLI prints one run's Table 3.
+and ``perf/compare.py``); this CLI prints one run's Table 3.  The
+control service (:mod:`repro.serve`) is load-tested by the benchmark's
+``serve_mix`` workload, which also checks its replies, store replays
+and parity with direct execution.
 """
 
 from __future__ import annotations
@@ -195,12 +190,6 @@ def _write_merged(trace_out, profile_out, results) -> None:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "serve":
-        from repro.bench.serve_bench import main as serve_main
-
-        return serve_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Reproduce the paper's evaluation tables.",

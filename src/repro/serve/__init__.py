@@ -15,8 +15,11 @@ idempotent re-submits replay byte-for-byte without touching a worker.
 
 Everything is stdlib: ``asyncio`` for the HTTP front
 (:mod:`repro.serve.service`), ``multiprocessing`` pipes for the workers.
-``python -m repro.serve`` boots the service;
-``python -m repro.bench serve`` load-tests it and gates its contract.
+``python -m repro.serve`` boots the service.  The benchmark's
+``serve_mix`` workload (``perf/run.py --workload serve_mix``) drives it
+with concurrent clients and checks every reply, store replay and a
+parity sample against direct execution; ``tests/serve/`` pins the rest
+of its contract.
 """
 
 from repro.serve.protocol import (

@@ -1,6 +1,6 @@
 """A small blocking client for the control service (stdlib http.client).
 
-Used by the load-generator bench, the smoke gate, and the tests; it is
+Used by the benchmark's ``serve_mix`` workload and the tests; it is
 also the reference for how external callers should talk to the service.
 One connection per request (the service speaks ``Connection: close``).
 """

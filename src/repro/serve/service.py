@@ -128,6 +128,9 @@ class ControlService:
         self._draining = False
         self._stopped = asyncio.Event()
         self._latencies: "collections.deque[float]" = collections.deque(maxlen=4096)
+        # Each worker's last cumulative cache report, by worker id.  A
+        # retired worker's report stays (its replacement gets a fresh
+        # id), so the summed ``cache.*`` totals never fall.
         self._worker_obs: Dict[int, Dict[str, Dict[str, int]]] = {}
 
     # ------------------------------------------------------------------
@@ -208,7 +211,6 @@ class ControlService:
                     else "serve.worker.crashes")
             self.registry.counter(name).inc()
             fresh = self.pool.replace(worker)
-            self._worker_obs.pop(worker.worker_id, None)
             self._worker_queue.put_nowait(fresh)
         else:
             self._worker_queue.put_nowait(worker)

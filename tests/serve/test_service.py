@@ -210,6 +210,61 @@ def test_concurrent_evaluates_coalesce(service, client, n_control):
     assert queue.qsize() == 2  # every worker is back in rotation
 
 
+def test_more_clients_than_workers_all_served_stored_and_exact(client,
+                                                               n_control):
+    # Eight clients against two workers: each posts a solve, two distinct
+    # evaluates, then its solve again.  Coalesce widths depend on timing
+    # and are not asserted here.
+    from repro.serve.protocol import parse_request, request_digest
+    from repro.serve.worker import WorkerState, execute_job
+
+    n_clients = 8
+    replies = [None] * n_clients
+    barrier = threading.Barrier(n_clients)
+
+    def script(cid):
+        solve = {"family": "laplace", "kind": "solve",
+                 "method": ("dp", "dal")[cid % 2], "iterations": 3,
+                 "lr": 1e-2 * (1.0 + 0.1 * cid)}
+        evaluates = [_evaluate([0.01 * (cid + 1) + 0.001 * (j % 5) + 0.005 * k
+                                for j in range(n_control)])
+                     for k in range(2)]
+        barrier.wait()
+        replies[cid] = [(r, client.post_control_raw(r))
+                        for r in [solve, *evaluates, solve]]
+
+    threads = [threading.Thread(target=script, args=(cid,))
+               for cid in range(n_clients)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120.0)
+    assert all(r is not None for r in replies)
+
+    reference = WorkerState(0)
+    for script_replies in replies:
+        assert [status for _, (status, _, _) in script_replies] == [200] * 4
+        _, _, first = script_replies[0][1]
+        _, headers, again = script_replies[-1][1]
+        assert headers["x-repro-store"] == "hit"
+        assert again == first
+        for request, (_, _, body) in script_replies[:-1]:
+            parsed = parse_request(request)
+            result = json.loads(body.decode("utf-8"))["result"]
+            if parsed.kind == "solve":
+                served = result["final_cost"]
+                direct = execute_job(reference, {
+                    "op": "solve", "request": parsed,
+                    "digest": request_digest(parsed),
+                })["result"]["final_cost"]
+            else:
+                served = result["cost"]
+                direct = execute_job(reference, {
+                    "op": "evaluate", "requests": [parsed],
+                })["results"][0]["cost"]
+            assert served == pytest.approx(direct, rel=1e-9)
+
+
 def test_metrics_exposes_cache_and_latency(client):
     doc = client.metrics()
     lat = doc["latency"]
@@ -273,6 +328,42 @@ def test_worker_timeout_is_504_and_worker_is_replaced():
         assert doc["metrics"]["serve.worker.timeouts"]["value"] == 1
         # The replacement worker serves the next request normally.
         assert client.control(**SOLVE)["result"]["final_cost"] >= 0.0
+
+
+def test_cache_totals_never_fall_when_a_worker_is_replaced():
+    # The served cache.* gauges sum every worker's last cumulative
+    # report; a retired worker's hits must stay counted.
+    config = ServeConfig(workers=2, request_timeout_s=2.0)
+    with ServiceThread(config) as svc:
+        client = ServeClient(svc.host, svc.port, timeout=30.0)
+
+        def cache_totals():
+            return {name: m["value"]
+                    for name, m in client.metrics()["metrics"].items()
+                    if name.startswith("cache.")}
+
+        def solve_pair(iterations):
+            pair = [threading.Thread(target=client.control, kwargs=dict(
+                SOLVE, iterations=iterations, lr=lr)) for lr in (1e-2, 2e-2)]
+            for t in pair:
+                t.start()
+            for t in pair:
+                t.join(timeout=30.0)
+
+        for rnd in range(3):
+            solve_pair(3 + rnd)
+        seen = [cache_totals()]
+        assert seen[0]["cache.compiled-replay.hits"] > 0
+        with pytest.raises(ServeHTTPError) as err:
+            client.control(**SLOW_SOLVE)
+        assert err.value.status == 504
+        seen.append(cache_totals())
+        assert client.metrics()["pool"]["replacements"] == 1
+        solve_pair(6)  # the replacement reports its own (small) totals
+        seen.append(cache_totals())
+    for earlier, later in zip(seen, seen[1:]):
+        for name, value in earlier.items():
+            assert later[name] >= value, (name, earlier, later)
 
 
 def test_worker_crash_is_typed_500_and_worker_is_replaced():
