@@ -234,11 +234,10 @@ class _CachedSolver:
 
         One factorisation (cached under ``cache_key`` exactly as in
         :meth:`solve`) serves every row of ``b_block`` through one
-        ``solve_numpy`` on the ``(n, N_rhs)`` column block — the same
-        reuse the served coalesced evaluate gets.  Dense: one multi-RHS
-        ``getrs`` (equal to per-row solves to rounding); ``splu``: bitwise
-        equal to per-row solves for the narrow blocks the batched cost
-        sweeps produce (observed up to ~50 columns; very wide blocks may
+        ``solve_numpy`` on the ``(n, N_rhs)`` column block.  Dense: one
+        multi-RHS ``getrs`` (equal to per-row solves to rounding);
+        ``splu``: bitwise equal to per-row solves for the narrow blocks
+        the batched cost sweeps produce (observed up to ~50 columns; very wide blocks may
         take a blocked substitution that perturbs last bits); Krylov: one
         iteration per row, bitwise.  Counts as one entry in ``n_solves``.
         Returns the ``(N_rhs, n)`` block of solutions (``N_rhs = 0`` is

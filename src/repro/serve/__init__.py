@@ -7,11 +7,11 @@ tolerance, scale) arrive over HTTP, are validated and content-digested
 (:mod:`repro.serve.protocol`), and routed to a pool of *warm* worker
 processes (:mod:`repro.parallel.pool`, shared with the task engine;
 the job loop is :mod:`repro.serve.worker`) that keep compiled programs
-and LU factorisations alive across requests.  Compatible cost
-evaluations are coalesced into one multi-RHS solve
-(:mod:`repro.serve.coalesce`), and completed results land in a
-disk-backed store keyed by request digest (:mod:`repro.serve.store`) so
-idempotent re-submits replay byte-for-byte without touching a worker.
+and LU factorisations alive across requests.  Every request, solve or
+cost evaluation, runs as one job on one worker, and completed results
+land in a disk-backed store keyed by request digest
+(:mod:`repro.serve.store`) so idempotent re-submits replay byte-for-byte
+without touching a worker.
 
 Everything is stdlib: ``asyncio`` for the HTTP front
 (:mod:`repro.serve.service`), ``multiprocessing`` pipes for the workers.

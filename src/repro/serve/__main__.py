@@ -1,8 +1,7 @@
 """``python -m repro.serve`` — boot the control service.
 
 Runs until SIGTERM/SIGINT, then drains gracefully: the socket closes,
-in-flight requests settle, pending coalesce buckets flush, workers shut
-down.
+in-flight requests settle, workers shut down.
 
 Usage::
 

@@ -6,8 +6,9 @@ One request = one JSON object.  Two kinds exist:
   return the best control (the online analogue of one Table-3 run);
 - ``kind: "evaluate"`` — price a given control under the problem's
   physical cost ``J(c)``.  Evaluations are method-independent (the cost
-  is a property of the PDE problem, not the optimiser) and are the
-  requests the service coalesces into multi-RHS solves.
+  is a property of the PDE problem, not the optimiser): one solve
+  against the warm worker's cached factorisation for Laplace, one
+  projection forward for Navier–Stokes.
 
 Every field that affects the answer is folded into the request's
 **content digest** (:func:`request_digest`, built on
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.obs.fingerprint import config_digest
 
@@ -32,7 +33,6 @@ __all__ = [
     "METHODS",
     "ControlRequest",
     "RequestError",
-    "coalesce_key",
     "parse_request",
     "request_digest",
 ]
@@ -214,14 +214,3 @@ def request_digest(request: ControlRequest) -> str:
     """
     return config_digest(request.to_dict())
 
-
-def coalesce_key(request: ControlRequest) -> Tuple:
-    """Grouping key for batchable requests.
-
-    Evaluations sharing one key run against the *same* factorised
-    system, so their right-hand sides can be stacked into one multi-RHS
-    solve.  The target is deliberately **excluded**: the mismatch against
-    the target happens after the linear solve, column by column, so
-    requests with different targets still share the factorisation.
-    """
-    return (request.family, request.kind, request.nx, request.ny)

@@ -13,16 +13,16 @@ Request lifecycle (DESIGN.md §16):
    store's in-memory index; a hit replays the original payload
    byte-for-byte from its log (``X-Repro-Store: hit``) without touching
    a worker.
-4. **dispatch** — solves and evaluate batches wait for a warm worker in
-   one FIFO queue; evaluations join the coalescer, which batches them
-   into one multi-RHS job only while every worker is busy.  Worker round
+4. **dispatch** — every request, solve or evaluate, waits for a warm
+   worker in one FIFO queue and runs as one job on it.  Worker round
    trips run on the event loop itself (no executor thread) with a
    per-request deadline.
 5. **settle** — worker replies map to HTTP statuses (400/500/504); a
    crashed or deadline-blown worker is killed and replaced before the
-   next request can check it out.  Completed payloads are appended to
-   the store's log.  A client that disconnects mid-flight has its work
-   cancelled and its admission slot freed.
+   next request can check it out.  A completed payload is strict JSON
+   (a non-finite result is a typed 500, never stored) and is appended
+   to the store's log.  A client that disconnects mid-flight has its
+   work cancelled and its admission slot freed.
 
 Everything observable lands in a service-private
 :class:`~repro.obs.metrics.MetricsRegistry` under ``serve.*`` plus the
@@ -37,17 +37,11 @@ import collections
 import json
 import signal
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.pool import WarmPool, Worker
-from repro.serve.coalesce import Coalescer
-from repro.serve.protocol import (
-    RequestError,
-    coalesce_key,
-    parse_request,
-    request_digest,
-)
+from repro.serve.protocol import RequestError, parse_request, request_digest
 from repro.serve.store import ResultStore
 from repro.serve.worker import serve_worker_main
 
@@ -72,9 +66,6 @@ _ERROR_STATUS = {
 #: sending before it is closed (see ``ControlService._linger``).
 LINGER_S = 2.0
 
-#: Coalesce-width histogram bounds (requests per flushed batch).
-WIDTH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -85,7 +76,6 @@ class ServeConfig:
     workers: int = 2
     queue_limit: int = 32              # concurrent admissions before 429
     request_timeout_s: float = 60.0
-    coalesce_max: int = 16             # widest evaluate batch
     store_dir: Optional[str] = None    # None disables the result store
     root_seed: int = 0
     drain_timeout_s: float = 10.0
@@ -114,13 +104,9 @@ class ControlService:
         self.pool: Optional[WarmPool] = None
         self.port: Optional[int] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        # Idle workers.  Solves and coalesced evaluate batches check
-        # workers out of this one FIFO queue, first come first served.
+        # Idle workers.  Every request checks a worker out of this one
+        # FIFO queue, first come first served.
         self._worker_queue: "asyncio.Queue[Worker]" = asyncio.Queue()
-        self._coalescer = Coalescer(
-            self._flush_evaluate, self._worker_queue.get, self._settle_worker,
-            max_width=self.config.coalesce_max,
-        )
         # Worker round trips still running, including those of requests
         # whose clients went away; drain waits for them.
         self._calls: Set[asyncio.Task] = set()
@@ -162,16 +148,14 @@ class ControlService:
             )
 
     async def stop(self) -> None:
-        """Graceful drain: refuse new work, settle in-flight requests,
-        wait for pending coalesce buckets and worker round trips, shut
-        workers down."""
+        """Graceful drain: refuse new work, settle in-flight requests and
+        worker round trips, shut workers down."""
         if self._draining:
             return
         self._draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        await self._coalescer.drain()
         deadline = (
             asyncio.get_running_loop().time() + self.config.drain_timeout_s
         )
@@ -195,11 +179,10 @@ class ControlService:
     # ------------------------------------------------------------------
     # Worker dispatch
     # ------------------------------------------------------------------
-    def _settle_worker(self, worker: Worker, reply: Any = None) -> None:
+    def _settle_worker(self, worker: Worker, reply: Any) -> None:
         """Return ``worker`` to rotation — or replace it if the reply
         says it crashed or blew its deadline (a timed-out worker is
-        still busy with the stale job and must not serve again).  With
-        no reply it returns an unused worker."""
+        still busy with the stale job and must not serve again)."""
         etype = None
         if isinstance(reply, dict):
             etype = (reply.get("error") or {}).get("type")
@@ -216,12 +199,7 @@ class ControlService:
             self._worker_queue.put_nowait(worker)
 
     async def _worker_call(self, job: Dict[str, Any]) -> Dict[str, Any]:
-        """Check a worker out and run one job on it."""
-        return await self._run(await self._worker_queue.get(), job)
-
-    async def _run(self, worker: Worker,
-                   job: Dict[str, Any]) -> Dict[str, Any]:
-        """Run one job on a checked-out worker as its own task, then
+        """Check a worker out, run one job on it as its own task, then
         settle the worker.
 
         Cancellation-safe: if the awaiting request is cancelled (client
@@ -229,6 +207,7 @@ class ControlService:
         settled from a done-callback — a disconnect never leaks a worker
         out of rotation.
         """
+        worker = await self._worker_queue.get()
         call = asyncio.ensure_future(
             worker.call(job, self.config.request_timeout_s)
         )
@@ -245,27 +224,6 @@ class ControlService:
             raise
         self._settle_worker(worker, reply)
         return reply
-
-    async def _flush_evaluate(self, requests: List[Any],
-                              worker: Worker) -> List[Dict[str, Any]]:
-        """Coalescer callback: one batched evaluate job per flush."""
-        self.registry.counter("serve.coalesce.batches").inc()
-        self.registry.counter("serve.coalesce.requests").inc(len(requests))
-        self.registry.histogram(
-            "serve.coalesce.width", WIDTH_BUCKETS
-        ).observe(float(len(requests)))
-        reply = await self._run(worker, {
-            "op": "evaluate",
-            "requests": list(requests),
-        })
-        if not reply.get("ok"):
-            err = reply.get("error") or {}
-            etype = err.get("type", "InternalError")
-            raise _ServeError(
-                _ERROR_STATUS.get(etype, 500), etype,
-                err.get("message", "worker failure"),
-            )
-        return reply["results"]
 
     # ------------------------------------------------------------------
     # Request processing
@@ -289,37 +247,30 @@ class ControlService:
                 return 200, cached, {"X-Repro-Store": "hit"}
             self.registry.counter("serve.store.misses").inc()
 
-        try:
-            if request.kind == "evaluate":
-                result = await self._coalescer.submit(
-                    coalesce_key(request), request
-                )
-                err = result.get("error")
-                if err:
-                    etype = err.get("type", "InternalError")
-                    return self._error(
-                        _ERROR_STATUS.get(etype, 500), etype,
-                        err.get("message", "evaluation failed"),
-                    )
-            else:
-                reply = await self._worker_call({
-                    "op": "solve", "request": request, "digest": digest,
-                })
-                if not reply.get("ok"):
-                    err = reply.get("error") or {}
-                    etype = err.get("type", "InternalError")
-                    return self._error(
-                        _ERROR_STATUS.get(etype, 500), etype,
-                        err.get("message", "worker failure"),
-                    )
-                result = reply["result"]
-        except _ServeError as exc:
-            return self._error(exc.status, exc.etype, str(exc))
+        if request.kind == "evaluate":
+            job = {"op": "evaluate", "requests": [request]}
+        else:
+            job = {"op": "solve", "request": request, "digest": digest}
+        reply = await self._worker_call(job)
+        if reply.get("ok"):
+            result = (reply["results"][0] if request.kind == "evaluate"
+                      else reply["result"])
+            err = result.get("error")
+        else:
+            err = reply.get("error") or {}
+        if err is not None:
+            etype = err.get("type", "InternalError")
+            return self._error(_ERROR_STATUS.get(etype, 500), etype,
+                               err.get("message", "worker failure"))
 
-        payload = json.dumps(
-            {"digest": digest, "result": result},
-            sort_keys=True, separators=(",", ":"),
-        ).encode("utf-8")
+        try:
+            payload = json.dumps(
+                {"digest": digest, "result": result},
+                sort_keys=True, separators=(",", ":"), allow_nan=False,
+            ).encode("utf-8")
+        except ValueError as exc:  # a NaN or infinity in the result
+            return self._error(500, "InternalError",
+                               f"non-finite {request.kind} result: {exc}")
         if self.store is not None:
             self.store.put(digest, payload)
         return 200, payload, {"X-Repro-Store": "miss"}

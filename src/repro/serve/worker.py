@@ -7,9 +7,8 @@ this is the whole point of serving warm instead of forking per request:
   systems (and, for Navier–Stokes, the factorised pressure Poisson
   solver), built from the request's :func:`request_spec`;
 - **solvers** keyed the same way: one LU/splu factorisation per system,
-  shared by every oracle and every coalesced evaluation that touches
-  that system — request N pays ``n_factorizations == 1`` and rides the
-  multi-solve path;
+  shared by every oracle and every evaluate that touches that system —
+  the first request factorises, every later one only solves against it;
 - **oracles** keyed by ``(family, method, nx, ny, target-digest)``: the
   Laplace DP oracle runs on the compiled tier, so its program is traced
   and compiled on the first request and run by every later request with
@@ -31,7 +30,7 @@ import copy
 import os
 import time
 import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -53,6 +52,11 @@ class WorkerState:
         self.problems: Dict[Tuple, Any] = {}
         self.solvers: Dict[Tuple, Any] = {}
         self.oracles: Dict[Tuple, Any] = {}
+        # Every Laplace factorisation a request ran on, by identity.
+        # ``cache_obs`` counts these rather than the ``solvers`` cache,
+        # so a factorisation made for one request only counts as a miss
+        # instead of vanishing from the totals.
+        self.ran_on: Dict[int, Any] = {}
 
     # -- problem / solver / oracle caches ------------------------------
     def problem(self, request):
@@ -74,6 +78,12 @@ class WorkerState:
             solver = self.solvers[key] = self.problem(request).factorize()
         return solver
 
+    def use_solver(self, request):
+        """:meth:`solver`, recorded in ``ran_on`` for :meth:`cache_obs`."""
+        solver = self.solver(request)
+        self.ran_on[id(solver)] = solver
+        return solver
+
     def oracle(self, request, target_digest: str):
         key = (request.family, request.method, request.nx, request.ny,
                target_digest)
@@ -84,11 +94,11 @@ class WorkerState:
             oracle = build_oracle(request_spec(request),
                                   self._problem_for(request))
             if request.family == "laplace":
-                # All Laplace oracles (and the coalesced evaluate path)
-                # share ONE factorisation per system — a per-request
+                # All Laplace oracles (and the evaluate path) share
+                # ONE factorisation per system — a per-request
                 # target only changes the post-solve mismatch, never
                 # the matrix.
-                oracle.solver = self.solver(request)
+                oracle.solver = self.use_solver(request)
             self.oracles[key] = oracle
         return oracle
 
@@ -96,21 +106,16 @@ class WorkerState:
         prob = self.problem(request)
         if request.target is None:
             return prob
-        target = np.asarray(request.target, dtype=np.float64)
-        if target.shape != prob.target.shape:
-            raise _Reject(
-                f"'target' must have length {prob.target.shape[0]} for "
-                f"nx={request.nx}, got {target.shape[0]}"
-            )
         # Shallow copy: the assembled system, quadrature and control
         # grid are shared; only the target profile differs.
+        target = _target(prob, request)
         prob = copy.copy(prob)
         prob.target = target
         return prob
 
     # -- cumulative cache counters (piggybacked on every reply) --------
     def cache_obs(self) -> Dict[str, Dict[str, int]]:
-        solvers = [*self.solvers.values(), *(
+        solvers = [*self.ran_on.values(), *(
             getattr(p, "pressure_solver", None) for p in self.problems.values()
         )]
         vgs = [getattr(o, "_vg", None) for o in self.oracles.values()]
@@ -127,6 +132,20 @@ def _total(owners) -> Dict[str, int]:
 class _Reject(ValueError):
     """Raised by job execution for a request that is invalid at worker
     resolution (profile-length mismatch etc.) — maps to HTTP 400."""
+
+
+def _target(prob, request) -> np.ndarray:
+    """The request's target profile (the problem's by default), checked
+    against the assembled system's length."""
+    if request.target is None:
+        return prob.target
+    target = np.asarray(request.target, dtype=np.float64)
+    if target.shape != prob.target.shape:
+        raise _Reject(
+            f"'target' must have length {prob.target.shape[0]} for "
+            f"nx={request.nx}, got {target.shape[0]}"
+        )
+    return target
 
 
 # ----------------------------------------------------------------------
@@ -229,72 +248,53 @@ def _target_digest(request) -> str:
 
 
 def _evaluate_batch(state: WorkerState, requests: List) -> List[Dict[str, Any]]:
-    """Price a batch of controls; Laplace batches share ONE multi-RHS solve.
+    """Price each request's control; one result per request, in order.
 
-    Every request in the batch shares a coalesce key — same family and
-    system shape — which is what makes stacking sound.  For Laplace the
-    controls' right-hand sides become the columns of one ``(n, k)`` block
-    (:meth:`~repro.pde.laplace.LaplaceControlProblem.rhs`) pushed through
-    a single factorised ``getrs``/``splu`` call, and
-    :meth:`~repro.pde.laplace.LaplaceControlProblem.cost_from_state`
-    prices the state block, each column against its request's target.
-    Navier–Stokes costs are nonlinear in the control, so they run
-    sequentially (still one worker round-trip).
+    A request the physics cannot price gets its own ``RequestError``
+    payload and leaves the rest of the job untouched.
     """
-    if not requests:
-        return []
-    if requests[0].family != "laplace":
-        out = []
-        cfg = request_spec(requests[0]).ns_config
-        prob = state.problem(requests[0])
-        for req in requests:
-            c = np.asarray(req.control, dtype=np.float64)
-            if c.shape[0] != prob.inflow_y.shape[0]:
-                out.append(_reject_payload(
-                    f"'control' must have length {prob.inflow_y.shape[0]} "
-                    f"for nx={req.nx}, ny={req.ny}, got {c.shape[0]}"
-                ))
-                continue
-            st = prob.solve(c, cfg)
-            cost = float(prob.cost(st.u, st.v))
-            out.append(_evaluate_payload(cost, req))
-        return out
+    out = []
+    for request in requests:
+        try:
+            cost = _price(state, request)
+        except _Reject as exc:
+            out.append(_reject_payload(str(exc)))
+        else:
+            out.append(_evaluate_payload(cost, request))
+    return out
 
-    prob = state.problem(requests[0])
-    solver = state.solver(requests[0])
-    n_control = prob.n_control
-    controls: List[np.ndarray] = []
-    targets: List[np.ndarray] = []
-    slots: List[int] = []
-    out: List[Optional[Dict[str, Any]]] = [None] * len(requests)
-    for i, req in enumerate(requests):
-        c = np.asarray(req.control, dtype=np.float64)
-        if c.shape[0] != n_control:
-            out[i] = _reject_payload(
-                f"'control' must have length {n_control} for nx={req.nx}, "
-                f"got {c.shape[0]}"
-            )
-            continue
-        target = prob.target
-        if req.target is not None:
-            t = np.asarray(req.target, dtype=np.float64)
-            if t.shape != prob.target.shape:
-                out[i] = _reject_payload(
-                    f"'target' must have length {prob.target.shape[0]} for "
-                    f"nx={req.nx}, got {t.shape[0]}"
-                )
-                continue
-            target = t
-        controls.append(c)
-        targets.append(target)
-        slots.append(i)
-    if controls:
-        # The coalesced solve: k right-hand sides, one factorisation.
-        u_block = solver.solve_numpy(prob.rhs(np.stack(controls)))
-        costs = prob.cost_from_state(u_block, np.stack(targets, axis=1))
-        for i, cost in zip(slots, costs):
-            out[i] = _evaluate_payload(float(cost), requests[i])
-    return out  # type: ignore[return-value]
+
+def _price(state: WorkerState, request) -> float:
+    """``J(c)`` for one evaluate request, through the worker's caches.
+
+    Laplace: one solve against the shared factorisation, then the cost
+    against the request's target.  Navier–Stokes: the projection
+    forward, then the outflow cost.  A wrong-length control or target,
+    a forward that diverges, or a non-finite cost raises :class:`_Reject`.
+    """
+    prob = state.problem(request)
+    c = np.asarray(request.control, dtype=np.float64)
+    if c.shape[0] != prob.n_control:
+        shape = (f"nx={request.nx}" if request.family == "laplace"
+                 else f"nx={request.nx}, ny={request.ny}")
+        raise _Reject(f"'control' must have length {prob.n_control} for "
+                      f"{shape}, got {c.shape[0]}")
+    # Overflow is reported below as the request's error, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if request.family == "laplace":
+            target = _target(prob, request)
+            u = state.use_solver(request).solve_numpy(prob.rhs(c))
+            cost = prob.cost_from_state(u, target)
+        else:
+            try:
+                st = prob.solve(c, request_spec(request).ns_config)
+            except FloatingPointError as exc:
+                raise _Reject(f"'control' drives the flow solve to "
+                              f"overflow: {exc}") from exc
+            cost = float(prob.cost(st.u, st.v))
+    if not np.isfinite(cost):
+        raise _Reject(f"'control' gives a non-finite cost ({cost!r})")
+    return cost
 
 
 def _evaluate_payload(cost: float, request) -> Dict[str, Any]:

@@ -1,4 +1,4 @@
-"""Request validation, digesting, and coalesce keys."""
+"""Request validation and digesting."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.serve.protocol import (
     MAX_NX,
     ControlRequest,
     RequestError,
-    coalesce_key,
     parse_request,
     request_digest,
 )
@@ -106,17 +105,3 @@ class TestDigest:
         assert (request_digest(parse_request(spec))
                 == request_digest(parse_request(reordered)))
 
-
-class TestCoalesceKey:
-    def test_same_shape_same_key_despite_targets(self):
-        a = parse_request(_evaluate())
-        b = parse_request(_evaluate(control=[1.0, 2.0, 3.0],
-                                    target=[0.5] * 26))
-        # Targets differ but only affect the post-solve mismatch — the
-        # requests may still share one factorised multi-RHS solve.
-        assert coalesce_key(a) == coalesce_key(b)
-
-    def test_different_shape_different_key(self):
-        a = parse_request(_evaluate())
-        b = parse_request(_evaluate(nx=30))
-        assert coalesce_key(a) != coalesce_key(b)

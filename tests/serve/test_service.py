@@ -50,6 +50,14 @@ def _raw_request(service, data: bytes):
     return int(head.split()[1]), json.loads(body.decode("utf-8"))
 
 
+def _strict_json(body: bytes):
+    """Decode a reply body; a NaN or infinity constant raises."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(body.decode("utf-8"), parse_constant=refuse)
+
+
 def _wait_until(predicate, timeout=10.0, interval=0.05):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -143,6 +151,72 @@ def test_worker_level_reject_is_typed_400(client):
     assert "target" in err.value.error["message"]
 
 
+@pytest.mark.parametrize("family, bad, good", [
+    ("laplace", 1e300, 0.1),  # the cost overflows to inf
+    ("ns", 1e160, 0.3),       # the projection forward diverges
+], ids=["laplace-infinite-cost", "ns-diverging-forward"])
+def test_unpriceable_evaluate_is_typed_400_beside_a_good_one(client, family,
+                                                            bad, good):
+    from repro.serve.protocol import parse_request
+    from repro.serve.worker import WorkerState
+
+    n = WorkerState(0).problem(parse_request(
+        {"family": family, "kind": "evaluate", "control": [0.0]}
+    )).n_control
+    requests = [{"family": family, "kind": "evaluate", "control": [v] * n}
+                for v in (bad, good)]
+    replies = [None, None]
+
+    def post(i):
+        replies[i] = client.post_control_raw(requests[i])
+
+    threads = [threading.Thread(target=post, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120.0)
+    assert not any(t.is_alive() for t in threads)
+    (bad_status, _, bad_body), (good_status, _, good_body) = replies
+    assert bad_status == 400
+    err = _strict_json(bad_body)["error"]
+    assert err["type"] == "RequestError"
+    assert "'control'" in err["message"]
+    assert good_status == 200
+    assert _strict_json(good_body)["result"]["cost"] >= 0.0
+    # Not stored: a re-submit is priced (and refused) again.
+    assert client.post_control_raw(requests[0])[0] == 400
+
+
+def test_non_finite_result_is_typed_500_and_not_stored(tmp_path):
+    # A worker result holding NaN must not go out as a 200 body of
+    # non-standard JSON, nor land in the store.
+    import asyncio
+
+    from repro.serve.service import ControlService
+    from repro.serve.store import ResultStore
+
+    svc = ControlService(ServeConfig(store_dir=str(tmp_path)))
+
+    async def nan_reply(job):
+        return {"ok": True, "result": {
+            "kind": "solve", "final_cost": float("nan"), "control": [0.0],
+            "iterations": 4, "converged": None,
+        }}
+
+    svc._worker_call = nan_reply
+    status, body, _ = asyncio.run(
+        svc._process_control(json.dumps(SOLVE).encode("utf-8"))
+    )
+    svc.store.close()
+    assert status == 500
+    err = _strict_json(body)["error"]
+    assert err["type"] == "InternalError"
+    assert "non-finite" in err["message"]
+    store = ResultStore(str(tmp_path))
+    assert len(store) == 0
+    store.close()
+
+
 @pytest.mark.parametrize("header, message", [
     (b"Content-Length: abc", "Content-Length"),
     (b"Content-Length: -5", "Content-Length"),
@@ -167,14 +241,13 @@ def test_unknown_route_404_and_wrong_method_405(client):
     assert status == 405
 
 
-def test_concurrent_evaluates_coalesce(service, client, n_control):
-    # Evaluates batch only while every worker is busy: hold both workers
-    # with a solve, then fire four evaluates together.
-    before = client.metrics()["metrics"]
-
-    def width(doc):
-        return (doc.get("serve.coalesce.requests", {}).get("value", 0.0),
-                doc.get("serve.coalesce.batches", {}).get("value", 0.0))
+def test_evaluates_behind_busy_workers_each_get_their_own_cost(service, client,
+                                                               n_control):
+    # Hold both workers with a solve, then fire four evaluates together:
+    # each waits for a worker in the one FIFO queue and runs as its own
+    # job, with the cost a fresh worker computes for it.
+    from repro.serve.protocol import parse_request
+    from repro.serve.worker import WorkerState, execute_job
 
     queue = service.service._worker_queue
     holders = [
@@ -185,36 +258,37 @@ def test_concurrent_evaluates_coalesce(service, client, n_control):
         t.start()
     assert _wait_until(lambda: queue.qsize() == 0, timeout=10.0)
 
-    results = [None] * 4
+    requests = [_evaluate([0.02 * (i + 1)] * n_control) for i in range(4)]
+    replies = [None] * 4
     barrier = threading.Barrier(4)
 
     def post(i):
         barrier.wait()
-        results[i] = client.control(**_evaluate(
-            [0.02 * (i + 1)] * n_control
-        ))
+        replies[i] = client.post_control_raw(requests[i])
 
     threads = [threading.Thread(target=post, args=(i,)) for i in range(4)]
     for t in threads:
         t.start()
     for t in threads + holders:
-        t.join()
-    assert all(r is not None for r in results)
-    costs = [r["result"]["cost"] for r in results]
-    assert len(set(costs)) == len(costs)  # each got its own column
+        t.join(timeout=120.0)
+    assert not any(t.is_alive() for t in threads + holders)
+    assert [status for status, _, _ in replies] == [200] * 4
 
-    after = client.metrics()["metrics"]
-    d_requests = width(after)[0] - width(before)[0]
-    d_batches = width(after)[1] - width(before)[1]
-    assert (d_requests, d_batches) == (4, 1)  # one multi-RHS batch of 4
+    reference = WorkerState(0)
+    for request, (_, _, body) in zip(requests, replies):
+        direct = execute_job(reference, {
+            "op": "evaluate", "requests": [parse_request(request)],
+        })["results"][0]["cost"]
+        assert json.loads(body.decode("utf-8"))["result"]["cost"] == direct
+    metrics = client.metrics()["metrics"]
+    assert not [name for name in metrics if name.startswith("serve.coalesce.")]
     assert queue.qsize() == 2  # every worker is back in rotation
 
 
 def test_more_clients_than_workers_all_served_stored_and_exact(client,
                                                                n_control):
     # Eight clients against two workers: each posts a solve, two distinct
-    # evaluates, then its solve again.  Coalesce widths depend on timing
-    # and are not asserted here.
+    # evaluates, then its solve again.
     from repro.serve.protocol import parse_request, request_digest
     from repro.serve.worker import WorkerState, execute_job
 

@@ -1,4 +1,4 @@
-"""Warm-worker job execution: caches, coalesced evaluation, typed errors."""
+"""Warm-worker job execution: caches, evaluate jobs, typed errors."""
 
 from __future__ import annotations
 
@@ -95,7 +95,8 @@ def test_per_item_length_error_does_not_poison_batch(state, n_control):
 def test_coalesced_evaluate_matches_independent_dal_oracle(state, n_control):
     # The served evaluate against a separately built LaplaceDAL oracle:
     # 3 plain controls, 1 with its own target, and 1 of the wrong length
-    # in the middle of the coalesced job.
+    # in the middle of the job.  Both run one vector solve against an
+    # LU of the same matrix, then the same cost, so they agree exactly.
     import copy
 
     from repro.control.dal import LaplaceDAL
@@ -133,7 +134,7 @@ def test_coalesced_evaluate_matches_independent_dal_oracle(state, n_control):
     ]
     for slot, want in zip((0, 1, 3, 4), expected):
         assert results[slot]["kind"] == "evaluate"
-        assert results[slot]["cost"] == pytest.approx(want, rel=1e-12, abs=0), slot
+        assert results[slot]["cost"] == want, slot
 
 
 def test_wrong_target_length_is_typed_request_error(state):
@@ -171,3 +172,39 @@ def test_tolerance_sets_converged_flag(state, n_control):
         state, _job_evaluate([[0.0] * n_control], tolerance=1e-300)
     )
     assert tight["results"][0]["converged"] is False
+
+
+def test_unpriceable_control_is_a_per_request_error(state, n_control):
+    # A Laplace control whose cost overflows to inf, and an NS control
+    # whose forward diverges, each get their own RequestError naming
+    # 'control'; the good request beside each is priced as usual.
+    ns = parse_request({"family": "ns", "kind": "evaluate", "control": [0.0]})
+    n_inflow = state.problem(ns).n_control
+    jobs = {
+        "laplace": ([1e300] * n_control, [0.1] * n_control),
+        "ns": ([1e160] * n_inflow, [0.3] * n_inflow),
+    }
+    for family, (bad, good) in jobs.items():
+        reply = execute_job(state, {"op": "evaluate", "requests": [
+            parse_request({"family": family, "kind": "evaluate",
+                           "control": c}) for c in (bad, good)
+        ]})
+        assert reply["ok"], (family, reply)
+        err, ok = reply["results"]
+        assert err["error"]["type"] == "RequestError", family
+        assert "'control'" in err["error"]["message"], family
+        assert np.isfinite(ok["cost"]), family
+
+
+def test_lu_counts_see_a_factorisation_made_for_one_request(n_control):
+    # A worker whose solver cache hands out a fresh factorisation per
+    # call must report a miss per evaluate, not a perfect hit ratio.
+    state = WorkerState(root_seed=0)
+    state.solver = lambda request: state.problem(request).factorize()
+    job = _job_evaluate([[0.1] * n_control])
+    assert execute_job(state, job)["ok"]
+    before = state.cache_obs()["lu-cache"]
+    assert execute_job(state, job)["ok"]
+    after = state.cache_obs()["lu-cache"]
+    assert after["misses"] == before["misses"] + 1
+    assert after["hits"] == before["hits"]
